@@ -11,9 +11,10 @@ Verification checks: eigen, ybe, exchange, cyclic, frozen, bijection,
 hecke.  Without --mu a check runs over the default composition family
 (every mu with n <= 3 and parts <= 3, plus n = 4 with parts <= 2).
 
-Exit codes: 0 all good, 1 a verification or route comparison failed,
-2 usage error.  Computed polynomials go to stdout; verification reports
-go to stderr.
+--rho needs --method matrix.  Exit codes: 0 all good, 1 a verification
+or route comparison failed, 2 usage error (including a flag value out of
+range).  Computed polynomials go to stdout; verification reports go to
+stderr.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class UsageError(Exception):
 def _f_cached(parts: tuple[int, ...], rho: tuple[int, ...] | None, method: str) -> XPolynomial:
     mu = Composition(parts)
     if method == "hhl":
-        if rho is not None:
-            raise UsageError("--rho requires --method matrix (or both with rho=id)")
         return f_hhl(mu)
     return f_matrix_product(mu, rho)
 
@@ -84,6 +83,9 @@ def _compute(args) -> int:
         raise UsageError("compute requires --mu")
     mu = _parse_mu(args.mu)
     rho = _parse_rho(args.rho, mu.n) if args.rho else None
+    if rho is not None and args.method != "matrix":
+        # the fillings route has no permuted basement to compare against
+        raise UsageError("--rho requires --method matrix")
     if args.convention == "E":
         # E_mu(x_1..x_n) = f_{reverse(mu)}(x_n..x_1): reverse the input
         # composition, compute, then reverse the output alphabet
@@ -93,10 +95,8 @@ def _compute(args) -> int:
         return reverse_alphabet(poly) if args.convention == "E" else poly
 
     if args.method == "both":
-        via_hhl = finish(_f_cached(mu.parts, None, "hhl") if rho is None else f_hhl(mu))
-        via_matrix = finish(_f_cached(mu.parts, rho, "matrix"))
-        if rho is not None:
-            print("--rho ignored for the hhl route; comparing rho=id", file=sys.stderr)
+        via_hhl = finish(_f_cached(mu.parts, None, "hhl"))
+        via_matrix = finish(_f_cached(mu.parts, None, "matrix"))
         _emit(via_matrix, args, mu)
         if via_hhl == via_matrix:
             print("routes agree")
@@ -141,44 +141,45 @@ def _expand(args) -> int:
     return 0
 
 
-def _suite_family() -> list[Composition]:
-    # the default verification family: n <= 3 with parts <= 3 plus n = 4
-    # with parts <= 2 (covers every statistic branch)
-    return default_family()
-
-
 def _run_check(name: str, args) -> CheckReport:
     mu = _parse_mu(args.mu) if args.mu else None
+    lowest = {"i": 1, "n": 2 if name == "hecke" else 1, "cap": 0, "samples": 1}
+    for flag, low in lowest.items():
+        value = getattr(args, flag)
+        if value is not None and value < low:
+            raise UsageError(f"--{flag} must be at least {low} for {name}, got {value}")
     total = CheckReport(name)
     if name == "eigen":
         targets = [mu] if mu else default_family()
         for m in targets:
             total.merge(verify_eigen(_f_cached(m.parts, None, "hhl"), m))
     elif name == "ybe":
-        sizes = [args.n] if args.n else [1, 2]
+        sizes = [1, 2] if args.n is None else [args.n]
         for n in sizes:
             total.merge(ybe_check(n, occupation_cap=args.cap, seed=args.seed))
         total.merge(ybe_check_symbolic(1, args.cap))
     elif name == "exchange":
-        n = args.n or 2
+        n = 2 if args.n is None else args.n
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 total.merge(exchange_check(i, j, n, N=1, cap=1))
     elif name == "cyclic":
-        targets = [mu] if mu else _suite_family()
+        targets = [mu] if mu else default_family()
         for m in targets:
-            rows = [args.i] if args.i else range(1, m.n + 1)
+            if args.i is not None and args.i > m.n:
+                raise UsageError(f"--i {args.i} is not a colour of mu={m} (1..{m.n})")
+            rows = range(1, m.n + 1) if args.i is None else [args.i]
             for i in rows:
                 total.merge(cyclic_check(m, i))
     elif name == "frozen":
-        targets = [mu] if mu else _suite_family()
+        targets = [mu] if mu else default_family()
         for m in targets:
             from_config, from_omega = frozen_coefficient(m)
             total.count()
             if from_config != from_omega:
                 total.fail(f"frozen coefficient mismatch for mu={m}")
     elif name == "bijection":
-        targets = [mu] if mu else _suite_family()
+        targets = [mu] if mu else default_family()
         for m in targets:
             configs = list(enumerate_configs(m))
             fillings = list(enumerate_fillings(m))
@@ -191,7 +192,7 @@ def _run_check(name: str, args) -> CheckReport:
                     total.fail(f"bijection round trip fails on {xi.columns}")
             total.merge(weight_match_check(m))
     elif name == "hecke":
-        sizes = [args.n] if args.n else [2, 3]
+        sizes = [2, 3] if args.n is None else [args.n]
         for n in sizes:
             total.merge(verify_hecke_relations(n, samples=args.samples, seed=args.seed))
         import itertools

@@ -44,7 +44,6 @@ __all__ = [
     "attacks",
     "dominates",
     "bracket_precedes",
-    "precedes",
     "compositions_with",
     "default_family",
 ]
@@ -271,15 +270,6 @@ def bracket_precedes(nu: Composition, mu: Composition) -> bool:
     if nu_plus.parts == mu_plus.parts:
         return dominates(nu, mu)
     return dominates(nu_plus, mu_plus)
-
-
-def precedes(nu: Composition, mu: Composition, order: str = "dominance") -> bool:
-    """Dispatch on the two strict orders ("dominance" or "bracket")."""
-    if order == "dominance":
-        return dominates(nu, mu)
-    if order == "bracket":
-        return bracket_precedes(nu, mu)
-    raise ValueError(f"unknown order {order!r}")
 
 
 def compositions_with(n: int, max_part: int) -> Iterator[Composition]:

@@ -52,9 +52,6 @@ __all__ = [
     "weight_match_check",
 ]
 
-INFINITY = float("inf")
-
-
 @dataclass(frozen=True)
 class Filling:
     """A filling of the extended diagram: columns[i-1][j] = sigma_{i,j}."""
@@ -156,9 +153,11 @@ def ordered_triples(sigma: Filling) -> tuple[int, int]:
 
     A triple consists of squares (i, j) in dg(mu), (i', j-1) in the
     extended diagram and (i', j), for i < i'; the entry sigma_{i',j} is
-    taken to be +infinity when (i', j) lies outside dg(mu).
+    taken to be +infinity when (i', j) lies outside dg(mu).  Entries lie
+    in 1..n, so n + 1 serves as that infinity.
     """
     mu = sigma.mu
+    infinity = mu.n + 1
     plus = minus = 0
     for i in range(1, mu.n + 1):
         for i2 in range(i + 1, mu.n + 1):
@@ -167,7 +166,7 @@ def ordered_triples(sigma: Filling) -> tuple[int, int]:
                     continue
                 mid = sigma.entry(i, j)
                 low = sigma.entry(i2, j - 1)
-                high = sigma.entry(i2, j) if j <= mu.part(i2) else INFINITY
+                high = sigma.entry(i2, j) if j <= mu.part(i2) else infinity
                 if high > mid > low:
                     plus += 1
                 elif high < mid < low:

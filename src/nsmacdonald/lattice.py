@@ -434,12 +434,6 @@ def row_operator_elem(colour: int, in_state: State, out_state: State, t=None):
     return coeff, xdeg
 
 
-def row_operator_elem_poly(colour: int, in_state: State, out_state: State) -> XPolynomial:
-    """The same matrix element as a polynomial in the single symbol x."""
-    coeff, xdeg = row_operator_elem(colour, in_state, out_state)
-    return XPolynomial(1, {(xdeg,): coeff})
-
-
 def capped_states(n: int, nsites: int, cap: int) -> list[State]:
     """All states of nsites occupation vectors with entries <= cap."""
     site_choices = _occupations(n, cap)

@@ -23,6 +23,15 @@ right edge, and
 The geometric series over cylinder wrap counts are already resummed into
 the 1/(1 - v t^f) factors, so nothing is ever truncated.
 
+This closed form is written once, in the column kernel ``_column_factors``:
+it returns the factor groups above (x targets, t^g, phi, move
+denominators, upward t^h, downward v t^h), or None where the component
+vanishes.  ``column_component`` multiplies the groups of one column;
+``config_weight_parts`` multiplies each group across the columns of a
+configuration.  One loop, ``_column_product``, multiplies the column
+components of a configuration, for config_weight, the cyclic relation and
+the frozen coefficient.
+
 A full lattice configuration xi records the colour on every vertical edge
 (column j = 0..N, row i = 1..n); its weight is the product of its N+1
 column components times the normalisation Omega_mu, and
@@ -46,7 +55,6 @@ from .lattice import row_operator_expand
 from .qt import QTRational
 from .reports import CheckReport
 from .xpoly import XPolynomial, compose_vars
-from . import xpoly as _xp
 
 __all__ = [
     "LatticeConfig",
@@ -143,10 +151,12 @@ def colour_data(I: Sequence[int], J: Sequence[int]) -> tuple[frozenset[int], fro
 
 
 def coordinates(I: Sequence[int], J: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """Rows where each colour crosses the boundaries: i_{a_p} = p, j_{b_p} = p."""
-    P, Q = colour_data(I, J)
-    a = {p: I.index(p) + 1 for p in P | Q}
-    b = {p: J.index(p) + 1 for p in Q}
+    """Rows where each colour crosses the boundaries: i_{a_p} = p, j_{b_p} = p.
+
+    For an admissible pair (see colour_data) a covers P u Q and b covers Q.
+    """
+    a = {p: row for row, p in enumerate(I, start=1) if p}
+    b = {p: row for row, p in enumerate(J, start=1) if p}
     return a, b
 
 
@@ -176,12 +186,60 @@ def exponents_fgh(
     return f, g, h
 
 
+@dataclass(frozen=True)
+class ConfigWeightParts:
+    """The factors of one column component, or of a configuration weight
+    before multiplying by Omega_mu, grouped as in the column formula."""
+
+    x_exponents: tuple[int, ...]              # prod x_{b_p}, indexed by row
+    t_g: QTRational                           # prod over P of t^{g(p)}
+    phi: QTRational                           # prod 1/(1 - v t^f)
+    move_denominators: QTRational             # prod (1-t)/(1 - v t^{f+1}), row changes
+    up_t_h: QTRational                        # prod t^h over upward row changes
+    down_v_t_h: QTRational                    # prod v t^h over downward row changes
+
+
+def _column_factors(
+    I: Sequence[int], J: Sequence[int], v: dict[int, QTRational]
+) -> ConfigWeightParts | None:
+    """The column kernel: the closed form of boundary (I, J) as factor
+    groups, or None where the component vanishes."""
+    n = len(I)
+    P, Q = colour_data(I, J)
+    zero = QTRational.zero()
+    for colour in range(1, n + 1):
+        if colour not in P and colour not in Q:
+            if not v.get(colour, zero).is_zero():
+                raise ValueError(
+                    f"nonzero twist parameter for colour {colour} outside P u Q"
+                )
+    a, b = coordinates(I, J)
+    if any(p > l and a[p] == b[l] for p in P | Q for l in Q):
+        return None
+    f, g, h = exponents_fgh(P, Q, a, b, n)
+    one = QTRational.one()
+    t = QTRational.t()
+    t_g = t ** sum(g[p] for p in P)
+    phi = move = up = down = one
+    for p in sorted(P | Q):
+        phi = phi / (one - v[p] * t ** f[p])
+    exps = [0] * n
+    for p in Q:
+        exps[b[p] - 1] = 1
+        if a[p] != b[p]:
+            move = move * (one - t) / (one - v[p] * t ** (f[p] + 1))
+            if a[p] > b[p]:
+                down = down * v[p] * t ** h[p]
+            else:
+                up = up * t ** h[p]
+    return ConfigWeightParts(tuple(exps), t_g, phi, move, up, down)
+
+
 def column_component(
     I: Sequence[int],
     J: Sequence[int],
     v: dict[int, QTRational],
     row_vars: RowVars | None = None,
-    nvars: int | None = None,
 ) -> XPolynomial:
     """The closed-form column operator component for boundary (I, J).
 
@@ -192,43 +250,23 @@ def column_component(
     in the x alphabet with a Q(q,t) coefficient.
     """
     n = len(I)
-    nvars = nvars or n
-    P, Q = colour_data(I, J)
-    zero = QTRational.zero()
-    for colour in range(1, n + 1):
-        if colour not in P and colour not in Q:
-            if not v.get(colour, zero).is_zero():
-                raise ValueError(
-                    f"nonzero twist parameter for colour {colour} outside P u Q"
-                )
-    a, b = coordinates(I, J)
-    for p in sorted(P | Q):
-        for l in sorted(Q):
-            if p > l and a[p] == b[l]:
-                return XPolynomial.zero(nvars)
-    f, g, h = exponents_fgh(P, Q, a, b, n)
-    one = QTRational.one()
-    t = QTRational.t()
-    coeff = one
-    for p in P:
-        coeff = coeff * t ** g[p]
-    for p in sorted(P | Q):
-        coeff = coeff / (one - v[p] * t ** f[p])
-    exps = [0] * nvars
-    for p in Q:
-        row = b[p]
-        if row_vars is None:
-            exps[row - 1] += 1
-        else:
-            var, scalar = row_vars[row - 1]
-            exps[var - 1] += 1
-            coeff = coeff * scalar
-        if a[p] != b[p]:
-            piece = t ** h[p] * (one - t) / (one - v[p] * t ** (f[p] + 1))
-            if a[p] > b[p]:
-                piece = piece * v[p]
-            coeff = coeff * piece
-    return XPolynomial(nvars, {tuple(exps): coeff})
+    parts = _column_factors(I, J, v)
+    if parts is None:
+        return XPolynomial.zero(n)
+    # the monomial groups first: multiplying them into phi and the move
+    # denominators afterwards keeps the intermediate fractions small
+    coeff = parts.t_g * parts.up_t_h * parts.down_v_t_h
+    exps = parts.x_exponents
+    if row_vars is not None:
+        targets = [0] * n
+        for row, occupied in enumerate(parts.x_exponents):
+            if occupied:
+                var, scalar = row_vars[row]
+                targets[var - 1] += 1
+                coeff = coeff * scalar
+        exps = tuple(targets)
+    coeff = coeff * parts.move_denominators * parts.phi
+    return XPolynomial(n, {exps: coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -277,77 +315,58 @@ def enumerate_configs(
     yield from extend([base], 0)
 
 
-def _column_boundaries(xi: LatticeConfig) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    empty = (0,) * xi.n
-    for j, column in enumerate(xi.columns):
-        nxt = xi.columns[j + 1] if j + 1 < len(xi.columns) else empty
-        yield column, nxt
-
-
-def config_weight(
+def _column_product(
+    weight: XPolynomial,
     xi: LatticeConfig,
     mu: Composition,
+    order: Sequence[int] | None = None,
+    row_vars: RowVars | None = None,
     v_fn: Callable[[Composition, int, int], QTRational] | None = None,
 ) -> XPolynomial:
-    """The weight of one configuration: Omega_mu times the product of its
-    column components (a single monomial in x with Q(q,t) coefficient)."""
+    """``weight`` times the column components of xi, column by column.
+
+    ``order[r-1]`` is the row of xi placed at physical row r (default: the
+    rows of xi as they are); ``row_vars`` goes to column_component and
+    ``v_fn`` (default v_param) gives the twist parameters.
+    """
     vf = v_fn or v_param
     n = mu.n
-    weight = XPolynomial.constant(n, omega_norm(mu))
-    for j, (left, right) in enumerate(_column_boundaries(xi)):
+    rows = [r - 1 for r in order] if order else range(n)
+    columns = [tuple(column[r] for r in rows) for column in xi.columns]
+    columns.append((0,) * n)
+    for j in range(len(xi.columns)):
         v = {p: vf(mu, p, j) for p in range(1, n + 1)}
-        weight = weight * column_component(left, right, v)
+        weight = weight * column_component(columns[j], columns[j + 1], v, row_vars)
     return weight
 
 
-@dataclass(frozen=True)
-class ConfigWeightParts:
-    """The factors of a configuration weight, grouped as in the
-    column-component formula (before multiplying by Omega_mu)."""
-
-    x_exponents: tuple[int, ...]              # prod x_{b_p} over all columns
-    t_g: QTRational                           # prod over P of t^{g(p)}
-    phi: QTRational                           # prod 1/(1 - v t^f)
-    move_denominators: QTRational             # prod (1-t)/(1 - v t^{f+1}), row changes
-    up_t_h: QTRational                        # prod t^h over upward row changes
-    down_v_t_h: QTRational                    # prod v t^h over downward row changes
-
-    def total(self, mu: Composition) -> XPolynomial:
-        coeff = (
-            omega_norm(mu)
-            * self.t_g
-            * self.phi
-            * self.move_denominators
-            * self.up_t_h
-            * self.down_v_t_h
-        )
-        return XPolynomial(mu.n, {self.x_exponents: coeff})
+def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
+    """The weight of one configuration: Omega_mu times the product of its
+    column components (a single monomial in x with Q(q,t) coefficient)."""
+    # Omega_mu first: the column denominators cancel against it as they
+    # arrive, where multiplying it in last costs one large gcd per weight
+    return _column_product(XPolynomial.constant(mu.n, omega_norm(mu)), xi, mu)
 
 
 def config_weight_parts(xi: LatticeConfig, mu: Composition) -> ConfigWeightParts:
-    """Factor breakdown of config_weight, for term-by-term weight matching."""
+    """Factor breakdown of config_weight, for term-by-term weight matching:
+    each factor group of the column kernel, multiplied across columns."""
     n = mu.n
     one = QTRational.one()
-    t = QTRational.t()
     t_g = phi = move = up = down = one
     exps = [0] * n
-    for j, (left, right) in enumerate(_column_boundaries(xi)):
-        P, Q = colour_data(left, right)
-        a, b = coordinates(left, right)
-        f, g, h = exponents_fgh(P, Q, a, b, n)
-        v = {p: v_param(mu, p, j) for p in P | Q}
-        for p in P:
-            t_g = t_g * t ** g[p]
-        for p in sorted(P | Q):
-            phi = phi / (one - v[p] * t ** f[p])
-        for p in Q:
-            exps[b[p] - 1] += 1
-            if a[p] != b[p]:
-                move = move * (one - t) / (one - v[p] * t ** (f[p] + 1))
-                if a[p] > b[p]:
-                    down = down * v[p] * t ** h[p]
-                else:
-                    up = up * t ** h[p]
+    columns = xi.columns + ((0,) * n,)
+    for j in range(len(xi.columns)):
+        v = {p: v_param(mu, p, j) for p in range(1, n + 1)}
+        column = _column_factors(columns[j], columns[j + 1], v)
+        if column is None:
+            raise ValueError(f"configuration {xi.columns} has weight zero")
+        exps = [e + c for e, c in zip(exps, column.x_exponents)]
+        t_g = t_g * column.t_g
+        phi = phi * column.phi
+        move = move * column.move_denominators
+        up = up * column.up_t_h
+        down = down * column.down_v_t_h
     return ConfigWeightParts(tuple(exps), t_g, phi, move, up, down)
 
 
@@ -441,27 +460,15 @@ def _cyclic_partition_functions(
     places it at the bottom with variable x_i.  Both reuse the internal
     edge states of xi, whose rows are indexed by entering colour.
     """
-    vf = v_fn or v_param
     n = mu.n
     one, q = QTRational.one(), QTRational.q()
     others = [c for c in range(1, n + 1) if c != i]
-    order_l = others + [i]
-    order_r = [i] + others
-    vars_l: list[tuple[int, QTRational]] = [(c, one) for c in others] + [(i, q)]
-    vars_r: list[tuple[int, QTRational]] = [(c, one) for c in order_r]
-
-    def build(order: list[int], row_vars: RowVars) -> XPolynomial:
-        weight = XPolynomial.one(n)
-        empty = (0,) * n
-        for j, column in enumerate(xi.columns):
-            nxt = xi.columns[j + 1] if j + 1 < len(xi.columns) else empty
-            left = tuple(column[c - 1] for c in order)
-            right = tuple(nxt[c - 1] for c in order)
-            v = {p: vf(mu, p, j) for p in range(1, n + 1)}
-            weight = weight * column_component(left, right, v, row_vars=row_vars)
-        return weight
-
-    return build(order_l, vars_l), build(order_r, vars_r)
+    vars_l = [(c, one) for c in others] + [(i, q)]
+    vars_r = [(c, one) for c in [i] + others]
+    return (
+        _column_product(XPolynomial.one(n), xi, mu, others + [i], vars_l, v_fn),
+        _column_product(XPolynomial.one(n), xi, mu, [i] + others, vars_r, v_fn),
+    )
 
 
 def cyclic_check(
@@ -508,11 +515,7 @@ def frozen_coefficient(mu: Composition) -> tuple[QTRational, QTRational]:
             for j in range(mu.maxpart + 1)
         )
     )
-    weight = XPolynomial.one(n)
-    for j, (left, right) in enumerate(_column_boundaries(frozen)):
-        v = {p: v_param(mu, p, j) for p in range(1, n + 1)}
-        weight = weight * column_component(left, right, v)
-    from_config = weight.coefficient(tuple(mu.parts))
+    from_config = _column_product(XPolynomial.one(n), frozen, mu).coefficient(tuple(mu.parts))
     from_omega = omega_norm(mu).inverse()
     return from_config, from_omega
 

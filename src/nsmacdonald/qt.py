@@ -57,11 +57,6 @@ class ExactDivisionError(ArithmeticError):
     """Polynomial division that was required to be exact left a remainder."""
 
 
-def _lex_key(term: tuple[int, int]) -> tuple[int, int]:
-    # q-degree major, t-degree minor
-    return term
-
-
 class QTPolynomial:
     """A polynomial in (q, t) with Fraction coefficients, sparsely stored."""
 
@@ -113,10 +108,11 @@ class QTPolynomial:
         return len(self.terms) == 1
 
     def leading_term(self) -> tuple[tuple[int, int], Fraction]:
-        """Greatest term in the fixed lex order (q major, t minor)."""
+        """Greatest term in the fixed lex order (q major, t minor), which is
+        the tuple order of the (qexp, texp) keys."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms, key=_lex_key)
+        key = max(self.terms)
         return key, self.terms[key]
 
     # -- arithmetic --------------------------------------------------------
@@ -248,7 +244,7 @@ class QTPolynomial:
         (dq, dt), dc = divisor.leading_term()
         quotient: dict[tuple[int, int], Fraction] = {}
         while remainder:
-            (rq, rt) = max(remainder, key=_lex_key)
+            (rq, rt) = max(remainder)
             if rq < dq or rt < dt:
                 raise ExactDivisionError("nonzero remainder in exact division")
             factor = remainder[(rq, rt)] / dc
@@ -269,7 +265,7 @@ class QTPolynomial:
         """Terms as (qexp, texp, coeff), descending in the fixed lex order."""
         return [
             (qe, te, self.terms[(qe, te)])
-            for (qe, te) in sorted(self.terms, key=_lex_key, reverse=True)
+            for (qe, te) in sorted(self.terms, reverse=True)
         ]
 
     def __str__(self) -> str:
@@ -666,6 +662,12 @@ class QTRational:
     def __mul__(self, other: "QTRational") -> "QTRational":
         if self.num.is_zero() or other.num.is_zero():
             return _ZERO
+        # products with the shared one (QTRational.one(), t ** 0) are
+        # frequent and would otherwise cost a gcd test and two products
+        if self is _ONE:
+            return other
+        if other is _ONE:
+            return self
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         if not d2.is_one():
@@ -752,26 +754,6 @@ class QTRational:
         return QTRational(
             QTPolynomial.from_json(data["num"]), QTPolynomial.from_json(data["den"])
         )
-
-
-def field_arith(a: QTRational, b: QTRational, op: str) -> QTRational:
-    """Dispatch {add, sub, mul, div} on field elements (exact, canonical)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise QTDivisionByZero("division by zero in Q(q,t)")
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")
-
-
-def qt_eval(a: QTRational, qval: Scalar, tval: Scalar) -> Fraction:
-    """Evaluate a field element at an exact rational point."""
-    return a.eval(qval, tval)
 
 
 def _reduce(num: QTPolynomial, den: QTPolynomial) -> tuple[QTPolynomial, QTPolynomial]:

@@ -31,7 +31,6 @@ __all__ = [
     "cyclic_omega",
     "compose_vars",
     "divided_difference_div",
-    "coefficient_of",
 ]
 
 
@@ -328,22 +327,6 @@ def _raw(nvars: int, terms: dict[tuple[int, ...], QTRational]) -> XPolynomial:
 # ---------------------------------------------------------------------------
 # Variable manipulations.
 # ---------------------------------------------------------------------------
-
-
-def xp_arith(a: XPolynomial, b: XPolynomial, op: str) -> XPolynomial:
-    """Dispatch {add, sub, mul} on polynomials over the same alphabet."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown polynomial operation {op!r}")
-
-
-def coefficient_of(poly: XPolynomial, exps: Sequence[int]) -> QTRational:
-    """The exact coefficient of the monomial x^exps (0 if absent)."""
-    return poly.coefficient(exps)
 
 
 def swap_vars(poly: XPolynomial, i: int) -> XPolynomial:

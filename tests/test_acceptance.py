@@ -3,13 +3,17 @@ in Q(q,t) throughout.  Each test prints a single PASS line on success
 (run pytest with -s or look at captured output to see them).
 
 The composition family is: every mu with n <= 3 and parts <= 3, plus
-every mu with n = 4 and parts <= 2 (165 compositions); the
+every mu with n = 4 and parts <= 2 (165 compositions), whose f_mu JSON
+is pinned by the digests in data/default_family_digests.json; the
 per-configuration suites (cyclic relation, bijection, weight matching)
 run over n <= 3 with parts <= 2.
 """
 
+import hashlib
 import itertools
+import json
 from functools import lru_cache
+from pathlib import Path
 
 from nsmacdonald.compositions import (
     Composition,
@@ -44,6 +48,10 @@ from nsmacdonald.xpoly import XPolynomial, specialize_q
 import bruteforce_oracle as oracle
 
 FAMILY = default_family()
+# SHA-256 of the canonical JSON of f_mu for every mu in FAMILY, keyed
+# "m1,m2,..": written once, after both routes agreed and the eigenvector
+# check passed, so any later change to the output shows here
+GOLDEN_DIGESTS = Path(__file__).parent / "data" / "default_family_digests.json"
 SMALL_FAMILY = [mu for n in (1, 2, 3) for mu in compositions_with(n, 2)]
 
 
@@ -65,6 +73,17 @@ def test_criterion_01_route_equivalence():
     for mu in FAMILY:
         assert via_hhl(mu.parts) == via_matrix(mu.parts), f"routes differ for {mu}"
     report("criterion 1 (route equivalence)", f"{len(FAMILY)} compositions, exact")
+
+
+def test_golden_digests_of_default_family():
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    assert list(golden) == [",".join(map(str, mu.parts)) for mu in FAMILY]
+    for mu in FAMILY:
+        expected = golden[",".join(map(str, mu.parts))]
+        for poly in (via_hhl(mu.parts), via_matrix(mu.parts)):
+            text = json.dumps(poly.to_json(), sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode()).hexdigest() == expected, mu
+    report("golden digests", f"f_mu JSON of {len(FAMILY)} compositions, byte for byte")
 
 
 def test_criterion_02_eigenvector_property():

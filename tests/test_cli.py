@@ -113,3 +113,26 @@ def test_seed_reproducibility(capsys):
     code2, _out2, err2 = run(capsys, "verify", "hecke", "--n", "2", "--seed", "9", "--samples", "2")
     assert code1 == code2 == 0
     assert err1 == err2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "compute --mu 0,1 --rho 2,1 --method both",
+        "compute --mu 0,1 --rho 2,1 --method hhl",
+        "verify cyclic --mu 0,1 --i 5",
+        "verify cyclic --mu 0,1 --i -1",
+        "verify cyclic --mu 0,1 --i 0",
+        "verify hecke --n 1",
+        "verify hecke --n -3",
+        "verify hecke --n 2 --samples 0",
+        "verify ybe --n 1 --cap -1",
+        "verify ybe --n 0",
+        "verify exchange --n 0",
+    ],
+)
+def test_bad_flag_values_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -17,7 +17,6 @@ from nsmacdonald.compositions import (
     gamma,
     leg,
     omega_norm,
-    precedes,
     v_param,
 )
 from nsmacdonald.qt import QTRational
@@ -129,10 +128,9 @@ def test_orders():
     assert dominates(Composition((0, 1)), Composition((1, 0)))
     assert not bracket_precedes(Composition((1, 0)), Composition((1, 0)))
     assert bracket_precedes(Composition((1, 1)), Composition((2, 0)))
-    assert precedes(Composition((0, 1)), Composition((1, 0)), "dominance")
-    assert precedes(Composition((1, 1)), Composition((2, 0)), "bracket")
+    assert bracket_precedes(Composition((0, 1)), Composition((1, 0)))
     with pytest.raises(ValueError):
-        precedes(Composition((1,)), Composition((1,)), "mystery")
+        bracket_precedes(Composition((1,)), Composition((1, 0)))
     with pytest.raises(ValueError):
         dominates(Composition((1,)), Composition((1, 0)))
 

@@ -12,13 +12,11 @@ from nsmacdonald.lattice import (
     l_weight,
     r_weight,
     row_operator_elem,
-    row_operator_elem_poly,
     row_operator_expand,
     ybe_check,
     ybe_check_symbolic,
 )
 from nsmacdonald.qt import QTRational
-from nsmacdonald.xpoly import XPolynomial
 
 ONE = QTRational.one()
 T = QTRational.t()
@@ -124,11 +122,6 @@ def test_row_operator_examples():
     # colour conservation violation gives zero
     coeff, deg = row_operator_elem(1, (((0, 0),)), (((0, 0),)))
     assert coeff.is_zero()
-
-
-def test_row_operator_poly_form():
-    poly = row_operator_elem_poly(1, ((0, 0), (0, 0)), ((0, 0), (1, 0)))
-    assert poly == XPolynomial.variable(1, 1)
 
 
 def test_row_operator_expand_matches_elem():

@@ -16,6 +16,7 @@ from nsmacdonald.matrixprod import (
     colour_data,
     column_component,
     config_weight,
+    config_weight_parts,
     coordinates,
     cyclic_check,
     enumerate_configs,
@@ -115,6 +116,12 @@ def test_config_weight_examples(golden_polys):
     zero_mu = Composition((0, 0, 0))
     (only,) = enumerate_configs(zero_mu)
     assert config_weight(only, zero_mu) == XPolynomial.one(3)
+    # colour 2 leaves row 1 as colour 1 arrives there: a down-crossing,
+    # on which the column kernel vanishes
+    crossing, mu = LatticeConfig(((2, 1), (1, 0))), Composition((1, 0))
+    assert config_weight(crossing, mu).is_zero()
+    with pytest.raises(ValueError):
+        config_weight_parts(crossing, mu)
 
 
 def test_f_matrix_product_goldens(golden_polys):

@@ -9,7 +9,6 @@ from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import (
     AlphabetMismatch,
     XPolynomial,
-    coefficient_of,
     compose_vars,
     cyclic_omega,
     divided_difference_div,
@@ -59,23 +58,12 @@ def test_alphabet_mismatch():
 
 
 def test_coefficient_of(golden_polys):
-    assert coefficient_of(XPolynomial.one(3), (0, 0, 0)).is_one()
-    assert coefficient_of(var(2, 1), (0, 1)).is_zero()
-    assert coefficient_of(golden_polys[(1, 0)], (1, 0)).is_one()
-    assert coefficient_of(golden_polys[(0, 1)], (1, 0)) == Q * (ONE - T) / (ONE - Q * T)
+    assert XPolynomial.one(3).coefficient((0, 0, 0)).is_one()
+    assert var(2, 1).coefficient((0, 1)).is_zero()
+    assert golden_polys[(1, 0)].coefficient((1, 0)).is_one()
+    assert golden_polys[(0, 1)].coefficient((1, 0)) == Q * (ONE - T) / (ONE - Q * T)
     with pytest.raises(AlphabetMismatch):
-        coefficient_of(var(2, 1), (1, 0, 0))
-
-
-def test_xp_arith_dispatch():
-    from nsmacdonald.xpoly import xp_arith
-
-    a, b = var(2, 1), var(2, 2)
-    assert xp_arith(a, b, "add") == a + b
-    assert xp_arith(a, b, "sub") == a - b
-    assert xp_arith(a, b, "mul") == a * b
-    with pytest.raises(ValueError):
-        xp_arith(a, b, "div")
+        var(2, 1).coefficient((1, 0, 0))
 
 
 def test_swap_examples():
