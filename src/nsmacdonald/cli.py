@@ -4,12 +4,13 @@ Three subcommands:
 
   compute --mu 0,1 [--rho 2,1] [--method hhl|matrix|both] [--convention f|E]
           [--output text|json|latex]
-  expand  --mu 0,1 [--method ...] [--output ...]     monomial table
+  expand  --mu 0,1 [--method hhl|matrix] [--output text|json|latex]
   verify  [CHECK | --check CHECK] [--mu ...] [--i K] [--n N] [--seed S] ...
 
 Verification checks: eigen, ybe, exchange, cyclic, frozen, bijection,
 hecke.  Without --mu a check runs over the default composition family
-(every mu with n <= 3 and parts <= 3, plus n = 4 with parts <= 2).
+(every mu with n <= 3 and parts <= 3, plus n = 4 with parts <= 2);
+``verify cyclic --i K`` then runs colour K on the members with n >= K.
 
 --rho needs --method matrix.  Exit codes: 0 all good, 1 a verification
 or route comparison failed, 2 usage error (including a flag value out of
@@ -20,6 +21,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from functools import lru_cache
@@ -42,7 +44,6 @@ from .matrixprod import (
     frozen_coefficient,
     verify_exchange_basement,
 )
-from .qt import QTRational
 from .reports import CheckReport
 from .xpoly import XPolynomial, reverse_alphabet
 
@@ -125,19 +126,12 @@ def _expand(args) -> int:
     if not args.mu:
         raise UsageError("expand requires --mu")
     mu = _parse_mu(args.mu)
-    method = "hhl" if args.method == "both" else args.method
-    poly = _f_cached(mu.parts, None, method)
-    if args.output == "json":
-        print(
-            json.dumps(
-                {"mu": list(mu.parts), "method": method, "poly": poly.to_json()}
-            )
-        )
-    elif args.output == "latex":
-        print(poly.to_latex())
-    else:
+    poly = _f_cached(mu.parts, None, args.method)
+    if args.output == "text":
         for exps, coeff in poly.sorted_terms():
             print(f"x^{list(exps)}  {coeff}")
+    else:
+        _emit(poly, args, mu)
     return 0
 
 
@@ -148,9 +142,9 @@ def _run_check(name: str, args) -> CheckReport:
         value = getattr(args, flag)
         if value is not None and value < low:
             raise UsageError(f"--{flag} must be at least {low} for {name}, got {value}")
+    targets = [mu] if mu else default_family()
     total = CheckReport(name)
     if name == "eigen":
-        targets = [mu] if mu else default_family()
         for m in targets:
             total.merge(verify_eigen(_f_cached(m.parts, None, "hhl"), m))
     elif name == "ybe":
@@ -164,22 +158,23 @@ def _run_check(name: str, args) -> CheckReport:
             for j in range(1, n + 1):
                 total.merge(exchange_check(i, j, n, N=1, cap=1))
     elif name == "cyclic":
-        targets = [mu] if mu else default_family()
+        if args.i is not None:
+            # colour K is checked on every target that has it
+            targets = [m for m in targets if args.i <= m.n]
+            if not targets:
+                where = f"mu={mu} (1..{mu.n})" if mu else "any default-family composition"
+                raise UsageError(f"--i {args.i} is not a colour of {where}")
         for m in targets:
-            if args.i is not None and args.i > m.n:
-                raise UsageError(f"--i {args.i} is not a colour of mu={m} (1..{m.n})")
             rows = range(1, m.n + 1) if args.i is None else [args.i]
             for i in rows:
                 total.merge(cyclic_check(m, i))
     elif name == "frozen":
-        targets = [mu] if mu else default_family()
         for m in targets:
             from_config, from_omega = frozen_coefficient(m)
             total.count()
             if from_config != from_omega:
                 total.fail(f"frozen coefficient mismatch for mu={m}")
     elif name == "bijection":
-        targets = [mu] if mu else default_family()
         for m in targets:
             configs = list(enumerate_configs(m))
             fillings = list(enumerate_fillings(m))
@@ -195,8 +190,6 @@ def _run_check(name: str, args) -> CheckReport:
         sizes = [2, 3] if args.n is None else [args.n]
         for n in sizes:
             total.merge(verify_hecke_relations(n, samples=args.samples, seed=args.seed))
-        import itertools
-
         for n in sizes:
             mus = [mu] if mu else list(compositions_with(n, 2))
             for m in mus:
@@ -237,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     expand = sub.add_parser("expand", help="print the monomial expansion of f_mu")
     expand.add_argument("--mu")
-    expand.add_argument("--method", choices=("hhl", "matrix", "both"), default="hhl")
+    expand.add_argument("--method", choices=("hhl", "matrix"), default="hhl")
     expand.add_argument("--output", choices=("text", "json", "latex"), default="text")
     expand.set_defaults(func=_expand)
 

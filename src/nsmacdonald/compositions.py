@@ -18,15 +18,18 @@ Statistics:
   leg(i,j)   = mu_i - j
   arm(i,j)   = alpha_{i,j-1}
 
-Everything is recomputed on demand; at desk scale nothing here is hot
-enough to justify caching.
+Everything is recomputed on demand except Omega_mu, which the matrix
+route and the weight matching need once per configuration: omega_norm
+keeps it per composition in a bounded cache (Composition is frozen and
+QTRational immutable, so a cached value is never changed by a caller).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 from .qt import QTRational
 
@@ -181,6 +184,8 @@ def v_param(mu: Composition, i: int, j: int) -> QTRational:
     return QTRational.monomial(mu.parts[i - 1] - j, gamma(mu, i, j))
 
 
+# 165 compositions make up the default family: a run over it keeps every value
+@lru_cache(maxsize=165)
 def omega_norm(mu: Composition) -> QTRational:
     """The normalisation Omega_mu = prod (1 - q^{mu_i-j} t^{alpha_ij})."""
     one = QTRational.one()

@@ -24,7 +24,9 @@ filling whose column a lists the rows visited by the colour-a path:
 sigma_{a,j} = row of colour a in lattice column j.  It is a weight
 preserving bijection onto non-attacking fillings; ``weight_match_check``
 verifies this square by square, including the individual factor-group
-identities the matching splits into.
+identities the matching splits into.  The HHL side of those identities
+is the factor kernel ``_hhl_factors``, which ``hhl_summand`` multiplies
+out; the column side is matrixprod's column kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .compositions import Composition, arm, attacks, leg, omega_norm, v_param
+from .compositions import Composition, arm, attacks, leg, omega_norm
 from .matrixprod import LatticeConfig, config_weight, config_weight_parts, enumerate_configs
 from .qt import QTRational
 from .reports import CheckReport
@@ -44,7 +46,6 @@ __all__ = [
     "enumerate_fillings",
     "descent_ascent",
     "ordered_triples",
-    "triple_delta",
     "hhl_summand",
     "f_hhl",
     "bijection_M",
@@ -174,31 +175,42 @@ def ordered_triples(sigma: Filling) -> tuple[int, int]:
     return plus, minus
 
 
-def triple_delta(sigma: Filling) -> int:
-    """Delta(sigma) = ord_+ - ord_-, the exponent of the global t factor."""
+def _hhl_factors(
+    sigma: Filling,
+) -> tuple[tuple[int, ...], QTRational, QTRational, QTRational]:
+    """The HHL factor kernel: the weight of sigma as the factor groups
+
+      x^sigma (its exponent vector),
+      t^{ord_+},
+      prod over descents and ascents (1-t)/(1 - q^{l+1} t^{a+1}),
+      t^{-ord_-} * prod over ascents q^{l+1} t^a,
+
+    with leg and arm evaluated once per descent or ascent square."""
+    mu = sigma.mu
+    one = QTRational.one()
+    one_minus_t = one - QTRational.t()
     plus, minus = ordered_triples(sigma)
-    return plus - minus
+    descents, ascents = descent_ascent(sigma)
+    denominators = one
+    q_exp, t_exp = 0, -minus
+    for s in descents | ascents:
+        la, aa = leg(mu, s), arm(mu, s)
+        denominators = denominators * one_minus_t / (one - QTRational.monomial(la + 1, aa + 1))
+        if s in ascents:
+            q_exp, t_exp = q_exp + la + 1, t_exp + aa
+    return (
+        sigma.x_monomial(),
+        QTRational.monomial(0, plus),
+        denominators,
+        QTRational.monomial(q_exp, t_exp),
+    )
 
 
 def hhl_summand(sigma: Filling) -> XPolynomial:
     """The weight of one non-attacking filling in the combinatorial sum."""
-    mu = sigma.mu
-    one = QTRational.one()
-    t = QTRational.t()
-    descents, ascents = descent_ascent(sigma)
-    coeff = QTRational.monomial(0, triple_delta(sigma))
-    for s in descents:
-        la, aa = leg(mu, s), arm(mu, s)
-        coeff = coeff * (one - t) / (one - QTRational.monomial(la + 1, aa + 1))
-    for s in ascents:
-        la, aa = leg(mu, s), arm(mu, s)
-        coeff = (
-            coeff
-            * QTRational.monomial(la + 1, aa)
-            * (one - t)
-            / (one - QTRational.monomial(la + 1, aa + 1))
-        )
-    return XPolynomial(mu.n, {sigma.x_monomial(): coeff})
+    exps, t_plus, denominators, numerators = _hhl_factors(sigma)
+    # the monomial groups first, then the denominators
+    return XPolynomial(sigma.mu.n, {exps: t_plus * numerators * denominators})
 
 
 def f_hhl(mu: Composition) -> XPolynomial:
@@ -255,36 +267,25 @@ def weight_match_check(mu: Composition) -> CheckReport:
       downward moves   prod v t^h (downward)           = t^{-ord_-} * ascent numerators
     """
     report = CheckReport(f"weight-match mu={mu}")
-    one = QTRational.one()
-    t = QTRational.t()
+    omega = omega_norm(mu)
     for xi in enumerate_configs(mu):
         sigma = bijection_M(xi, mu)
         parts = config_weight_parts(xi, mu)
+        exps, t_plus, denominators, numerators = _hhl_factors(sigma)
         report.count()
-        if parts.x_exponents != sigma.x_monomial():
+        if parts.x_exponents != exps:
             report.fail(f"x factors differ on {xi.columns}")
         report.count()
-        if not (omega_norm(mu) * parts.phi).is_one():
+        if not (omega * parts.phi).is_one():
             report.fail(f"Omega cancellation fails on {xi.columns}")
-        descents, ascents = descent_ascent(sigma)
-        denom = one
-        for s in descents | ascents:
-            la, aa = leg(mu, s), arm(mu, s)
-            denom = denom * (one - t) / (one - QTRational.monomial(la + 1, aa + 1))
         report.count()
-        if parts.move_denominators != denom:
+        if parts.move_denominators != denominators:
             report.fail(f"descent/ascent denominators differ on {xi.columns}")
-        plus, minus = ordered_triples(sigma)
         report.count()
-        if parts.t_g * parts.up_t_h != QTRational.monomial(0, plus):
+        if parts.t_g * parts.up_t_h != t_plus:
             report.fail(f"t^ord_+ mismatch on {xi.columns}")
-        ascent_numerator = QTRational.monomial(0, -minus)
-        for s in ascents:
-            ascent_numerator = ascent_numerator * QTRational.monomial(
-                leg(mu, s) + 1, arm(mu, s)
-            )
         report.count()
-        if parts.down_v_t_h != ascent_numerator:
+        if parts.down_v_t_h != numerators:
             report.fail(f"downward-move factor mismatch on {xi.columns}")
         report.count()
         if config_weight(xi, mu) != hhl_summand(sigma):

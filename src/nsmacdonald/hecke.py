@@ -21,13 +21,14 @@ direct action avoids any basis bookkeeping.
 
 Tilde variants (the reversed-alphabet conventions) are included so the
 reversal identity Y_{n-i+1} = rev . Ytilde_i . rev can be verified, where
-rev evaluates a polynomial on the reversed alphabet.
+rev evaluates a polynomial on the reversed alphabet.  T_i and the tilde
+generator T~_i share one function, ``_hecke``: the generator
+t p - (a x_i - b x_{i+1}) delta_i(p) with (a, b) = (1, t), (t, 1).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
 
 from .compositions import Composition, eigenvalue_y
 from .qt import QTRational
@@ -38,7 +39,6 @@ from .xpoly import (
     cyclic_omega,
     divided_difference_div,
     reverse_alphabet,
-    swap_vars,
 )
 
 __all__ = [
@@ -52,25 +52,26 @@ __all__ = [
 ]
 
 
-def _hecke_core(p: XPolynomial, i: int, coeff_lo: QTRational) -> XPolynomial:
-    # (x_i - t x_{i+1}) delta_i(p), shared by T_i and T_i^{-1}
+def _hecke(
+    p: XPolynomial, i: int, a: QTRational, b: QTRational, inverse: bool
+) -> XPolynomial:
+    """The generator t p - (a x_i - b x_{i+1}) delta_i(p), or its inverse
+    t^{-1} (p - (a x_i - b x_{i+1}) delta_i(p)); T_i has (a, b) = (1, t)
+    and T~_i has (a, b) = (t, 1)."""
     n = p.nvars
-    delta = divided_difference_div(p, i)
-    factor = XPolynomial.variable(n, i) - XPolynomial.variable(n, i + 1).scale(
-        coeff_lo
-    )
-    return factor * delta
+    if not 1 <= i <= n - 1:
+        raise IndexError(f"generator index {i} out of range 1..{n - 1}")
+    factor = XPolynomial.variable(n, i).scale(a) - XPolynomial.variable(n, i + 1).scale(b)
+    core = factor * divided_difference_div(p, i)
+    t = QTRational.t()
+    if inverse:
+        return (p - core).scale(t.inverse())
+    return p.scale(t) - core
 
 
 def apply_T(p: XPolynomial, i: int, inverse: bool = False) -> XPolynomial:
     """Act with the Hecke generator T_i (or T_i^{-1}) on p."""
-    if not 1 <= i <= p.nvars - 1:
-        raise IndexError(f"generator index {i} out of range 1..{p.nvars - 1}")
-    t = QTRational.t()
-    core = _hecke_core(p, i, t)
-    if inverse:
-        return (p - core).scale(t.inverse())
-    return p.scale(t) - core
+    return _hecke(p, i, QTRational.one(), QTRational.t(), inverse)
 
 
 def apply_Y(p: XPolynomial, i: int) -> XPolynomial:
@@ -92,16 +93,7 @@ def apply_Y(p: XPolynomial, i: int) -> XPolynomial:
 
 def apply_T_tilde(p: XPolynomial, i: int, inverse: bool = False) -> XPolynomial:
     """The tilde Hecke generator: t p - (t x_i - x_{i+1}) delta_i(p)."""
-    if not 1 <= i <= p.nvars - 1:
-        raise IndexError(f"generator index {i} out of range 1..{p.nvars - 1}")
-    t = QTRational.t()
-    n = p.nvars
-    delta = divided_difference_div(p, i)
-    factor = XPolynomial.variable(n, i).scale(t) - XPolynomial.variable(n, i + 1)
-    core = factor * delta
-    if inverse:
-        return (p - core).scale(t.inverse())
-    return p.scale(t) - core
+    return _hecke(p, i, QTRational.t(), QTRational.one(), inverse)
 
 
 def omega_tilde(p: XPolynomial) -> XPolynomial:

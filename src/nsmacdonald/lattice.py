@@ -40,7 +40,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .qt import QTRational
 from .reports import CheckReport

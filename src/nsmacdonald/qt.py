@@ -160,31 +160,11 @@ class QTPolynomial:
                     out.pop(key, None)
         return _poly_raw(out)
 
-    def __pow__(self, exponent: int) -> "QTPolynomial":
-        if exponent < 0:
-            raise ValueError("QTPolynomial only supports nonnegative powers")
-        result = _POLY_ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def scale(self, factor: Scalar) -> "QTPolynomial":
         frac = Fraction(factor)
         if frac == 0:
             return _POLY_ZERO
         return _poly_raw({key: coeff * frac for key, coeff in self.terms.items()})
-
-    def shift(self, qexp: int, texp: int) -> "QTPolynomial":
-        """Multiply by the monomial q^qexp t^texp (exponents >= 0)."""
-        if qexp == 0 and texp == 0:
-            return self
-        return _poly_raw(
-            {(qe + qexp, te + texp): c for (qe, te), c in self.terms.items()}
-        )
 
     # -- comparisons, hashing ---------------------------------------------
 
@@ -588,15 +568,6 @@ class QTRational:
     @staticmethod
     def t() -> "QTRational":
         return _T
-
-    @staticmethod
-    def from_scalar(value: Scalar) -> "QTRational":
-        frac = Fraction(value)
-        if frac == 0:
-            return _ZERO
-        if frac == 1:
-            return _ONE
-        return _make_raw(QTPolynomial.constant(frac), _POLY_ONE)
 
     @staticmethod
     def monomial(qexp: int, texp: int, coeff: Scalar = 1) -> "QTRational":

@@ -20,7 +20,7 @@ Values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .qt import QTRational
 
@@ -117,18 +117,12 @@ class XPolynomial:
             )
         return self.terms.get(key, QTRational.zero())
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading_term(self) -> tuple[tuple[int, ...], QTRational]:
         """Greatest term under graded lex on exponent vectors."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         key = max(self.terms, key=_grlex_key)
         return key, self.terms[key]
-
-    def support(self) -> set[tuple[int, ...]]:
-        return set(self.terms)
 
     # -- ring arithmetic -------------------------------------------------------------
 
@@ -392,12 +386,6 @@ def cyclic_omega(poly: XPolynomial) -> XPolynomial:
     one = QTRational.one()
     images = [(k + 1, one) for k in range(1, n)] + [(1, QTRational.q())]
     return compose_vars(poly, images)
-
-
-def q_dilate(poly: XPolynomial) -> XPolynomial:
-    """Substitute x_i -> q x_i for every variable simultaneously."""
-    qv = QTRational.q()
-    return compose_vars(poly, [(k, qv) for k in range(1, poly.nvars + 1)])
 
 
 def reverse_alphabet(poly: XPolynomial) -> XPolynomial:

@@ -116,7 +116,7 @@ def test_criterion_04_normalisation():
 def test_criterion_05_triangularity():
     for mu in FAMILY:
         mu_rev = mu.reverse()
-        for exps in via_hhl(mu.parts).support():
+        for exps in via_hhl(mu.parts).terms:
             if exps == mu.parts:
                 continue
             nu_rev = Composition(exps).reverse()

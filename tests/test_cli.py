@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from nsmacdonald import cli
 from nsmacdonald.cli import main
 from nsmacdonald.xpoly import XPolynomial, reverse_alphabet
 from nsmacdonald.fillings import f_hhl
 from nsmacdonald.compositions import Composition
+from nsmacdonald.matrixprod import cyclic_check
 
 
 def run(capsys, *argv):
@@ -108,6 +110,27 @@ def test_verify_cyclic_with_colour(capsys):
     assert "PASS" in err
 
 
+def test_verify_cyclic_colour_without_mu_skips_smaller_compositions(capsys, monkeypatch):
+    # the default family starts with n = 1; colour 2 runs on the members
+    # that have it
+    family = [Composition((1,)), Composition((0, 1))]
+    monkeypatch.setattr(cli, "default_family", lambda: family)
+    code, _out, err = run(capsys, "verify", "cyclic", "--i", "2")
+    assert code == 0
+    checked = cyclic_check(Composition((0, 1)), 2).checked
+    assert err.splitlines()[0] == f"[PASS] cyclic: {checked} checks"
+
+
+def test_expand_json_matches_compute(capsys):
+    code, out, _err = run(capsys, "expand", "--mu", "0,1", "--method", "matrix", "--output", "json")
+    assert code == 0
+    code, computed, _err = run(
+        capsys, "compute", "--mu", "0,1", "--method", "matrix", "--output", "json"
+    )
+    assert code == 0
+    assert out == computed
+
+
 def test_seed_reproducibility(capsys):
     code1, _out, err1 = run(capsys, "verify", "hecke", "--n", "2", "--seed", "9", "--samples", "2")
     code2, _out2, err2 = run(capsys, "verify", "hecke", "--n", "2", "--seed", "9", "--samples", "2")
@@ -123,6 +146,7 @@ def test_seed_reproducibility(capsys):
         "verify cyclic --mu 0,1 --i 5",
         "verify cyclic --mu 0,1 --i -1",
         "verify cyclic --mu 0,1 --i 0",
+        "verify cyclic --i 5",
         "verify hecke --n 1",
         "verify hecke --n -3",
         "verify hecke --n 2 --samples 0",

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from nsmacdonald import fillings
 from nsmacdonald.compositions import Composition, compositions_with
 from nsmacdonald.fillings import (
     Filling,
@@ -14,7 +15,6 @@ from nsmacdonald.fillings import (
     f_hhl,
     hhl_summand,
     ordered_triples,
-    triple_delta,
     weight_match_check,
 )
 from nsmacdonald.matrixprod import enumerate_configs, f_matrix_product
@@ -69,7 +69,8 @@ def test_descent_ascent_examples():
 def test_triple_examples():
     for mu in [Composition((0, 1)), Composition((2, 0)), Composition((1, 1))]:
         for sigma in enumerate_fillings(mu):
-            assert triple_delta(sigma) == 0
+            plus, minus = ordered_triples(sigma)
+            assert plus == minus
 
 
 def test_triples_match_bruteforce_scan():
@@ -161,6 +162,21 @@ def test_weight_match_examples():
     for parts in [(0, 1), (1, 1), (2, 0)]:
         report = weight_match_check(Composition(parts))
         assert report.ok, report.failures[:3]
+
+
+def test_weight_match_detects_corrupted_triples(monkeypatch):
+    # ord_+ one too large: the t^ord_+ group and the total weight must
+    # fail, and every other factor group must still match
+    original = fillings.ordered_triples
+
+    def corrupted(sigma):
+        plus, minus = original(sigma)
+        return plus + 1, minus
+
+    monkeypatch.setattr(fillings, "ordered_triples", corrupted)
+    report = weight_match_check(Composition((1, 1)))
+    kinds = sorted(message.split(" on ")[0] for message in report.failures)
+    assert kinds == ["t^ord_+ mismatch", "total weights differ"]
 
 
 def test_route_equivalence_spot():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nsmacdonald import lattice
 from nsmacdonald.lattice import (
     StructuredWeight,
     capped_states,
@@ -98,15 +99,21 @@ def test_ybe_symbolic_n1():
     assert rep.ok, rep.failures[:3]
 
 
-def test_ybe_detects_corrupted_table():
-    def corrupted(I, j, K, l, t=None):
-        w = l_weight(I, j, K, l, t)
-        if j == 0 and l == 1 and not w.is_zero():
-            return StructuredWeight(w.coeff * (t if t is not None else T), w.xdeg)
-        return w
+def corrupted_l_weight(I, j, K, l, t=None):
+    w = l_weight(I, j, K, l, t)
+    if j == 0 and l == 1 and not w.is_zero():
+        return StructuredWeight(w.coeff * (t if t is not None else T), w.xdeg)
+    return w
 
-    rep = ybe_check(1, 1, l_weight_fn=corrupted, nonconserving_samples=0)
+
+def test_ybe_detects_corrupted_table():
+    rep = ybe_check(1, 1, l_weight_fn=corrupted_l_weight, nonconserving_samples=0)
     assert not rep.ok
+
+
+def test_ybe_symbolic_detects_corrupted_table(monkeypatch):
+    monkeypatch.setattr(lattice, "l_weight", corrupted_l_weight)
+    assert not ybe_check_symbolic(1, 1).ok
 
 
 def test_row_operator_examples():

@@ -12,7 +12,6 @@ from nsmacdonald.xpoly import (
     compose_vars,
     cyclic_omega,
     divided_difference_div,
-    q_dilate,
     reverse_alphabet,
     swap_vars,
 )
@@ -97,7 +96,7 @@ def test_swap_is_involution_and_omega_power_is_dilation():
             w = p
             for _ in range(n):
                 w = cyclic_omega(w)
-            assert w == q_dilate(p)
+            assert w == compose_vars(p, [(k, Q) for k in range(1, n + 1)])
 
 
 def test_divided_difference_defining_property():
