@@ -188,6 +188,11 @@ def _run_check(name: str, args) -> CheckReport:
             total.merge(weight_match_check(m))
     elif name == "hecke":
         sizes = [2, 3] if args.n is None else [args.n]
+        if mu and mu.n not in sizes:
+            # M's exchange checks run at M's own size only
+            raise UsageError(
+                f"--mu {mu} has n = {mu.n}; hecke runs n = {', '.join(map(str, sizes))}"
+            )
         for n in sizes:
             total.merge(verify_hecke_relations(n, samples=args.samples, seed=args.seed))
         for n in sizes:

@@ -26,7 +26,10 @@ preserving bijection onto non-attacking fillings; ``weight_match_check``
 verifies this square by square, including the individual factor-group
 identities the matching splits into.  The HHL side of those identities
 is the factor kernel ``_hhl_factors``, which ``hhl_summand`` multiplies
-out; the column side is matrixprod's column kernel.
+out; the column side is matrixprod's column kernel.  ``f_hhl`` adds the
+summands with xpoly's ``common_denominator_sum`` (one common denominator,
+no gcd per addition), as f_matrix_product adds the configuration
+weights.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .compositions import Composition, arm, attacks, leg, omega_norm
 from .matrixprod import LatticeConfig, config_weight, config_weight_parts, enumerate_configs
 from .qt import QTRational
 from .reports import CheckReport
-from .xpoly import XPolynomial
+from .xpoly import XPolynomial, common_denominator_sum
 
 __all__ = [
     "Filling",
@@ -214,11 +217,9 @@ def hhl_summand(sigma: Filling) -> XPolynomial:
 
 
 def f_hhl(mu: Composition) -> XPolynomial:
-    """The nonsymmetric Macdonald polynomial via the combinatorial sum."""
-    total = XPolynomial.zero(mu.n)
-    for sigma in enumerate_fillings(mu):
-        total = total + hhl_summand(sigma)
-    return total
+    """The nonsymmetric Macdonald polynomial via the combinatorial sum,
+    added over one common denominator."""
+    return common_denominator_sum(mu.n, (hhl_summand(s) for s in enumerate_fillings(mu)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@ The operators act directly on polynomials rather than through matrices:
 the spaces involved are small but their monomial bases vary, and the
 direct action avoids any basis bookkeeping.
 
+``verify_eigen`` checks on cleared denominators: it multiplies f by the
+lcm D of its coefficient denominators and checks Y_i(D f) = y_i (D f),
+which is the same identity (Y_i is Q(q,t)-linear, D != 0) but leaves
+only monomial denominators in the arithmetic, so no bivariate gcd runs.
+
 Tilde variants (the reversed-alphabet conventions) are included so the
 reversal identity Y_{n-i+1} = rev . Ytilde_i . rev can be verified, where
 rev evaluates a polynomial on the reversed alphabet.  T_i and the tilde
@@ -31,7 +36,7 @@ from __future__ import annotations
 import random
 
 from .compositions import Composition, eigenvalue_y
-from .qt import QTRational
+from .qt import QTRational, qt_lcm
 from .reports import CheckReport
 from .xpoly import (
     XPolynomial,
@@ -183,22 +188,35 @@ def verify_hecke_relations(n: int, samples: int = 5, seed: int = 0) -> CheckRepo
 
 
 def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
-    """Check Y_i f = y_i(mu) f exactly for every i.
+    """Check Y_i f = y_i(mu) f exactly for every i, on cleared denominators.
 
-    Per-operator failures report the first differing coefficient in graded
-    lex order.
+    With D the lcm of f's coefficient denominators (``qt_lcm``), the check
+    is Y_i(D f) = y_i (D f).  That is the same identity, because Y_i is
+    Q(q,t)-linear and D != 0, but D f has polynomial coefficients, and
+    the operators only add monomial denominators to them (t^{-1} from
+    T_i^{-1}, the eigenvalue monomial), whose gcds take no polynomial
+    remainder sequence.  A failure reports the first differing
+    coefficient of Y_i f - y_i f in graded lex order: that of the cleared
+    difference, divided by D.
     """
     if f.nvars != mu.n:
         raise ValueError(f"alphabet size {f.nvars} does not match {mu}")
     report = CheckReport(f"eigen mu={mu}")
+    dens = dict.fromkeys(c.den for c in f.terms.values())
+    common = qt_lcm(dens)
+    cofactors = {den: common.div_exact(den) for den in dens}
+    cleared = XPolynomial(
+        f.nvars,
+        {exps: QTRational(c.num * cofactors[c.den]) for exps, c in f.terms.items()},
+    )
     for i in range(1, mu.n + 1):
-        diff = apply_Y(f, i) - f.scale(eigenvalue_y(mu, i))
+        diff = apply_Y(cleared, i) - cleared.scale(eigenvalue_y(mu, i))
         report.count()
         if not diff.is_zero():
             exps, coeff = diff.leading_term()
             report.fail(
                 f"Y_{i} f != y_{i} f; first differing coefficient at "
-                f"x^{exps}: {coeff}"
+                f"x^{exps}: {coeff / QTRational(common)}"
             )
     return report
 

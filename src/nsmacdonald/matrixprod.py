@@ -36,7 +36,10 @@ A full lattice configuration xi records the colour on every vertical edge
 (column j = 0..N, row i = 1..n); its weight is the product of its N+1
 column components times the normalisation Omega_mu, and
 
-  f_mu = sum over mu-legal configurations of weight(xi).
+  f_mu = sum over mu-legal configurations of weight(xi),
+
+added by xpoly's ``common_denominator_sum`` (one common denominator, no
+gcd per addition), the sum f_hhl uses for its own summands.
 
 Permuted basements: f^rho is the same sum with colour rho_r entering row
 r instead of colour r.  The module also provides the rotation constant
@@ -54,7 +57,7 @@ from .compositions import Composition, gamma, omega_norm, v_param
 from .lattice import row_operator_expand
 from .qt import QTRational
 from .reports import CheckReport
-from .xpoly import XPolynomial, compose_vars
+from .xpoly import XPolynomial, common_denominator_sum, compose_vars
 
 __all__ = [
     "LatticeConfig",
@@ -379,10 +382,9 @@ def f_matrix_product(
     entering row r; rho defaults to the identity, giving the nonsymmetric
     Macdonald polynomial itself.
     """
-    total = XPolynomial.zero(mu.n)
-    for xi in enumerate_configs(mu, basement=rho):
-        total = total + config_weight(xi, mu)
-    return total
+    return common_denominator_sum(
+        mu.n, (config_weight(xi, mu) for xi in enumerate_configs(mu, basement=rho))
+    )
 
 
 def hall_littlewood_q0(mu: Composition) -> XPolynomial:

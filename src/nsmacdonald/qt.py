@@ -2,10 +2,17 @@
 
 Three layers, from the ground up:
 
-  Fraction      -- arbitrary-precision rationals (stdlib ``fractions``);
-                   always stored with gcd(|num|, den) = 1 and den >= 1.
+  coefficients  -- exact rationals, stored as ``int`` whenever the value is
+                   integral and as ``Fraction`` (stdlib ``fractions``) only
+                   otherwise, never as float.  Every coefficient enters
+                   through ``_exact``, which raises TypeError on anything
+                   else (floats included), and every coefficient quotient
+                   goes through ``_div``.  Sums and products of ints stay
+                   ints, so the common case never builds a Fraction.
+                   ``3`` and ``Fraction(3)`` compare, hash and serialise
+                   alike, so the storage type is invisible outside.
   QTPolynomial  -- sparse bivariate polynomials in (q, t) over Q, stored as
-                   a dict mapping (qexp, texp) -> Fraction with no zero
+                   a dict mapping (qexp, texp) -> coefficient with no zero
                    coefficients.
   QTRational    -- elements of the field Q(q,t), stored as a reduced pair
                    num/den of QTPolynomials.
@@ -38,6 +45,7 @@ __all__ = [
     "VanishingDenominator",
     "ExactDivisionError",
     "qt_gcd",
+    "qt_lcm",
 ]
 
 
@@ -57,21 +65,56 @@ class ExactDivisionError(ArithmeticError):
     """Polynomial division that was required to be exact left a remainder."""
 
 
+def _exact(value) -> Scalar:
+    """A coefficient in stored form: int when integral, else Fraction.
+
+    Anything but an int or a Fraction is refused; a float in particular
+    would carry its binary rounding error into the exact layers."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
+    raise TypeError(f"exact coefficient must be int or Fraction, not {type(value).__name__}")
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b of two stored coefficients, in stored form.
+
+    The one place coefficients are divided: ``a / b`` on two ints would
+    give a float."""
+    if type(a) is int and type(b) is int:
+        quot, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quot
+    value = Fraction(a) / b
+    return value.numerator if value.denominator == 1 else value
+
+
+def _ints(terms: dict) -> dict:
+    # sums and products of Fractions can be integral: store those as int
+    for key, coeff in terms.items():
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            terms[key] = coeff.numerator
+    return terms
+
+
 class QTPolynomial:
-    """A polynomial in (q, t) with Fraction coefficients, sparsely stored."""
+    """A polynomial in (q, t) with exact rational coefficients (int or
+    Fraction), sparsely stored."""
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], Scalar] = {}
         if terms:
             for key, coeff in terms.items():
-                frac = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if frac != 0:
+                value = _exact(coeff)
+                if value != 0:
                     qe, te = key
                     if qe < 0 or te < 0:
                         raise ValueError(f"negative exponent in term {key}")
-                    clean[(qe, te)] = frac
+                    clean[(qe, te)] = value
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -90,11 +133,11 @@ class QTPolynomial:
 
     @staticmethod
     def constant(value: Scalar) -> "QTPolynomial":
-        return QTPolynomial({(0, 0): Fraction(value)})
+        return QTPolynomial({(0, 0): value})
 
     @staticmethod
     def monomial(qexp: int, texp: int, coeff: Scalar = 1) -> "QTPolynomial":
-        return QTPolynomial({(qexp, texp): Fraction(coeff)})
+        return QTPolynomial({(qexp, texp): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -102,12 +145,12 @@ class QTPolynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0, 0): Fraction(1)}
+        return self.terms == {(0, 0): 1}
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def leading_term(self) -> tuple[tuple[int, int], Fraction]:
+    def leading_term(self) -> tuple[tuple[int, int], Scalar]:
         """Greatest term in the fixed lex order (q major, t minor), which is
         the tuple order of the (qexp, texp) keys."""
         if not self.terms:
@@ -129,7 +172,7 @@ class QTPolynomial:
                 out[key] = new
             else:
                 out.pop(key, None)
-        return _poly_raw(out)
+        return _poly_raw(_ints(out))
 
     def __sub__(self, other: "QTPolynomial") -> "QTPolynomial":
         if not other.terms:
@@ -141,7 +184,7 @@ class QTPolynomial:
                 out[key] = new
             else:
                 out.pop(key, None)
-        return _poly_raw(out)
+        return _poly_raw(_ints(out))
 
     def __neg__(self) -> "QTPolynomial":
         return _poly_raw({key: -coeff for key, coeff in self.terms.items()})
@@ -149,7 +192,7 @@ class QTPolynomial:
     def __mul__(self, other: "QTPolynomial") -> "QTPolynomial":
         if not self.terms or not other.terms:
             return _POLY_ZERO
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Scalar] = {}
         for (qa, ta), ca in self.terms.items():
             for (qb, tb), cb in other.terms.items():
                 key = (qa + qb, ta + tb)
@@ -158,13 +201,21 @@ class QTPolynomial:
                     out[key] = new
                 else:
                     out.pop(key, None)
-        return _poly_raw(out)
+        return _poly_raw(_ints(out))
 
     def scale(self, factor: Scalar) -> "QTPolynomial":
-        frac = Fraction(factor)
-        if frac == 0:
+        factor = _exact(factor)
+        if factor == 0:
             return _POLY_ZERO
-        return _poly_raw({key: coeff * frac for key, coeff in self.terms.items()})
+        if factor == 1:
+            return self
+        return _poly_raw(_ints({key: coeff * factor for key, coeff in self.terms.items()}))
+
+    def _divide_coefficients(self, divisor: Scalar) -> "QTPolynomial":
+        # every coefficient divided exactly by the nonzero scalar divisor
+        if divisor == 1:
+            return self
+        return _poly_raw({key: _div(coeff, divisor) for key, coeff in self.terms.items()})
 
     # -- comparisons, hashing ---------------------------------------------
 
@@ -183,7 +234,7 @@ class QTPolynomial:
     # -- evaluation and division -------------------------------------------
 
     def eval(self, qval: Scalar, tval: Scalar) -> Fraction:
-        qv, tv = Fraction(qval), Fraction(tval)
+        qv, tv = Fraction(_exact(qval)), Fraction(_exact(tval))
         total = Fraction(0)
         for (qe, te), coeff in self.terms.items():
             total += coeff * qv**qe * tv**te
@@ -191,15 +242,15 @@ class QTPolynomial:
 
     def substitute_q(self, qval: Scalar) -> "QTPolynomial":
         """Collapse q to an exact rational value, keeping t symbolic."""
-        qv = Fraction(qval)
-        out: dict[tuple[int, int], Fraction] = {}
+        qv = _exact(qval)
+        out: dict[tuple[int, int], Scalar] = {}
         for (qe, te), coeff in self.terms.items():
             new = out.get((0, te), 0) + coeff * qv**qe
             if new:
                 out[(0, te)] = new
             else:
                 out.pop((0, te), None)
-        return _poly_raw(out)
+        return _poly_raw(_ints(out))
 
     def div_exact(self, divisor: "QTPolynomial") -> "QTPolynomial":
         """Exact polynomial quotient self / divisor.
@@ -218,18 +269,18 @@ class QTPolynomial:
             for (qe, te), coeff in self.terms.items():
                 if qe < dq or te < dt:
                     raise ExactDivisionError("monomial does not divide term")
-                out[(qe - dq, te - dt)] = coeff / dc
+                out[(qe - dq, te - dt)] = _div(coeff, dc)
             return _poly_raw(out)
         remainder = dict(self.terms)
         (dq, dt), dc = divisor.leading_term()
-        quotient: dict[tuple[int, int], Fraction] = {}
+        quotient: dict[tuple[int, int], Scalar] = {}
         while remainder:
             (rq, rt) = max(remainder)
             if rq < dq or rt < dt:
                 raise ExactDivisionError("nonzero remainder in exact division")
-            factor = remainder[(rq, rt)] / dc
+            factor = _div(remainder[(rq, rt)], dc)
             mono = (rq - dq, rt - dt)
-            quotient[mono] = quotient.get(mono, Fraction(0)) + factor
+            quotient[mono] = factor
             for (qe, te), coeff in divisor.terms.items():
                 key = (qe + mono[0], te + mono[1])
                 new = remainder.get(key, 0) - factor * coeff
@@ -241,7 +292,7 @@ class QTPolynomial:
 
     # -- display and serialisation ------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[int, int, Fraction]]:
+    def sorted_terms(self) -> list[tuple[int, int, Scalar]]:
         """Terms as (qexp, texp, coeff), descending in the fixed lex order."""
         return [
             (qe, te, self.terms[(qe, te)])
@@ -279,11 +330,16 @@ class QTPolynomial:
 
     @staticmethod
     def from_json(data: Iterable[Iterable]) -> "QTPolynomial":
-        return QTPolynomial({(int(qe), int(te)): Fraction(c) for qe, te, c in data})
+        # coefficients are written as strings (to_json); parse those only
+        return QTPolynomial({
+            (int(qe), int(te)): Fraction(c) if isinstance(c, str) else c
+            for qe, te, c in data
+        })
 
 
-def _poly_raw(terms: dict[tuple[int, int], Fraction]) -> QTPolynomial:
-    # internal fast constructor: terms already clean (no zeros, valid keys)
+def _poly_raw(terms: dict[tuple[int, int], Scalar]) -> QTPolynomial:
+    # internal fast constructor: terms already clean (no zeros, valid keys,
+    # coefficients in stored form)
     poly = QTPolynomial.__new__(QTPolynomial)
     object.__setattr__(poly, "terms", terms)
     object.__setattr__(poly, "_hash", None)
@@ -496,6 +552,21 @@ def qt_gcd(a: QTPolynomial, b: QTPolynomial) -> QTPolynomial:
     return _gcd_cached(a, b)
 
 
+def qt_lcm(polys: Iterable[QTPolynomial]) -> QTPolynomial:
+    """Least common multiple in Q[q,t] of nonzero polynomials, normalised to
+    lex-leading coefficient 1 (the lcm of no polynomials is 1).
+
+    One gcd per distinct input: lcm(L, p) = L * (p / gcd(L, p))."""
+    lcm = _POLY_ONE
+    for poly in dict.fromkeys(polys):
+        if poly.is_zero():
+            raise ValueError("lcm of the zero polynomial is undefined")
+        if poly.is_one():
+            continue
+        lcm = lcm * poly.div_exact(qt_gcd(lcm, poly))
+    return _monic_lex(lcm)
+
+
 @lru_cache(maxsize=1 << 14)
 def _gcd_cached(a: QTPolynomial, b: QTPolynomial) -> QTPolynomial:
     ta, tb = _to_int_tq(a), _to_int_tq(b)
@@ -514,18 +585,16 @@ def _gcd_cached(a: QTPolynomial, b: QTPolynomial) -> QTPolynomial:
             break
         pa, pb = pb, _int_tq_divide(rem, _int_tq_content(rem))
     content_gcd = _iuni_gcd(ca, cb)
-    terms: dict[tuple[int, int], Fraction] = {}
+    terms: dict[tuple[int, int], Scalar] = {}
     for te, uni in pa.items():
         for qe, v in _iuni_mul(uni, content_gcd).items():
-            terms[(qe, te)] = Fraction(v)
+            terms[(qe, te)] = v
     return _monic_lex(_poly_raw(terms))
 
 
 def _monic_lex(poly: QTPolynomial) -> QTPolynomial:
     _, lead = poly.leading_term()
-    if lead == 1:
-        return poly
-    return poly.scale(1 / lead)
+    return poly._divide_coefficients(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +641,13 @@ class QTRational:
     @staticmethod
     def monomial(qexp: int, texp: int, coeff: Scalar = 1) -> "QTRational":
         """The element coeff * q^qexp * t^texp; negative exponents allowed."""
-        frac = Fraction(coeff)
-        if frac == 0:
+        coeff = _exact(coeff)
+        if coeff == 0:
             return _ZERO
         nq, nt = max(qexp, 0), max(texp, 0)
         dq, dt = max(-qexp, 0), max(-texp, 0)
         return _make_raw(
-            QTPolynomial.monomial(nq, nt, frac), QTPolynomial.monomial(dq, dt)
+            QTPolynomial.monomial(nq, nt, coeff), QTPolynomial.monomial(dq, dt)
         )
 
     # -- queries -------------------------------------------------------------
@@ -689,7 +758,7 @@ class QTRational:
 
     def eval(self, qval: Scalar, tval: Scalar) -> Fraction:
         """Exact value at an exact rational point (qval, tval)."""
-        qv, tv = Fraction(qval), Fraction(tval)
+        qv, tv = Fraction(_exact(qval)), Fraction(_exact(tval))
         den = self.den.eval(qv, tv)
         if den == 0:
             raise VanishingDenominator(qv, tv)
@@ -736,22 +805,14 @@ def _reduce(num: QTPolynomial, den: QTPolynomial) -> tuple[QTPolynomial, QTPolyn
             num = num.div_exact(g)
             den = den.div_exact(g)
     _, lead = den.leading_term()
-    if lead != 1:
-        inv = 1 / lead
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+    return num._divide_coefficients(lead), den._divide_coefficients(lead)
 
 
 def _normalise(num: QTPolynomial, den: QTPolynomial) -> "QTRational":
     # num/den with gcd(num, den) already 1: only the leading-coefficient
     # normalisation of the denominator remains.
     _, lead = den.leading_term()
-    if lead != 1:
-        inv = 1 / lead
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return _make_raw(num, den)
+    return _make_raw(num._divide_coefficients(lead), den._divide_coefficients(lead))
 
 
 def _make_raw(num: QTPolynomial, den: QTPolynomial) -> QTRational:

@@ -15,18 +15,28 @@ needed by the affine Hecke operators acting on polynomials:
   divided_difference_div
                      the exact quotient (p - s_i p)/(x_i - x_{i+1})
 
+``common_denominator_sum`` adds many polynomials exactly over one common
+denominator: numerators accumulate with integer coefficients per
+x-monomial, the lcm of the distinct denominators costs one gcd per
+distinct denominator, and each result coefficient is put in canonical
+form once.  Both summation routes (fillings.f_hhl and
+matrixprod.f_matrix_product) add their summands with it; each computes
+its summands with its own weight kernel, and the sum knows nothing of
+either formula.
+
 Values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .qt import QTRational
+from .qt import QTPolynomial, QTRational, qt_lcm
 
 __all__ = [
     "XPolynomial",
     "AlphabetMismatch",
+    "common_denominator_sum",
     "swap_vars",
     "cyclic_omega",
     "compose_vars",
@@ -316,6 +326,76 @@ def _raw(nvars: int, terms: dict[tuple[int, ...], QTRational]) -> XPolynomial:
     object.__setattr__(poly, "terms", terms)
     object.__setattr__(poly, "_hash", None)
     return poly
+
+
+# ---------------------------------------------------------------------------
+# Exact sums over one common denominator.
+# ---------------------------------------------------------------------------
+
+# a Laurent polynomial in (q, t): (qexp, texp) -> coefficient, exponents of any sign
+_Laurent = dict
+
+
+def _add_shifted(acc: _Laurent, poly: QTPolynomial, dq: int, dt: int) -> None:
+    # acc += q^dq t^dt poly
+    for (qe, te), coeff in poly.terms.items():
+        key = (qe + dq, te + dt)
+        new = acc.get(key, 0) + coeff
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
+
+
+def _split_laurent(acc: _Laurent) -> tuple[QTPolynomial, int, int]:
+    # acc = q^dq t^dt poly, with poly a polynomial not divisible by q or t
+    dq = min(qe for qe, _te in acc)
+    dt = min(te for _qe, te in acc)
+    return QTPolynomial({(qe - dq, te - dt): c for (qe, te), c in acc.items()}), dq, dt
+
+
+def common_denominator_sum(nvars: int, summands: Iterable[XPolynomial]) -> XPolynomial:
+    """The exact sum of ``summands``, equal to adding them one by one with
+    ``+`` but without a gcd per addition.
+
+    Each coefficient n/d has its denominator split as d = q^a t^b d', d'
+    not divisible by q or t.  The numerators q^-a t^-b n are added per
+    (d', x-monomial) as Laurent polynomials in (q, t) with integer (or
+    rational) coefficients; the lcm D of the distinct d' takes one gcd per
+    distinct d' (``qt_lcm``); each group is multiplied once by D / d'; and
+    each x-monomial's total numerator is put in canonical form over D
+    once, with one gcd.  The result is the canonical XPolynomial, so it
+    is identical (==, hash, JSON) to the repeated sum.
+    """
+    split: dict[QTPolynomial, tuple[QTPolynomial, int, int]] = {}
+    groups: dict[QTPolynomial, dict[tuple[int, ...], _Laurent]] = {}
+    for poly in summands:
+        if poly.nvars != nvars:
+            raise AlphabetMismatch(f"alphabet sizes differ: {nvars} vs {poly.nvars}")
+        for exps, coeff in poly.terms.items():
+            parts = split.get(coeff.den)
+            if parts is None:
+                parts = split[coeff.den] = _split_laurent(coeff.den.terms)
+            reduced, dq, dt = parts
+            acc = groups.setdefault(reduced, {}).setdefault(exps, {})
+            _add_shifted(acc, coeff.num, -dq, -dt)
+    common = qt_lcm(groups)
+    totals: dict[tuple[int, ...], _Laurent] = {}
+    for reduced, by_exps in groups.items():
+        cofactor = common.div_exact(reduced)
+        for exps, acc in by_exps.items():
+            if acc:
+                num, dq, dt = _split_laurent(acc)
+                _add_shifted(totals.setdefault(exps, {}), num * cofactor, dq, dt)
+    out: dict[tuple[int, ...], QTRational] = {}
+    for exps, acc in totals.items():
+        if acc:
+            num, dq, dt = _split_laurent(acc)
+            out[exps] = QTRational(
+                num * QTPolynomial.monomial(max(dq, 0), max(dt, 0)),
+                common * QTPolynomial.monomial(max(-dq, 0), max(-dt, 0)),
+            )
+    return _raw(nvars, out)
 
 
 # ---------------------------------------------------------------------------

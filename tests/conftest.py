@@ -2,8 +2,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests run a fixed, bounded set of examples with no time limit per
+# example: the same examples on every run, no failure when the host runs at
+# half speed, and no example database written into the checkout.
+settings.register_profile(
+    "tier1", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("tier1")
 
 from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import XPolynomial

@@ -150,6 +150,8 @@ def test_seed_reproducibility(capsys):
         "verify hecke --n 1",
         "verify hecke --n -3",
         "verify hecke --n 2 --samples 0",
+        "verify hecke --mu 0,1,2 --n 2 --samples 1",
+        "verify hecke --mu 0,1,2,1 --samples 1",
         "verify ybe --n 1 --cap -1",
         "verify ybe --n 0",
         "verify exchange --n 0",

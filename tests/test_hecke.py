@@ -120,3 +120,29 @@ def test_reversed_convention_satisfies_tilde_eigen_equation():
             after = sum(1 for p in parts[i:] if p > parts[i - 1])
             tilde_eig = QTRational.monomial(parts[i - 1], -before - after + n - i)
             assert apply_Y_tilde(e_poly, i) == e_poly.scale(tilde_eig), (parts, i)
+
+
+def test_cleared_eigencheck_reports_the_uncleared_difference():
+    # perturb a coefficient of f_(0,2,1) whose denominator is not a monomial
+    from nsmacdonald.compositions import eigenvalue_y
+    from nsmacdonald.fillings import f_hhl
+
+    mu = Composition((0, 2, 1))
+    f = f_hhl(mu)
+    assert verify_eigen(f, mu).ok
+    exps = next(e for e, c in f.sorted_terms() if len(c.den.terms) > 1)
+    terms = dict(f.terms)
+    terms[exps] = terms[exps] + ONE
+    g = XPolynomial(mu.n, terms)
+    report = verify_eigen(g, mu)
+    expected = []
+    for i in range(1, mu.n + 1):
+        diff = apply_Y(g, i) - g.scale(eigenvalue_y(mu, i))
+        if not diff.is_zero():
+            lead, coeff = diff.leading_term()
+            expected.append(
+                f"Y_{i} f != y_{i} f; first differing coefficient at x^{lead}: {coeff}"
+            )
+    assert expected
+    assert report.failures == expected
+    assert report.checked == mu.n

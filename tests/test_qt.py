@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nsmacdonald.qt import (
     ExactDivisionError,
@@ -167,3 +168,91 @@ def test_json_round_trip_bit_exact():
 def test_exact_division_error():
     with pytest.raises(ExactDivisionError):
         (ONE - Q * T).num.div_exact(QTPolynomial.monomial(1, 0))
+
+
+# -- stored coefficients: int when integral, Fraction otherwise, never float --
+
+def stored_form_ok(poly):
+    for coeff in poly.terms.values():
+        if type(coeff) is int:
+            continue
+        if type(coeff) is not Fraction or coeff.denominator == 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QTPolynomial({(0, 0): 0.1}),
+        lambda: QTPolynomial.constant(1.0),
+        lambda: QTPolynomial.monomial(1, 0, 2.5),
+        lambda: QTPolynomial.one().scale(0.5),
+        lambda: QTRational.monomial(1, 1, 0.5),
+        lambda: QTRational.one().eval(0.5, 1),
+        lambda: QTRational.q().substitute_q(0.5),
+        lambda: QTPolynomial.from_json([[0, 0, 0.25]]),
+    ],
+)
+def test_floats_are_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integral_coefficients_are_stored_as_int():
+    half = QTPolynomial({(1, 0): Fraction(1, 2), (0, 0): Fraction(4, 2)})
+    assert type(half.terms[(0, 0)]) is int
+    doubled = half + half
+    assert all(type(c) is int for c in doubled.terms.values())
+    assert doubled == QTPolynomial({(1, 0): 1, (0, 0): 4})
+    # the lex-leading coefficient 2 is divided out exactly, not by 1 / 2
+    value = QTRational(QTPolynomial.one(), QTPolynomial({(1, 0): 2, (0, 0): 4}))
+    assert value.den.terms == {(1, 0): 1, (0, 0): 2}
+    assert value.num.terms == {(0, 0): Fraction(1, 2)}
+    assert stored_form_ok(value.num) and stored_form_ok(value.den)
+
+
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+integers = st.integers(-6, 6)
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+polys = st.dictionaries(exponents, st.one_of(integers, rationals), max_size=4).map(QTPolynomial)
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+elements = st.builds(QTRational, polys, nonzero_polys)
+
+
+@given(st.dictionaries(exponents, integers, max_size=5), nonzero_polys)
+def test_int_and_fraction_construction_agree(terms, den):
+    as_int = QTPolynomial(terms)
+    as_frac = QTPolynomial({key: Fraction(c) for key, c in terms.items()})
+    assert as_int == as_frac
+    assert hash(as_int) == hash(as_frac)
+    assert as_int.to_json() == as_frac.to_json()
+    assert as_int.terms == as_frac.terms
+    assert stored_form_ok(as_frac)
+    r_int, r_frac = QTRational(as_int, den), QTRational(as_frac, den)
+    assert r_int == r_frac and hash(r_int) == hash(r_frac)
+    assert r_int.to_json() == r_frac.to_json()
+
+
+@given(polys, nonzero_polys)
+def test_product_divides_back(a, b):
+    assert (a * b).div_exact(b) == a
+
+
+@given(polys, polys, st.one_of(integers, rationals), nonzero_polys)
+def test_polynomial_operations_keep_stored_form(a, b, c, d):
+    results = [a + b, a - b, a * b, -a, a.scale(c), (a * d).div_exact(d), a.substitute_q(c)]
+    if not a.is_zero() or not b.is_zero():
+        results.append(qt_gcd(a, b))
+    for poly in results:
+        assert stored_form_ok(poly)
+
+
+@given(elements, elements)
+def test_field_operations_keep_stored_form(x, y):
+    results = [x + y, x - y, x * y, -x]
+    if not y.is_zero():
+        results += [x / y, y.inverse()]
+    for value in results:
+        assert stored_form_ok(value.num) and stored_form_ok(value.den)
+        assert value.den.leading_term()[1] == 1

@@ -2,13 +2,16 @@
 
 import json
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, strategies as st
 
-from nsmacdonald.qt import QTRational
+from nsmacdonald.qt import Fraction, QTPolynomial, QTRational
 from nsmacdonald.xpoly import (
     AlphabetMismatch,
     XPolynomial,
+    common_denominator_sum,
     compose_vars,
     cyclic_omega,
     divided_difference_div,
@@ -139,3 +142,55 @@ def test_latex_of_golden(golden_polys):
 def test_str_smoke():
     assert str(XPolynomial.zero(2)) == "0"
     assert "x1" in str(var(2, 1))
+
+
+# -- the exact sum over one common denominator --------------------------------
+
+# denominators shaped like the routes' ones (binomials 1 - q^a t^b and their
+# products), times monomials with exponents of either sign
+binomials = st.sampled_from([ONE - Q * T, ONE - Q * T * T, ONE - Q * Q * T, ONE - T, ONE + Q])
+monomials = st.builds(
+    QTRational.monomial, st.integers(-2, 3), st.integers(-3, 3),
+    st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+)
+coefficients = st.builds(
+    lambda mono, dens, extra: reduce(lambda a, b: a / b, dens, mono) + extra,
+    monomials, st.lists(binomials, max_size=3), st.sampled_from([QTRational.zero(), ONE, T]),
+)
+exponent_vectors = st.tuples(st.integers(0, 2), st.integers(0, 2))
+summand_lists = st.lists(
+    st.dictionaries(exponent_vectors, coefficients, max_size=3).map(lambda t: XPolynomial(2, t)),
+    max_size=6,
+)
+
+
+@given(summand_lists, st.lists(st.integers(0, 5), max_size=3))
+def test_common_denominator_sum_equals_repeated_addition(summands, negated):
+    # negating some summands makes whole terms cancel to zero
+    summands = summands + [-summands[k] for k in negated if k < len(summands)]
+    expected = reduce(lambda a, b: a + b, summands, XPolynomial.zero(2))
+    total = common_denominator_sum(2, summands)
+    assert total == expected
+    assert hash(total) == hash(expected)
+    assert total.to_json() == expected.to_json()
+
+
+def test_common_denominator_sum_cancels_to_zero_and_checks_alphabet():
+    x1 = var(2, 1).scale(ONE / (ONE - Q * T) * QTRational.monomial(0, -2))
+    assert common_denominator_sum(2, [x1, -x1]).is_zero()
+    assert common_denominator_sum(2, []).is_zero()
+    with pytest.raises(AlphabetMismatch):
+        common_denominator_sum(2, [var(3, 1)])
+
+
+@given(st.dictionaries(exponent_vectors, st.integers(-5, 5), max_size=4))
+def test_int_and_fraction_coefficients_give_one_polynomial(values):
+    def build(convert):
+        return XPolynomial(2, {
+            e: QTRational(QTPolynomial.constant(convert(v))) for e, v in values.items() if v
+        })
+
+    as_int, as_frac = build(int), build(Fraction)
+    assert as_int == as_frac
+    assert hash(as_int) == hash(as_frac)
+    assert as_int.to_json() == as_frac.to_json()
