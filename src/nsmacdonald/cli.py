@@ -87,7 +87,11 @@ def _compute(args) -> int:
     if rho is not None and args.method != "matrix":
         # the fillings route has no permuted basement to compare against
         raise UsageError("--rho requires --method matrix")
+    header = {"mu": list(mu.parts), "method": args.method}
+    if rho is not None:
+        header["rho"] = list(rho)
     if args.convention == "E":
+        header["convention"] = "E"
         # E_mu(x_1..x_n) = f_{reverse(mu)}(x_n..x_1): reverse the input
         # composition, compute, then reverse the output alphabet
         mu = mu.reverse()
@@ -98,25 +102,22 @@ def _compute(args) -> int:
     if args.method == "both":
         via_hhl = finish(_f_cached(mu.parts, None, "hhl"))
         via_matrix = finish(_f_cached(mu.parts, None, "matrix"))
-        _emit(via_matrix, args, mu)
+        _emit(via_matrix, args.output, header)
         if via_hhl == via_matrix:
             print("routes agree")
             return 0
         print("ROUTE MISMATCH between hhl and matrix evaluations", file=sys.stderr)
         return 1
     poly = finish(_f_cached(mu.parts, rho, args.method))
-    _emit(poly, args, mu)
+    _emit(poly, args.output, header)
     return 0
 
 
-def _emit(poly: XPolynomial, args, mu: Composition) -> None:
-    if args.output == "json":
-        print(
-            json.dumps(
-                {"mu": list(mu.parts), "method": args.method, "poly": poly.to_json()}
-            )
-        )
-    elif args.output == "latex":
+def _emit(poly: XPolynomial, output: str, header: dict) -> None:
+    """Print poly as ``output``; the JSON form is ``header`` plus "poly"."""
+    if output == "json":
+        print(json.dumps({**header, "poly": poly.to_json()}))
+    elif output == "latex":
         print(poly.to_latex())
     else:
         print(poly)
@@ -131,7 +132,7 @@ def _expand(args) -> int:
         for exps, coeff in poly.sorted_terms():
             print(f"x^{list(exps)}  {coeff}")
     else:
-        _emit(poly, args, mu)
+        _emit(poly, args.output, {"mu": list(mu.parts), "method": args.method})
     return 0
 
 

@@ -126,13 +126,12 @@ def apply_Y_tilde(p: XPolynomial, i: int) -> XPolynomial:
 # -- randomized relation suites ------------------------------------------------
 
 
-def random_polynomial(
-    nvars: int, rng: random.Random, max_deg: int = 2, nterms: int = 4
-) -> XPolynomial:
-    """A random sparse polynomial with small monomial q,t coefficients."""
+def random_polynomial(nvars: int, rng: random.Random) -> XPolynomial:
+    """A random sparse polynomial (at most four terms, degree at most 2 in
+    each variable) with small monomial q,t coefficients."""
     terms = {}
-    for _ in range(nterms):
-        exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+    for _ in range(4):
+        exps = tuple(rng.randint(0, 2) for _ in range(nvars))
         coeff = QTRational.monomial(
             rng.randint(0, 2), rng.randint(0, 2), rng.randint(-4, 4)
         )

@@ -26,11 +26,14 @@ the 1/(1 - v t^f) factors, so nothing is ever truncated.
 This closed form is written once, in the column kernel ``_column_factors``:
 it returns the factor groups above (x targets, t^g, phi, move
 denominators, upward t^h, downward v t^h), or None where the component
-vanishes.  ``column_component`` multiplies the groups of one column;
-``config_weight_parts`` multiplies each group across the columns of a
-configuration.  One loop, ``_column_product``, multiplies the column
-components of a configuration, for config_weight, the cyclic relation and
-the frozen coefficient.
+vanishes.  The one loop over columns, ``_column_walk``, multiplies each
+group across the columns of a configuration (or of its rows in another
+order).  Every weight is the product of the walked groups:
+``config_weight`` (times Omega_mu), ``config_weight_parts`` (the groups
+themselves, for weight matching), the cyclic relation's partition
+functions (with their spectral variables applied by ``compose_vars``) and
+the frozen coefficient.  ``column_component`` is the one-column case of
+the same group product.
 
 A full lattice configuration xi records the colour on every vertical edge
 (column j = 0..N, row i = 1..n); its weight is the product of its N+1
@@ -51,7 +54,7 @@ Hall-Littlewood evaluation through a direct row-operator route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .compositions import Composition, gamma, omega_norm, v_param
 from .lattice import row_operator_expand
@@ -76,8 +79,6 @@ __all__ = [
     "verify_exchange_basement",
     "verify_basement_cyclic",
 ]
-
-RowVars = Sequence[tuple[int, QTRational]]
 
 
 class InadmissiblePair(ValueError):
@@ -239,37 +240,30 @@ def _column_factors(
 
 
 def column_component(
-    I: Sequence[int],
-    J: Sequence[int],
-    v: dict[int, QTRational],
-    row_vars: RowVars | None = None,
+    I: Sequence[int], J: Sequence[int], v: dict[int, QTRational]
 ) -> XPolynomial:
     """The closed-form column operator component for boundary (I, J).
 
     ``v`` maps colours to twist parameters; any colour outside P u Q must
-    map to zero (hypothesis of the closed form).  ``row_vars[r-1] =
-    (variable, scalar)`` is the spectral variable carried by physical row
-    r, defaulting to x_r with scalar 1.  The result is a single monomial
-    in the x alphabet with a Q(q,t) coefficient.
+    map to zero (hypothesis of the closed form).  The result is a single
+    monomial in the x alphabet (x_r for row r) with a Q(q,t) coefficient:
+    the one-column case of the group product of ``_column_walk``.
     """
-    n = len(I)
-    parts = _column_factors(I, J, v)
+    return _group_product(_column_factors(I, J, v), len(I), QTRational.one())
+
+
+def _group_product(
+    parts: ConfigWeightParts | None, n: int, first: QTRational
+) -> XPolynomial:
+    """``first`` times the factor groups, as a monomial in x_1..x_n (zero
+    where a column vanished)."""
     if parts is None:
         return XPolynomial.zero(n)
-    # the monomial groups first: multiplying them into phi and the move
-    # denominators afterwards keeps the intermediate fractions small
-    coeff = parts.t_g * parts.up_t_h * parts.down_v_t_h
-    exps = parts.x_exponents
-    if row_vars is not None:
-        targets = [0] * n
-        for row, occupied in enumerate(parts.x_exponents):
-            if occupied:
-                var, scalar = row_vars[row]
-                targets[var - 1] += 1
-                coeff = coeff * scalar
-        exps = tuple(targets)
-    coeff = coeff * parts.move_denominators * parts.phi
-    return XPolynomial(n, {exps: coeff})
+    # phi first, so that Omega_mu cancels against it at once, then the
+    # monomial groups, then the move denominators: this keeps the
+    # intermediate fractions small
+    coeff = first * parts.phi * parts.t_g * parts.up_t_h * parts.down_v_t_h
+    return XPolynomial.monomial(n, parts.x_exponents, coeff * parts.move_denominators)
 
 
 # ---------------------------------------------------------------------------
@@ -318,52 +312,26 @@ def enumerate_configs(
     yield from extend([base], 0)
 
 
-def _column_product(
-    weight: XPolynomial,
-    xi: LatticeConfig,
-    mu: Composition,
-    order: Sequence[int] | None = None,
-    row_vars: RowVars | None = None,
-    v_fn: Callable[[Composition, int, int], QTRational] | None = None,
-) -> XPolynomial:
-    """``weight`` times the column components of xi, column by column.
+def _column_walk(
+    columns: Sequence[tuple[int, ...]], mu: Composition
+) -> ConfigWeightParts | None:
+    """The one loop over lattice columns: each factor group of the column
+    kernel, multiplied across ``columns`` (closed by the empty column), or
+    None where a column component vanishes.
 
-    ``order[r-1]`` is the row of xi placed at physical row r (default: the
-    rows of xi as they are); ``row_vars`` goes to column_component and
-    ``v_fn`` (default v_param) gives the twist parameters.
+    ``columns[j][r-1]`` is the colour on row r of column j; the rows may be
+    a permutation of a configuration's rows, and x_r stands for row r.
     """
-    vf = v_fn or v_param
-    n = mu.n
-    rows = [r - 1 for r in order] if order else range(n)
-    columns = [tuple(column[r] for r in rows) for column in xi.columns]
-    columns.append((0,) * n)
-    for j in range(len(xi.columns)):
-        v = {p: vf(mu, p, j) for p in range(1, n + 1)}
-        weight = weight * column_component(columns[j], columns[j + 1], v, row_vars)
-    return weight
-
-
-def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
-    """The weight of one configuration: Omega_mu times the product of its
-    column components (a single monomial in x with Q(q,t) coefficient)."""
-    # Omega_mu first: the column denominators cancel against it as they
-    # arrive, where multiplying it in last costs one large gcd per weight
-    return _column_product(XPolynomial.constant(mu.n, omega_norm(mu)), xi, mu)
-
-
-def config_weight_parts(xi: LatticeConfig, mu: Composition) -> ConfigWeightParts:
-    """Factor breakdown of config_weight, for term-by-term weight matching:
-    each factor group of the column kernel, multiplied across columns."""
     n = mu.n
     one = QTRational.one()
     t_g = phi = move = up = down = one
     exps = [0] * n
-    columns = xi.columns + ((0,) * n,)
-    for j in range(len(xi.columns)):
+    closed = tuple(columns) + ((0,) * n,)
+    for j in range(len(columns)):
         v = {p: v_param(mu, p, j) for p in range(1, n + 1)}
-        column = _column_factors(columns[j], columns[j + 1], v)
+        column = _column_factors(closed[j], closed[j + 1], v)
         if column is None:
-            raise ValueError(f"configuration {xi.columns} has weight zero")
+            return None
         exps = [e + c for e, c in zip(exps, column.x_exponents)]
         t_g = t_g * column.t_g
         phi = phi * column.phi
@@ -371,6 +339,21 @@ def config_weight_parts(xi: LatticeConfig, mu: Composition) -> ConfigWeightParts
         up = up * column.up_t_h
         down = down * column.down_v_t_h
     return ConfigWeightParts(tuple(exps), t_g, phi, move, up, down)
+
+
+def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
+    """The weight of one configuration: Omega_mu times the product of its
+    column components (a single monomial in x with Q(q,t) coefficient)."""
+    return _group_product(_column_walk(xi.columns, mu), mu.n, omega_norm(mu))
+
+
+def config_weight_parts(xi: LatticeConfig, mu: Composition) -> ConfigWeightParts:
+    """Factor breakdown of config_weight, for term-by-term weight matching:
+    each factor group of the column kernel, multiplied across columns."""
+    parts = _column_walk(xi.columns, mu)
+    if parts is None:
+        raise ValueError(f"configuration {xi.columns} has weight zero")
+    return parts
 
 
 def f_matrix_product(
@@ -451,10 +434,7 @@ def kappa_ratio(
 
 
 def _cyclic_partition_functions(
-    xi: LatticeConfig,
-    mu: Composition,
-    i: int,
-    v_fn: Callable[[Composition, int, int], QTRational] | None = None,
+    xi: LatticeConfig, mu: Composition, i: int
 ) -> tuple[XPolynomial, XPolynomial]:
     """The fixed-internal-state partition functions (Z_l, Z_r) for colour i.
 
@@ -465,19 +445,20 @@ def _cyclic_partition_functions(
     n = mu.n
     one, q = QTRational.one(), QTRational.q()
     others = [c for c in range(1, n + 1) if c != i]
-    vars_l = [(c, one) for c in others] + [(i, q)]
-    vars_r = [(c, one) for c in [i] + others]
+
+    def partition_function(order: list[int], scalars: list[QTRational]) -> XPolynomial:
+        # row r of the walk is row order[r-1] of xi, carrying scalars[r-1] x_{order[r-1]}
+        columns = [tuple(column[c - 1] for c in order) for column in xi.columns]
+        walked = _group_product(_column_walk(columns, mu), n, one)
+        return compose_vars(walked, list(zip(order, scalars)))
+
     return (
-        _column_product(XPolynomial.one(n), xi, mu, others + [i], vars_l, v_fn),
-        _column_product(XPolynomial.one(n), xi, mu, [i] + others, vars_r, v_fn),
+        partition_function(others + [i], [one] * (n - 1) + [q]),
+        partition_function([i] + others, [one] * n),
     )
 
 
-def cyclic_check(
-    mu: Composition,
-    i: int,
-    v_fn: Callable[[Composition, int, int], QTRational] | None = None,
-) -> CheckReport:
+def cyclic_check(mu: Composition, i: int) -> CheckReport:
     """Verify Z_l = q^{mu_i} t^{gamma_{i,0}} Z_r for every legal internal
     configuration (the refined, per-configuration cyclic relation)."""
     if not 1 <= i <= mu.n:
@@ -485,7 +466,7 @@ def cyclic_check(
     report = CheckReport(f"cyclic mu={mu} i={i}")
     ratio = QTRational.monomial(mu.part(i), gamma(mu, i, 0))
     for xi in enumerate_configs(mu):
-        z_left, z_right = _cyclic_partition_functions(xi, mu, i, v_fn=v_fn)
+        z_left, z_right = _cyclic_partition_functions(xi, mu, i)
         report.count()
         if z_right.is_zero():
             report.fail(f"Z_r vanishes on legal configuration {xi.columns}")
@@ -517,7 +498,8 @@ def frozen_coefficient(mu: Composition) -> tuple[QTRational, QTRational]:
             for j in range(mu.maxpart + 1)
         )
     )
-    from_config = _column_product(XPolynomial.one(n), frozen, mu).coefficient(tuple(mu.parts))
+    walked = _group_product(_column_walk(frozen.columns, mu), n, QTRational.one())
+    from_config = walked.coefficient(tuple(mu.parts))
     from_omega = omega_norm(mu).inverse()
     return from_config, from_omega
 

@@ -7,7 +7,6 @@ is fixed per polynomial; mixing alphabets raises AlphabetMismatch.
 Besides ring arithmetic, this module provides the variable manipulations
 needed by the affine Hecke operators acting on polynomials:
 
-  swap_vars          exchange x_i and x_{i+1}
   compose_vars       substitute each variable by a scalar multiple of a
                      (possibly different) variable; covers the cyclic shift
                      h(x_1,..,x_n) -> h(x_2,..,x_n, q x_1), alphabet
@@ -37,7 +36,6 @@ __all__ = [
     "XPolynomial",
     "AlphabetMismatch",
     "common_denominator_sum",
-    "swap_vars",
     "cyclic_omega",
     "compose_vars",
     "divided_difference_div",
@@ -401,23 +399,6 @@ def common_denominator_sum(nvars: int, summands: Iterable[XPolynomial]) -> XPoly
 # ---------------------------------------------------------------------------
 # Variable manipulations.
 # ---------------------------------------------------------------------------
-
-
-def swap_vars(poly: XPolynomial, i: int) -> XPolynomial:
-    """Exchange x_i and x_{i+1} (i is 1-based, 1 <= i <= nvars-1)."""
-    if not 1 <= i <= poly.nvars - 1:
-        raise IndexError(f"swap index {i} out of range 1..{poly.nvars - 1}")
-    a, b = i - 1, i
-    out = {}
-    for exps, coeff in poly.terms.items():
-        if exps[a] == exps[b]:
-            key = exps
-        else:
-            swapped = list(exps)
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            key = tuple(swapped)
-        out[key] = coeff
-    return _raw(poly.nvars, out)
 
 
 def compose_vars(

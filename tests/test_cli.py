@@ -9,7 +9,7 @@ from nsmacdonald.cli import main
 from nsmacdonald.xpoly import XPolynomial, reverse_alphabet
 from nsmacdonald.fillings import f_hhl
 from nsmacdonald.compositions import Composition
-from nsmacdonald.matrixprod import cyclic_check
+from nsmacdonald.matrixprod import cyclic_check, f_matrix_product
 
 
 def run(capsys, *argv):
@@ -47,6 +47,7 @@ def test_json_round_trip(capsys):
     code, out, _err = run(capsys, "compute", "--mu", "0,1", "--method", "hhl", "--output", "json")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["mu", "method", "poly"]
     assert payload["mu"] == [0, 1]
     poly = XPolynomial.from_json(payload["poly"])
     assert poly == f_hhl(Composition((0, 1)))
@@ -54,12 +55,21 @@ def test_json_round_trip(capsys):
 
 
 def test_convention_E(capsys):
-    code, out, _err = run(
-        capsys, "compute", "--mu", "1,0", "--method", "hhl", "--convention", "E", "--output", "json"
-    )
-    assert code == 0
-    poly = XPolynomial.from_json(json.loads(out)["poly"])
-    assert poly == reverse_alphabet(f_hhl(Composition((0, 1))))
+    for method in ("hhl", "both"):
+        code, out, _err = run(
+            capsys, "compute", "--mu", "1,0", "--method", method, "--convention", "E",
+            "--output", "json",
+        )
+        assert code == 0
+        payload = json.loads(out.splitlines()[0])
+        # the header holds the composition as given, not the reversed one
+        # the E convention computes with
+        assert payload["mu"] == [1, 0]
+        assert payload["method"] == method
+        assert payload["convention"] == "E"
+        assert "rho" not in payload
+        poly = XPolynomial.from_json(payload["poly"])
+        assert poly == reverse_alphabet(f_hhl(Composition((0, 1))))
 
 
 def test_expand_lists_monomials(capsys):
@@ -102,6 +112,18 @@ def test_rho_compute(capsys):
     assert code == 0
     payload = json.loads(out)
     assert XPolynomial.from_json(payload["poly"]).nvars == 2
+
+
+def test_rho_is_recorded_in_json_header(capsys):
+    code, out, _err = run(
+        capsys, "compute", "--mu", "0,1", "--rho", "2,1", "--method", "matrix", "--output", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["mu", "method", "rho", "poly"]
+    assert (payload["mu"], payload["method"], payload["rho"]) == ([0, 1], "matrix", [2, 1])
+    poly = XPolynomial.from_json(payload["poly"])
+    assert poly == f_matrix_product(Composition((0, 1)), (2, 1))
 
 
 def test_verify_cyclic_with_colour(capsys):

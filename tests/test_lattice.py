@@ -85,7 +85,7 @@ def test_r_weight_pole():
 
 
 def test_ybe_trivial_boundary():
-    rep = ybe_check(1, occupation_cap=1, nonconserving_samples=10)
+    rep = ybe_check(1, occupation_cap=1)
     assert rep.ok, rep.failures[:3]
 
 
@@ -106,9 +106,9 @@ def corrupted_l_weight(I, j, K, l, t=None):
     return w
 
 
-def test_ybe_detects_corrupted_table():
-    rep = ybe_check(1, 1, l_weight_fn=corrupted_l_weight, nonconserving_samples=0)
-    assert not rep.ok
+def test_ybe_detects_corrupted_table(monkeypatch):
+    monkeypatch.setattr(lattice, "l_weight", corrupted_l_weight)
+    assert not ybe_check(1, 1).ok
 
 
 def test_ybe_symbolic_detects_corrupted_table(monkeypatch):

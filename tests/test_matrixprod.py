@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from nsmacdonald import matrixprod
 from nsmacdonald.compositions import (
     Composition,
     alpha,
     compositions_with,
+    omega_norm,
     v_param,
 )
 from nsmacdonald.matrixprod import (
@@ -29,7 +31,7 @@ from nsmacdonald.matrixprod import (
     verify_exchange_basement,
 )
 from nsmacdonald.qt import QTRational
-from nsmacdonald.xpoly import XPolynomial, specialize_q
+from nsmacdonald.xpoly import XPolynomial, compose_vars, specialize_q
 
 ONE = QTRational.one()
 Q = QTRational.q()
@@ -124,6 +126,26 @@ def test_config_weight_examples(golden_polys):
         config_weight_parts(crossing, mu)
 
 
+def test_config_weight_is_omega_times_column_components():
+    # the definition of the weight, evaluated here column by column
+    def by_columns(xi, mu):
+        n = mu.n
+        weight = XPolynomial.constant(n, omega_norm(mu))
+        columns = xi.columns + ((0,) * n,)
+        for j in range(len(xi.columns)):
+            v = {p: v_param(mu, p, j) for p in range(1, n + 1)}
+            weight = weight * column_component(columns[j], columns[j + 1], v)
+        return weight
+
+    for n in (1, 2, 3):
+        for mu in compositions_with(n, 2):
+            for xi in enumerate_configs(mu):
+                assert config_weight(xi, mu) == by_columns(xi, mu)
+    crossing, mu = LatticeConfig(((2, 1), (1, 0))), Composition((1, 0))
+    assert config_weight(crossing, mu).is_zero()
+    assert by_columns(crossing, mu).is_zero()
+
+
 def test_f_matrix_product_goldens(golden_polys):
     for parts, poly in golden_polys.items():
         assert f_matrix_product(Composition(parts)) == poly
@@ -179,7 +201,7 @@ def test_kappa_is_the_rotation_ratio():
         rotate = lambda vec: (vec[-1],) + tuple(vec[:-1])
         # rotated boundary, with the variable substitution x_i -> x_{i-1}
         shifted = [(n, ONE)] + [(k, ONE) for k in range(1, n)]
-        denominator = column_component(rotate(I), rotate(J), v, row_vars=shifted)
+        denominator = compose_vars(column_component(rotate(I), rotate(J), v), shifted)
         if denominator.is_zero() or (J[-1] >= 1 and v[J[-1]].is_zero()):
             continue
         assert numerator == denominator.scale(kappa_ratio(I, J, v))
@@ -194,12 +216,13 @@ def test_cyclic_check_examples():
             assert cyclic_check(mu, i).ok
 
 
-def test_cyclic_check_detects_corrupted_twists():
+def test_cyclic_check_detects_corrupted_twists(monkeypatch):
     def corrupted(mu, i, j):
         value = v_param(mu, i, j)
         return value * T if not value.is_zero() else value
 
-    rep = cyclic_check(Composition((0, 1)), 2, v_fn=corrupted)
+    monkeypatch.setattr(matrixprod, "v_param", corrupted)
+    rep = cyclic_check(Composition((0, 1)), 2)
     assert not rep.ok
 
 
