@@ -1,0 +1,8 @@
+"""``python -m nsmacdonald ...``: the same command line as ``nsmacdonald``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,7 +47,19 @@ from .matrixprod import (
 from .reports import CheckReport
 from .xpoly import XPolynomial, reverse_alphabet
 
-CHECKS = ("bijection", "cyclic", "eigen", "exchange", "frozen", "hecke", "ybe")
+# the optional verify flags each check reads; giving any other is a usage error
+CHECK_FLAGS = {
+    "bijection": {"mu"},
+    "cyclic": {"mu", "i"},
+    "eigen": {"mu"},
+    "exchange": {"n"},
+    "frozen": {"mu"},
+    "hecke": {"mu", "n", "samples", "seed"},
+    "ybe": {"n", "cap", "seed"},
+}
+CHECKS = tuple(CHECK_FLAGS)
+# defaults of the flags that have one
+VERIFY_DEFAULTS = {"cap": 2, "samples": 5, "seed": 0}
 
 
 class UsageError(Exception):
@@ -137,6 +149,12 @@ def _expand(args) -> int:
 
 
 def _run_check(name: str, args) -> CheckReport:
+    for flag in ("mu", "i", "n", "cap", "samples", "seed"):
+        if getattr(args, flag) is not None and flag not in CHECK_FLAGS[name]:
+            raise UsageError(f"--{flag} is not used by verify {name}")
+    for flag, default in VERIFY_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     mu = _parse_mu(args.mu) if args.mu else None
     lowest = {"i": 1, "n": 2 if name == "hecke" else 1, "cap": 0, "samples": 1}
     for flag, low in lowest.items():
@@ -205,8 +223,6 @@ def _run_check(name: str, args) -> CheckReport:
                     for i in range(1, n):
                         if rho[i - 1] < rho[i]:
                             total.merge(verify_exchange_basement(m, i, list(rho)))
-    else:
-        raise UsageError(f"unknown check {name!r}; choose from {', '.join(CHECKS)}")
     return total
 
 
@@ -243,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("check_pos", nargs="?", choices=CHECKS, metavar="check")
     verify.add_argument("--check", choices=CHECKS)
-    verify.add_argument("--mu")
+    verify.add_argument("--mu", help="one composition for eigen/cyclic/frozen/bijection/hecke")
     verify.add_argument("--i", type=int, help="restrict cyclic check to one colour")
     verify.add_argument("--n", type=int, help="alphabet size for ybe/exchange/hecke")
-    verify.add_argument("--cap", type=int, default=2, help="occupation cap for ybe")
-    verify.add_argument("--samples", type=int, default=5)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--cap", type=int, help="occupation cap for ybe (default 2)")
+    verify.add_argument("--samples", type=int, help="random samples for hecke (default 5)")
+    verify.add_argument("--seed", type=int, help="random seed for ybe/hecke (default 0)")
     verify.set_defaults(func=_verify)
 
     return parser

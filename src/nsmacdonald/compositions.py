@@ -18,15 +18,20 @@ Statistics:
   leg(i,j)   = mu_i - j
   arm(i,j)   = alpha_{i,j-1}
 
-Everything is recomputed on demand except Omega_mu, which the matrix
-route and the weight matching need once per configuration: omega_norm
-keeps it per composition in a bounded cache (Composition is frozen and
-QTRational immutable, so a cached value is never changed by a caller).
+Everything is recomputed on demand except Omega_mu.  The matrix route
+needs it once per configuration, as its binomial labels (a, b) =
+(mu_i - j, alpha_ij) from ``omega_factors``, so that it cancels phi by
+adding multiplicities; the weight matching and the frozen coefficient
+need its value, ``omega_norm``, the product of those labels.  Both keep
+one entry per composition in a bounded cache (Composition is frozen, and
+a tuple and a QTRational are immutable, so a cached value is never
+changed by a caller).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -41,6 +46,7 @@ __all__ = [
     "gamma",
     "alpha",
     "v_param",
+    "omega_factors",
     "omega_norm",
     "leg",
     "arm",
@@ -186,15 +192,20 @@ def v_param(mu: Composition, i: int, j: int) -> QTRational:
 
 # 165 compositions make up the default family: a run over it keeps every value
 @lru_cache(maxsize=165)
+def omega_factors(mu: Composition) -> tuple[tuple[int, int], ...]:
+    """The labels (a, b) = (mu_i - j, alpha_ij) of the binomials
+    1 - q^a t^b whose product is Omega_mu, for j = 0..mu_i-1, i = 1..n."""
+    return tuple(
+        (mu.parts[i - 1] - j, alpha(mu, i, j))
+        for i in range(1, mu.n + 1)
+        for j in range(mu.parts[i - 1])
+    )
+
+
+@lru_cache(maxsize=165)
 def omega_norm(mu: Composition) -> QTRational:
     """The normalisation Omega_mu = prod (1 - q^{mu_i-j} t^{alpha_ij})."""
-    one = QTRational.one()
-    result = one
-    for i in range(1, mu.n + 1):
-        for j in range(mu.parts[i - 1]):
-            factor = one - QTRational.monomial(mu.parts[i - 1] - j, alpha(mu, i, j))
-            result = result * factor
-    return result
+    return QTRational.from_binomials(0, 0, Counter(omega_factors(mu)))
 
 
 def _as_square(s) -> Square:

@@ -23,14 +23,19 @@ right edge, and
 The geometric series over cylinder wrap counts are already resummed into
 the 1/(1 - v t^f) factors, so nothing is ever truncated.
 
-This closed form is written once, in the column kernel ``_column_factors``:
-it returns the factor groups above (x targets, t^g, phi, move
-denominators, upward t^h, downward v t^h), or None where the component
-vanishes.  The one loop over columns, ``_column_walk``, multiplies each
-group across the columns of a configuration (or of its rows in another
-order).  Every weight is the product of the walked groups:
-``config_weight`` (times Omega_mu), ``config_weight_parts`` (the groups
-themselves, for weight matching), the cyclic relation's partition
+Every twist v_p = q^{mu_p - j} t^{gamma_pj} is a monomial, so each factor
+group is a monomial times binomials 1 - q^a t^b to integer powers.  This
+closed form is written once, in the column kernel ``_column_factors``:
+it returns the x targets and the factor groups above (t^g, phi, move
+denominators, upward t^h, downward v t^h) in exponent form, (q-exp,
+t-exp, {(a, b): multiplicity}), or None where the component vanishes.
+The one loop over columns, ``_column_walk``, adds the exponents and
+multiplicities of each group across the columns of a configuration (or
+of its rows in another order): integer arithmetic, in which a binomial
+and its inverse cancel.  Each weight then becomes one Q(q,t) value,
+through ``QTRational.from_binomials``: ``config_weight`` (starting from
+Omega_mu's binomials, which cancel phi), ``config_weight_parts`` (one
+value per group, for weight matching), the cyclic relation's partition
 functions (with their spectral variables applied by ``compose_vars``) and
 the frozen coefficient.  ``column_component`` is the one-column case of
 the same group product.
@@ -53,10 +58,11 @@ Hall-Littlewood evaluation through a direct row-operator route.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .compositions import Composition, gamma, omega_norm, v_param
+from .compositions import Composition, gamma, omega_factors, omega_norm, v_param
 from .lattice import row_operator_expand
 from .qt import QTRational
 from .reports import CheckReport
@@ -190,10 +196,17 @@ def exponents_fgh(
     return f, g, h
 
 
+# q^qexp t^texp prod (1 - q^a t^b)^m, written (qexp, texp, {(a, b): m})
+Factors = tuple[int, int, dict[tuple[int, int], int]]
+# x exponents (indexed by row) and the factor groups, in the field order
+# of ConfigWeightParts
+Walk = tuple[tuple[int, ...], tuple[Factors, ...]]
+
+
 @dataclass(frozen=True)
 class ConfigWeightParts:
-    """The factors of one column component, or of a configuration weight
-    before multiplying by Omega_mu, grouped as in the column formula."""
+    """The factors of a configuration weight before multiplying by
+    Omega_mu, grouped as in the column formula."""
 
     x_exponents: tuple[int, ...]              # prod x_{b_p}, indexed by row
     t_g: QTRational                           # prod over P of t^{g(p)}
@@ -203,11 +216,35 @@ class ConfigWeightParts:
     down_v_t_h: QTRational                    # prod v t^h over downward row changes
 
 
-def _column_factors(
-    I: Sequence[int], J: Sequence[int], v: dict[int, QTRational]
-) -> ConfigWeightParts | None:
-    """The column kernel: the closed form of boundary (I, J) as factor
-    groups, or None where the component vanishes."""
+def _product(factors: Iterable[Factors]) -> Factors:
+    """The product of factors in exponent form: exponents and binomial
+    multiplicities add, so a binomial and its inverse cancel exactly."""
+    qexp = texp = 0
+    binomials: dict[tuple[int, int], int] = {}
+    for fq, ft, fb in factors:
+        qexp += fq
+        texp += ft
+        for key, m in fb.items():
+            binomials[key] = binomials.get(key, 0) + m
+    return qexp, texp, binomials
+
+
+def _twist_exponents(colour: int, v: QTRational) -> tuple[int, int] | None:
+    """(a, b) of a twist parameter v = q^a t^b, or None for v = 0."""
+    if v.is_zero():
+        return None
+    if v.num.is_monomial() and v.den.is_monomial():
+        (nq, nt), coeff = v.num.leading_term()
+        (dq, dt), _ = v.den.leading_term()
+        if coeff == 1:
+            return nq - dq, nt - dt
+    raise ValueError(f"twist parameter {v} of colour {colour} is not a monomial q^a t^b")
+
+
+def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, QTRational]) -> Walk | None:
+    """The column kernel: the closed form of boundary (I, J) as its x
+    exponents and factor groups in exponent form, or None where the
+    component vanishes."""
     n = len(I)
     P, Q = colour_data(I, J)
     zero = QTRational.zero()
@@ -221,22 +258,37 @@ def _column_factors(
     if any(p > l and a[p] == b[l] for p in P | Q for l in Q):
         return None
     f, g, h = exponents_fgh(P, Q, a, b, n)
-    one = QTRational.one()
-    t = QTRational.t()
-    t_g = t ** sum(g[p] for p in P)
-    phi = move = up = down = one
-    for p in sorted(P | Q):
-        phi = phi / (one - v[p] * t ** f[p])
+    twist = {p: _twist_exponents(p, v[p]) for p in P | Q}
+    phi: dict[tuple[int, int], int] = {}
+    move: dict[tuple[int, int], int] = {}
+    up_t = down_q = down_t = 0
+    for p, vp in twist.items():
+        if vp is not None:  # a zero twist gives 1/(1 - 0) = 1
+            key = (vp[0], vp[1] + f[p])
+            phi[key] = phi.get(key, 0) - 1
     exps = [0] * n
     for p in Q:
         exps[b[p] - 1] = 1
         if a[p] != b[p]:
-            move = move * (one - t) / (one - v[p] * t ** (f[p] + 1))
-            if a[p] > b[p]:
-                down = down * v[p] * t ** h[p]
+            vp = twist[p]
+            move[(0, 1)] = move.get((0, 1), 0) + 1  # the factor 1 - t
+            if vp is not None:
+                key = (vp[0], vp[1] + f[p] + 1)
+                move[key] = move.get(key, 0) - 1
+            if a[p] < b[p]:
+                up_t += h[p]
+            elif vp is None:
+                return None  # the factor v t^h of a downward move is zero
             else:
-                up = up * t ** h[p]
-    return ConfigWeightParts(tuple(exps), t_g, phi, move, up, down)
+                down_q, down_t = down_q + vp[0], down_t + vp[1] + h[p]
+    groups = (
+        (0, sum(g[p] for p in P), {}),
+        (0, 0, phi),
+        (0, 0, move),
+        (0, up_t, {}),
+        (down_q, down_t, {}),
+    )
+    return tuple(exps), groups
 
 
 def column_component(
@@ -244,26 +296,23 @@ def column_component(
 ) -> XPolynomial:
     """The closed-form column operator component for boundary (I, J).
 
-    ``v`` maps colours to twist parameters; any colour outside P u Q must
+    ``v`` maps colours to twist parameters, each zero or a monomial
+    q^a t^b (anything else is a ValueError); any colour outside P u Q must
     map to zero (hypothesis of the closed form).  The result is a single
     monomial in the x alphabet (x_r for row r) with a Q(q,t) coefficient:
     the one-column case of the group product of ``_column_walk``.
     """
-    return _group_product(_column_factors(I, J, v), len(I), QTRational.one())
+    return _group_product(_column_factors(I, J, v), len(I))
 
 
-def _group_product(
-    parts: ConfigWeightParts | None, n: int, first: QTRational
-) -> XPolynomial:
-    """``first`` times the factor groups, as a monomial in x_1..x_n (zero
-    where a column vanished)."""
-    if parts is None:
+def _group_product(walk: Walk | None, n: int, *factors: Factors) -> XPolynomial:
+    """``factors`` times the factor groups, as a monomial in x_1..x_n with
+    one coefficient built once (zero where a column vanished)."""
+    if walk is None:
         return XPolynomial.zero(n)
-    # phi first, so that Omega_mu cancels against it at once, then the
-    # monomial groups, then the move denominators: this keeps the
-    # intermediate fractions small
-    coeff = first * parts.phi * parts.t_g * parts.up_t_h * parts.down_v_t_h
-    return XPolynomial.monomial(n, parts.x_exponents, coeff * parts.move_denominators)
+    exps, groups = walk
+    coeff = QTRational.from_binomials(*_product(factors + groups))
+    return XPolynomial.monomial(n, exps, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -312,48 +361,44 @@ def enumerate_configs(
     yield from extend([base], 0)
 
 
-def _column_walk(
-    columns: Sequence[tuple[int, ...]], mu: Composition
-) -> ConfigWeightParts | None:
-    """The one loop over lattice columns: each factor group of the column
-    kernel, multiplied across ``columns`` (closed by the empty column), or
-    None where a column component vanishes.
+def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | None:
+    """The one loop over lattice columns: the x exponents and each factor
+    group of the column kernel, multiplied across ``columns`` (closed by
+    the empty column) in exponent form, or None where a column component
+    vanishes.
 
     ``columns[j][r-1]`` is the colour on row r of column j; the rows may be
     a permutation of a configuration's rows, and x_r stands for row r.
     """
     n = mu.n
-    one = QTRational.one()
-    t_g = phi = move = up = down = one
-    exps = [0] * n
     closed = tuple(columns) + ((0,) * n,)
+    walked = []
     for j in range(len(columns)):
         v = {p: v_param(mu, p, j) for p in range(1, n + 1)}
         column = _column_factors(closed[j], closed[j + 1], v)
         if column is None:
             return None
-        exps = [e + c for e, c in zip(exps, column.x_exponents)]
-        t_g = t_g * column.t_g
-        phi = phi * column.phi
-        move = move * column.move_denominators
-        up = up * column.up_t_h
-        down = down * column.down_v_t_h
-    return ConfigWeightParts(tuple(exps), t_g, phi, move, up, down)
+        walked.append(column)
+    exps = tuple(map(sum, zip(*(x for x, _ in walked))))
+    return exps, tuple(map(_product, zip(*(groups for _, groups in walked))))
 
 
 def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
     """The weight of one configuration: Omega_mu times the product of its
-    column components (a single monomial in x with Q(q,t) coefficient)."""
-    return _group_product(_column_walk(xi.columns, mu), mu.n, omega_norm(mu))
+    column components (a single monomial in x with Q(q,t) coefficient).
+    Omega_mu enters as its binomials, which cancel those of phi."""
+    omega = (0, 0, Counter(omega_factors(mu)))
+    return _group_product(_column_walk(xi.columns, mu), mu.n, omega)
 
 
 def config_weight_parts(xi: LatticeConfig, mu: Composition) -> ConfigWeightParts:
     """Factor breakdown of config_weight, for term-by-term weight matching:
     each factor group of the column kernel, multiplied across columns."""
-    parts = _column_walk(xi.columns, mu)
-    if parts is None:
+    walk = _column_walk(xi.columns, mu)
+    if walk is None:
         raise ValueError(f"configuration {xi.columns} has weight zero")
-    return parts
+    exps, groups = walk
+    return ConfigWeightParts(exps, *(QTRational.from_binomials(*g) for g in groups))
 
 
 def f_matrix_product(
@@ -449,7 +494,7 @@ def _cyclic_partition_functions(
     def partition_function(order: list[int], scalars: list[QTRational]) -> XPolynomial:
         # row r of the walk is row order[r-1] of xi, carrying scalars[r-1] x_{order[r-1]}
         columns = [tuple(column[c - 1] for c in order) for column in xi.columns]
-        walked = _group_product(_column_walk(columns, mu), n, one)
+        walked = _group_product(_column_walk(columns, mu), n)
         return compose_vars(walked, list(zip(order, scalars)))
 
     return (
@@ -498,7 +543,7 @@ def frozen_coefficient(mu: Composition) -> tuple[QTRational, QTRational]:
             for j in range(mu.maxpart + 1)
         )
     )
-    walked = _group_product(_column_walk(frozen.columns, mu), n, QTRational.one())
+    walked = _group_product(_column_walk(frozen.columns, mu), n)
     from_config = walked.coefficient(tuple(mu.parts))
     from_omega = omega_norm(mu).inverse()
     return from_config, from_omega

@@ -26,6 +26,12 @@ Negative exponents of q or t (needed e.g. for eigenvalue monomials
 q^a t^b with b < 0) are represented by placing the offending monomial in
 the denominator; QTPolynomial itself only ever stores exponents >= 0.
 
+A product q^c t^d prod (1 - q^a t^b)^m of binomials, the shape of every
+lattice weight, is built in one step by ``QTRational.from_binomials``: the
+numerator and the denominator are multiplied out once, and the full gcd
+is skipped when the numerator binomials are pairwise coprime to the
+denominator ones (two-term gcds, cached).
+
 All values are immutable after construction and all operations are pure,
 so they can be shared freely between threads.
 """
@@ -650,6 +656,41 @@ class QTRational:
             QTPolynomial.monomial(nq, nt, coeff), QTPolynomial.monomial(dq, dt)
         )
 
+    @staticmethod
+    def from_binomials(
+        qexp: int, texp: int, binomials: Mapping[tuple[int, int], int]
+    ) -> "QTRational":
+        """The element q^qexp t^texp prod (1 - q^a t^b)^m over the items
+        (a, b) -> m of ``binomials`` (exponents of either sign, m < 0 in
+        the denominator); (a, b) = (0, 0) is refused.
+
+        Numerator and denominator are multiplied out once.  No binomial is
+        divisible by q or t, so in the UFD Q[q,t] the two are coprime as
+        soon as every numerator binomial is coprime to every denominator
+        binomial; only otherwise is the full gcd taken."""
+        if (0, 0) in binomials:
+            raise ValueError("the binomial 1 - q^0 t^0 is zero")
+        num, den = [], []
+        for (a, b), m in binomials.items():
+            if m:
+                # 1 - q^a t^b = q^min(a,0) t^min(b,0) * (its polynomial part)
+                qexp += min(a, 0) * m
+                texp += min(b, 0) * m
+                (num if m > 0 else den).append((a, b, abs(m)))
+        num_poly = QTPolynomial.monomial(max(qexp, 0), max(texp, 0))
+        den_poly = QTPolynomial.monomial(max(-qexp, 0), max(-texp, 0))
+        for a, b, m in num:
+            num_poly = num_poly * _binomial_power(a, b, m)
+        for a, b, m in den:
+            den_poly = den_poly * _binomial_power(a, b, m)
+        if all(
+            qt_gcd(_binomial_power(a, b, 1), _binomial_power(c, d, 1)).is_one()
+            for a, b, _ in num
+            for c, d, _ in den
+        ):
+            return _normalise(num_poly, den_poly)
+        return QTRational(num_poly, den_poly)
+
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -813,6 +854,15 @@ def _normalise(num: QTPolynomial, den: QTPolynomial) -> "QTRational":
     # normalisation of the denominator remains.
     _, lead = den.leading_term()
     return _make_raw(num._divide_coefficients(lead), den._divide_coefficients(lead))
+
+
+@lru_cache(maxsize=1 << 10)
+def _binomial_power(a: int, b: int, m: int) -> QTPolynomial:
+    # the polynomial part of (1 - q^a t^b)^m, m >= 1: (1 - q^a t^b) divided
+    # by q^min(a,0) t^min(b,0), to the power m; not divisible by q or t
+    low_q, low_t = min(a, 0), min(b, 0)
+    base = _poly_raw({(-low_q, -low_t): 1, (a - low_q, b - low_t): -1})
+    return base if m == 1 else base * _binomial_power(a, b, m - 1)
 
 
 def _make_raw(num: QTPolynomial, den: QTPolynomial) -> QTRational:

@@ -1,6 +1,10 @@
 """Command-line interface behaviour and output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +157,19 @@ def test_expand_json_matches_compute(capsys):
     assert out == computed
 
 
+def test_python_dash_m_runs_the_cli():
+    import nsmacdonald
+
+    src = str(Path(nsmacdonald.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "nsmacdonald", "compute", "--mu", "0,1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "routes agree"
+
+
 def test_seed_reproducibility(capsys):
     code1, _out, err1 = run(capsys, "verify", "hecke", "--n", "2", "--seed", "9", "--samples", "2")
     code2, _out2, err2 = run(capsys, "verify", "hecke", "--n", "2", "--seed", "9", "--samples", "2")
@@ -177,6 +194,17 @@ def test_seed_reproducibility(capsys):
         "verify ybe --n 1 --cap -1",
         "verify ybe --n 0",
         "verify exchange --n 0",
+        "verify frozen --mu 0,1,2 --i 2",
+        "verify exchange --mu 0,1",
+        "verify ybe --mu 0,1",
+        "verify cyclic --mu 0,1 --n 3",
+        "verify eigen --mu 0,1 --n 2",
+        "verify frozen --n 2",
+        "verify bijection --mu 0,1 --n 2",
+        "verify hecke --mu 0,1 --i 1",
+        "verify eigen --mu 0,1 --seed 3",
+        "verify exchange --cap 1",
+        "verify cyclic --mu 0,1 --samples 2",
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):

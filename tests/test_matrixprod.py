@@ -96,6 +96,12 @@ def test_column_component_rejects_stray_twist():
         column_component((0, 0), (0, 0), {1: Q, 2: ZERO})
 
 
+@pytest.mark.parametrize("twist", [ONE - Q, Q + T, QTRational.monomial(1, 1, 2), -Q])
+def test_column_component_rejects_non_monomial_twist(twist):
+    with pytest.raises(ValueError, match="not a monomial"):
+        column_component((0, 2), (2, 0), {1: ZERO, 2: twist})
+
+
 def test_enumerate_configs_counts():
     assert len(list(enumerate_configs(Composition((0, 0, 0))))) == 1
     assert len(list(enumerate_configs(Composition((1, 0))))) == 1

@@ -256,3 +256,52 @@ def test_field_operations_keep_stored_form(x, y):
     for value in results:
         assert stored_form_ok(value.num) and stored_form_ok(value.den)
         assert value.den.leading_term()[1] == 1
+
+
+def binomial_product(qexp, texp, binomials):
+    """q^qexp t^texp prod (1 - q^a t^b)^m built with field arithmetic."""
+    value = QTRational.monomial(qexp, texp)
+    for (a, b), m in binomials.items():
+        value = value * (ONE - QTRational.monomial(a, b)) ** m
+    return value
+
+
+binomial_keys = st.tuples(st.integers(-2, 3), st.integers(-3, 3)).filter(lambda k: k != (0, 0))
+binomial_maps = st.dictionaries(binomial_keys, st.integers(-2, 2), max_size=4)
+
+
+@st.composite
+def binomial_maps_sharing_a_factor(draw):
+    """A map with a binomial on one side and a multiple of it on the other,
+    such as (1, 1) against (2, 2) or (0, c) against (0, -c)."""
+    binomials = draw(binomial_maps)
+    a, b = draw(binomial_keys)
+    partner = draw(st.sampled_from([(2 * a, 2 * b), (-a, -b), (-2 * a, -2 * b)]))
+    sign = draw(st.sampled_from([1, -1]))
+    binomials[(a, b)] = sign * draw(st.integers(1, 2))
+    binomials[partner] = -sign * draw(st.integers(1, 2))
+    return binomials
+
+
+@given(
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.one_of(binomial_maps, binomial_maps_sharing_a_factor()),
+)
+def test_from_binomials_equals_field_product(qexp, texp, binomials):
+    value = QTRational.from_binomials(qexp, texp, binomials)
+    assert value == binomial_product(qexp, texp, binomials)
+    assert stored_form_ok(value.num) and stored_form_ok(value.den)
+    assert value.den.leading_term()[1] == 1
+
+
+def test_from_binomials_examples():
+    assert QTRational.from_binomials(0, 0, {}) == ONE
+    assert QTRational.from_binomials(2, -1, {(1, 1): 0}) == Q * Q / T
+    # (1 - qt) / (1 - q^2 t^2) = 1 / (1 + qt)
+    assert QTRational.from_binomials(0, 0, {(1, 1): 1, (2, 2): -1}) == ONE / (ONE + Q * T)
+    # (1 - t^2) / (1 - t^-2) = -t^2
+    assert QTRational.from_binomials(0, 0, {(0, 2): 1, (0, -2): -1}) == -(T * T)
+    assert QTRational.from_binomials(1, 0, {(1, -1): -1}) == Q / (ONE - Q / T)
+    with pytest.raises(ValueError):
+        QTRational.from_binomials(0, 0, {(0, 0): 1})
