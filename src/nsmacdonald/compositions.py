@@ -18,14 +18,13 @@ Statistics:
   leg(i,j)   = mu_i - j
   arm(i,j)   = alpha_{i,j-1}
 
-Everything is recomputed on demand except Omega_mu.  The matrix route
-needs it once per configuration, as its binomial labels (a, b) =
-(mu_i - j, alpha_ij) from ``omega_factors``, so that it cancels phi by
-adding multiplicities; the weight matching and the frozen coefficient
-need its value, ``omega_norm``, the product of those labels.  Both keep
-one entry per composition in a bounded cache (Composition is frozen, and
-a tuple and a QTRational are immutable, so a cached value is never
-changed by a caller).
+Everything is recomputed on demand except Omega_mu in exponent form.
+The matrix route needs it once per configuration, as qt's ``Factors``
+(0, 0, {(mu_i - j, alpha_ij): m}) from ``omega_factors``, so that it
+cancels phi by adding multiplicities; a bounded cache keeps one entry per
+composition (Composition is frozen and the mapping read-only, so a cached
+value is never changed by a caller).  The weight matching and the frozen
+coefficient take its value, ``omega_norm``, once per composition.
 """
 
 from __future__ import annotations
@@ -34,9 +33,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
-from .qt import QTRational
+from .qt import Factors, QTRational
 
 __all__ = [
     "Composition",
@@ -192,20 +192,20 @@ def v_param(mu: Composition, i: int, j: int) -> QTRational:
 
 # 165 compositions make up the default family: a run over it keeps every value
 @lru_cache(maxsize=165)
-def omega_factors(mu: Composition) -> tuple[tuple[int, int], ...]:
-    """The labels (a, b) = (mu_i - j, alpha_ij) of the binomials
-    1 - q^a t^b whose product is Omega_mu, for j = 0..mu_i-1, i = 1..n."""
-    return tuple(
+def omega_factors(mu: Composition) -> Factors:
+    """Omega_mu in exponent form: the binomials 1 - q^a t^b with labels
+    (a, b) = (mu_i - j, alpha_ij), for j = 0..mu_i-1, i = 1..n."""
+    labels = Counter(
         (mu.parts[i - 1] - j, alpha(mu, i, j))
         for i in range(1, mu.n + 1)
         for j in range(mu.parts[i - 1])
     )
+    return 0, 0, MappingProxyType(labels)
 
 
-@lru_cache(maxsize=165)
 def omega_norm(mu: Composition) -> QTRational:
     """The normalisation Omega_mu = prod (1 - q^{mu_i-j} t^{alpha_ij})."""
-    return QTRational.from_binomials(0, 0, Counter(omega_factors(mu)))
+    return QTRational.from_binomials(*omega_factors(mu))
 
 
 def _as_square(s) -> Square:

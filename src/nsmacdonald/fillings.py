@@ -25,8 +25,9 @@ sigma_{a,j} = row of colour a in lattice column j.  It is a weight
 preserving bijection onto non-attacking fillings; ``weight_match_check``
 verifies this square by square, including the individual factor-group
 identities the matching splits into.  The HHL side of those identities
-is the factor kernel ``_hhl_factors``, which ``hhl_summand`` multiplies
-out; the column side is matrixprod's column kernel.  ``f_hhl`` adds the
+is the factor kernel ``_hhl_factors``, in qt's exponent form, and
+``hhl_summand`` is one ``from_binomials`` of the groups' product;
+the column side is matrixprod's column kernel.  ``f_hhl`` adds the
 summands with xpoly's ``common_denominator_sum`` (one common denominator,
 no gcd per addition), as f_matrix_product adds the configuration
 weights.
@@ -40,7 +41,7 @@ from typing import Iterator
 
 from .compositions import Composition, arm, attacks, leg, omega_norm
 from .matrixprod import LatticeConfig, config_weight, config_weight_parts, enumerate_configs
-from .qt import QTRational
+from .qt import Factors, QTRational, binomial_product
 from .reports import CheckReport
 from .xpoly import XPolynomial, common_denominator_sum
 
@@ -71,6 +72,8 @@ class Filling:
                 raise ValueError(f"column {i} must hold {self.mu.part(i) + 1} entries")
             if column[0] != i:
                 raise ValueError(f"basement entry of column {i} must be {i}")
+            if any(not 1 <= entry <= self.mu.n for entry in column[1:]):
+                raise ValueError(f"entries of column {i} must lie in 1..{self.mu.n}")
 
     def entry(self, i: int, j: int) -> int:
         """sigma_{i,j} for a square of the extended diagram."""
@@ -178,42 +181,36 @@ def ordered_triples(sigma: Filling) -> tuple[int, int]:
     return plus, minus
 
 
-def _hhl_factors(
-    sigma: Filling,
-) -> tuple[tuple[int, ...], QTRational, QTRational, QTRational]:
-    """The HHL factor kernel: the weight of sigma as the factor groups
+def _hhl_factors(sigma: Filling) -> tuple[tuple[int, ...], Factors, Factors, Factors]:
+    """The HHL factor kernel: the weight of sigma as x^sigma (its exponent
+    vector) and the factor groups, in exponent form,
 
-      x^sigma (its exponent vector),
       t^{ord_+},
       prod over descents and ascents (1-t)/(1 - q^{l+1} t^{a+1}),
       t^{-ord_-} * prod over ascents q^{l+1} t^a,
 
     with leg and arm evaluated once per descent or ascent square."""
     mu = sigma.mu
-    one = QTRational.one()
-    one_minus_t = one - QTRational.t()
     plus, minus = ordered_triples(sigma)
     descents, ascents = descent_ascent(sigma)
-    denominators = one
+    squares = descents | ascents
+    denominators = {(0, 1): len(squares)}  # the factors 1 - t
     q_exp, t_exp = 0, -minus
-    for s in descents | ascents:
+    for s in squares:
         la, aa = leg(mu, s), arm(mu, s)
-        denominators = denominators * one_minus_t / (one - QTRational.monomial(la + 1, aa + 1))
+        key = (la + 1, aa + 1)
+        denominators[key] = denominators.get(key, 0) - 1
         if s in ascents:
             q_exp, t_exp = q_exp + la + 1, t_exp + aa
-    return (
-        sigma.x_monomial(),
-        QTRational.monomial(0, plus),
-        denominators,
-        QTRational.monomial(q_exp, t_exp),
-    )
+    return sigma.x_monomial(), (0, plus, {}), (0, 0, denominators), (q_exp, t_exp, {})
 
 
 def hhl_summand(sigma: Filling) -> XPolynomial:
-    """The weight of one non-attacking filling in the combinatorial sum."""
-    exps, t_plus, denominators, numerators = _hhl_factors(sigma)
-    # the monomial groups first, then the denominators
-    return XPolynomial(sigma.mu.n, {exps: t_plus * numerators * denominators})
+    """The weight of one non-attacking filling in the combinatorial sum,
+    built once from the product of its factor groups."""
+    exps, *groups = _hhl_factors(sigma)
+    coeff = QTRational.from_binomials(*binomial_product(groups))
+    return XPolynomial(sigma.mu.n, {exps: coeff})
 
 
 def f_hhl(mu: Composition) -> XPolynomial:
@@ -272,7 +269,8 @@ def weight_match_check(mu: Composition) -> CheckReport:
     for xi in enumerate_configs(mu):
         sigma = bijection_M(xi, mu)
         parts = config_weight_parts(xi, mu)
-        exps, t_plus, denominators, numerators = _hhl_factors(sigma)
+        exps, *groups = _hhl_factors(sigma)
+        t_plus, denominators, numerators = (QTRational.from_binomials(*g) for g in groups)
         report.count()
         if parts.x_exponents != exps:
             report.fail(f"x factors differ on {xi.columns}")

@@ -27,16 +27,15 @@ Every twist v_p = q^{mu_p - j} t^{gamma_pj} is a monomial, so each factor
 group is a monomial times binomials 1 - q^a t^b to integer powers.  This
 closed form is written once, in the column kernel ``_column_factors``:
 it returns the x targets and the factor groups above (t^g, phi, move
-denominators, upward t^h, downward v t^h) in exponent form, (q-exp,
-t-exp, {(a, b): multiplicity}), or None where the component vanishes.
-The one loop over columns, ``_column_walk``, adds the exponents and
-multiplicities of each group across the columns of a configuration (or
-of its rows in another order): integer arithmetic, in which a binomial
-and its inverse cancel.  Each weight then becomes one Q(q,t) value,
-through ``QTRational.from_binomials``: ``config_weight`` (starting from
-Omega_mu's binomials, which cancel phi), ``config_weight_parts`` (one
-value per group, for weight matching), the cyclic relation's partition
-functions (with their spectral variables applied by ``compose_vars``) and
+denominators, upward t^h, downward v t^h) in qt's exponent form
+(``Factors``), or None where the component vanishes.  The one loop over
+columns, ``_column_walk``, multiplies each group across the columns of a
+configuration (or of its rows in another order) by ``binomial_product``:
+integer arithmetic, in which a binomial and its inverse cancel.  Each
+weight then becomes one ``QTRational.from_binomials``: ``config_weight``
+(from ``omega_factors``, whose binomials cancel phi), ``config_weight_parts``
+(one value per group, for weight matching), the cyclic relation's
+partition functions (spectral variables applied by ``compose_vars``) and
 the frozen coefficient.  ``column_component`` is the one-column case of
 the same group product.
 
@@ -58,13 +57,12 @@ Hall-Littlewood evaluation through a direct row-operator route.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .compositions import Composition, gamma, omega_factors, omega_norm, v_param
 from .lattice import row_operator_expand
-from .qt import QTRational
+from .qt import Factors, QTRational, binomial_product
 from .reports import CheckReport
 from .xpoly import XPolynomial, common_denominator_sum, compose_vars
 
@@ -196,8 +194,6 @@ def exponents_fgh(
     return f, g, h
 
 
-# q^qexp t^texp prod (1 - q^a t^b)^m, written (qexp, texp, {(a, b): m})
-Factors = tuple[int, int, dict[tuple[int, int], int]]
 # x exponents (indexed by row) and the factor groups, in the field order
 # of ConfigWeightParts
 Walk = tuple[tuple[int, ...], tuple[Factors, ...]]
@@ -214,19 +210,6 @@ class ConfigWeightParts:
     move_denominators: QTRational             # prod (1-t)/(1 - v t^{f+1}), row changes
     up_t_h: QTRational                        # prod t^h over upward row changes
     down_v_t_h: QTRational                    # prod v t^h over downward row changes
-
-
-def _product(factors: Iterable[Factors]) -> Factors:
-    """The product of factors in exponent form: exponents and binomial
-    multiplicities add, so a binomial and its inverse cancel exactly."""
-    qexp = texp = 0
-    binomials: dict[tuple[int, int], int] = {}
-    for fq, ft, fb in factors:
-        qexp += fq
-        texp += ft
-        for key, m in fb.items():
-            binomials[key] = binomials.get(key, 0) + m
-    return qexp, texp, binomials
 
 
 def _twist_exponents(colour: int, v: QTRational) -> tuple[int, int] | None:
@@ -311,7 +294,7 @@ def _group_product(walk: Walk | None, n: int, *factors: Factors) -> XPolynomial:
     if walk is None:
         return XPolynomial.zero(n)
     exps, groups = walk
-    coeff = QTRational.from_binomials(*_product(factors + groups))
+    coeff = QTRational.from_binomials(*binomial_product(factors + groups))
     return XPolynomial.monomial(n, exps, coeff)
 
 
@@ -380,15 +363,14 @@ def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | 
             return None
         walked.append(column)
     exps = tuple(map(sum, zip(*(x for x, _ in walked))))
-    return exps, tuple(map(_product, zip(*(groups for _, groups in walked))))
+    return exps, tuple(map(binomial_product, zip(*(groups for _, groups in walked))))
 
 
 def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
     """The weight of one configuration: Omega_mu times the product of its
     column components (a single monomial in x with Q(q,t) coefficient).
     Omega_mu enters as its binomials, which cancel those of phi."""
-    omega = (0, 0, Counter(omega_factors(mu)))
-    return _group_product(_column_walk(xi.columns, mu), mu.n, omega)
+    return _group_product(_column_walk(xi.columns, mu), mu.n, omega_factors(mu))
 
 
 def config_weight_parts(xi: LatticeConfig, mu: Composition) -> ConfigWeightParts:

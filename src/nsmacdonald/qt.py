@@ -26,11 +26,11 @@ Negative exponents of q or t (needed e.g. for eigenvalue monomials
 q^a t^b with b < 0) are represented by placing the offending monomial in
 the denominator; QTPolynomial itself only ever stores exponents >= 0.
 
-A product q^c t^d prod (1 - q^a t^b)^m of binomials, the shape of every
-lattice weight, is built in one step by ``QTRational.from_binomials``: the
-numerator and the denominator are multiplied out once, and the full gcd
-is skipped when the numerator binomials are pairwise coprime to the
-denominator ones (two-term gcds, cached).
+A product q^c t^d prod (1 - q^a t^b)^m, the shape of every lattice and
+HHL weight, is written (c, d, {(a, b): m}) (``Factors``), a format owned
+here: ``binomial_product`` multiplies factors by adding exponents and
+multiplicities, and ``QTRational.from_binomials`` builds the value once,
+skipping the full gcd by an integer coprimality test on the labels.
 
 All values are immutable after construction and all operations are pure,
 so they can be shared freely between threads.
@@ -52,6 +52,7 @@ __all__ = [
     "ExactDivisionError",
     "qt_gcd",
     "qt_lcm",
+    "binomial_product",
 ]
 
 
@@ -667,7 +668,12 @@ class QTRational:
         Numerator and denominator are multiplied out once.  No binomial is
         divisible by q or t, so in the UFD Q[q,t] the two are coprime as
         soon as every numerator binomial is coprime to every denominator
-        binomial; only otherwise is the full gcd taken."""
+        binomial; only otherwise is the full gcd taken.  Labels (a, b) and
+        (c, d) are coprime exactly when a d != b c: with g = gcd(a, b) and
+        m = q^{a/g} t^{b/g}, 1 - q^a t^b is the product over e | g of the
+        cyclotomic Phi_e(m), irreducible in Q[q^±1, t^±1] as m is primitive,
+        so two binomials share a factor iff their labels are parallel
+        (opposite directions too: 1 - m^-1 = -m^-1 (1 - m))."""
         if (0, 0) in binomials:
             raise ValueError("the binomial 1 - q^0 t^0 is zero")
         num, den = [], []
@@ -683,11 +689,7 @@ class QTRational:
             num_poly = num_poly * _binomial_power(a, b, m)
         for a, b, m in den:
             den_poly = den_poly * _binomial_power(a, b, m)
-        if all(
-            qt_gcd(_binomial_power(a, b, 1), _binomial_power(c, d, 1)).is_one()
-            for a, b, _ in num
-            for c, d, _ in den
-        ):
+        if all(a * d != b * c for a, b, _ in num for c, d, _ in den):
             return _normalise(num_poly, den_poly)
         return QTRational(num_poly, den_poly)
 
@@ -863,6 +865,23 @@ def _binomial_power(a: int, b: int, m: int) -> QTPolynomial:
     low_q, low_t = min(a, 0), min(b, 0)
     base = _poly_raw({(-low_q, -low_t): 1, (a - low_q, b - low_t): -1})
     return base if m == 1 else base * _binomial_power(a, b, m - 1)
+
+
+# q^qexp t^texp prod (1 - q^a t^b)^m, written (qexp, texp, {(a, b): m})
+Factors = tuple[int, int, Mapping[tuple[int, int], int]]
+
+
+def binomial_product(factors: Iterable[Factors]) -> Factors:
+    """The product of factors in exponent form: exponents and binomial
+    multiplicities add, so a binomial and its inverse cancel exactly."""
+    qexp = texp = 0
+    binomials: dict[tuple[int, int], int] = {}
+    for fq, ft, fb in factors:
+        qexp += fq
+        texp += ft
+        for key, m in fb.items():
+            binomials[key] = binomials.get(key, 0) + m
+    return qexp, texp, binomials
 
 
 def _make_raw(num: QTPolynomial, den: QTPolynomial) -> QTRational:

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from nsmacdonald import fillings
-from nsmacdonald.compositions import Composition, compositions_with
+from nsmacdonald.compositions import Composition, arm, compositions_with, leg
 from nsmacdonald.fillings import (
     Filling,
     bijection_M,
@@ -110,6 +110,26 @@ def test_hhl_summand_examples():
     )
 
 
+def hhl_weight_by_field_arithmetic(sigma):
+    """The HHL weight of sigma multiplied out factor by factor in Q(q,t)."""
+    mu = sigma.mu
+    plus, minus = ordered_triples(sigma)
+    descents, ascents = descent_ascent(sigma)
+    weight = QTRational.monomial(0, plus - minus)
+    for s in descents | ascents:
+        la, aa = leg(mu, s), arm(mu, s)
+        weight = weight * (ONE - T) / (ONE - QTRational.monomial(la + 1, aa + 1))
+        if s in ascents:
+            weight = weight * QTRational.monomial(la + 1, aa)
+    return XPolynomial.monomial(mu.n, sigma.x_monomial(), weight)
+
+
+def test_hhl_summand_equals_field_arithmetic():
+    for parts in [(2, 1), (0, 2, 1), (1, 0, 2), (2, 2, 1)]:
+        for sigma in enumerate_fillings(Composition(parts)):
+            assert hhl_summand(sigma) == hhl_weight_by_field_arithmetic(sigma), sigma
+
+
 def test_f_hhl_goldens(golden_polys):
     for parts, poly in golden_polys.items():
         assert f_hhl(Composition(parts)) == poly
@@ -190,3 +210,7 @@ def test_filling_validation():
         filling((0, 1), [(2,), (2, 1)])  # wrong basement
     with pytest.raises(ValueError):
         filling((0, 1), [(1,), (2,)])  # missing entry
+    with pytest.raises(ValueError):
+        filling((1, 1), [(1, 0), (2, 2)])  # entry below 1
+    with pytest.raises(ValueError):
+        filling((1, 1), [(1, 3), (2, 2)])  # entry above n

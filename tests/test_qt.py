@@ -4,8 +4,9 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from nsmacdonald import qt
 from nsmacdonald.qt import (
     ExactDivisionError,
     Fraction,
@@ -258,7 +259,7 @@ def test_field_operations_keep_stored_form(x, y):
         assert value.den.leading_term()[1] == 1
 
 
-def binomial_product(qexp, texp, binomials):
+def field_binomial_product(qexp, texp, binomials):
     """q^qexp t^texp prod (1 - q^a t^b)^m built with field arithmetic."""
     value = QTRational.monomial(qexp, texp)
     for (a, b), m in binomials.items():
@@ -272,13 +273,23 @@ binomial_maps = st.dictionaries(binomial_keys, st.integers(-2, 2), max_size=4)
 
 @st.composite
 def binomial_maps_sharing_a_factor(draw):
-    """A map with a binomial on one side and a multiple of it on the other,
-    such as (1, 1) against (2, 2) or (0, c) against (0, -c)."""
+    """A map with a binomial on one side and one with a parallel label on
+    the other, such as (1, 1) against (2, 2), (0, c) against (0, -c), or
+    (2, 2) against (3, 3), where neither label is a multiple of the other."""
     binomials = draw(binomial_maps)
     a, b = draw(binomial_keys)
-    partner = draw(st.sampled_from([(2 * a, 2 * b), (-a, -b), (-2 * a, -2 * b)]))
+    key, partner = draw(
+        st.sampled_from(
+            [
+                ((a, b), (2 * a, 2 * b)),
+                ((a, b), (-a, -b)),
+                ((a, b), (-2 * a, -2 * b)),
+                ((2 * a, 2 * b), (3 * a, 3 * b)),
+            ]
+        )
+    )
     sign = draw(st.sampled_from([1, -1]))
-    binomials[(a, b)] = sign * draw(st.integers(1, 2))
+    binomials[key] = sign * draw(st.integers(1, 2))
     binomials[partner] = -sign * draw(st.integers(1, 2))
     return binomials
 
@@ -288,9 +299,11 @@ def binomial_maps_sharing_a_factor(draw):
     st.integers(-3, 3),
     st.one_of(binomial_maps, binomial_maps_sharing_a_factor()),
 )
+# parallel labels neither of which is a multiple of the other, on every run
+@example(0, 0, {(2, 2): 1, (3, 3): -1})
 def test_from_binomials_equals_field_product(qexp, texp, binomials):
     value = QTRational.from_binomials(qexp, texp, binomials)
-    assert value == binomial_product(qexp, texp, binomials)
+    assert value == field_binomial_product(qexp, texp, binomials)
     assert stored_form_ok(value.num) and stored_form_ok(value.den)
     assert value.den.leading_term()[1] == 1
 
@@ -305,3 +318,23 @@ def test_from_binomials_examples():
     assert QTRational.from_binomials(1, 0, {(1, -1): -1}) == Q / (ONE - Q / T)
     with pytest.raises(ValueError):
         QTRational.from_binomials(0, 0, {(0, 0): 1})
+
+
+def test_binomial_product_adds_exponents_and_multiplicities():
+    factors = [(1, 0, {(1, 1): 2}), (0, -1, {(1, 1): -2, (0, 1): 1}), (2, 3, {})]
+    assert qt.binomial_product(factors) == (3, 2, {(1, 1): 0, (0, 1): 1})
+
+
+def test_binomial_coprimality_test_is_exact():
+    # from_binomials skips the gcd when no numerator label (a, b) and
+    # denominator label (c, d) have a d = b c: exhaustively on a box, that
+    # is exactly when the two binomials are coprime
+    labels = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    for a, b in labels:
+        top = ONE - QTRational.monomial(a, b)
+        for c, d in labels:
+            bottom = ONE - QTRational.monomial(c, d)
+            coprime = qt_gcd(top.num, bottom.num).is_one()
+            assert (a * d != b * c) == coprime, ((a, b), (c, d))
+            factors = qt.binomial_product([(0, 0, {(a, b): 1}), (0, 0, {(c, d): -1})])
+            assert QTRational.from_binomials(*factors) == top / bottom, ((a, b), (c, d))
