@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .compositions import Composition, arm, attacks, leg, omega_norm
-from .matrixprod import LatticeConfig, config_weight, config_weight_parts, enumerate_configs
+from .matrixprod import LatticeConfig, config_weight_parts, enumerate_configs
 from .qt import Factors, QTRational, binomial_product
 from .reports import CheckReport
 from .xpoly import XPolynomial, common_denominator_sum
@@ -208,9 +208,12 @@ def _hhl_factors(sigma: Filling) -> tuple[tuple[int, ...], Factors, Factors, Fac
 def hhl_summand(sigma: Filling) -> XPolynomial:
     """The weight of one non-attacking filling in the combinatorial sum,
     built once from the product of its factor groups."""
-    exps, *groups = _hhl_factors(sigma)
+    return _summand(sigma.mu.n, *_hhl_factors(sigma))
+
+
+def _summand(n: int, exps: tuple[int, ...], *groups: Factors) -> XPolynomial:
     coeff = QTRational.from_binomials(*binomial_product(groups))
-    return XPolynomial(sigma.mu.n, {exps: coeff})
+    return XPolynomial(n, {exps: coeff})
 
 
 def f_hhl(mu: Composition) -> XPolynomial:
@@ -263,13 +266,15 @@ def weight_match_check(mu: Composition) -> CheckReport:
       row changes      prod (1-t)/(1 - v t^{f+1})      = descent/ascent denominators
       upward moves     prod t^g * prod t^h (upward)    = t^{ord_+}
       downward moves   prod v t^h (downward)           = t^{-ord_-} * ascent numerators
+
+    Each configuration is walked once and its filling's factors are built
+    once; the totals come from those through each route's own product.
     """
     report = CheckReport(f"weight-match mu={mu}")
     omega = omega_norm(mu)
     for xi in enumerate_configs(mu):
-        sigma = bijection_M(xi, mu)
         parts = config_weight_parts(xi, mu)
-        exps, *groups = _hhl_factors(sigma)
+        exps, *groups = _hhl_factors(bijection_M(xi, mu))
         t_plus, denominators, numerators = (QTRational.from_binomials(*g) for g in groups)
         report.count()
         if parts.x_exponents != exps:
@@ -287,6 +292,6 @@ def weight_match_check(mu: Composition) -> CheckReport:
         if parts.down_v_t_h != numerators:
             report.fail(f"downward-move factor mismatch on {xi.columns}")
         report.count()
-        if config_weight(xi, mu) != hhl_summand(sigma):
+        if parts.weight != _summand(mu.n, exps, *groups):
             report.fail(f"total weights differ on {xi.columns}")
     return report

@@ -24,14 +24,14 @@ The fundamental R-matrix R_z(i, j; k, l) (bottom, left; top, right) is
   R_z(i,i;i,i) = 1   and, for i < j,
   R_z(j,i;j,i) = t(1-z)/(1-tz)      R_z(i,j;i,j) = (1-z)/(1-tz)
   R_z(j,i;i,j) = (1-t)/(1-tz)       R_z(i,j;j,i) = (1-t)z/(1-tz),
-all other patterns vanishing.  Together they satisfy the RLL relation
-(Yang-Baxter equation), which ``ybe_check`` certifies at exact rational
-sample points and ``ybe_check_symbolic`` certifies as a polynomial
-identity in (x, y) over Q(t) after clearing the 1 - t y/x denominators.
-
-Weight functions are generic over the coefficient field: pass Fraction
-values for fast exact evaluation at sample points, or QTRational for
-fully symbolic work.
+all other patterns vanishing.  It is written once, in cleared form: the
+table ``_r_cleared`` is (x - t y) R_{y/x}, and ``r_weight`` divides it back
+at (x, y) = (1, z).  With L it satisfies the RLL (Yang-Baxter) relation,
+whose two sides ``_rll_sides`` computes multiplied by x - t y, so no R
+entry is ever divided.  The weights are generic over a ring holding x, y
+and t: ``ybe_check`` evaluates the sides at exact Fraction sample points
+(none a pole), ``ybe_check_symbolic`` as polynomials in (x, y) over
+Q(q,t); QTRational ``t`` gives symbolic face weights.
 """
 
 from __future__ import annotations
@@ -74,9 +74,8 @@ class StructuredWeight:
 
 
 def _is_zero(value) -> bool:
-    if isinstance(value, QTRational):
-        return value.is_zero()
-    return value == 0
+    is_zero = getattr(value, "is_zero", None)
+    return value == 0 if is_zero is None else is_zero()
 
 
 def l_weight(I: Sequence[int], j: int, K: Sequence[int], l: int, t=None) -> StructuredWeight:
@@ -120,31 +119,35 @@ def _suffix(I: Sequence[int], colour: int) -> int:
     return sum(I[colour:])
 
 
-def r_weight(i: int, j: int, k: int, l: int, z, t):
-    """R_z(i, j; k, l) with bottom i, left j, top k, right l.
-
-    ``z`` and ``t`` must live in the same coefficient field (Fractions or
-    QTRationals).  Raises ZeroDivisionError at the pole 1 - t z = 0.
-    """
-    one = t**0
+def _r_cleared(i: int, j: int, k: int, l: int, x, y, t):
+    """The R-matrix table, cleared of its 1 - t y/x denominator:
+    (x - t y) R_{y/x}(i, j; k, l) in the ring of x, y and t, or None off
+    the support of R."""
     if i == j == k == l:
+        return x - t * y
+    if i == j:
+        return None
+    if (k, l) == (i, j):  # transmission; j < i is R(j', i'; j', i') with i' < j'
+        return t * (x - y) if j < i else x - y
+    if (k, l) == (j, i):  # reflection; j < i is R(j', i'; i', j') with i' < j'
+        return (t**0 - t) * (x if j < i else y)
+    return None
+
+
+def r_weight(i: int, j: int, k: int, l: int, z, t):
+    """R_z(i, j; k, l) with bottom i, left j, top k, right l: the cleared
+    table at (x, y) = (1, z) over 1 - t z, with z and t in one field
+    (Fractions or QTRationals).  Raises ZeroDivisionError at 1 - t z = 0."""
+    one = t**0
+    cleared = _r_cleared(i, j, k, l, one, z, t)
+    if cleared is None:
+        return one - one
+    if i == j:  # (1 - t z) / (1 - t z), without the pole
         return one
-    zero = one - one
-    if i == k and j == l and i != j:
-        denom = one - t * z
-        if _is_zero(denom):
-            raise ZeroDivisionError("R-matrix pole: 1 - t z = 0")
-        if j < i:  # R(j', i'; j', i') pattern with i' < j': here bottom > left
-            return t * (one - z) / denom
-        return (one - z) / denom
-    if i == l and j == k and i != j:
-        denom = one - t * z
-        if _is_zero(denom):
-            raise ZeroDivisionError("R-matrix pole: 1 - t z = 0")
-        if j < i:  # bottom i larger: R(j', i'; i', j') with i' < j'
-            return (one - t) / denom
-        return (one - t) * z / denom
-    return zero
+    denom = one - t * z
+    if _is_zero(denom):
+        raise ZeroDivisionError("R-matrix pole: 1 - t z = 0")
+    return cleared / denom
 
 
 # ---------------------------------------------------------------------------
@@ -153,44 +156,44 @@ def r_weight(i: int, j: int, k: int, l: int, z, t):
 
 
 def _vec_add(v: Occupation | None, colour: int, delta: int) -> Occupation | None:
-    if v is None:
-        return None
-    if colour == 0:
+    if v is None or colour == 0:
         return v
     out = list(v)
     out[colour - 1] += delta
-    if out[colour - 1] < 0:
+    return tuple(out) if out[colour - 1] >= 0 else None
+
+
+def _two_faces(I, J, left1, right1, u, left2, right2, v, t):
+    """L_u(I, left1; K, right1) L_v(K, left2; J, right2), one face on the
+    other with K forced by conservation, or None if either face vanishes."""
+    K = _vec_add(_vec_add(I, left1, +1), right1, -1)
+    if K is None:
         return None
-    return tuple(out)
+    w1 = l_weight(I, left1, K, right1, t)
+    if w1.is_zero():
+        return None
+    w2 = l_weight(K, left2, J, right2, t)
+    if w2.is_zero():
+        return None
+    return w1.coeff * u**w1.xdeg * w2.coeff * v**w2.xdeg
 
 
 def _rll_sides(I, J, i1, i2, j1, j2, x, y, t) -> tuple[object, object]:
-    """Both sides of the RLL relation, evaluated in the field of x, y, t."""
-    n = len(I)
-    one = t**0
-    z = y / x
-    lhs = one - one
-    rhs = one - one
-    for k1 in range(n + 1):
-        for k2 in range(n + 1):
-            r = r_weight(i2, i1, k2, k1, z, t)
-            if not _is_zero(r):
-                K = _vec_add(_vec_add(I, k1, +1), j1, -1)
-                if K is not None:
-                    w1 = l_weight(I, k1, K, j1, t)
-                    if not w1.is_zero():
-                        w2 = l_weight(K, k2, J, j2, t)
-                        if not w2.is_zero():
-                            lhs = lhs + r * w1.coeff * x**w1.xdeg * w2.coeff * y**w2.xdeg
-            r = r_weight(k2, k1, j2, j1, z, t)
-            if not _is_zero(r):
-                K = _vec_add(_vec_add(I, i2, +1), k2, -1)
-                if K is not None:
-                    w1 = l_weight(I, i2, K, k2, t)
-                    if not w1.is_zero():
-                        w2 = l_weight(K, i1, J, k1, t)
-                        if not w2.is_zero():
-                            rhs = rhs + w1.coeff * y**w1.xdeg * w2.coeff * x**w2.xdeg * r
+    """Both sides of RLL times x - t y, in the ring of x, y and t: the sums
+    over k1, k2 of R(i2, i1; k2, k1) L_x(I, k1; K, j1) L_y(K, k2; J, j2)
+    and of L_y(I, i2; K, k2) L_x(K, i1; J, k1) R(k2, k1; j2, j1)."""
+    lhs = rhs = t - t
+    for k1, k2 in itertools.product(range(len(I) + 1), repeat=2):
+        r = _r_cleared(i2, i1, k2, k1, x, y, t)
+        if r is not None:
+            faces = _two_faces(I, J, k1, j1, x, k2, j2, y, t)
+            if faces is not None:
+                lhs = lhs + r * faces
+        r = _r_cleared(k2, k1, j2, j1, x, y, t)
+        if r is not None:
+            faces = _two_faces(I, J, i2, k2, y, i1, k1, x, t)
+            if faces is not None:
+                rhs = rhs + faces * r
     return lhs, rhs
 
 
@@ -198,7 +201,20 @@ def _occupations(n: int, cap: int) -> list[Occupation]:
     return [tuple(v) for v in itertools.product(range(cap + 1), repeat=n)]
 
 
-# exact rational (x, y, t); none is a pole 1 - t y/x = 0 of the R-matrix
+def _boundaries(n: int, cap: int, top_cap: int) -> list[tuple]:
+    """Every conserving RLL boundary (I, J, i1, i2, j1, j2): I with entries
+    <= cap, J = I + e_{i1} + e_{i2} - e_{j1} - e_{j2} with entries <= top_cap."""
+    boundaries = []
+    for I in _occupations(n, cap):
+        for i1, i2, j1, j2 in itertools.product(range(n + 1), repeat=4):
+            J = _vec_add(_vec_add(_vec_add(_vec_add(I, i1, +1), i2, +1), j1, -1), j2, -1)
+            if J is not None and max(J, default=0) <= top_cap:
+                boundaries.append((I, J, i1, i2, j1, j2))
+    return boundaries
+
+
+# exact rational (x, y, t); none is a pole 1 - t y/x = 0 of the R-matrix, so
+# the cleared identity holds exactly when the original one does
 SAMPLE_POINTS = [
     (Fraction(2), Fraction(3), Fraction(5)),
     (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
@@ -219,14 +235,8 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
     well, as insurance that the implementation agrees).
     """
     report = CheckReport(f"ybe n={n} cap={occupation_cap}")
-    colours = range(n + 1)
     occupations = _occupations(n, occupation_cap)
-    boundaries = []
-    for I in occupations:
-        for i1, i2, j1, j2 in itertools.product(colours, repeat=4):
-            J = _vec_add(_vec_add(_vec_add(_vec_add(I, i1, +1), i2, +1), j1, -1), j2, -1)
-            if J is not None and max(J, default=0) <= occupation_cap:
-                boundaries.append((I, J, i1, i2, j1, j2))
+    boundaries = _boundaries(n, occupation_cap, occupation_cap)
     for I, J, i1, i2, j1, j2 in boundaries:
         for x, y, t in SAMPLE_POINTS:
             lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, x, y, t)
@@ -264,65 +274,25 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
     return report
 
 
-def _rhat_xy(i: int, j: int, k: int, l: int) -> XPolynomial:
-    """(x - t y) R_{y/x}(i, j; k, l) as a polynomial in (x, y) over Q(q,t)."""
-    one, t = QTRational.one(), QTRational.t()
-    x = XPolynomial.variable(2, 1)
-    y = XPolynomial.variable(2, 2)
-    if i == j == k == l:
-        return x - y.scale(t)
-    if i == k and j == l and i != j:
-        return (x - y).scale(t) if j < i else x - y
-    if i == l and j == k and i != j:
-        return x.scale(one - t) if j < i else y.scale(one - t)
-    return XPolynomial.zero(2)
-
-
 def ybe_check_symbolic(n: int = 1, occupation_cap: int = 2) -> CheckReport:
     """Certify RLL fully symbolically as polynomials in (x, y) over Q(t).
 
-    Both sides are multiplied by (x - t y), which clears every R-matrix
-    denominator; the L weights contribute monomials in x or y.  Intended
-    for n = 1 (the sweep over larger n uses sample points).
+    The same cleared sides as ``ybe_check``, with x, y and t polynomials in
+    (x, y) over Q(q,t); the L weights contribute monomials in x or y.
+    Intended for n = 1 (the sweep over larger n uses sample points).
     """
     report = CheckReport(f"ybe-symbolic n={n} cap={occupation_cap}")
-    t = QTRational.t()
     x = XPolynomial.variable(2, 1)
     y = XPolynomial.variable(2, 2)
-    colours = range(n + 1)
-    for I in _occupations(n, occupation_cap):
-        for i1, i2, j1, j2 in itertools.product(colours, repeat=4):
-            J = _vec_add(_vec_add(_vec_add(_vec_add(I, i1, +1), i2, +1), j1, -1), j2, -1)
-            if J is None or max(J, default=0) > occupation_cap + 2:
-                continue
-            lhs = XPolynomial.zero(2)
-            rhs = XPolynomial.zero(2)
-            for k1 in colours:
-                for k2 in colours:
-                    rpoly = _rhat_xy(i2, i1, k2, k1)
-                    if not rpoly.is_zero():
-                        K = _vec_add(_vec_add(I, k1, +1), j1, -1)
-                        if K is not None:
-                            w1 = l_weight(I, k1, K, j1, t)
-                            w2 = l_weight(K, k2, J, j2, t)
-                            if not (w1.is_zero() or w2.is_zero()):
-                                mono = (x**w1.xdeg) * (y**w2.xdeg)
-                                lhs = lhs + (rpoly * mono).scale(w1.coeff * w2.coeff)
-                    rpoly = _rhat_xy(k2, k1, j2, j1)
-                    if not rpoly.is_zero():
-                        K = _vec_add(_vec_add(I, i2, +1), k2, -1)
-                        if K is not None:
-                            w1 = l_weight(I, i2, K, k2, t)
-                            w2 = l_weight(K, i1, J, k1, t)
-                            if not (w1.is_zero() or w2.is_zero()):
-                                mono = (y**w1.xdeg) * (x**w2.xdeg)
-                                rhs = rhs + (rpoly * mono).scale(w1.coeff * w2.coeff)
-            report.count()
-            if lhs != rhs:
-                report.fail(
-                    f"symbolic RLL mismatch at I={I} J={J} "
-                    f"colours=({i1},{i2};{j1},{j2}): {lhs} != {rhs}"
-                )
+    t = XPolynomial.constant(2, QTRational.t())
+    for I, J, i1, i2, j1, j2 in _boundaries(n, occupation_cap, occupation_cap + 2):
+        lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, x, y, t)
+        report.count()
+        if lhs != rhs:
+            report.fail(
+                f"symbolic RLL mismatch at I={I} J={J} "
+                f"colours=({i1},{i2};{j1},{j2}): {lhs} != {rhs}"
+            )
     return report
 
 

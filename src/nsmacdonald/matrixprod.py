@@ -34,9 +34,9 @@ configuration (or of its rows in another order) by ``binomial_product``:
 integer arithmetic, in which a binomial and its inverse cancel.  Each
 weight then becomes one ``QTRational.from_binomials``: ``config_weight``
 (from ``omega_factors``, whose binomials cancel phi), ``config_weight_parts``
-(one value per group, for weight matching), the cyclic relation's
-partition functions (spectral variables applied by ``compose_vars``) and
-the frozen coefficient.  ``column_component`` is the one-column case of
+(one value per group and the weight, from one walk, for weight matching),
+the cyclic relation's partition functions (spectral variables applied by
+``compose_vars``) and the frozen coefficient.  ``column_component`` is the one-column case of
 the same group product.
 
 A full lattice configuration xi records the colour on every vertical edge
@@ -202,7 +202,7 @@ Walk = tuple[tuple[int, ...], tuple[Factors, ...]]
 @dataclass(frozen=True)
 class ConfigWeightParts:
     """The factors of a configuration weight before multiplying by
-    Omega_mu, grouped as in the column formula."""
+    Omega_mu, grouped as in the column formula, and the weight itself."""
 
     x_exponents: tuple[int, ...]              # prod x_{b_p}, indexed by row
     t_g: QTRational                           # prod over P of t^{g(p)}
@@ -210,6 +210,7 @@ class ConfigWeightParts:
     move_denominators: QTRational             # prod (1-t)/(1 - v t^{f+1}), row changes
     up_t_h: QTRational                        # prod t^h over upward row changes
     down_v_t_h: QTRational                    # prod v t^h over downward row changes
+    weight: XPolynomial                       # config_weight, from the same walk
 
 
 def _twist_exponents(colour: int, v: QTRational) -> tuple[int, int] | None:
@@ -366,21 +367,28 @@ def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | 
     return exps, tuple(map(binomial_product, zip(*(groups for _, groups in walked))))
 
 
+def _weight(walk: Walk | None, mu: Composition) -> XPolynomial:
+    """Omega_mu times the factor groups of a configuration's walk; Omega_mu
+    enters as its binomials, which cancel those of phi."""
+    return _group_product(walk, mu.n, omega_factors(mu))
+
+
 def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
     """The weight of one configuration: Omega_mu times the product of its
-    column components (a single monomial in x with Q(q,t) coefficient).
-    Omega_mu enters as its binomials, which cancel those of phi."""
-    return _group_product(_column_walk(xi.columns, mu), mu.n, omega_factors(mu))
+    column components (a single monomial in x with Q(q,t) coefficient)."""
+    return _weight(_column_walk(xi.columns, mu), mu)
 
 
 def config_weight_parts(xi: LatticeConfig, mu: Composition) -> ConfigWeightParts:
     """Factor breakdown of config_weight, for term-by-term weight matching:
-    each factor group of the column kernel, multiplied across columns."""
+    each factor group of the column kernel, multiplied across columns, and
+    the weight, all from one walk."""
     walk = _column_walk(xi.columns, mu)
     if walk is None:
         raise ValueError(f"configuration {xi.columns} has weight zero")
     exps, groups = walk
-    return ConfigWeightParts(exps, *(QTRational.from_binomials(*g) for g in groups))
+    values = (QTRational.from_binomials(*g) for g in groups)
+    return ConfigWeightParts(exps, *values, _weight(walk, mu))
 
 
 def f_matrix_product(

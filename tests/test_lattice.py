@@ -116,6 +116,38 @@ def test_ybe_symbolic_detects_corrupted_table(monkeypatch):
     assert not ybe_check_symbolic(1, 1).ok
 
 
+R_CLEARED = lattice._r_cleared
+
+
+def corrupted_r_cleared(i, j, k, l, x, y, t):
+    # the j < i transmission entry of the cleared table without its t
+    if (k, l) == (i, j) and j < i:
+        return x - y
+    return R_CLEARED(i, j, k, l, x, y, t)
+
+
+def test_ybe_detects_corrupted_r_table(monkeypatch):
+    monkeypatch.setattr(lattice, "_r_cleared", corrupted_r_cleared)
+    assert not ybe_check(1, 1).ok
+
+
+def test_ybe_symbolic_detects_corrupted_r_table(monkeypatch):
+    monkeypatch.setattr(lattice, "_r_cleared", corrupted_r_cleared)
+    assert not ybe_check_symbolic(1, 1).ok
+
+
+def test_certificate_boundary_counts():
+    # the boundary sets of the certificates: 200 random non-conserving
+    # spot checks plus 5 sample points per conserving boundary (J capped at
+    # cap), one symbolic check per boundary (J capped at cap + 2), and one
+    # exchange check per (in-state, out-state) pair
+    assert ybe_check(1, 2).checked == 380
+    assert ybe_check(2, 2).checked == 2385
+    assert ybe_check_symbolic(1, 2).checked == 42
+    counts = {(i, j): exchange_check(i, j, 2, N=1, cap=1).checked for i in (1, 2) for j in (1, 2)}
+    assert counts == {(1, 1): 6, (1, 2): 16, (2, 1): 16, (2, 2): 4}
+
+
 def test_row_operator_examples():
     # N = 0: colour enters on the left and exits through the top immediately
     coeff, deg = row_operator_elem(1, (((0, 0),)), (((1, 0),)))
