@@ -116,7 +116,7 @@ def _compute(args) -> int:
         via_matrix = finish(_f_cached(mu.parts, None, "matrix"))
         _emit(via_matrix, args.output, header)
         if via_hhl == via_matrix:
-            print("routes agree")
+            print("routes agree", file=sys.stderr)
             return 0
         print("ROUTE MISMATCH between hhl and matrix evaluations", file=sys.stderr)
         return 1

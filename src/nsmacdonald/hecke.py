@@ -196,11 +196,16 @@ def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
     T_i^{-1}, the eigenvalue monomial), whose gcds take no polynomial
     remainder sequence.  A failure reports the first differing
     coefficient of Y_i f - y_i f in graded lex order: that of the cleared
-    difference, divided by D.
+    difference, divided by D.  The zero polynomial, which every Y_i fixes
+    but which is no eigenfunction, fails one check.
     """
     if f.nvars != mu.n:
         raise ValueError(f"alphabet size {f.nvars} does not match {mu}")
     report = CheckReport(f"eigen mu={mu}")
+    if f.is_zero():
+        report.count()
+        report.fail("f is the zero polynomial, which is no eigenfunction")
+        return report
     dens = dict.fromkeys(c.den for c in f.terms.values())
     common = qt_lcm(dens)
     cofactors = {den: common.div_exact(den) for den in dens}

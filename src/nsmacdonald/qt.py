@@ -22,6 +22,13 @@ that its lexicographically greatest term (q-degree major, t-degree minor)
 has coefficient 1.  Equal field elements therefore have identical stored
 representations, which makes equality, hashing and serialisation trivial.
 
+The gcd behind it (``qt_gcd``) is the heuristic gcd of Char, Geddes and
+Gonnet on Python integers: q and then t are set to integers large
+against the coefficients, one integer gcd is taken, and the bivariate
+candidate is read back from its digits.  It is exact, not probabilistic:
+a candidate is accepted only when it divides both inputs, and an
+accepted candidate is provably the gcd.
+
 Negative exponents of q or t (needed e.g. for eigenvalue monomials
 q^a t^b with b < 0) are represented by placing the offending monomial in
 the denominator; QTPolynomial itself only ever stores exponents >= 0.
@@ -39,6 +46,8 @@ so they can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -358,191 +367,30 @@ _POLY_ONE = QTPolynomial({(0, 0): 1})
 
 
 # ---------------------------------------------------------------------------
-# Bivariate gcd via content / primitive-part recursion over Z[q][t].
+# Bivariate gcd: the heuristic gcd GCDHEU of Char, Geddes and Gonnet
+# (J. Symb. Comp. 1989; Geddes, Czapor and Labahn, Algorithms for Computer
+# Algebra, section 7.7), on Python integers.
 #
-# The gcd of polynomials over Q is only defined up to a scalar, so both
-# inputs are first cleared to integer coefficients; all the inner PRS
-# arithmetic then runs on plain ints, which is far cheaper than Fractions.
+# The gcd over Q is only defined up to a scalar, so both inputs are cleared
+# to primitive integer polynomials once.  Then q is set to an integer
+# xi >= 2 min(|a|, |b|) + 2, |.| the largest absolute coefficient.  The gcd
+# of the two images in Z[t] is found the same way, with t set to xi' (the
+# same bound on the images) and one integer gcd, and it keeps its integer
+# content.  The bivariate candidate is read back from it as symmetric
+# xi-adic digits, and its primitive part is accepted only if it divides
+# both inputs exactly (``QTPolynomial.div_exact``); otherwise xi grows.
+# With that bound an accepted candidate is the greatest common divisor, so
+# the result is exact, and a large enough xi is always accepted;
+# ``_heu_gcd`` proves both.
 # ---------------------------------------------------------------------------
-
-from functools import lru_cache
-from math import gcd as _int_gcd
-
-_IUni = dict[int, int]  # integer polynomial in q
-
-
-def _iuni_content(p: _IUni) -> int:
-    c = 0
-    for v in p.values():
-        c = _int_gcd(c, v)
-        if c == 1:
-            return 1
-    return c
-
-
-def _iuni_primitive(p: _IUni) -> _IUni:
-    if not p:
-        return p
-    c = _iuni_content(p)
-    if p[max(p)] < 0:
-        c = -c
-    if c == 1:
-        return p
-    return {e: v // c for e, v in p.items()}
-
-
-def _iuni_mul(a: _IUni, b: _IUni) -> _IUni:
-    out: _IUni = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = ea + eb
-            new = out.get(key, 0) + ca * cb
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _iuni_scale(a: _IUni, c: int) -> _IUni:
-    return {e: v * c for e, v in a.items()} if c else {}
-
-
-def _iuni_pseudo_rem(a: _IUni, b: _IUni) -> _IUni:
-    db = max(b)
-    lb = b[db]
-    rem = dict(a)
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            break
-        lr = rem[dr]
-        new: _IUni = {e: v * lb for e, v in rem.items()}
-        for e, v in b.items():
-            key = e + dr - db
-            merged = new.get(key, 0) - lr * v
-            if merged:
-                new[key] = merged
-            else:
-                new.pop(key, None)
-        rem = new
-    return rem
-
-
-def _iuni_abs(p: _IUni) -> _IUni:
-    if p and p[max(p)] < 0:
-        return {e: -v for e, v in p.items()}
-    return p
-
-
-def _iuni_gcd(a: _IUni, b: _IUni) -> _IUni:
-    """Full gcd in Z[q] (content included), positive leading coefficient."""
-    if not a:
-        return _iuni_abs(b)
-    if not b:
-        return _iuni_abs(a)
-    ca, cb = abs(_iuni_content(a)), abs(_iuni_content(b))
-    pa, pb = _iuni_primitive(a), _iuni_primitive(b)
-    if max(pa, default=-1) < max(pb, default=-1):
-        pa, pb = pb, pa
-    while pb:
-        rem = _iuni_pseudo_rem(pa, pb)
-        pa, pb = pb, _iuni_primitive(rem)
-    return _iuni_scale(pa, _int_gcd(ca, cb))
-
-
-def _iuni_div_exact(a: _IUni, b: _IUni) -> _IUni:
-    quot: _IUni = {}
-    rem = dict(a)
-    db = max(b)
-    lb = b[db]
-    while rem:
-        dr = max(rem)
-        if dr < db or rem[dr] % lb:
-            raise ExactDivisionError("inexact division in Z[q]")
-        factor = rem[dr] // lb
-        quot[dr - db] = factor
-        for e, v in b.items():
-            key = e + dr - db
-            merged = rem.get(key, 0) - factor * v
-            if merged:
-                rem[key] = merged
-            else:
-                rem.pop(key, None)
-    return quot
-
-
-_ITq = dict[int, _IUni]  # polynomial in t with Z[q] coefficients
-
-
-def _to_int_tq(poly: QTPolynomial) -> _ITq:
-    """Clear denominators and view as a polynomial in t over Z[q]."""
-    scale = 1
-    for coeff in poly.terms.values():
-        scale = scale * (coeff.denominator // _int_gcd(scale, coeff.denominator))
-    out: _ITq = {}
-    for (qe, te), coeff in poly.terms.items():
-        out.setdefault(te, {})[qe] = int(coeff * scale)
-    return out
-
-
-def _int_tq_content(coeffs: _ITq) -> _IUni:
-    content: _IUni = {}
-    for uni in coeffs.values():
-        content = _iuni_gcd(content, uni)
-        if max(content, default=-1) == 0 and abs(content.get(0, 0)) == 1:
-            break
-    return content
-
-
-def _int_tq_divide(coeffs: _ITq, divisor: _IUni) -> _ITq:
-    if max(divisor) == 0:
-        c = divisor[0]
-        if c in (1, -1):
-            return coeffs if c == 1 else {te: _iuni_scale(u, -1) for te, u in coeffs.items()}
-        return {te: {e: v // c for e, v in u.items()} for te, u in coeffs.items()}
-    return {te: _iuni_div_exact(u, divisor) for te, u in coeffs.items()}
-
-
-def _int_tq_pseudo_rem(a: _ITq, b: _ITq) -> _ITq:
-    da, db = max(a), max(b)
-    lead_b = b[db]
-    rem = a
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            break
-        lead_r = rem[dr]
-        new: _ITq = {}
-        for te, uni in rem.items():
-            scaled = _iuni_mul(lead_b, uni)
-            if scaled:
-                new[te] = scaled
-        for te, uni in b.items():
-            key = te + dr - db
-            piece = _iuni_mul(lead_r, uni)
-            target = new.get(key, {})
-            merged = dict(target)
-            for e, v in piece.items():
-                cur = merged.get(e, 0) - v
-                if cur:
-                    merged[e] = cur
-                else:
-                    merged.pop(e, None)
-            if merged:
-                new[key] = merged
-            else:
-                new.pop(key, None)
-        rem = new
-    return rem
 
 
 def qt_gcd(a: QTPolynomial, b: QTPolynomial) -> QTPolynomial:
     """Greatest common divisor in Q[q,t], normalised to lex-leading coefficient 1.
 
-    Computed by content / primitive-part recursion over the integers (the
-    gcd over Q is unchanged by clearing denominators); the result divides
-    both inputs exactly.  Both inputs zero is rejected.
+    Computed by the heuristic gcd on integer images (the gcd over Q is
+    unchanged by clearing denominators); the result divides both inputs
+    exactly.  Both inputs zero is rejected.
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
@@ -576,27 +424,105 @@ def qt_lcm(polys: Iterable[QTPolynomial]) -> QTPolynomial:
 
 @lru_cache(maxsize=1 << 14)
 def _gcd_cached(a: QTPolynomial, b: QTPolynomial) -> QTPolynomial:
-    ta, tb = _to_int_tq(a), _to_int_tq(b)
-    ca, cb = _int_tq_content(ta), _int_tq_content(tb)
-    pa, pb = _int_tq_divide(ta, ca), _int_tq_divide(tb, cb)
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    while pb:
-        if max(pb) == 0 and max(pb[0], default=-1) == 0:
-            # constant in both q and t: the primitive parts are coprime
-            pa = {0: {0: 1}}
-            break
-        rem = _int_tq_pseudo_rem(pa, pb)
-        if not rem:
-            pa = pb
-            break
-        pa, pb = pb, _int_tq_divide(rem, _int_tq_content(rem))
-    content_gcd = _iuni_gcd(ca, cb)
-    terms: dict[tuple[int, int], Scalar] = {}
-    for te, uni in pa.items():
-        for qe, v in _iuni_mul(uni, content_gcd).items():
-            terms[(qe, te)] = v
-    return _monic_lex(_poly_raw(terms))
+    return _monic_lex(_poly_raw(_heu_gcd(_primitive(a.terms), _primitive(b.terms), 0)))
+
+
+def _primitive(terms: dict) -> dict:
+    """The primitive integer polynomial that is a rational multiple of the
+    nonzero polynomial ``terms``: denominators cleared, content divided out."""
+    den = _int_lcm(*(c.denominator for c in terms.values()))
+    if den != 1:
+        terms = {key: (c * den).numerator for key, c in terms.items()}
+    content = _int_gcd(*terms.values())
+    if content == 1:
+        return terms
+    return {key: c // content for key, c in terms.items()}
+
+
+def _digits(n: int, xi: int) -> list[int]:
+    """The symmetric xi-adic digits of n, lowest first: n = sum d_i xi^i
+    with -xi/2 < d_i <= xi/2."""
+    digits = []
+    while n:
+        d = n % xi
+        if 2 * d > xi:
+            d -= xi
+        digits.append(d)
+        n = (n - d) // xi
+    return digits
+
+
+def _heu_gcd(a: dict, b: dict, var: int) -> dict:
+    """gcd(a, b) in Z[q,t], integer content included, of integer
+    polynomials (term dicts, not both zero) that are constant in the
+    variables before ``var``: q is variable 0, t variable 1, and at
+    ``var`` = 2 both are integers.
+
+    Set variable ``var`` to xi >= 2 min(|a|, |b|) + 2 (|.| the largest
+    absolute coefficient; say |a| <= |b|), take the gcd h of the two
+    images recursively (content included), read h back as a candidate C
+    whose coefficients in that variable are the symmetric xi-adic digits
+    of h's, and accept P = pp(C) if it divides a and b; otherwise grow xi
+    and repeat.
+
+    Accepted means correct (the CGG theorem).  Let g = gcd(a, b) over Z;
+    P | g by Gauss's lemma, say g = P k with k over Z.  The image g(xi)
+    divides h = C(xi) = cont(C) P(xi), so k(xi) divides the integer
+    cont(C), which is at most xi/2 in absolute value as it divides a
+    digit.  A factor of a nonzero univariate p over Z with |p| <= |a| has
+    its roots in |z| < 1 + |a| <= xi/2, so it is nonzero at xi and, when
+    not constant, exceeds xi/2 in absolute value there.  At q = xi this
+    applies first to the t-leading coefficient of k (it divides that of
+    a, and would vanish at xi if k had positive t-degree), then to k
+    itself (now in Z[q], a factor of a's t-leading coefficient); at
+    t = xi it applies to k directly.  So k is constant and P = pp(g).
+    The content of h is needed: without it g(xi) need not divide h, and
+    a factor such as 1 - q, whose image 1 - xi is an integer, would be
+    lost unseen.
+
+    Rejection cannot repeat forever.  Write a = g a', b = g b' with a',
+    b' coprime; the spurious factor h / g(xi) divides a'(xi) and b'(xi).
+    At t = xi some combination u a' + v b' over Z[t] is a nonzero integer
+    N (a resultant), which the spurious factor divides.  At q = xi some
+    combination over Z[q,t] is a nonzero R(q) (the resultant in t), so
+    once xi is not a root of R the spurious factor is an integer; it
+    divides every t-coefficient of a'(xi) and b'(xi), and as a' and b'
+    share no factor in q some combination of those coefficients over
+    Z[q] is again a nonzero integer N.  Either way it divides a fixed N,
+    so once xi > 2 |N| |g| the digits of h are the coefficients of a
+    constant times g, whose primitive part is accepted.
+    """
+    if not a or not b:
+        return a or b
+    content = _int_gcd(*a.values(), *b.values())
+    if var == 2:
+        return {(0, 0): content}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    poly_a, poly_b = _poly_raw(a), _poly_raw(b)
+    while True:
+        image = _heu_gcd(_at(a, var, xi), _at(b, var, xi), var + 1)
+        candidate = {}
+        for (qe, te), c in image.items():
+            for i, d in enumerate(_digits(c, xi)):
+                if d:
+                    candidate[(i, te) if var == 0 else (qe, i)] = d
+        divisor = _poly_raw(_primitive(candidate))
+        try:
+            poly_a.div_exact(divisor)
+            poly_b.div_exact(divisor)
+        except ExactDivisionError:
+            xi = xi * 73794 // 27011  # the growth factor of GCDHEU
+            continue
+        return {key: c * content for key, c in divisor.terms.items()}
+
+
+def _at(terms: dict, var: int, xi: int) -> dict:
+    # the polynomial with variable var (0 for q, 1 for t) set to xi
+    out: dict[tuple[int, int], int] = {}
+    for (qe, te), c in terms.items():
+        key, e = ((0, te), qe) if var == 0 else ((qe, 0), te)
+        out[key] = out.get(key, 0) + c * xi**e
+    return {key: c for key, c in out.items() if c}
 
 
 def _monic_lex(poly: QTPolynomial) -> QTPolynomial:

@@ -23,9 +23,10 @@ def run(capsys, *argv):
 
 
 def test_compute_both_routes_agree(capsys):
-    code, out, _err = run(capsys, "compute", "--mu", "1,0", "--method", "both", "--output", "text")
+    code, out, err = run(capsys, "compute", "--mu", "1,0", "--method", "both", "--output", "text")
     assert code == 0
-    assert out.splitlines() == ["x1", "routes agree"]
+    assert out.splitlines() == ["x1"]
+    assert err.splitlines() == ["routes agree"]
 
 
 def test_compute_latex(capsys):
@@ -65,7 +66,7 @@ def test_convention_E(capsys):
             "--output", "json",
         )
         assert code == 0
-        payload = json.loads(out.splitlines()[0])
+        payload = json.loads(out)
         # the header holds the composition as given, not the reversed one
         # the E convention computes with
         assert payload["mu"] == [1, 0]
@@ -167,7 +168,7 @@ def test_python_dash_m_runs_the_cli():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "routes agree"
+    assert done.stderr.splitlines()[-1] == "routes agree"
 
 
 def test_seed_reproducibility(capsys):

@@ -103,6 +103,15 @@ def test_verify_eigen_negative_control():
     assert any("differing coefficient" in msg for msg in report.failures)
 
 
+def test_verify_eigen_refuses_the_zero_polynomial():
+    for parts in [(0, 1), (1, 0, 2)]:
+        mu = Composition(parts)
+        report = verify_eigen(XPolynomial.zero(mu.n), mu)
+        assert not report.ok
+        assert report.checked == 1
+        assert any("zero polynomial" in msg for msg in report.failures)
+
+
 def test_reversed_convention_satisfies_tilde_eigen_equation():
     # E_mu(x_1..x_n) = f_{reverse(mu)}(x_n..x_1) is a joint eigenfunction of
     # the tilde operators with eigenvalues q^{mu_i} t^{etatilde_i + n - i},

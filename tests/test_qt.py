@@ -1,6 +1,7 @@
 """The exact coefficient field Q(q,t)."""
 
 import json
+import math
 import random
 
 import pytest
@@ -338,3 +339,74 @@ def test_binomial_coprimality_test_is_exact():
             assert (a * d != b * c) == coprime, ((a, b), (c, d))
             factors = qt.binomial_product([(0, 0, {(a, b): 1}), (0, 0, {(c, d): -1})])
             assert QTRational.from_binomials(*factors) == top / bottom, ((a, b), (c, d))
+
+
+# -- qt_gcd returns the greatest common divisor, not just a common one --------
+
+
+def monic(poly):
+    return poly.scale(Fraction(1) / poly.leading_term()[1])
+
+
+def binomials_times(labels):
+    poly = QTPolynomial.one()
+    for a, b in labels:
+        poly = poly * QTPolynomial({(0, 0): 1, (a, b): -1})
+    return poly
+
+
+polynomial_labels = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda k: k != (0, 0))
+
+
+@st.composite
+def coprime_cofactors(draw):
+    """Two products of binomials 1 - q^a t^b where no label of one is
+    parallel to a label of the other, so the two are coprime by the label
+    criterion of ``QTRational.from_binomials`` (parallel labels within
+    one product, as in (1 - qt)(1 - q^2 t^2), are allowed)."""
+    u = draw(st.lists(polynomial_labels, max_size=3))
+    v = draw(
+        st.lists(
+            polynomial_labels.filter(lambda k: all(k[0] * b != k[1] * a for a, b in u)),
+            max_size=3,
+        )
+    )
+    return binomials_times(u), binomials_times(v)
+
+
+@given(nonzero_polys, st.integers(0, 2), st.integers(0, 2), coprime_cofactors())
+def test_gcd_of_planted_factor_with_coprime_cofactors_is_that_factor(g, i, j, cofactors):
+    g = g * QTPolynomial.monomial(i, j)
+    u, v = cofactors
+    assert qt_gcd(g * u, g * v) == monic(g)
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 3)])
+def test_gcd_of_cyclotomic_binomials(a, b):
+    # gcd(1 - m^j, 1 - m^k) = 1 - m^gcd(j, k) for m = q^a t^b, gcd(a, b) = 1
+    for j in range(1, 7):
+        for k in range(1, 7):
+            d = math.gcd(j, k)
+            got = qt_gcd(binomials_times([(j * a, j * b)]), binomials_times([(k * a, k * b)]))
+            assert got == monic(binomials_times([(d * a, d * b)])), (j, k)
+
+
+def test_gcd_rejects_a_spurious_candidate_and_grows_xi(monkeypatch):
+    # a = qt (3q + 2) and b = q + 2 are coprime.  The first xi is
+    # 2 min(3, 2) + 2 = 6, where the images 120 t and 8 share the integer
+    # 8 = 2 + 1 * 6, whose digits read back as q + 2: that candidate does
+    # not divide a, so it is rejected and xi grows before 1 is accepted.
+    seen = []
+    at = qt._at
+
+    def recording_at(terms, var, xi):
+        seen.append((var, xi))
+        return at(terms, var, xi)
+
+    monkeypatch.setattr(qt, "_at", recording_at)
+    qt._gcd_cached.cache_clear()
+    a = QTPolynomial({(2, 1): 3, (1, 1): 2})
+    b = QTPolynomial({(1, 0): 1, (0, 0): 2})
+    assert qt_gcd(a, b).is_one()
+    outer = sorted({xi for var, xi in seen if var == 0})
+    assert outer[0] == 6 and len(outer) > 1
