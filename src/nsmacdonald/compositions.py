@@ -18,6 +18,9 @@ Statistics:
   leg(i,j)   = mu_i - j
   arm(i,j)   = alpha_{i,j-1}
 
+``v_param`` gives a twist as its exponents (mu_i - j, gamma_ij), or None for
+v_ij = 0: the column kernel only adds exponents.
+
 Everything is recomputed on demand except Omega_mu in exponent form.
 The matrix route needs it once per configuration, as qt's ``Factors``
 (0, 0, {(mu_i - j, alpha_ij): m}) from ``omega_factors``, so that it
@@ -180,14 +183,15 @@ def alpha(mu: Composition, i: int, j: int) -> int:
     return equal_before + between + hit_after
 
 
-def v_param(mu: Composition, i: int, j: int) -> QTRational:
-    """The twist parameter v_ij = q^{mu_i - j} t^{gamma_ij} 1(mu_i > j)."""
+def v_param(mu: Composition, i: int, j: int) -> tuple[int, int] | None:
+    """The twist parameter v_ij = q^{mu_i - j} t^{gamma_ij} 1(mu_i > j) as
+    its exponent pair (mu_i - j, gamma_ij), or None where v_ij = 0."""
     _check_colour(mu, i)
     if j < 0:
         raise IndexError(f"column index {j} must be >= 0")
     if mu.parts[i - 1] <= j:
-        return QTRational.zero()
-    return QTRational.monomial(mu.parts[i - 1] - j, gamma(mu, i, j))
+        return None
+    return mu.parts[i - 1] - j, gamma(mu, i, j)
 
 
 # 165 compositions make up the default family: a run over it keeps every value

@@ -397,18 +397,18 @@ def capped_states(n: int, nsites: int, cap: int) -> list[State]:
 
 
 def _product_elems(
-    left: tuple[int, int], right: tuple[int, int], in_state: State
+    left: tuple[int, int], right: tuple[int, int], in_state: State, expand
 ) -> dict[State, XPolynomial]:
     """Matrix elements of C_left C_right applied to |in_state>.
 
     ``left`` and ``right`` are (colour, variable) pairs with variable 1
-    for x and 2 for y; the right operator acts first.  Returns a map from
-    out states to polynomials in (x, y) over Q(q,t).
+    for x and 2 for y; the right operator acts first, and
+    ``expand(colour, state)`` gives its ``row_operator_expand`` triples.
+    Returns a map from out states to polynomials in (x, y) over Q(q,t).
     """
-    t = QTRational.t()
     out: dict[State, XPolynomial] = {}
-    for mid, coeff_r, deg_r in row_operator_expand(right[0], in_state, t):
-        for final, coeff_l, deg_l in row_operator_expand(left[0], mid, t):
+    for mid, coeff_r, deg_r in expand(right[0], in_state):
+        for final, coeff_l, deg_l in expand(left[0], mid):
             exps = [0, 0]
             exps[left[1] - 1] += deg_l
             exps[right[1] - 1] += deg_r
@@ -434,10 +434,18 @@ def exchange_check(i: int, j: int, n: int, N: int = 1, cap: int = 1) -> CheckRep
     y = XPolynomial.variable(2, 2)
     x_minus_y = x - y
     x_minus_ty = x - y.scale(t)
+    # the three products meet the same (colour, state) pairs: expand each once
+    expansions: dict[tuple[int, State], list] = {}
+
+    def expand(colour: int, state: State) -> list:
+        if (colour, state) not in expansions:
+            expansions[colour, state] = row_operator_expand(colour, state, t)
+        return expansions[colour, state]
+
     for in_state in capped_states(n, N + 1, cap):
-        a = _product_elems((i, 1), (j, 2), in_state)  # C_i(x) C_j(y)
-        b = _product_elems((j, 2), (i, 1), in_state)  # C_j(y) C_i(x)
-        c = _product_elems((j, 1), (i, 2), in_state)  # C_j(x) C_i(y)
+        a = _product_elems((i, 1), (j, 2), in_state, expand)  # C_i(x) C_j(y)
+        b = _product_elems((j, 2), (i, 1), in_state, expand)  # C_j(y) C_i(x)
+        c = _product_elems((j, 1), (i, 2), in_state, expand)  # C_j(x) C_i(y)
         outs = set(a) | set(b) | set(c)
         for out in sorted(outs):
             ea = a.get(out, XPolynomial.zero(2))

@@ -23,21 +23,21 @@ right edge, and
 The geometric series over cylinder wrap counts are already resummed into
 the 1/(1 - v t^f) factors, so nothing is ever truncated.
 
-Every twist v_p = q^{mu_p - j} t^{gamma_pj} is a monomial, so each factor
-group is a monomial times binomials 1 - q^a t^b to integer powers.  This
-closed form is written once, in the column kernel ``_column_factors``:
-it returns the x targets and the factor groups above (t^g, phi, move
-denominators, upward t^h, downward v t^h) in qt's exponent form
-(``Factors``), or None where the component vanishes.  The one loop over
-columns, ``_column_walk``, multiplies each group across the columns of a
-configuration (or of its rows in another order) by ``binomial_product``:
-integer arithmetic, in which a binomial and its inverse cancel.  Each
-weight then becomes one ``QTRational.from_binomials``: ``config_weight``
-(from ``omega_factors``, whose binomials cancel phi), ``config_weight_parts``
-(one value per group and the weight, from one walk, for weight matching),
-the cyclic relation's partition functions (spectral variables applied by
-``compose_vars``) and the frozen coefficient.  ``column_component`` is the one-column case of
-the same group product.
+Every twist v_p = q^{mu_p - j} t^{gamma_pj} is a monomial, which the kernel
+takes as its exponents (a, b), or None for v_p = 0, so each factor group is
+a monomial times binomials 1 - q^a t^b to integer powers.  This closed form
+is written once, in the column kernel ``_column_factors``: it returns the x
+targets and the factor groups above (t^g, phi, move denominators, upward
+t^h, downward v t^h) in qt's exponent form (``Factors``), or None where the
+component vanishes.  The one loop over columns, ``_column_walk``, multiplies
+each group across the columns of a configuration (or of its rows in another
+order) by ``binomial_product``: integer arithmetic, in which a binomial and
+its inverse cancel.  Each weight then becomes one ``QTRational.from_binomials``:
+``config_weight`` (from ``omega_factors``, whose binomials cancel phi),
+``config_weight_parts`` (one value per group and the weight, from one walk,
+for weight matching), the cyclic relation's partition functions (the shift
+q x_i of the top row is q^e, e that row's x exponent in the walk) and the
+frozen coefficient.  ``column_component`` is the one-column group product.
 
 A full lattice configuration xi records the colour on every vertical edge
 (column j = 0..N, row i = 1..n); its weight is the product of its N+1
@@ -104,13 +104,12 @@ class LatticeConfig:
         """The 1-based row occupied by ``colour`` in column j."""
         return self.columns[j].index(colour) + 1
 
-    def is_legal(self, mu: Composition, basement: Sequence[int] | None = None) -> bool:
-        """mu-legality: continuity/termination, basement, no down-crossings."""
+    def is_legal(self, mu: Composition) -> bool:
+        """mu-legality: continuity/termination, identity basement, no down-crossings."""
         n = mu.n
         if len(self.columns) != mu.maxpart + 1 or self.n != n:
             return False
-        base = tuple(basement) if basement is not None else tuple(range(1, n + 1))
-        if self.columns[0] != base:
+        if self.columns[0] != tuple(range(1, n + 1)):
             return False
         for a in range(1, n + 1):
             for j, column in enumerate(self.columns):
@@ -197,6 +196,8 @@ def exponents_fgh(
 # x exponents (indexed by row) and the factor groups, in the field order
 # of ConfigWeightParts
 Walk = tuple[tuple[int, ...], tuple[Factors, ...]]
+# a twist parameter q^a t^b as (a, b), or None for zero
+Twist = tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -213,40 +214,24 @@ class ConfigWeightParts:
     weight: XPolynomial                       # config_weight, from the same walk
 
 
-def _twist_exponents(colour: int, v: QTRational) -> tuple[int, int] | None:
-    """(a, b) of a twist parameter v = q^a t^b, or None for v = 0."""
-    if v.is_zero():
-        return None
-    if v.num.is_monomial() and v.den.is_monomial():
-        (nq, nt), coeff = v.num.leading_term()
-        (dq, dt), _ = v.den.leading_term()
-        if coeff == 1:
-            return nq - dq, nt - dt
-    raise ValueError(f"twist parameter {v} of colour {colour} is not a monomial q^a t^b")
-
-
-def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, QTRational]) -> Walk | None:
+def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> Walk | None:
     """The column kernel: the closed form of boundary (I, J) as its x
     exponents and factor groups in exponent form, or None where the
     component vanishes."""
     n = len(I)
     P, Q = colour_data(I, J)
-    zero = QTRational.zero()
     for colour in range(1, n + 1):
-        if colour not in P and colour not in Q:
-            if not v.get(colour, zero).is_zero():
-                raise ValueError(
-                    f"nonzero twist parameter for colour {colour} outside P u Q"
-                )
+        if colour not in P and colour not in Q and v.get(colour) is not None:
+            raise ValueError(f"nonzero twist parameter for colour {colour} outside P u Q")
     a, b = coordinates(I, J)
     if any(p > l and a[p] == b[l] for p in P | Q for l in Q):
         return None
     f, g, h = exponents_fgh(P, Q, a, b, n)
-    twist = {p: _twist_exponents(p, v[p]) for p in P | Q}
     phi: dict[tuple[int, int], int] = {}
     move: dict[tuple[int, int], int] = {}
     up_t = down_q = down_t = 0
-    for p, vp in twist.items():
+    for p in P | Q:
+        vp = v[p]
         if vp is not None:  # a zero twist gives 1/(1 - 0) = 1
             key = (vp[0], vp[1] + f[p])
             phi[key] = phi.get(key, 0) - 1
@@ -254,7 +239,7 @@ def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, QTRational]
     for p in Q:
         exps[b[p] - 1] = 1
         if a[p] != b[p]:
-            vp = twist[p]
+            vp = v[p]
             move[(0, 1)] = move.get((0, 1), 0) + 1  # the factor 1 - t
             if vp is not None:
                 key = (vp[0], vp[1] + f[p] + 1)
@@ -275,14 +260,12 @@ def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, QTRational]
     return tuple(exps), groups
 
 
-def column_component(
-    I: Sequence[int], J: Sequence[int], v: dict[int, QTRational]
-) -> XPolynomial:
+def column_component(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> XPolynomial:
     """The closed-form column operator component for boundary (I, J).
 
-    ``v`` maps colours to twist parameters, each zero or a monomial
-    q^a t^b (anything else is a ValueError); any colour outside P u Q must
-    map to zero (hypothesis of the closed form).  The result is a single
+    ``v`` maps colours to twist parameters q^a t^b as exponent pairs
+    (a, b), or None for zero; any colour outside P u Q must map to None
+    (hypothesis of the closed form).  The result is a single
     monomial in the x alphabet (x_r for row r) with a Q(q,t) coefficient:
     the one-column case of the group product of ``_column_walk``.
     """
@@ -438,34 +421,33 @@ def hall_littlewood_q0(mu: Composition) -> XPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def kappa_ratio(
-    I: Sequence[int], J: Sequence[int], v: dict[int, QTRational]
-) -> QTRational:
+def kappa_ratio(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> QTRational:
     """The constant relating a column component to its rotated version:
 
       kappa = t^{#{a in P : a > j_n} 1(j_n >= 1)}
             / t^{#{a in Q : a < i_n} 1(i_n in P)}
             * v_{i_n}^{1(i_n in Q)} / v_{j_n}^{1(j_n >= 1)}
 
-    written in terms of the colour data and the top edge states i_n, j_n.
+    written in terms of the colour data and the top edge states i_n, j_n,
+    with twists given as in ``column_component``.
     """
     P, Q = colour_data(I, J)
-    t = QTRational.t()
     i_top, j_top = I[-1], J[-1]
-    result = QTRational.one()
+    qexp = texp = 0
     if j_top >= 1:
-        result = result * t ** sum(1 for c in P if c > j_top)
-        vj = v.get(j_top, QTRational.zero())
-        if vj.is_zero():
+        vj = v.get(j_top)
+        if vj is None:
             raise ZeroDivisionError(
                 f"rotation constant undefined: v_{j_top} = 0 with j_n = {j_top} >= 1"
             )
-        result = result / vj
+        qexp, texp = -vj[0], sum(1 for c in P if c > j_top) - vj[1]
     if i_top in P:
-        result = result / t ** sum(1 for c in Q if c < i_top)
+        texp -= sum(1 for c in Q if c < i_top)
     if i_top in Q:
-        result = result * v[i_top]
-    return result
+        if v[i_top] is None:
+            return QTRational.zero()
+        qexp, texp = qexp + v[i_top][0], texp + v[i_top][1]
+    return QTRational.monomial(qexp, texp)
 
 
 def _cyclic_partition_functions(
@@ -478,19 +460,20 @@ def _cyclic_partition_functions(
     edge states of xi, whose rows are indexed by entering colour.
     """
     n = mu.n
-    one, q = QTRational.one(), QTRational.q()
     others = [c for c in range(1, n + 1) if c != i]
 
-    def partition_function(order: list[int], scalars: list[QTRational]) -> XPolynomial:
-        # row r of the walk is row order[r-1] of xi, carrying scalars[r-1] x_{order[r-1]}
+    def partition_function(order: list[int], top_shift: int) -> XPolynomial:
+        # row r of the walk is row order[r-1] of xi and carries x_{order[r-1]};
+        # the top row's variable is q^top_shift x_{order[n-1]}
         columns = [tuple(column[c - 1] for c in order) for column in xi.columns]
-        walked = _group_product(_column_walk(columns, mu), n)
-        return compose_vars(walked, list(zip(order, scalars)))
+        walk = _column_walk(columns, mu)
+        if walk is None:
+            return XPolynomial.zero(n)
+        exps, groups = walk
+        placed = tuple(exps[order.index(c)] for c in range(1, n + 1))
+        return _group_product((placed, groups), n, (top_shift * exps[-1], 0, {}))
 
-    return (
-        partition_function(others + [i], [one] * (n - 1) + [q]),
-        partition_function([i] + others, [one] * n),
-    )
+    return partition_function(others + [i], 1), partition_function([i] + others, 0)
 
 
 def cyclic_check(mu: Composition, i: int) -> CheckReport:

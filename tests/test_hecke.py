@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nsmacdonald.compositions import Composition
 from nsmacdonald.hecke import (
@@ -67,6 +68,30 @@ def test_index_ranges():
         apply_T(p, 2)
     with pytest.raises(IndexError):
         apply_Y(p, 3)
+
+
+# c q^a t^b / (1 - q^d t^e): coefficients with a binomial denominator,
+# which random_polynomial's monomial coefficients never have
+coefficients = st.builds(
+    lambda c, a, b, de: QTRational.monomial(a, b, c) / (ONE - QTRational.monomial(*de)),
+    st.integers(-3, 3).filter(bool),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.tuples(st.integers(0, 2), st.integers(-2, 2)).filter(lambda de: de != (0, 0)),
+)
+general_polynomials = st.integers(2, 3).flatmap(
+    lambda n: st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n), coefficients, min_size=1, max_size=3
+    ).map(lambda terms: XPolynomial(n, terms))
+)
+
+
+@given(general_polynomials)
+def test_hecke_relations_on_general_coefficients(p):
+    for i in range(1, p.nvars):
+        shifted = apply_T(p, i) + p
+        assert (apply_T(shifted, i) - shifted.scale(T)).is_zero()  # (T_i - t)(T_i + 1) p
+        assert apply_T(apply_T(p, i), i, inverse=True) == p
 
 
 def test_relations_n2():

@@ -36,7 +36,6 @@ from nsmacdonald.xpoly import XPolynomial, compose_vars, specialize_q
 ONE = QTRational.one()
 Q = QTRational.q()
 T = QTRational.t()
-ZERO = QTRational.zero()
 
 
 def test_colour_data_worked_example():
@@ -82,24 +81,18 @@ def test_exponents_trivial_and_cyclic():
 
 
 def test_column_component_examples():
-    assert column_component((0, 0), (0, 0), {1: ZERO, 2: ZERO}) == XPolynomial.one(2)
+    assert column_component((0, 0), (0, 0), {1: None, 2: None}) == XPolynomial.one(2)
     v = QTRational.monomial(1, 1)
-    comp = column_component((0, 2), (0, 0), {1: ZERO, 2: v})
+    comp = column_component((0, 2), (0, 0), {1: None, 2: (1, 1)})
     assert comp == XPolynomial.constant(2, ONE / (ONE - v))
-    comp = column_component((0, 2), (2, 0), {1: ZERO, 2: v})
+    comp = column_component((0, 2), (2, 0), {1: None, 2: (1, 1)})
     expect = XPolynomial.monomial(2, (1, 0), v * (ONE - T) / ((ONE - v) * (ONE - v * T)))
     assert comp == expect
 
 
 def test_column_component_rejects_stray_twist():
     with pytest.raises(ValueError):
-        column_component((0, 0), (0, 0), {1: Q, 2: ZERO})
-
-
-@pytest.mark.parametrize("twist", [ONE - Q, Q + T, QTRational.monomial(1, 1, 2), -Q])
-def test_column_component_rejects_non_monomial_twist(twist):
-    with pytest.raises(ValueError, match="not a monomial"):
-        column_component((0, 2), (2, 0), {1: ZERO, 2: twist})
+        column_component((0, 0), (0, 0), {1: (1, 0), 2: None})
 
 
 def test_enumerate_configs_counts():
@@ -171,11 +164,10 @@ def test_hall_littlewood_is_q0_specialisation():
 
 
 def test_kappa_examples():
-    assert kappa_ratio((1, 0), (0, 0), {1: ZERO}).is_one()
-    v2 = QTRational.monomial(2, 1)
-    assert kappa_ratio((0, 2), (2, 0), {2: v2}) == v2
+    assert kappa_ratio((1, 0), (0, 0), {1: None}).is_one()
+    assert kappa_ratio((0, 2), (2, 0), {2: (2, 1)}) == QTRational.monomial(2, 1)
     with pytest.raises(ZeroDivisionError):
-        kappa_ratio((0, 1), (0, 1), {1: ZERO})
+        kappa_ratio((0, 1), (0, 1), {1: None})
 
 
 def _random_admissible(rng, n):
@@ -200,15 +192,15 @@ def test_kappa_is_the_rotation_ratio():
         n = rng.choice([2, 3, 4])
         I, J = _random_admissible(rng, n)
         P, Q_set = colour_data(I, J)
-        v = {p: QTRational.monomial(p, p * p % 3 + 1) for p in P | Q_set}
+        v = {p: (p, p * p % 3 + 1) for p in P | Q_set}
         for c in range(1, n + 1):
-            v.setdefault(c, ZERO)
+            v.setdefault(c, None)
         numerator = column_component(I, J, v)
         rotate = lambda vec: (vec[-1],) + tuple(vec[:-1])
         # rotated boundary, with the variable substitution x_i -> x_{i-1}
         shifted = [(n, ONE)] + [(k, ONE) for k in range(1, n)]
         denominator = compose_vars(column_component(rotate(I), rotate(J), v), shifted)
-        if denominator.is_zero() or (J[-1] >= 1 and v[J[-1]].is_zero()):
+        if denominator.is_zero() or (J[-1] >= 1 and v[J[-1]] is None):
             continue
         assert numerator == denominator.scale(kappa_ratio(I, J, v))
         checked += 1
@@ -225,7 +217,7 @@ def test_cyclic_check_examples():
 def test_cyclic_check_detects_corrupted_twists(monkeypatch):
     def corrupted(mu, i, j):
         value = v_param(mu, i, j)
-        return value * T if not value.is_zero() else value
+        return None if value is None else (value[0], value[1] + 1)
 
     monkeypatch.setattr(matrixprod, "v_param", corrupted)
     rep = cyclic_check(Composition((0, 1)), 2)
