@@ -14,8 +14,9 @@ hecke.  Without --mu a check runs over the default composition family
 
 --rho needs --method matrix.  Exit codes: 0 all good, 1 a verification
 or route comparison failed, 2 usage error (including a flag value out of
-range).  Computed polynomials go to stdout; verification reports go to
-stderr.
+range, and a --mu too large to run: more than MAX_SQUARES diagram squares
+or more than MAX_CONFIGURATIONS configurations).  Computed polynomials go
+to stdout; verification reports go to stderr.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .fillings import (
 from .hecke import verify_eigen, verify_hecke_relations
 from .lattice import exchange_check, ybe_check, ybe_check_symbolic
 from .matrixprod import (
+    count_configs,
     cyclic_check,
     enumerate_configs,
     f_matrix_product,
@@ -62,6 +64,16 @@ CHECKS = tuple(CHECK_FLAGS)
 VERIFY_DEFAULTS = {"cap": 2, "samples": 5, "seed": 0}
 
 
+# A --mu beyond either limit is refused before anything runs (exit 2).  The
+# enumerations of fillings and configurations recurse once per diagram
+# square, so MAX_SQUARES keeps them well inside Python's default recursion
+# limit of 1000.  Each route spends about 0.2-0.4 ms per configuration (one
+# filling per configuration), so a composition at MAX_CONFIGURATIONS takes
+# minutes per route; the count is exact (``matrixprod.count_configs``).
+MAX_SQUARES = 500
+MAX_CONFIGURATIONS = 10**6
+
+
 class UsageError(Exception):
     pass
 
@@ -76,9 +88,21 @@ def _f_cached(parts: tuple[int, ...], rho: tuple[int, ...] | None, method: str) 
 
 def _parse_mu(text: str) -> Composition:
     try:
-        return Composition.parse(text)
+        mu = Composition.parse(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    squares = sum(mu.parts)
+    if squares > MAX_SQUARES:
+        raise UsageError(
+            f"mu={mu} has {squares} diagram squares; at most {MAX_SQUARES} are supported"
+        )
+    count = count_configs(mu)
+    if count > MAX_CONFIGURATIONS:
+        size = count if count < 10**12 else f"at least 2^{count.bit_length() - 1}"
+        raise UsageError(
+            f"mu={mu} has {size} configurations; at most {MAX_CONFIGURATIONS} are supported"
+        )
+    return mu
 
 
 def _parse_rho(text: str, n: int) -> tuple[int, ...]:

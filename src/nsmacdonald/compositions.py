@@ -21,13 +21,19 @@ Statistics:
 ``v_param`` gives a twist as its exponents (mu_i - j, gamma_ij), or None for
 v_ij = 0: the column kernel only adds exponents.
 
-Everything is recomputed on demand except Omega_mu in exponent form.
-The matrix route needs it once per configuration, as qt's ``Factors``
+Everything is recomputed on demand except what the matrix route needs
+once per configuration: Omega_mu in exponent form, as qt's ``Factors``
 (0, 0, {(mu_i - j, alpha_ij): m}) from ``omega_factors``, so that it
-cancels phi by adding multiplicities; a bounded cache keeps one entry per
-composition (Composition is frozen and the mapping read-only, so a cached
-value is never changed by a caller).  The weight matching and the frozen
-coefficient take its value, ``omega_norm``, once per composition.
+cancels phi by adding multiplicities, and the table of twists of every
+column, ``column_twists``.  A bounded cache keeps one entry of each per
+composition (Composition is frozen and the mappings read-only, so a
+cached value is never changed by a caller).  The weight matching and the
+frozen coefficient take Omega_mu's value, ``omega_norm``, once per
+composition.
+
+``bracket_precedes`` (with the dominance order ``dominates``) is the
+order in which f_mu is triangular, x^mu plus terms x^nu below mu; the
+acceptance suite's triangularity criterion checks f_mu against it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .qt import Factors, QTRational
 
@@ -50,6 +56,7 @@ __all__ = [
     "alpha",
     "v_param",
     "omega_factors",
+    "column_twists",
     "omega_norm",
     "leg",
     "arm",
@@ -207,6 +214,17 @@ def omega_factors(mu: Composition) -> Factors:
     return 0, 0, MappingProxyType(labels)
 
 
+@lru_cache(maxsize=165)
+def column_twists(mu: Composition) -> tuple[Mapping[int, tuple[int, int] | None], ...]:
+    """The twists {p: v_param(mu, p, j)} of every column j = 0..max(mu),
+    one read-only mapping per column; from column max(mu) on every twist
+    is 0 (None)."""
+    return tuple(
+        MappingProxyType({p: v_param(mu, p, j) for p in range(1, mu.n + 1)})
+        for j in range(mu.maxpart + 1)
+    )
+
+
 def omega_norm(mu: Composition) -> QTRational:
     """The normalisation Omega_mu = prod (1 - q^{mu_i-j} t^{alpha_ij})."""
     return QTRational.from_binomials(*omega_factors(mu))
@@ -232,18 +250,6 @@ def arm(mu: Composition, s: Square | tuple[int, int]) -> int:
     if not 1 <= j <= mu.parts[i - 1]:
         raise IndexError(f"square {(i, j)} outside the diagram of {mu}")
     return alpha(mu, i, j - 1)
-
-
-def arm_via_sets(mu: Composition, s: Square | tuple[int, int]) -> int:
-    """Arm length recomputed from the two explicit square sets.
-
-    arm_left collects k < i with j <= mu_k <= mu_i, arm_right collects
-    k > i with j-1 <= mu_k < mu_i.  Used to cross-check ``arm``.
-    """
-    i, j = _as_square(s)
-    left = [k for k in range(1, i) if j <= mu.parts[k - 1] <= mu.parts[i - 1]]
-    right = [k for k in range(i + 1, mu.n + 1) if j - 1 <= mu.parts[k - 1] < mu.parts[i - 1]]
-    return len(left) + len(right)
 
 
 def attacks(s: Square | tuple[int, int], s2: Square | tuple[int, int]) -> bool:

@@ -1,10 +1,10 @@
 """The polynomial representation of the affine Hecke algebra.
 
-Generators act on XPolynomial via the divided difference
+Generators act on polynomials via the divided difference
 delta_i(p) = (p - s_i p)/(x_i - x_{i+1}):
 
   T_i p       = t p - (x_i - t x_{i+1}) delta_i(p)
-  T_i^{-1} p  = t^{-1} (p - (x_i - t x_{i+1}) delta_i(p))
+  T_i^{-1} p  = t^{-1} p - (t^{-1} x_i - x_{i+1}) delta_i(p)
   omega p     = p(x_2,..,x_n, q x_1)
 
 and the Cherednik-Dunkl operators are the words
@@ -15,20 +15,23 @@ composed right to left (T_i^{-1} acts first).  Their joint eigenfunctions
 are the nonsymmetric Macdonald polynomials; the eigenvalue of Y_i on the
 eigenfunction labelled by mu is eigenvalue_y(mu, i).
 
-The operators act directly on polynomials rather than through matrices:
-the spaces involved are small but their monomial bases vary, and the
-direct action avoids any basis bookkeeping.
+Each operator is written once, on the cleared form of xpoly
+(``ClearedPolynomial``): D^{-1} sum_e L_e x^e, with one common
+denominator D and numerators L_e that are Laurent polynomials in (q, t)
+with exact rational coefficients.  The operators are Q(q,t)-linear and
+their coefficients are the monomials 1, q, t^{+-1}, so on that form they
+only permute and shift exponent keys and add numerators: the
+denominator D rides along untouched, and no QTRational is built, no gcd
+taken and no QTPolynomial multiplied.  On an XPolynomial, ``apply_T``,
+``apply_Y``, ``cyclic_omega`` and ``divided_difference_div`` clear the
+denominators once, act, and bring each coefficient back to canonical
+form in Q(q,t) once (``xpoly.on_cleared``).
 
-``verify_eigen`` checks on cleared denominators: it multiplies f by the
-lcm D of its coefficient denominators and checks Y_i(D f) = y_i (D f),
-which is the same identity (Y_i is Q(q,t)-linear, D != 0) but leaves
-only monomial denominators in the arithmetic, so no bivariate gcd runs.
-
-Tilde variants (the reversed-alphabet conventions) are included so the
-reversal identity Y_{n-i+1} = rev . Ytilde_i . rev can be verified, where
-rev evaluates a polynomial on the reversed alphabet.  T_i and the tilde
-generator T~_i share one function, ``_hecke``: the generator
-t p - (a x_i - b x_{i+1}) delta_i(p) with (a, b) = (1, t), (t, 1).
+``verify_eigen`` clears f once, over the lcm D of its denominators, and
+compares Y_i(D f) with y_i (D f) as dicts of numerators.  That is exact
+equality in Q(q,t): both sides lie over the same D, over which every
+coefficient has exactly one numerator, so the numerators agree exactly
+when the coefficients of Y_i f and y_i f do (Y_i is linear, D != 0).
 """
 
 from __future__ import annotations
@@ -36,51 +39,47 @@ from __future__ import annotations
 import random
 
 from .compositions import Composition, eigenvalue_y
-from .qt import QTRational, qt_lcm
+from .qt import QTRational
 from .reports import CheckReport
 from .xpoly import (
+    ClearedPolynomial,
     XPolynomial,
-    compose_vars,
+    add_shifted,
     cyclic_omega,
     divided_difference_div,
-    reverse_alphabet,
+    on_cleared,
 )
 
 __all__ = [
     "apply_T",
     "apply_Y",
-    "apply_T_tilde",
-    "apply_Y_tilde",
     "verify_hecke_relations",
     "verify_eigen",
     "random_polynomial",
 ]
 
 
-def _hecke(
-    p: XPolynomial, i: int, a: QTRational, b: QTRational, inverse: bool
-) -> XPolynomial:
-    """The generator t p - (a x_i - b x_{i+1}) delta_i(p), or its inverse
-    t^{-1} (p - (a x_i - b x_{i+1}) delta_i(p)); T_i has (a, b) = (1, t)
-    and T~_i has (a, b) = (t, 1)."""
+@on_cleared
+def apply_T(p: ClearedPolynomial, i: int, inverse: bool = False) -> ClearedPolynomial:
+    """Act with the Hecke generator T_i (or T_i^{-1}) on p, an XPolynomial
+    or a ClearedPolynomial."""
     n = p.nvars
     if not 1 <= i <= n - 1:
         raise IndexError(f"generator index {i} out of range 1..{n - 1}")
-    factor = XPolynomial.variable(n, i).scale(a) - XPolynomial.variable(n, i + 1).scale(b)
-    core = factor * divided_difference_div(p, i)
-    t = QTRational.t()
-    if inverse:
-        return (p - core).scale(t.inverse())
-    return p.scale(t) - core
+    # the t exponents of the coefficients of p, x_i delta and x_{i+1} delta
+    tp, ti, tnext = (-1, -1, 0) if inverse else (1, 0, 1)
+    out = {e: {(qe, te + tp): c for (qe, te), c in num.items()} for e, num in p.terms.items()}
+    for exps, num in divided_difference_div(p, i).terms.items():
+        for k, dt, sign in ((i - 1, ti, -1), (i, tnext, 1)):
+            key = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
+            add_shifted(out.setdefault(key, {}), num, 0, dt, sign)
+    return ClearedPolynomial(n, {e: c for e, c in out.items() if c}, p.den)
 
 
-def apply_T(p: XPolynomial, i: int, inverse: bool = False) -> XPolynomial:
-    """Act with the Hecke generator T_i (or T_i^{-1}) on p."""
-    return _hecke(p, i, QTRational.one(), QTRational.t(), inverse)
-
-
-def apply_Y(p: XPolynomial, i: int) -> XPolynomial:
-    """Act with the Cherednik-Dunkl operator Y_i on p."""
+@on_cleared
+def apply_Y(p: ClearedPolynomial, i: int) -> ClearedPolynomial:
+    """Act with the Cherednik-Dunkl operator Y_i on p, an XPolynomial or a
+    ClearedPolynomial; the generators act on the cleared form throughout."""
     n = p.nvars
     if not 1 <= i <= n:
         raise IndexError(f"operator index {i} out of range 1..{n}")
@@ -90,36 +89,6 @@ def apply_Y(p: XPolynomial, i: int) -> XPolynomial:
     out = cyclic_omega(out)
     for k in range(1, i):
         out = apply_T(out, k)
-    return out
-
-
-# -- reversed-alphabet (tilde) conventions -----------------------------------
-
-
-def apply_T_tilde(p: XPolynomial, i: int, inverse: bool = False) -> XPolynomial:
-    """The tilde Hecke generator: t p - (t x_i - x_{i+1}) delta_i(p)."""
-    return _hecke(p, i, QTRational.t(), QTRational.one(), inverse)
-
-
-def omega_tilde(p: XPolynomial) -> XPolynomial:
-    """(omega~ h)(x_1,..,x_n) = h(q x_n, x_1,..,x_{n-1})."""
-    n = p.nvars
-    one = QTRational.one()
-    images = [(n, QTRational.q())] + [(k, one) for k in range(1, n)]
-    return compose_vars(p, images)
-
-
-def apply_Y_tilde(p: XPolynomial, i: int) -> XPolynomial:
-    """Y~_i = T~_i .. T~_{n-1} . omega~ . T~_1^{-1} .. T~_{i-1}^{-1}."""
-    n = p.nvars
-    if not 1 <= i <= n:
-        raise IndexError(f"operator index {i} out of range 1..{n}")
-    out = p
-    for k in range(i - 1, 0, -1):
-        out = apply_T_tilde(out, k, inverse=True)
-    out = omega_tilde(out)
-    for k in range(n - 1, i - 1, -1):
-        out = apply_T_tilde(out, k)
     return out
 
 
@@ -189,15 +158,13 @@ def verify_hecke_relations(n: int, samples: int = 5, seed: int = 0) -> CheckRepo
 def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
     """Check Y_i f = y_i(mu) f exactly for every i, on cleared denominators.
 
-    With D the lcm of f's coefficient denominators (``qt_lcm``), the check
-    is Y_i(D f) = y_i (D f).  That is the same identity, because Y_i is
-    Q(q,t)-linear and D != 0, but D f has polynomial coefficients, and
-    the operators only add monomial denominators to them (t^{-1} from
-    T_i^{-1}, the eigenvalue monomial), whose gcds take no polynomial
-    remainder sequence.  A failure reports the first differing
-    coefficient of Y_i f - y_i f in graded lex order: that of the cleared
-    difference, divided by D.  The zero polynomial, which every Y_i fixes
-    but which is no eigenfunction, fails one check.
+    With D the lcm of f's coefficient denominators (``ClearedPolynomial.of``,
+    one ``qt_lcm``), the check is Y_i(D f) = y_i (D f), compared as dicts
+    of Laurent numerators; the eigenvalue y_i is a monomial, a shift of
+    their exponents.  A failure reports the first differing coefficient
+    of Y_i f - y_i f in graded lex order, the only coefficient brought
+    back to Q(q,t).  The zero polynomial, which every Y_i fixes but which
+    is no eigenfunction, fails one check.
     """
     if f.nvars != mu.n:
         raise ValueError(f"alphabet size {f.nvars} does not match {mu}")
@@ -206,29 +173,21 @@ def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
         report.count()
         report.fail("f is the zero polynomial, which is no eigenfunction")
         return report
-    dens = dict.fromkeys(c.den for c in f.terms.values())
-    common = qt_lcm(dens)
-    cofactors = {den: common.div_exact(den) for den in dens}
-    cleared = XPolynomial(
-        f.nvars,
-        {exps: QTRational(c.num * cofactors[c.den]) for exps, c in f.terms.items()},
-    )
+    cleared = ClearedPolynomial.of(f)
     for i in range(1, mu.n + 1):
-        diff = apply_Y(cleared, i) - cleared.scale(eigenvalue_y(mu, i))
+        lhs = apply_Y(cleared, i)
+        rhs = cleared.shift(*_exponents(eigenvalue_y(mu, i)))
         report.count()
-        if not diff.is_zero():
-            exps, coeff = diff.leading_term()
+        if lhs.terms != rhs.terms:
+            exps, coeff = (lhs - rhs).leading_term()
             report.fail(
-                f"Y_{i} f != y_{i} f; first differing coefficient at "
-                f"x^{exps}: {coeff / QTRational(common)}"
+                f"Y_{i} f != y_{i} f; first differing coefficient at x^{exps}: {coeff}"
             )
     return report
 
 
-def reversal_identity_holds(p: XPolynomial, i: int) -> bool:
-    """Whether Y_{n-i+1} p equals the tilde action through the reversed
-    alphabet, rev(Y~_i(rev p))."""
-    n = p.nvars
-    lhs = apply_Y(p, n - i + 1)
-    rhs = reverse_alphabet(apply_Y_tilde(reverse_alphabet(p), i))
-    return lhs == rhs
+def _exponents(monomial: QTRational) -> tuple[int, int]:
+    """(a, b) of the monomial q^a t^b."""
+    [(nq, nt)] = monomial.num.terms
+    [(dq, dt)] = monomial.den.terms
+    return nq - dq, nt - dt

@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .compositions import Composition, gamma, omega_factors, omega_norm, v_param
+from .compositions import Composition, column_twists, gamma, omega_factors, omega_norm
 from .lattice import row_operator_expand
 from .qt import Factors, QTRational, binomial_product
 from .reports import CheckReport
@@ -73,6 +73,7 @@ __all__ = [
     "exponents_fgh",
     "column_component",
     "enumerate_configs",
+    "count_configs",
     "config_weight",
     "config_weight_parts",
     "f_matrix_product",
@@ -287,6 +288,40 @@ def _group_product(walk: Walk | None, n: int, *factors: Factors) -> XPolynomial:
 # ---------------------------------------------------------------------------
 
 
+def _placements(
+    previous: tuple[int, ...], survivors: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """The legal next columns after ``previous``: the colours ``survivors``
+    placed injectively into rows, each on a row whose previous occupant
+    is absent or of weakly smaller colour (the no-down-crossing rule)."""
+    column = [0] * len(previous)
+
+    def place(idx: int) -> Iterator[tuple[int, ...]]:
+        if idx == len(survivors):
+            yield tuple(column)
+            return
+        colour = survivors[idx]
+        for row, before in enumerate(previous):
+            if column[row] == 0 and before <= colour:
+                column[row] = colour
+                yield from place(idx + 1)
+                column[row] = 0
+
+    return place(0)
+
+
+def _basement(mu: Composition, basement: Sequence[int] | None) -> tuple[int, ...]:
+    base = tuple(basement) if basement is not None else tuple(range(1, mu.n + 1))
+    if sorted(base) != list(range(1, mu.n + 1)):
+        raise ValueError(f"basement {base} is not a permutation of 1..{mu.n}")
+    return base
+
+
+def _survivors(mu: Composition, j: int) -> list[int]:
+    # the colours still active in column j: Q_j = {p : mu_p > j}
+    return [p for p in range(1, mu.n + 1) if mu.part(p) > j]
+
+
 def enumerate_configs(
     mu: Composition, basement: Sequence[int] | None = None
 ) -> Iterator[LatticeConfig]:
@@ -295,54 +330,53 @@ def enumerate_configs(
     The search state is the injective placement of the still-active
     colours Q_j = {p : mu_p > j} into rows; moving from column j to j+1 a
     colour may only land on a row whose previous occupant is absent or of
-    weakly smaller colour (the no-down-crossing rule).
+    weakly smaller colour (``_placements``).
     """
-    n = mu.n
-    base = tuple(basement) if basement is not None else tuple(range(1, n + 1))
-    if sorted(base) != list(range(1, n + 1)):
-        raise ValueError(f"basement {base} is not a permutation of 1..{n}")
     N = mu.maxpart
 
     def extend(columns: list[tuple[int, ...]], j: int) -> Iterator[LatticeConfig]:
         if j == N:
             yield LatticeConfig(tuple(columns))
             return
-        survivors = sorted(p for p in range(1, n + 1) if mu.part(p) > j)
-        previous = columns[-1]
+        for column in _placements(columns[-1], _survivors(mu, j)):
+            columns.append(column)
+            yield from extend(columns, j + 1)
+            columns.pop()
 
-        def place(idx: int, column: list[int]) -> Iterator[LatticeConfig]:
-            if idx == len(survivors):
-                columns.append(tuple(column))
-                yield from extend(columns, j + 1)
-                columns.pop()
-                return
-            colour = survivors[idx]
-            for row in range(n):
-                if column[row] == 0 and previous[row] <= colour:
-                    column[row] = colour
-                    yield from place(idx + 1, column)
-                    column[row] = 0
+    yield from extend([_basement(mu, basement)], 0)
 
-        yield from place(0, [0] * n)
 
-    yield from extend([base], 0)
+def count_configs(mu: Composition, basement: Sequence[int] | None = None) -> int:
+    """The exact number of configurations ``enumerate_configs`` yields,
+    without enumerating them: a column-by-column sweep with integer
+    weights, the number of partial configurations ending in each column
+    state."""
+    counts = {_basement(mu, basement): 1}
+    for j in range(mu.maxpart):
+        survivors = _survivors(mu, j)
+        following: dict[tuple[int, ...], int] = {}
+        for previous, count in counts.items():
+            for column in _placements(previous, survivors):
+                following[column] = following.get(column, 0) + count
+        counts = following
+    return sum(counts.values())
 
 
 def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | None:
     """The one loop over lattice columns: the x exponents and each factor
     group of the column kernel, multiplied across ``columns`` (closed by
     the empty column) in exponent form, or None where a column component
-    vanishes.
+    vanishes.  The twists come from the cached table ``column_twists``.
 
     ``columns[j][r-1]`` is the colour on row r of column j; the rows may be
     a permutation of a configuration's rows, and x_r stands for row r.
     """
-    n = mu.n
-    closed = tuple(columns) + ((0,) * n,)
+    closed = tuple(columns) + ((0,) * mu.n,)
+    twists = column_twists(mu)
+    last = len(twists) - 1  # every twist is 0 from column max(mu) on
     walked = []
     for j in range(len(columns)):
-        v = {p: v_param(mu, p, j) for p in range(1, n + 1)}
-        column = _column_factors(closed[j], closed[j + 1], v)
+        column = _column_factors(closed[j], closed[j + 1], twists[min(j, last)])
         if column is None:
             return None
         walked.append(column)

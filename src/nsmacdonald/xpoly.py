@@ -4,38 +4,51 @@ A polynomial is a dict mapping dense exponent vectors (one entry per
 variable) to nonzero QTRational coefficients.  The alphabet size ``nvars``
 is fixed per polynomial; mixing alphabets raises AlphabetMismatch.
 
-Besides ring arithmetic, this module provides the variable manipulations
-needed by the affine Hecke operators acting on polynomials:
+The cleared form, ``ClearedPolynomial``, keeps the same polynomial as
+numerators over one common denominator D: each numerator is a Laurent
+polynomial in (q, t) with exact rational coefficients (``Laurent``, a
+dict (qexp, texp) -> coefficient), so adding numerators and multiplying
+by a monomial q^a t^b are integer and dict operations with no gcd.
+``cleared_sum`` brings polynomials to that form, with one lcm of their
+denominators (one gcd per distinct denominator), and
+``ClearedPolynomial.to_x`` brings it back, with each coefficient put in
+canonical form once.
 
-  compose_vars       substitute each variable by a scalar multiple of a
-                     (possibly different) variable; covers the cyclic shift
-                     h(x_1,..,x_n) -> h(x_2,..,x_n, q x_1), alphabet
-                     reversal, and q-dilations
-  divided_difference_div
-                     the exact quotient (p - s_i p)/(x_i - x_{i+1})
-
-``common_denominator_sum`` adds many polynomials exactly over one common
-denominator: numerators accumulate with integer coefficients per
-x-monomial, the lcm of the distinct denominators costs one gcd per
-distinct denominator, and each result coefficient is put in canonical
-form once.  Both summation routes (fillings.f_hhl and
+``common_denominator_sum`` adds many polynomials exactly that way, the
+cleared sum brought back once.  Both summation routes (fillings.f_hhl and
 matrixprod.f_matrix_product) add their summands with it; each computes
 its summands with its own weight kernel, and the sum knows nothing of
 either formula.
 
-Values are immutable; operations are pure functions.
+The variable manipulations the affine Hecke operators need act on the
+cleared form; ``on_cleared`` extends each to XPolynomial (clear once,
+act, bring back once):
+
+  cyclic_omega       the cyclic shift h(x_1,..,x_n) -> h(x_2,..,x_n, q x_1)
+  divided_difference_div
+                     the exact quotient (p - s_i p)/(x_i - x_{i+1})
+
+``compose_vars`` substitutes each variable of an XPolynomial by a scalar
+multiple of a (possibly different) variable: alphabet reversal and the
+shifts of the permuted-basement identities.
+
+XPolynomial values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from functools import wraps
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .qt import QTPolynomial, QTRational, qt_lcm
 
 __all__ = [
     "XPolynomial",
     "AlphabetMismatch",
+    "ClearedPolynomial",
+    "cleared_sum",
     "common_denominator_sum",
+    "on_cleared",
     "cyclic_omega",
     "compose_vars",
     "divided_difference_div",
@@ -327,46 +340,114 @@ def _raw(nvars: int, terms: dict[tuple[int, ...], QTRational]) -> XPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact sums over one common denominator.
+# The cleared form: Laurent numerators over one common denominator.
 # ---------------------------------------------------------------------------
 
-# a Laurent polynomial in (q, t): (qexp, texp) -> coefficient, exponents of any sign
-_Laurent = dict
+# A Laurent polynomial in (q, t) with exact rational coefficients:
+# (qexp, texp) -> nonzero int or Fraction, exponents of either sign.
+Laurent = dict
 
 
-def _add_shifted(acc: _Laurent, poly: QTPolynomial, dq: int, dt: int) -> None:
-    # acc += q^dq t^dt poly
-    for (qe, te), coeff in poly.terms.items():
+def add_shifted(
+    acc: Laurent, terms: Laurent, dq: int, dt: int, sign: int = 1
+) -> None:
+    # acc += sign q^dq t^dt terms
+    for (qe, te), coeff in terms.items():
         key = (qe + dq, te + dt)
-        new = acc.get(key, 0) + coeff
+        new = acc.get(key, 0) + sign * coeff
         if new:
             acc[key] = new
         else:
             acc.pop(key, None)
 
 
-def _split_laurent(acc: _Laurent) -> tuple[QTPolynomial, int, int]:
+def _shifted(terms: Laurent, dq: int, dt: int) -> Laurent:
+    # a new Laurent polynomial q^dq t^dt terms
+    return {(qe + dq, te + dt): coeff for (qe, te), coeff in terms.items()}
+
+
+def _split_laurent(acc: Laurent) -> tuple[QTPolynomial, int, int]:
     # acc = q^dq t^dt poly, with poly a polynomial not divisible by q or t
     dq = min(qe for qe, _te in acc)
     dt = min(te for _qe, te in acc)
     return QTPolynomial({(qe - dq, te - dt): c for (qe, te), c in acc.items()}), dq, dt
 
 
-def common_denominator_sum(nvars: int, summands: Iterable[XPolynomial]) -> XPolynomial:
-    """The exact sum of ``summands``, equal to adding them one by one with
-    ``+`` but without a gcd per addition.
+def _over(num: Laurent, den: QTPolynomial) -> QTRational:
+    # num / den in canonical form, with one gcd
+    poly, dq, dt = _split_laurent(num)
+    return QTRational(
+        poly * QTPolynomial.monomial(max(dq, 0), max(dt, 0)),
+        den * QTPolynomial.monomial(max(-dq, 0), max(-dt, 0)),
+    )
+
+
+class ClearedPolynomial:
+    """A polynomial in x_1..x_n over Q(q,t) with its denominators cleared:
+    D^{-1} sum_e L_e x^e, with one common denominator D in Q[q,t] and
+    numerators L_e, Laurent polynomials in (q, t) with exact rational
+    coefficients (``Laurent``).
+
+    ``terms`` maps exponent vectors to nonzero numerators.  Over a fixed D
+    the numerators are unique (L_e is D times the coefficient of x^e), so
+    two cleared polynomials over the same D are equal in Q(q,t)[x] exactly
+    when their ``terms`` are equal dicts.  A monomial factor q^a t^b is a
+    shift of the numerators' exponent keys.  Values are not mutated after
+    construction; inner dicts may be shared between values.
+    """
+
+    __slots__ = ("nvars", "terms", "den")
+
+    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Laurent], den: QTPolynomial):
+        self.nvars = nvars
+        self.terms = terms
+        self.den = den
+
+    @staticmethod
+    def of(poly: XPolynomial) -> "ClearedPolynomial":
+        """``poly`` over the lcm of its denominators (``cleared_sum``)."""
+        return cleared_sum(poly.nvars, [poly])
+
+    def shift(self, dq: int, dt: int) -> "ClearedPolynomial":
+        """This polynomial times the monomial q^dq t^dt."""
+        return ClearedPolynomial(
+            self.nvars, {e: _shifted(c, dq, dt) for e, c in self.terms.items()}, self.den
+        )
+
+    def __sub__(self, other: "ClearedPolynomial") -> "ClearedPolynomial":
+        if self.nvars != other.nvars or self.den != other.den:
+            raise AlphabetMismatch("cleared polynomials over different alphabets or denominators")
+        out = {e: dict(c) for e, c in self.terms.items()}
+        for exps, num in other.terms.items():
+            add_shifted(out.setdefault(exps, {}), num, 0, 0, -1)
+        return ClearedPolynomial(self.nvars, {e: c for e, c in out.items() if c}, self.den)
+
+    def leading_term(self) -> tuple[tuple[int, ...], QTRational]:
+        """Greatest term under graded lex, its coefficient alone brought
+        back to canonical form in Q(q,t)."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        key = max(self.terms, key=_grlex_key)
+        return key, _over(self.terms[key], self.den)
+
+    def to_x(self) -> XPolynomial:
+        """The canonical XPolynomial, with one gcd per coefficient."""
+        den = self.den
+        return _raw(self.nvars, {e: _over(num, den) for e, num in self.terms.items()})
+
+
+def cleared_sum(nvars: int, summands: Iterable[XPolynomial]) -> ClearedPolynomial:
+    """The exact sum of ``summands`` in cleared form, without a gcd per
+    addition.
 
     Each coefficient n/d has its denominator split as d = q^a t^b d', d'
     not divisible by q or t.  The numerators q^-a t^-b n are added per
     (d', x-monomial) as Laurent polynomials in (q, t) with integer (or
     rational) coefficients; the lcm D of the distinct d' takes one gcd per
-    distinct d' (``qt_lcm``); each group is multiplied once by D / d'; and
-    each x-monomial's total numerator is put in canonical form over D
-    once, with one gcd.  The result is the canonical XPolynomial, so it
-    is identical (==, hash, JSON) to the repeated sum.
+    distinct d' (``qt_lcm``); and each group is multiplied once by D / d'.
     """
     split: dict[QTPolynomial, tuple[QTPolynomial, int, int]] = {}
-    groups: dict[QTPolynomial, dict[tuple[int, ...], _Laurent]] = {}
+    groups: dict[QTPolynomial, dict[tuple[int, ...], Laurent]] = {}
     for poly in summands:
         if poly.nvars != nvars:
             raise AlphabetMismatch(f"alphabet sizes differ: {nvars} vs {poly.nvars}")
@@ -376,24 +457,42 @@ def common_denominator_sum(nvars: int, summands: Iterable[XPolynomial]) -> XPoly
                 parts = split[coeff.den] = _split_laurent(coeff.den.terms)
             reduced, dq, dt = parts
             acc = groups.setdefault(reduced, {}).setdefault(exps, {})
-            _add_shifted(acc, coeff.num, -dq, -dt)
+            add_shifted(acc, coeff.num.terms, -dq, -dt)
     common = qt_lcm(groups)
-    totals: dict[tuple[int, ...], _Laurent] = {}
+    totals: dict[tuple[int, ...], Laurent] = {}
     for reduced, by_exps in groups.items():
         cofactor = common.div_exact(reduced)
         for exps, acc in by_exps.items():
             if acc:
                 num, dq, dt = _split_laurent(acc)
-                _add_shifted(totals.setdefault(exps, {}), num * cofactor, dq, dt)
-    out: dict[tuple[int, ...], QTRational] = {}
-    for exps, acc in totals.items():
-        if acc:
-            num, dq, dt = _split_laurent(acc)
-            out[exps] = QTRational(
-                num * QTPolynomial.monomial(max(dq, 0), max(dt, 0)),
-                common * QTPolynomial.monomial(max(-dq, 0), max(-dt, 0)),
-            )
-    return _raw(nvars, out)
+                add_shifted(totals.setdefault(exps, {}), (num * cofactor).terms, dq, dt)
+    return ClearedPolynomial(nvars, {e: acc for e, acc in totals.items() if acc}, common)
+
+
+def common_denominator_sum(nvars: int, summands: Iterable[XPolynomial]) -> XPolynomial:
+    """The exact sum of ``summands``, equal to adding them one by one with
+    ``+`` but without a gcd per addition: the ``cleared_sum``, with each
+    x-monomial's total numerator put in canonical form over the common
+    denominator once, with one gcd.  The result is the canonical
+    XPolynomial, so it is identical (==, hash, JSON) to the repeated sum.
+    """
+    return cleared_sum(nvars, summands).to_x()
+
+
+def on_cleared(kernel: Callable[..., ClearedPolynomial]) -> Callable:
+    """The operator ``kernel`` on cleared polynomials, extended to
+    XPolynomial: an XPolynomial argument is cleared once
+    (``ClearedPolynomial.of``), acted on, and brought back with one
+    canonicalisation per coefficient (``ClearedPolynomial.to_x``); a
+    cleared argument is acted on as it is."""
+
+    @wraps(kernel)
+    def operator(poly, *args, **kwargs):
+        if isinstance(poly, XPolynomial):
+            return kernel(ClearedPolynomial.of(poly), *args, **kwargs).to_x()
+        return kernel(poly, *args, **kwargs)
+
+    return operator
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +536,19 @@ def compose_vars(
     return _raw(n, out)
 
 
-def cyclic_omega(poly: XPolynomial) -> XPolynomial:
+@on_cleared
+def cyclic_omega(poly: ClearedPolynomial) -> ClearedPolynomial:
     """The cyclic generator: (omega h)(x_1,..,x_n) = h(x_2,..,x_n, q x_1).
 
     On monomials the exponent vector (v_1,..,v_n) becomes (v_n, v_1,..,v_{n-1})
-    and the wrapped exponent v_n contributes a factor q^{v_n}.
+    and the wrapped exponent v_n contributes a factor q^{v_n}, a shift of
+    the numerator's q exponents.
     """
-    n = poly.nvars
-    one = QTRational.one()
-    images = [(k + 1, one) for k in range(1, n)] + [(1, QTRational.q())]
-    return compose_vars(poly, images)
+    return ClearedPolynomial(
+        poly.nvars,
+        {e[-1:] + e[:-1]: _shifted(num, e[-1], 0) for e, num in poly.terms.items()},
+        poly.den,
+    )
 
 
 def reverse_alphabet(poly: XPolynomial) -> XPolynomial:
@@ -466,7 +568,8 @@ def specialize_q(poly: XPolynomial, qval) -> XPolynomial:
     return _raw(poly.nvars, out)
 
 
-def divided_difference_div(poly: XPolynomial, i: int) -> XPolynomial:
+@on_cleared
+def divided_difference_div(poly: ClearedPolynomial, i: int) -> ClearedPolynomial:
     """The exact polynomial (p - s_i p)/(x_i - x_{i+1}).
 
     The numerator is antisymmetric in (x_i, x_{i+1}), so the quotient is
@@ -479,25 +582,19 @@ def divided_difference_div(poly: XPolynomial, i: int) -> XPolynomial:
     if not 1 <= i <= n - 1:
         raise IndexError(f"index {i} out of range 1..{n - 1}")
     a, b = i - 1, i
-    out: dict[tuple[int, ...], QTRational] = {}
-    for exps, coeff in poly.terms.items():
+    out: dict[tuple[int, ...], Laurent] = {}
+    for exps, num in poly.terms.items():
         ea, eb = exps[a], exps[b]
         if ea == eb:
             continue
+        sign = 1
         if ea < eb:
             # the mirrored term contributes with the opposite sign; handle
             # each unordered pair once from its ea > eb representative
-            ea, eb = eb, ea
-            coeff = -coeff
+            ea, eb, sign = eb, ea, -1
         base = list(exps)
         for k in range(ea - eb):
-            base[a] = eb + (ea - eb - 1 - k)
+            base[a] = ea - 1 - k
             base[b] = eb + k
-            key = tuple(base)
-            cur = out.get(key)
-            new = coeff if cur is None else cur + coeff
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
-    return _raw(n, out)
+            add_shifted(out.setdefault(tuple(base), {}), num, 0, 0, sign)
+    return ClearedPolynomial(n, {e: c for e, c in out.items() if c}, poly.den)

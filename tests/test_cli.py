@@ -206,6 +206,10 @@ def test_seed_reproducibility(capsys):
         "verify eigen --mu 0,1 --seed 3",
         "verify exchange --cap 1",
         "verify cyclic --mu 0,1 --samples 2",
+        "compute --mu 990,0",
+        "compute --mu 500,0",
+        "compute --mu 990",
+        "verify eigen --mu 21,0",
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):

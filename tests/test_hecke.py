@@ -5,21 +5,63 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from nsmacdonald.compositions import Composition
+from nsmacdonald.compositions import Composition, eigenvalue_y
+from nsmacdonald.fillings import f_hhl
 from nsmacdonald.hecke import (
     apply_T,
     apply_Y,
     random_polynomial,
-    reversal_identity_holds,
     verify_eigen,
     verify_hecke_relations,
 )
 from nsmacdonald.qt import QTRational
-from nsmacdonald.xpoly import XPolynomial
+from nsmacdonald.xpoly import (
+    XPolynomial,
+    compose_vars,
+    cyclic_omega,
+    divided_difference_div,
+    reverse_alphabet,
+)
 
 ONE = QTRational.one()
 Q = QTRational.q()
 T = QTRational.t()
+
+
+# -- the reversed-alphabet (tilde) conventions, in XPolynomial arithmetic ----
+
+
+def apply_T_tilde(p, i, inverse=False):
+    """T~_i p = t p - (t x_i - x_{i+1}) delta_i(p), or its inverse
+    t^{-1} (p - (t x_i - x_{i+1}) delta_i(p))."""
+    n = p.nvars
+    factor = XPolynomial.variable(n, i).scale(T) - XPolynomial.variable(n, i + 1)
+    core = factor * divided_difference_div(p, i)
+    return (p - core).scale(T.inverse()) if inverse else p.scale(T) - core
+
+
+def omega_tilde(p):
+    """(omega~ h)(x_1,..,x_n) = h(q x_n, x_1,..,x_{n-1})."""
+    n = p.nvars
+    return compose_vars(p, [(n, Q)] + [(k, ONE) for k in range(1, n)])
+
+
+def apply_Y_tilde(p, i):
+    """Y~_i = T~_i .. T~_{n-1} . omega~ . T~_1^{-1} .. T~_{i-1}^{-1}."""
+    out = p
+    for k in range(i - 1, 0, -1):
+        out = apply_T_tilde(out, k, inverse=True)
+    out = omega_tilde(out)
+    for k in range(p.nvars - 1, i - 1, -1):
+        out = apply_T_tilde(out, k)
+    return out
+
+
+def reversal_identity_holds(p, i):
+    """Whether Y_{n-i+1} p equals the tilde action through the reversed
+    alphabet, rev(Y~_i(rev p))."""
+    lhs = apply_Y(p, p.nvars - i + 1)
+    return lhs == reverse_alphabet(apply_Y_tilde(reverse_alphabet(p), i))
 
 
 def test_T_on_constants():
@@ -94,6 +136,65 @@ def test_hecke_relations_on_general_coefficients(p):
         assert apply_T(apply_T(p, i), i, inverse=True) == p
 
 
+def swap(p, i):
+    """s_i p: x_i and x_{i+1} exchanged, term by term."""
+    def swapped(exps):
+        e = list(exps)
+        e[i - 1], e[i] = e[i], e[i - 1]
+        return tuple(e)
+
+    return XPolynomial(p.nvars, {swapped(e): c for e, c in p.terms.items()})
+
+
+def omega_by_substitution(p):
+    """p(x_2,..,x_n, q x_1), each term evaluated by ring arithmetic."""
+    n = p.nvars
+    images = [XPolynomial.variable(n, k + 1) for k in range(1, n)]
+    images.append(XPolynomial.variable(n, 1).scale(Q))
+    out = XPolynomial.zero(n)
+    for exps, coeff in p.terms.items():
+        term = XPolynomial.constant(n, coeff)
+        for image, e in zip(images, exps):
+            term = term * image**e
+        out = out + term
+    return out
+
+
+@given(general_polynomials)
+def test_generators_match_their_defining_formulas(p):
+    # T_i p = t p - (x_i - t x_{i+1})(p - s_i p)/(x_i - x_{i+1}), and
+    # T_i^{-1} p = t^{-1}(p - (x_i - t x_{i+1})(p - s_i p)/(x_i - x_{i+1})):
+    # multiplied by x_i - x_{i+1}, which is not a zero divisor, they fix each
+    # result uniquely without a division
+    n = p.nvars
+    for i in range(1, n):
+        xi, xnext = XPolynomial.variable(n, i), XPolynomial.variable(n, i + 1)
+        rhs = -((xi - xnext.scale(T)) * (p - swap(p, i)))
+        assert (xi - xnext) * (apply_T(p, i) - p.scale(T)) == rhs
+        assert (xi - xnext) * (apply_T(p, i, inverse=True).scale(T) - p) == rhs
+    assert cyclic_omega(p) == omega_by_substitution(p)
+
+
+def test_verify_eigen_detects_a_term_outside_the_support():
+    # f_(0,2,1) has several terms and no constant term; f + t fails every
+    # Y_i whose eigenvalue differs from Y_i's on constants, t^{2i-n-1},
+    # with the difference t (t^{2i-n-1} - y_i) at x^(0,0,0)
+    mu = Composition((0, 2, 1))
+    f = f_hhl(mu)
+    assert len(f.terms) > 1 and (0, 0, 0) not in f.terms
+    report = verify_eigen(f + XPolynomial.constant(3, T), mu)
+    expected = []
+    for i in range(1, 4):
+        coeff = T * (QTRational.monomial(0, 2 * i - 4) - eigenvalue_y(mu, i))
+        if not coeff.is_zero():
+            expected.append(
+                f"Y_{i} f != y_{i} f; first differing coefficient at x^(0, 0, 0): {coeff}"
+            )
+    assert expected
+    assert report.failures == expected
+    assert report.checked == 3
+
+
 def test_relations_n2():
     report = verify_hecke_relations(2, samples=5, seed=1)
     assert report.ok, report.failures
@@ -141,10 +242,6 @@ def test_reversed_convention_satisfies_tilde_eigen_equation():
     # E_mu(x_1..x_n) = f_{reverse(mu)}(x_n..x_1) is a joint eigenfunction of
     # the tilde operators with eigenvalues q^{mu_i} t^{etatilde_i + n - i},
     # etatilde_i = -#{j<i : mu_j >= mu_i} - #{j>i : mu_j > mu_i}
-    from nsmacdonald.fillings import f_hhl
-    from nsmacdonald.hecke import apply_Y_tilde
-    from nsmacdonald.xpoly import reverse_alphabet
-
     for parts in [(1, 0), (0, 1), (2, 0), (1, 2), (0, 2, 1), (1, 0, 2)]:
         mu = Composition(parts)
         n = mu.n

@@ -8,6 +8,7 @@ from nsmacdonald import matrixprod
 from nsmacdonald.compositions import (
     Composition,
     alpha,
+    column_twists,
     compositions_with,
     omega_norm,
     v_param,
@@ -20,6 +21,7 @@ from nsmacdonald.matrixprod import (
     config_weight,
     config_weight_parts,
     coordinates,
+    count_configs,
     cyclic_check,
     enumerate_configs,
     exponents_fgh,
@@ -99,6 +101,15 @@ def test_enumerate_configs_counts():
     assert len(list(enumerate_configs(Composition((0, 0, 0))))) == 1
     assert len(list(enumerate_configs(Composition((1, 0))))) == 1
     assert len(list(enumerate_configs(Composition((0, 1))))) == 2
+
+
+def test_count_configs_equals_the_enumeration():
+    for mu in compositions_with(3, 2):
+        for rho in [None, (2, 3, 1), (3, 1, 2)]:
+            assert count_configs(mu, rho) == sum(1 for _ in enumerate_configs(mu, rho))
+    assert count_configs(Composition((0, 1, 2, 3, 4))) == 34560
+    assert count_configs(Composition((0, 1, 2, 3, 4, 5))) == 24883200
+    assert count_configs(Composition((500, 0))) == 2**499
 
 
 def test_configs_are_legal():
@@ -215,11 +226,13 @@ def test_cyclic_check_examples():
 
 
 def test_cyclic_check_detects_corrupted_twists(monkeypatch):
-    def corrupted(mu, i, j):
-        value = v_param(mu, i, j)
-        return None if value is None else (value[0], value[1] + 1)
+    def corrupted(mu):
+        return tuple(
+            {p: None if v is None else (v[0], v[1] + 1) for p, v in column.items()}
+            for column in column_twists(mu)
+        )
 
-    monkeypatch.setattr(matrixprod, "v_param", corrupted)
+    monkeypatch.setattr(matrixprod, "column_twists", corrupted)
     rep = cyclic_check(Composition((0, 1)), 2)
     assert not rep.ok
 
