@@ -27,10 +27,11 @@ verifies this square by square, including the individual factor-group
 identities the matching splits into.  The HHL side of those identities
 is the factor kernel ``_hhl_factors``, in qt's exponent form, and
 ``hhl_summand`` is one ``from_binomials`` of the groups' product;
-the column side is matrixprod's column kernel.  ``f_hhl`` adds the
-summands with xpoly's ``common_denominator_sum`` (one common denominator,
-no gcd per addition), as f_matrix_product adds the configuration
-weights.
+the column side is matrixprod's column walk.  The identities compare
+products as qt's ``normal_form``, so no Q(q,t) value is built for them.
+``f_hhl`` adds the summands with xpoly's ``common_denominator_sum`` (one
+common denominator, no gcd per addition), as f_matrix_product adds the
+configuration weights.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .compositions import Composition, arm, attacks, leg, omega_norm
-from .matrixprod import LatticeConfig, config_weight_parts, enumerate_configs
-from .qt import Factors, QTRational, binomial_product
+from .compositions import Composition, arm, attacks, leg, omega_factors
+from .matrixprod import LatticeConfig, _column_walk, enumerate_configs
+from .qt import Factors, QTRational, binomial_product, normal_form
 from .reports import CheckReport
 from .xpoly import XPolynomial, common_denominator_sum
 
@@ -268,30 +269,37 @@ def weight_match_check(mu: Composition) -> CheckReport:
       downward moves   prod v t^h (downward)           = t^{-ord_-} * ascent numerators
 
     Each configuration is walked once and its filling's factors are built
-    once; the totals come from those through each route's own product.
+    once; every identity, the totals too (Omega_mu times the walk's groups
+    against the product of the HHL groups), compares normal forms.
     """
     report = CheckReport(f"weight-match mu={mu}")
-    omega = omega_norm(mu)
+    omega = omega_factors(mu)
+    one = normal_form()
     for xi in enumerate_configs(mu):
-        parts = config_weight_parts(xi, mu)
-        exps, *groups = _hhl_factors(bijection_M(xi, mu))
-        t_plus, denominators, numerators = (QTRational.from_binomials(*g) for g in groups)
+        walk = _column_walk(xi.columns, mu)
         report.count()
-        if parts.x_exponents != exps:
+        if walk is None:
+            report.fail(f"configuration weight vanishes on {xi.columns}")
+            continue
+        x_exps, groups = walk
+        t_g, phi, moves, up_t_h, down_v_t_h = groups
+        exps, t_plus, denominators, numerators = _hhl_factors(bijection_M(xi, mu))
+        if x_exps != exps:
             report.fail(f"x factors differ on {xi.columns}")
         report.count()
-        if not (omega * parts.phi).is_one():
+        if normal_form(omega, phi) != one:
             report.fail(f"Omega cancellation fails on {xi.columns}")
         report.count()
-        if parts.move_denominators != denominators:
+        if normal_form(moves) != normal_form(denominators):
             report.fail(f"descent/ascent denominators differ on {xi.columns}")
         report.count()
-        if parts.t_g * parts.up_t_h != t_plus:
+        if normal_form(t_g, up_t_h) != normal_form(t_plus):
             report.fail(f"t^ord_+ mismatch on {xi.columns}")
         report.count()
-        if parts.down_v_t_h != numerators:
+        if normal_form(down_v_t_h) != normal_form(numerators):
             report.fail(f"downward-move factor mismatch on {xi.columns}")
         report.count()
-        if parts.weight != _summand(mu.n, exps, *groups):
+        weight = normal_form(omega, *groups)
+        if x_exps != exps or weight != normal_form(t_plus, denominators, numerators):
             report.fail(f"total weights differ on {xi.columns}")
     return report

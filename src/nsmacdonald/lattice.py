@@ -28,10 +28,12 @@ all other patterns vanishing.  It is written once, in cleared form: the
 table ``_r_cleared`` is (x - t y) R_{y/x}, and ``r_weight`` divides it back
 at (x, y) = (1, z).  With L it satisfies the RLL (Yang-Baxter) relation,
 whose two sides ``_rll_sides`` computes multiplied by x - t y, so no R
-entry is ever divided.  The weights are generic over a ring holding x, y
-and t: ``ybe_check`` evaluates the sides at exact Fraction sample points
-(none a pole), ``ybe_check_symbolic`` as polynomials in (x, y) over
-Q(q,t); QTRational ``t`` gives symbolic face weights.
+entry is ever divided; it sums over the support of R only.  The weights
+are generic over a ring holding x, y and t: ``ybe_check`` evaluates the
+sides at exact Fraction sample points (none a pole), ``ybe_check_symbolic``
+as polynomials in (x, y) over Q(q,t); QTRational ``t`` gives symbolic face
+weights.  Each certificate evaluates a face weight or R entry once per
+point (``_Point``, a table local to the call).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .qt import QTRational
@@ -163,35 +166,60 @@ def _vec_add(v: Occupation | None, colour: int, delta: int) -> Occupation | None
     return tuple(out) if out[colour - 1] >= 0 else None
 
 
-def _two_faces(I, J, left1, right1, u, left2, right2, v, t):
+class _Point:
+    """One point (x, y, t) of the RLL sides with its table: each face
+    weight L(I, j; K, l) at t (None where it vanishes) and each cleared R
+    entry at (x, y, t) is computed once, through the module's ``l_weight``
+    and ``_r_cleared`` (looked up when an entry is first needed)."""
+
+    def __init__(self, x, y, t):
+        self.x, self.y, self.t, self.zero = x, y, t, t - t
+
+        @cache
+        def face(I, j, K, l) -> StructuredWeight | None:
+            weight = l_weight(I, j, K, l, t)
+            return None if weight.is_zero() else weight
+
+        self.face = face
+        self.r = cache(lambda i, j, k, l: _r_cleared(i, j, k, l, x, y, t))
+
+
+def _two_faces(I, J, left1, right1, u, left2, right2, v, at: _Point):
     """L_u(I, left1; K, right1) L_v(K, left2; J, right2), one face on the
     other with K forced by conservation, or None if either face vanishes."""
     K = _vec_add(_vec_add(I, left1, +1), right1, -1)
     if K is None:
         return None
-    w1 = l_weight(I, left1, K, right1, t)
-    if w1.is_zero():
+    w1 = at.face(I, left1, K, right1)
+    if w1 is None:
         return None
-    w2 = l_weight(K, left2, J, right2, t)
-    if w2.is_zero():
+    w2 = at.face(K, left2, J, right2)
+    if w2 is None:
         return None
-    return w1.coeff * u**w1.xdeg * w2.coeff * v**w2.xdeg
+    product = w1.coeff * w2.coeff
+    if w1.xdeg:
+        product = product * u
+    return product * v if w2.xdeg else product
 
 
-def _rll_sides(I, J, i1, i2, j1, j2, x, y, t) -> tuple[object, object]:
-    """Both sides of RLL times x - t y, in the ring of x, y and t: the sums
-    over k1, k2 of R(i2, i1; k2, k1) L_x(I, k1; K, j1) L_y(K, k2; J, j2)
-    and of L_y(I, i2; K, k2) L_x(K, i1; J, k1) R(k2, k1; j2, j1)."""
-    lhs = rhs = t - t
-    for k1, k2 in itertools.product(range(len(I) + 1), repeat=2):
-        r = _r_cleared(i2, i1, k2, k1, x, y, t)
+def _rll_sides(I, J, i1, i2, j1, j2, at: _Point) -> tuple[object, object]:
+    """Both sides of RLL times x - t y at the point ``at``: the sums over
+    k1, k2 of R(i2, i1; k2, k1) L_x(I, k1; K, j1) L_y(K, k2; J, j2) and of
+    L_y(I, i2; K, k2) L_x(K, i1; J, k1) R(k2, k1; j2, j1).  R(i, j; k, l)
+    vanishes unless (k, l) is (i, j) or (j, i), so only those (k2, k1)
+    are summed."""
+    x, y = at.x, at.y
+    lhs = rhs = at.zero
+    for k2, k1 in {(i2, i1), (i1, i2)}:
+        r = at.r(i2, i1, k2, k1)
         if r is not None:
-            faces = _two_faces(I, J, k1, j1, x, k2, j2, y, t)
+            faces = _two_faces(I, J, k1, j1, x, k2, j2, y, at)
             if faces is not None:
                 lhs = lhs + r * faces
-        r = _r_cleared(k2, k1, j2, j1, x, y, t)
+    for k2, k1 in {(j2, j1), (j1, j2)}:
+        r = at.r(k2, k1, j2, j1)
         if r is not None:
-            faces = _two_faces(I, J, i2, k2, y, i1, k1, x, t)
+            faces = _two_faces(I, J, i2, k2, y, i1, k1, x, at)
             if faces is not None:
                 rhs = rhs + faces * r
     return lhs, rhs
@@ -237,14 +265,15 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
     report = CheckReport(f"ybe n={n} cap={occupation_cap}")
     occupations = _occupations(n, occupation_cap)
     boundaries = _boundaries(n, occupation_cap, occupation_cap)
+    points = [_Point(x, y, t) for x, y, t in SAMPLE_POINTS]
     for I, J, i1, i2, j1, j2 in boundaries:
-        for x, y, t in SAMPLE_POINTS:
-            lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, x, y, t)
+        for at in points:
+            lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, at)
             report.count()
             if lhs != rhs:
                 report.fail(
                     f"RLL mismatch at I={I} J={J} colours=({i1},{i2};{j1},{j2}) "
-                    f"point (x={x}, y={y}, t={t}): {lhs} != {rhs}"
+                    f"point (x={at.x}, y={at.y}, t={at.t}): {lhs} != {rhs}"
                 )
     rng = random.Random(seed)
     checked_nonconserving = 0
@@ -258,8 +287,8 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
         other = _vec_add(_vec_add(J, j1, +1), j2, +1)
         if target == other:
             continue
-        x, y, t = SAMPLE_POINTS[checked_nonconserving % len(SAMPLE_POINTS)]
-        lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, x, y, t)
+        at = points[checked_nonconserving % len(points)]
+        lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, at)
         report.count()
         checked_nonconserving += 1
         if lhs != 0 or rhs != 0:
@@ -284,9 +313,9 @@ def ybe_check_symbolic(n: int = 1, occupation_cap: int = 2) -> CheckReport:
     report = CheckReport(f"ybe-symbolic n={n} cap={occupation_cap}")
     x = XPolynomial.variable(2, 1)
     y = XPolynomial.variable(2, 2)
-    t = XPolynomial.constant(2, QTRational.t())
+    at = _Point(x, y, XPolynomial.constant(2, QTRational.t()))
     for I, J, i1, i2, j1, j2 in _boundaries(n, occupation_cap, occupation_cap + 2):
-        lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, x, y, t)
+        lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, at)
         report.count()
         if lhs != rhs:
             report.fail(

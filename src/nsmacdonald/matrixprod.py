@@ -32,12 +32,14 @@ t^h, downward v t^h) in qt's exponent form (``Factors``), or None where the
 component vanishes.  The one loop over columns, ``_column_walk``, multiplies
 each group across the columns of a configuration (or of its rows in another
 order) by ``binomial_product``: integer arithmetic, in which a binomial and
-its inverse cancel.  Each weight then becomes one ``QTRational.from_binomials``:
-``config_weight`` (from ``omega_factors``, whose binomials cancel phi),
-``config_weight_parts`` (one value per group and the weight, from one walk,
-for weight matching), the cyclic relation's partition functions (the shift
-q x_i of the top row is q^e, e that row's x exponent in the walk) and the
-frozen coefficient.  ``column_component`` is the one-column group product.
+its inverse cancel.  A weight that is summed becomes one
+``QTRational.from_binomials``: ``config_weight`` (from ``omega_factors``,
+whose binomials cancel phi) and ``column_component``, the one-column group
+product.  A weight that is only compared stays a product: the cyclic
+relation's partition functions (the shift q x_i of the top row is q^e, e
+that row's x exponent in the walk) and the frozen coefficient are compared
+as qt's ``normal_form``, equal exactly when the values are, and a value is
+built only to word a failure.
 
 A full lattice configuration xi records the colour on every vertical edge
 (column j = 0..N, row i = 1..n); its weight is the product of its N+1
@@ -60,9 +62,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .compositions import Composition, column_twists, gamma, omega_factors, omega_norm
+from .compositions import Composition, column_twists, gamma, omega_factors
 from .lattice import row_operator_expand
-from .qt import Factors, QTRational, binomial_product
+from .qt import BinomialProduct, Factors, QTRational, binomial_product, normal_form
 from .reports import CheckReport
 from .xpoly import XPolynomial, common_denominator_sum, compose_vars
 
@@ -75,7 +77,6 @@ __all__ = [
     "enumerate_configs",
     "count_configs",
     "config_weight",
-    "config_weight_parts",
     "f_matrix_product",
     "hall_littlewood_q0",
     "kappa_ratio",
@@ -194,25 +195,13 @@ def exponents_fgh(
     return f, g, h
 
 
-# x exponents (indexed by row) and the factor groups, in the field order
-# of ConfigWeightParts
+# x exponents (indexed by row) and the factor groups: prod over P of
+# t^{g(p)}, phi = prod 1/(1 - v t^f), the move denominators prod
+# (1-t)/(1 - v t^{f+1}) over row changes, prod t^h over upward and prod
+# v t^h over downward row changes
 Walk = tuple[tuple[int, ...], tuple[Factors, ...]]
 # a twist parameter q^a t^b as (a, b), or None for zero
 Twist = tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class ConfigWeightParts:
-    """The factors of a configuration weight before multiplying by
-    Omega_mu, grouped as in the column formula, and the weight itself."""
-
-    x_exponents: tuple[int, ...]              # prod x_{b_p}, indexed by row
-    t_g: QTRational                           # prod over P of t^{g(p)}
-    phi: QTRational                           # prod 1/(1 - v t^f)
-    move_denominators: QTRational             # prod (1-t)/(1 - v t^{f+1}), row changes
-    up_t_h: QTRational                        # prod t^h over upward row changes
-    down_v_t_h: QTRational                    # prod v t^h over downward row changes
-    weight: XPolynomial                       # config_weight, from the same walk
 
 
 def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> Walk | None:
@@ -396,18 +385,6 @@ def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
     return _weight(_column_walk(xi.columns, mu), mu)
 
 
-def config_weight_parts(xi: LatticeConfig, mu: Composition) -> ConfigWeightParts:
-    """Factor breakdown of config_weight, for term-by-term weight matching:
-    each factor group of the column kernel, multiplied across columns, and
-    the weight, all from one walk."""
-    walk = _column_walk(xi.columns, mu)
-    if walk is None:
-        raise ValueError(f"configuration {xi.columns} has weight zero")
-    exps, groups = walk
-    values = (QTRational.from_binomials(*g) for g in groups)
-    return ConfigWeightParts(exps, *values, _weight(walk, mu))
-
-
 def f_matrix_product(
     mu: Composition, rho: Sequence[int] | None = None
 ) -> XPolynomial:
@@ -486,8 +463,10 @@ def kappa_ratio(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> QTRa
 
 def _cyclic_partition_functions(
     xi: LatticeConfig, mu: Composition, i: int
-) -> tuple[XPolynomial, XPolynomial]:
-    """The fixed-internal-state partition functions (Z_l, Z_r) for colour i.
+) -> tuple[Walk | None, Walk | None]:
+    """The fixed-internal-state partition functions (Z_l, Z_r) for colour i,
+    as walks: the exponent of x_c at index c - 1 and the factors, or None
+    where the partition function vanishes.
 
     Z_l places the colour-i row on top with spectral variable q x_i; Z_r
     places it at the bottom with variable x_i.  Both reuse the internal
@@ -496,36 +475,43 @@ def _cyclic_partition_functions(
     n = mu.n
     others = [c for c in range(1, n + 1) if c != i]
 
-    def partition_function(order: list[int], top_shift: int) -> XPolynomial:
+    def partition_function(order: list[int], top_shift: int) -> Walk | None:
         # row r of the walk is row order[r-1] of xi and carries x_{order[r-1]};
         # the top row's variable is q^top_shift x_{order[n-1]}
         columns = [tuple(column[c - 1] for c in order) for column in xi.columns]
         walk = _column_walk(columns, mu)
         if walk is None:
-            return XPolynomial.zero(n)
+            return None
         exps, groups = walk
         placed = tuple(exps[order.index(c)] for c in range(1, n + 1))
-        return _group_product((placed, groups), n, (top_shift * exps[-1], 0, {}))
+        return placed, groups + ((top_shift * exps[-1], 0, {}),)
 
     return partition_function(others + [i], 1), partition_function([i] + others, 0)
 
 
 def cyclic_check(mu: Composition, i: int) -> CheckReport:
     """Verify Z_l = q^{mu_i} t^{gamma_{i,0}} Z_r for every legal internal
-    configuration (the refined, per-configuration cyclic relation)."""
+    configuration (the refined, per-configuration cyclic relation): the x
+    exponents of the two sides are equal and their coefficients, Z_l's
+    against the ratio's times Z_r's, have equal normal forms."""
     if not 1 <= i <= mu.n:
         raise IndexError(f"colour {i} out of range 1..{mu.n}")
     report = CheckReport(f"cyclic mu={mu} i={i}")
-    ratio = QTRational.monomial(mu.part(i), gamma(mu, i, 0))
+    ratio = (mu.part(i), gamma(mu, i, 0), {})
     for xi in enumerate_configs(mu):
-        z_left, z_right = _cyclic_partition_functions(xi, mu, i)
+        left, right = _cyclic_partition_functions(xi, mu, i)
         report.count()
-        if z_right.is_zero():
+        if right is None:
             report.fail(f"Z_r vanishes on legal configuration {xi.columns}")
-        elif z_left != z_right.scale(ratio):
+        elif (
+            left is None
+            or left[0] != right[0]
+            or normal_form(*left[1]) != normal_form(*right[1], ratio)
+        ):
+            z_left, z_right = (_group_product(z, mu.n) for z in (left, right))
             report.fail(
                 f"Z_l/Z_r != q^mu_i t^gamma on configuration {xi.columns}: "
-                f"{z_left} vs {ratio} * {z_right}"
+                f"{z_left} vs {QTRational.monomial(*ratio[:2])} * {z_right}"
             )
     return report
 
@@ -535,13 +521,16 @@ def cyclic_check(mu: Composition, i: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def frozen_coefficient(mu: Composition) -> tuple[QTRational, QTRational]:
+def frozen_coefficient(
+    mu: Composition,
+) -> tuple[BinomialProduct | None, BinomialProduct]:
     """Coeff[x^mu] of the unnormalised matrix product, two ways.
 
     Route one evaluates the unique frozen configuration (each colour runs
     straight along its own row before exiting); route two is the closed
-    product 1/Omega_mu.  Returns (from_configuration, from_omega); the two
-    must agree.
+    product 1/Omega_mu.  Returns (from_configuration, from_omega) as
+    normal forms, None for a zero coefficient; the two must agree, and
+    ``.value()`` gives each in Q(q,t).  Neither is multiplied out.
     """
     n = mu.n
     frozen = LatticeConfig(
@@ -550,10 +539,12 @@ def frozen_coefficient(mu: Composition) -> tuple[QTRational, QTRational]:
             for j in range(mu.maxpart + 1)
         )
     )
-    walked = _group_product(_column_walk(frozen.columns, mu), n)
-    from_config = walked.coefficient(tuple(mu.parts))
-    from_omega = omega_norm(mu).inverse()
-    return from_config, from_omega
+    walk = _column_walk(frozen.columns, mu)
+    from_config = None
+    if walk is not None and walk[0] == tuple(mu.parts):
+        from_config = normal_form(*walk[1])
+    _, _, omega = omega_factors(mu)
+    return from_config, normal_form((0, 0, {label: -m for label, m in omega.items()}))
 
 
 # ---------------------------------------------------------------------------

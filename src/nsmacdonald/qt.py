@@ -36,8 +36,11 @@ the denominator; QTPolynomial itself only ever stores exponents >= 0.
 A product q^c t^d prod (1 - q^a t^b)^m, the shape of every lattice and
 HHL weight, is written (c, d, {(a, b): m}) (``Factors``), a format owned
 here: ``binomial_product`` multiplies factors by adding exponents and
-multiplicities, and ``QTRational.from_binomials`` builds the value once,
-skipping the full gcd by an integer coprimality test on the labels.
+multiplicities, ``QTRational.from_binomials`` builds the value once,
+skipping the full gcd by an integer coprimality test on the labels, and
+``normal_form`` writes the product in a canonical form
+(``BinomialProduct``), so that two products compare equal exactly when
+their values do, without either value being built.
 
 All values are immutable after construction and all operations are pure,
 so they can be shared freely between threads.
@@ -48,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -62,6 +65,8 @@ __all__ = [
     "qt_gcd",
     "qt_lcm",
     "binomial_product",
+    "BinomialProduct",
+    "normal_form",
 ]
 
 
@@ -808,6 +813,74 @@ def binomial_product(factors: Iterable[Factors]) -> Factors:
         for key, m in fb.items():
             binomials[key] = binomials.get(key, 0) + m
     return qexp, texp, binomials
+
+
+class BinomialProduct(NamedTuple):
+    """The normal form of a product sign * q^qexp t^texp prod (1 - q^a t^b)^m,
+    built by ``normal_form``: equal products have equal normal forms, so
+    two products compare as values in Q(q,t) without either being
+    multiplied out.  ``labels`` holds the items ((a, b), m), m != 0, each
+    label normalised to a > 0, or a = 0 and b > 0.
+
+    Canonicity.  Every label (a, b) != (0, 0) is g times a primitive
+    direction d (g = gcd(a, b) >= 1), normalised along with (a, b), and
+    with u = q^d1 t^d2,
+
+      1 - q^a t^b = 1 - u^g = prod over e | g of Phi_e(u)
+
+    (Phi_e the cyclotomic polynomials).  A primitive d extends to a basis
+    of Z^2, so a monomial change of variables, an automorphism of
+    Q[q^±1, t^±1], turns u into a variable: each Phi_e(u) is irreducible
+    and no unit.  Its Newton polygon is a segment along d, and the units
+    c q^k t^l only translate polygons, so Phi_e(u) and Phi_e'(u') are
+    associate only if d = ±d' and then, as both are normalised, d = d'
+    and e = e'.  A product of normal form (s, i, j, L) is therefore the
+    unit s q^i t^j times prod Phi_e(u_d)^{n(d, e)}, where n(d, e) is the
+    sum of L(g d) over the multiples g of e.  This map from the label
+    multiplicities along d to the cyclotomic ones is unitriangular over
+    the divisor order: at the largest g with L(g d) != 0, n(d, g) = L(g d).
+    So it is injective, and by unique factorisation two normal forms with
+    the same value have the same labels, and then the same unit s q^i t^j.
+    Being a tuple, a normal form compares and hashes as one.
+    """
+
+    sign: int
+    qexp: int
+    texp: int
+    labels: frozenset
+
+    def value(self) -> QTRational:
+        """The product as an element of Q(q,t)."""
+        product = QTRational.from_binomials(self.qexp, self.texp, dict(self.labels))
+        return product if self.sign > 0 else -product
+
+
+def normal_form(*factors: Factors) -> BinomialProduct:
+    """The normal form of the product of ``factors`` in exponent form, as
+    ``binomial_product`` multiplies them (exponents of either sign); a
+    label (0, 0) is refused, as ``from_binomials`` refuses it.  A label
+    with a < 0, or a = 0 and b < 0, is rewritten by
+    1 - q^a t^b = -q^a t^b (1 - q^-a t^-b), and zero multiplicities are
+    dropped."""
+    sign = 1
+    qexp = texp = 0
+    labels: dict[tuple[int, int], int] = {}
+    for fq, ft, binomials in factors:
+        qexp += fq
+        texp += ft
+        for (a, b), m in binomials.items():
+            if a < 0 or (a == 0 and b <= 0):
+                if a == b == 0:
+                    raise ValueError("the binomial 1 - q^0 t^0 is zero")
+                qexp += a * m
+                texp += b * m
+                if m & 1:
+                    sign = -sign
+                a, b = -a, -b
+            labels[a, b] = labels.get((a, b), 0) + m
+    return BinomialProduct(
+        sign, qexp, texp, frozenset(item for item in labels.items() if item[1])
+    )
 
 
 def _make_raw(num: QTPolynomial, den: QTPolynomial) -> QTRational:

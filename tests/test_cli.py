@@ -48,6 +48,15 @@ def test_verify_positional_check(capsys):
     assert "PASS" in err
 
 
+@pytest.mark.parametrize("check, count", [("frozen", 1), ("cyclic", 1), ("bijection", 8)])
+def test_verify_a_deep_single_part(capsys, check, count):
+    # one configuration with 400 columns: compared as products, Omega_mu
+    # and the walk's binomials are never multiplied out
+    code, _out, err = run(capsys, "verify", check, "--mu", "400")
+    assert code == 0
+    assert err.splitlines() == [f"[PASS] {check}: {count} checks"]
+
+
 def test_json_round_trip(capsys):
     code, out, _err = run(capsys, "compute", "--mu", "0,1", "--method", "hhl", "--output", "json")
     assert code == 0

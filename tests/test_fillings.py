@@ -199,6 +199,20 @@ def test_weight_match_detects_corrupted_triples(monkeypatch):
     assert kinds == ["t^ord_+ mismatch", "total weights differ"]
 
 
+def test_weight_match_detects_a_corrupted_arm(monkeypatch):
+    # an arm one too long changes a descent/ascent denominator 1 - q^{l+1}
+    # t^{a+1} and an ascent numerator t^a; the normal forms must tell
+    original = fillings.arm
+    monkeypatch.setattr(fillings, "arm", lambda mu, s: original(mu, s) + 1)
+    report = weight_match_check(Composition((1, 2, 0)))
+    kinds = {message.split(" on ")[0] for message in report.failures}
+    assert kinds == {
+        "descent/ascent denominators differ",
+        "downward-move factor mismatch",
+        "total weights differ",
+    }
+
+
 def test_route_equivalence_spot():
     for parts in [(2, 1), (0, 2, 1), (3, 0, 2)]:
         mu = Composition(parts)

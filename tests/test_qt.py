@@ -341,6 +341,62 @@ def test_binomial_coprimality_test_is_exact():
             assert QTRational.from_binomials(*factors) == top / bottom, ((a, b), (c, d))
 
 
+# -- the normal form of a binomial product ----------------------------------
+
+# primitive directions, opposite ones included, and multiples along them:
+# the labels among which a product can have two spellings
+directions = st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (-1, 0), (0, -1), (-1, -1), (2, 1)])
+parallel_keys = st.builds(
+    lambda d, k: (k * d[0], k * d[1]), directions, st.sampled_from([-3, -2, -1, 1, 2, 3])
+)
+parallel_products = st.tuples(
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.dictionaries(parallel_keys, st.integers(-2, 2), max_size=4),
+)
+
+
+def flipped(product, flips):
+    """The same binomials with the labels in ``flips`` written opposite:
+    (1 - m)^k = (-1)^k m^k (1 - m^-1)^k, so the result equals ``product``
+    exactly when the flipped multiplicities add up to an even number."""
+    qexp, texp, binomials = product
+    out = {}
+    for (a, b), m in binomials.items():
+        if (a, b) in flips:
+            qexp, texp, a, b = qexp + a * m, texp + b * m, -a, -b
+        out[a, b] = out.get((a, b), 0) + m
+    return qexp, texp, out
+
+
+@given(parallel_products, parallel_products, st.sets(parallel_keys))
+@example((0, 0, {(2, 2): 1}), (0, 0, {(1, 1): 2}), set())
+def test_normal_forms_are_equal_exactly_when_values_are(first, second, flips):
+    value = QTRational.from_binomials(*first)
+    assert qt.normal_form(first).value() == value
+    assert qt.normal_form(first, second) == qt.normal_form(qt.binomial_product([first, second]))
+    for other in (second, flipped(first, flips)):
+        same_value = value == QTRational.from_binomials(*other)
+        assert (qt.normal_form(first) == qt.normal_form(other)) == same_value, other
+
+
+def test_normal_form_controls():
+    # 1 - q^2 t^2 = (1 - qt)(1 + qt) is not (1 - qt)^2
+    assert qt.normal_form((0, 0, {(2, 2): 1})) != qt.normal_form((0, 0, {(1, 1): 2}))
+    # 1 - q^-1 t^-1 = -q^-1 t^-1 (1 - qt)
+    form = qt.normal_form((0, 0, {(-1, -1): 1}))
+    assert (form.sign, form.qexp, form.texp, dict(form.labels)) == (-1, -1, -1, {(1, 1): 1})
+    assert form.value() == ONE - QTRational.monomial(-1, -1)
+    # a label and its opposite merge, and zero multiplicities are dropped
+    # (1 - t^2) / (1 - t^-2) = -t^2
+    assert qt.normal_form((0, 0, {(0, 2): 1, (0, -2): -1, (1, 0): 0})) == (-1, 0, 2, frozenset())
+    # q^-2 t^-2 (1 - qt)^2 / (1 - q^-1 t^-1) is the same product, spelt otherwise
+    other = qt.normal_form((-2, -2, {(1, 1): 2, (-1, -1): -1}), (0, 0, {(1, 2): 0}))
+    assert other == form and hash(other) == hash(form)
+    with pytest.raises(ValueError):
+        qt.normal_form((0, 0, {(0, 0): 0}))
+
+
 # -- qt_gcd returns the greatest common divisor, not just a common one --------
 
 
