@@ -69,7 +69,8 @@ VERIFY_DEFAULTS = {"cap": 2, "samples": 5, "seed": 0}
 # square, so MAX_SQUARES keeps them well inside Python's default recursion
 # limit of 1000.  Each route spends about 0.2-0.4 ms per configuration (one
 # filling per configuration), so a composition at MAX_CONFIGURATIONS takes
-# minutes per route; the count is exact (``matrixprod.count_configs``).
+# minutes per route; the count is exact and takes no enumeration
+# (``matrixprod.count_configs``), so a refusal is immediate.
 MAX_SQUARES = 500
 MAX_CONFIGURATIONS = 10**6
 

@@ -1,0 +1,226 @@
+"""Cyclotomic labels: the irreducible factors of binomials 1 - q^a t^b.
+
+A label (a, b) != (0, 0), normalised to a > 0, or a = 0 and b > 0 (by
+1 - m = -m (1 - m^-1), as in ``qt.normal_form``), is g times a primitive
+direction d = (d1, d2), g = gcd(a, b), and with u = q^d1 t^d2
+
+  1 - q^a t^b = 1 - u^g = -prod over e | g of Phi_e(u),
+
+the Phi_e the cyclotomic polynomials.  The Phi_e(u) are irreducible and
+pairwise non-associate in Q[q^±1, t^±1] (the proof is in the docstring of
+``qt.BinomialProduct``).  The cyclotomic label (e, d1, d2) stands for the
+Laurent polynomial Phi_e(u): monic in u, with integer coefficients and a
+nonzero constant term, and its lex-leading term (q-degree major) is the
+coefficient 1 at u^phi(e), as d1 > 0 unless d = (0, 1).
+
+So a product of binomials in qt's exponent form is a sign, a monomial and
+a map of cyclotomic labels to integer counts (``cyclotomic_form``):
+common factors cancel by adding counts, the lcm of such denominators takes
+the largest count of each label, and a polynomial over such a denominator
+is reduced by exact division by its labels (``divide_cyclotomic``), no
+gcd being needed.  The arithmetic is on Laurent polynomials, dicts
+(qexp, texp) -> coefficient; ``cyclotomic_quotient`` and
+``cyclotomic_value`` turn the results into canonical Q(q,t) values.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from math import gcd
+from typing import Iterable, Mapping
+
+from .qt import Factors, QTPolynomial, QTRational, _normalise
+
+__all__ = [
+    "cyclotomic_coefficients",
+    "cyclotomic_form",
+    "cyclotomic_product",
+    "divide_cyclotomic",
+    "cyclotomic_quotient",
+    "cyclotomic_value",
+]
+
+# (e, d1, d2): the cyclotomic polynomial Phi_e at u = q^d1 t^d2, d primitive
+# and normalised (d1 > 0, or d1 = 0 and d2 = 1)
+CyclotomicLabel = tuple[int, int, int]
+
+
+def _divide_monic(coeffs: list, divisor: tuple[int, ...]) -> list | None:
+    """The exact quotient of a univariate polynomial (coefficients lowest
+    first) by a monic one, or None when the division leaves a remainder."""
+    deg = len(divisor) - 1
+    top = len(coeffs) - 1 - deg
+    if top < 0:
+        return None
+    rem = list(coeffs)
+    quot = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        c = rem[k + deg]
+        if c:
+            quot[k] = c
+            for i, dc in enumerate(divisor):
+                if dc:
+                    rem[k + i] -= c * dc
+    return None if any(rem[:deg]) else quot
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_coefficients(e: int) -> tuple[int, ...]:
+    """The integer coefficients of the cyclotomic polynomial Phi_e, lowest
+    degree first: x^e - 1 divided by Phi_k for every proper divisor k of e."""
+    poly = [-1] + [0] * (e - 1) + [1]
+    for k in range(1, e):
+        if e % k == 0:
+            poly = _divide_monic(poly, cyclotomic_coefficients(k))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=1 << 12)
+def _binomial_labels(a: int, b: int) -> tuple[int, int, int, tuple[CyclotomicLabel, ...]]:
+    # 1 - q^a t^b = s q^i t^j prod Phi_e(u) over the labels, as (s, i, j,
+    # labels); normalising the label by 1 - m = -m (1 - m^-1) turns the
+    # sign of -prod Phi_e(u)
+    if a == b == 0:
+        raise ValueError("the binomial 1 - q^0 t^0 is zero")
+    if a < 0 or (a == 0 and b < 0):
+        sign, qexp, texp, a, b = 1, a, b, -a, -b
+    else:
+        sign, qexp, texp = -1, 0, 0
+    g = gcd(a, b)
+    return sign, qexp, texp, tuple((e, a // g, b // g) for e in range(1, g + 1) if g % e == 0)
+
+
+def cyclotomic_form(*factors: Factors) -> tuple[int, int, int, dict[CyclotomicLabel, int]]:
+    """The product of ``factors`` in exponent form (as ``qt.binomial_product``
+    multiplies them) as sign * q^qexp t^texp prod Phi^n over the items
+    (label, n) of the returned counts, n != 0 (n < 0 in the denominator).
+    A binomial and every factor it shares with another cancel in the
+    counts; a label (0, 0) is refused."""
+    sign = 1
+    qexp = texp = 0
+    counts: dict[CyclotomicLabel, int] = {}
+    for fq, ft, binomials in factors:
+        qexp += fq
+        texp += ft
+        for (a, b), m in binomials.items():
+            if m:
+                s, i, j, labels = _binomial_labels(a, b)
+                if s < 0 and m & 1:
+                    sign = -sign
+                qexp += i * m
+                texp += j * m
+                for label in labels:
+                    counts[label] = counts.get(label, 0) + m
+    return sign, qexp, texp, {label: n for label, n in counts.items() if n}
+
+
+def cyclotomic_product(counts: Iterable[tuple[CyclotomicLabel, int]]) -> dict:
+    """prod Phi^n over the items (label, n), n >= 0, as a Laurent
+    polynomial with integer coefficients."""
+    out = {(0, 0): 1}
+    for (e, d1, d2), n in counts:
+        phi = [(k * d1, k * d2, c) for k, c in enumerate(cyclotomic_coefficients(e)) if c]
+        for _ in range(n):
+            step: dict = {}
+            for (qe, te), coeff in out.items():
+                for dq, dt, c in phi:
+                    key = (qe + dq, te + dt)
+                    new = step.get(key, 0) + c * coeff
+                    if new:
+                        step[key] = new
+                    else:
+                        step.pop(key, None)
+            out = step
+    return out
+
+
+def divide_cyclotomic(terms: dict, label: CyclotomicLabel) -> dict | None:
+    """The exact quotient of the nonzero Laurent polynomial ``terms`` (exact
+    rational coefficients) by Phi_e(u), u = q^d1 t^d2, or None if Phi_e(u)
+    does not divide it.
+
+    The monomials of one class q^i t^j u^k (k in Z) are independent of
+    those of the other classes over Q[u^±1], so Phi_e(u) divides the sum
+    exactly when it divides each class's univariate part in u."""
+    e, d1, d2 = label
+    # class -> (its first term's key, {position along d from that key: coeff})
+    classes: dict[int, tuple[tuple[int, int], dict]] = {}
+    for (qe, te), coeff in terms.items():
+        entry = classes.get(qe * d2 - te * d1)
+        if entry is None:
+            entry = classes[qe * d2 - te * d1] = ((qe, te), {})
+        (bq, bt), members = entry
+        members[(qe - bq) // d1 if d1 else te - bt] = coeff
+    divisor = cyclotomic_coefficients(e)
+    out = {}
+    for (bq, bt), members in classes.values():
+        low = min(members)
+        coeffs = [0] * (max(members) - low + 1)
+        for k, coeff in members.items():
+            coeffs[k - low] = coeff
+        quot = _divide_monic(coeffs, divisor)
+        if quot is None:
+            return None
+        for k, coeff in enumerate(quot, start=low):
+            if coeff:
+                out[(bq + k * d1, bt + k * d2)] = coeff
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Canonical Q(q,t) values over products of labels.
+# ---------------------------------------------------------------------------
+
+
+def _laurent_poly(terms: dict) -> tuple[QTPolynomial, int, int]:
+    # terms = q^dq t^dt poly, with poly a polynomial not divisible by q or t
+    dq = min(qe for qe, _te in terms)
+    dt = min(te for _qe, te in terms)
+    return QTPolynomial({(qe - dq, te - dt): c for (qe, te), c in terms.items()}), dq, dt
+
+
+def _over_coprime(num: dict, den: Iterable[tuple[CyclotomicLabel, int]]) -> QTRational:
+    # num / prod Phi^n over den, num a nonzero Laurent polynomial sharing no
+    # factor with the product: no gcd, only the monomials split off (the
+    # product's lex-leading coefficient is 1, see the module docstring)
+    npoly, nq, nt = _laurent_poly(num)
+    dpoly, dq, dt = _laurent_poly(cyclotomic_product(den))
+    qexp, texp = nq - dq, nt - dt
+    return _normalise(
+        npoly * QTPolynomial.monomial(max(qexp, 0), max(texp, 0)),
+        dpoly * QTPolynomial.monomial(max(-qexp, 0), max(-texp, 0)),
+    )
+
+
+def cyclotomic_quotient(num: dict, den: Mapping[CyclotomicLabel, int]) -> QTRational:
+    """num / prod Phi^n over the items of ``den`` (n >= 0) in canonical
+    form, for a Laurent polynomial ``num`` with exact rational coefficients.
+
+    The irreducible factors of the denominator are its labels, so
+    gcd(num, den) is prod Phi^k, k the number of times Phi divides num, up
+    to its count in ``den``: each label's Phi is divided out exactly while
+    it divides, and what is left is coprime.  No gcd is taken."""
+    if not num:
+        return QTRational.zero()
+    left = []
+    for label, n in den.items():
+        while n:
+            quotient = divide_cyclotomic(num, label)
+            if quotient is None:
+                break
+            num, n = quotient, n - 1
+        if n:
+            left.append((label, n))
+    return _over_coprime(num, left)
+
+
+def cyclotomic_value(*factors: Factors) -> QTRational:
+    """The product of ``factors`` in exponent form as a canonical Q(q,t)
+    value: after the counts cancel (``cyclotomic_form``), numerator and
+    denominator are coprime and are multiplied out as they are."""
+    sign, qexp, texp, counts = cyclotomic_form(*factors)
+    top = cyclotomic_product((label, n) for label, n in counts.items() if n > 0)
+    return _over_coprime(
+        {(qe + qexp, te + texp): sign * c for (qe, te), c in top.items()},
+        [(label, -n) for label, n in counts.items() if n < 0],
+    )

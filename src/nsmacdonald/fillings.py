@@ -25,13 +25,14 @@ sigma_{a,j} = row of colour a in lattice column j.  It is a weight
 preserving bijection onto non-attacking fillings; ``weight_match_check``
 verifies this square by square, including the individual factor-group
 identities the matching splits into.  The HHL side of those identities
-is the factor kernel ``_hhl_factors``, in qt's exponent form, and
-``hhl_summand`` is one ``from_binomials`` of the groups' product;
-the column side is matrixprod's column walk.  The identities compare
-products as qt's ``normal_form``, so no Q(q,t) value is built for them.
-``f_hhl`` adds the summands with xpoly's ``common_denominator_sum`` (one
-common denominator, no gcd per addition), as f_matrix_product adds the
-configuration weights.
+is the factor kernel ``_hhl_factors``, in qt's exponent form; the column
+side is matrixprod's column walk.  The identities compare products as
+qt's ``normal_form``, so no Q(q,t) value is built for them.  ``f_hhl``
+hands each filling's factor groups to xpoly's ``binomial_sum``, which
+adds them in cyclotomic labels with no gcd, as f_matrix_product hands it
+the configuration weights; neither builds a Q(q,t) value per summand.
+``hhl_summand``, the weight of one filling as an XPolynomial (one
+``from_binomials`` of the groups' product), is not on that path.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .compositions import Composition, arm, attacks, leg, omega_factors
 from .matrixprod import LatticeConfig, _column_walk, enumerate_configs
 from .qt import Factors, QTRational, binomial_product, normal_form
 from .reports import CheckReport
-from .xpoly import XPolynomial, common_denominator_sum
+from .xpoly import XPolynomial, binomial_sum
 
 __all__ = [
     "Filling",
@@ -103,8 +104,17 @@ def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
     columns i' < i forbid exactly the entries sigma_{i',j} and
     sigma_{i',j+1}; those forbidden sets are looked up directly from the
     partially built filling.
+
+    A branch is cut as soon as it cannot be completed: square (i'', j-1)
+    of a later column i'' > i must avoid every sigma_{i',j-1} and
+    sigma_{i',j} with i' <= i, so once those entries cover 1..n and a
+    later column reaches row j-1, no filling extends the partial one.
+    Without the cut, the dead branches grow exponentially with the height
+    of columns such as those of (k, k), which has a single filling.
     """
     n = mu.n
+    # reach[i]: the tallest column after column i (-1 past the last)
+    reach = [max(mu.parts[i:], default=-1) for i in range(n + 1)]
 
     def fill(columns: list[tuple[int, ...]], i: int) -> Iterator[Filling]:
         if i > n:
@@ -128,6 +138,16 @@ def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
             if j == 1:
                 # (i, 1) attacks the fixed basement (i', 0) of every later column
                 forbidden.update(range(i + 1, n + 1))
+            if reach[i] >= j - 1:
+                # square (i'', j-1) of a later column must avoid these
+                # entries and sigma_{i,j}: no value may leave it none
+                covered = {current[j - 1]}
+                for column in columns:
+                    covered.update(column[j - 1 : j + 1])
+                if len(covered) == n:
+                    return
+                if len(covered) == n - 1:
+                    forbidden.update(set(range(1, n + 1)) - covered)
             for value in range(1, n + 1):
                 if value not in forbidden:
                     current.append(value)
@@ -219,8 +239,10 @@ def _summand(n: int, exps: tuple[int, ...], *groups: Factors) -> XPolynomial:
 
 def f_hhl(mu: Composition) -> XPolynomial:
     """The nonsymmetric Macdonald polynomial via the combinatorial sum,
-    added over one common denominator."""
-    return common_denominator_sum(mu.n, (hhl_summand(s) for s in enumerate_fillings(mu)))
+    each filling's factor groups added in exponent form."""
+    return binomial_sum(
+        mu.n, ((exps, groups) for exps, *groups in map(_hhl_factors, enumerate_fillings(mu)))
+    )
 
 
 # ---------------------------------------------------------------------------

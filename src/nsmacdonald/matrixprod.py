@@ -32,10 +32,13 @@ t^h, downward v t^h) in qt's exponent form (``Factors``), or None where the
 component vanishes.  The one loop over columns, ``_column_walk``, multiplies
 each group across the columns of a configuration (or of its rows in another
 order) by ``binomial_product``: integer arithmetic, in which a binomial and
-its inverse cancel.  A weight that is summed becomes one
-``QTRational.from_binomials``: ``config_weight`` (from ``omega_factors``,
-whose binomials cancel phi) and ``column_component``, the one-column group
-product.  A weight that is only compared stays a product: the cyclic
+its inverse cancel.  ``f_matrix_product`` hands each configuration's
+walk, with ``omega_factors`` (whose binomials cancel phi), to xpoly's
+``binomial_sum`` in that form, skipping walks that vanish.  The weights
+as XPolynomials, each one ``QTRational.from_binomials``, are
+``config_weight`` and ``column_component`` (the one-column group
+product); the sum does not build them.  A weight that is only compared
+stays a product: the cyclic
 relation's partition functions (the shift q x_i of the top row is q^e, e
 that row's x exponent in the walk) and the frozen coefficient are compared
 as qt's ``normal_form``, equal exactly when the values are, and a value is
@@ -47,8 +50,8 @@ column components times the normalisation Omega_mu, and
 
   f_mu = sum over mu-legal configurations of weight(xi),
 
-added by xpoly's ``common_denominator_sum`` (one common denominator, no
-gcd per addition), the sum f_hhl uses for its own summands.
+added by xpoly's ``binomial_sum`` (cyclotomic labels, no gcd), the sum
+f_hhl uses for its own summands.
 
 Permuted basements: f^rho is the same sum with colour rho_r entering row
 r instead of colour r.  The module also provides the rotation constant
@@ -66,7 +69,7 @@ from .compositions import Composition, column_twists, gamma, omega_factors
 from .lattice import row_operator_expand
 from .qt import BinomialProduct, Factors, QTRational, binomial_product, normal_form
 from .reports import CheckReport
-from .xpoly import XPolynomial, common_denominator_sum, compose_vars
+from .xpoly import XPolynomial, binomial_sum, compose_vars
 
 __all__ = [
     "LatticeConfig",
@@ -337,18 +340,23 @@ def enumerate_configs(
 
 def count_configs(mu: Composition, basement: Sequence[int] | None = None) -> int:
     """The exact number of configurations ``enumerate_configs`` yields,
-    without enumerating them: a column-by-column sweep with integer
-    weights, the number of partial configurations ending in each column
-    state."""
-    counts = {_basement(mu, basement): 1}
+    without enumerating them.
+
+    Every state of column j + 1 holds the same colours, the survivors
+    Q_j, and every state of column 0 all colours, so the number of legal
+    next columns is the same from each state of a column, and the count is
+    the product of those numbers.  From a column holding the colours
+    ``held``, the survivors are placed in increasing order: colour c may
+    take a row whose previous occupant is absent or at most c, less the
+    rows the smaller survivors took, all of which are open to c too."""
+    held = _basement(mu, basement)
+    total = 1
     for j in range(mu.maxpart):
         survivors = _survivors(mu, j)
-        following: dict[tuple[int, ...], int] = {}
-        for previous, count in counts.items():
-            for column in _placements(previous, survivors):
-                following[column] = following.get(column, 0) + count
-        counts = following
-    return sum(counts.values())
+        for taken, colour in enumerate(survivors):
+            total *= sum(1 for before in held if before <= colour) - taken
+        held = tuple(survivors) + (0,) * (mu.n - len(survivors))
+    return total
 
 
 def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | None:
@@ -390,12 +398,15 @@ def f_matrix_product(
 ) -> XPolynomial:
     """The matrix-product polynomial f_mu (or permuted-basement f^rho_mu).
 
-    Sums config_weight over all legal configurations with colour rho_r
+    Sums the configuration weights, Omega_mu times the column walk in
+    exponent form, over all legal configurations with colour rho_r
     entering row r; rho defaults to the identity, giving the nonsymmetric
     Macdonald polynomial itself.
     """
-    return common_denominator_sum(
-        mu.n, (config_weight(xi, mu) for xi in enumerate_configs(mu, basement=rho))
+    omega = omega_factors(mu)
+    walks = (_column_walk(xi.columns, mu) for xi in enumerate_configs(mu, basement=rho))
+    return binomial_sum(
+        mu.n, ((exps, (omega,) + groups) for exps, groups in filter(None, walks))
     )
 
 

@@ -37,10 +37,17 @@ A product q^c t^d prod (1 - q^a t^b)^m, the shape of every lattice and
 HHL weight, is written (c, d, {(a, b): m}) (``Factors``), a format owned
 here: ``binomial_product`` multiplies factors by adding exponents and
 multiplicities, ``QTRational.from_binomials`` builds the value once,
-skipping the full gcd by an integer coprimality test on the labels, and
-``normal_form`` writes the product in a canonical form
+without a gcd, and ``normal_form`` writes the product in a canonical form
 (``BinomialProduct``), so that two products compare equal exactly when
 their values do, without either value being built.
+
+Each binomial is a product of cyclotomic polynomials Phi_e(q^d1 t^d2)
+along its primitive direction d, and these are pairwise coprime
+irreducibles: the labels of module ``cyclotomic``, which builds on this
+one.  In them shared factors cancel, lcms are taken by integer arithmetic
+on counts and reductions are exact divisions, with no gcd:
+``from_binomials`` cancels parallel labels that way, and sums of binomial
+products (``xpoly.binomial_sum``) are reduced so.
 
 All values are immutable after construction and all operations are pure,
 so they can be shared freely between threads.
@@ -599,14 +606,26 @@ class QTRational:
         Numerator and denominator are multiplied out once.  No binomial is
         divisible by q or t, so in the UFD Q[q,t] the two are coprime as
         soon as every numerator binomial is coprime to every denominator
-        binomial; only otherwise is the full gcd taken.  Labels (a, b) and
-        (c, d) are coprime exactly when a d != b c: with g = gcd(a, b) and
-        m = q^{a/g} t^{b/g}, 1 - q^a t^b is the product over e | g of the
-        cyclotomic Phi_e(m), irreducible in Q[q^±1, t^±1] as m is primitive,
-        so two binomials share a factor iff their labels are parallel
-        (opposite directions too: 1 - m^-1 = -m^-1 (1 - m))."""
+        binomial.  Labels (a, b) and (c, d) are coprime exactly when
+        a d != b c: with g = gcd(a, b) and m = q^{a/g} t^{b/g}, 1 - q^a t^b
+        is the product over e | g of the cyclotomic Phi_e(m), irreducible
+        in Q[q^±1, t^±1] as m is primitive, so two binomials share a factor
+        iff their labels are parallel (opposite directions too:
+        1 - m^-1 = -m^-1 (1 - m)).  Only then are the binomials split into
+        those factors (``cyclotomic.cyclotomic_value``), whose counts
+        cancel, and the two sides multiplied out from what is left; no gcd
+        is taken."""
         if (0, 0) in binomials:
             raise ValueError("the binomial 1 - q^0 t^0 is zero")
+        if any(
+            a * d == b * c
+            for (a, b), m in binomials.items() if m > 0
+            for (c, d), n in binomials.items() if n < 0
+        ):
+            # module cyclotomic builds on this one, so it is imported here
+            from .cyclotomic import cyclotomic_value
+
+            return cyclotomic_value((qexp, texp, binomials))
         num, den = [], []
         for (a, b), m in binomials.items():
             if m:
@@ -620,9 +639,7 @@ class QTRational:
             num_poly = num_poly * _binomial_power(a, b, m)
         for a, b, m in den:
             den_poly = den_poly * _binomial_power(a, b, m)
-        if all(a * d != b * c for a, b, _ in num for c, d, _ in den):
-            return _normalise(num_poly, den_poly)
-        return QTRational(num_poly, den_poly)
+        return _normalise(num_poly, den_poly)
 
     # -- queries -------------------------------------------------------------
 

@@ -12,10 +12,14 @@ by a monomial q^a t^b are integer and dict operations with no gcd.
 ``cleared_sum`` brings polynomials to that form, with one lcm of their
 denominators (one gcd per distinct denominator), and
 ``ClearedPolynomial.to_x`` brings it back, with each coefficient put in
-canonical form once.
+canonical form once, with one gcd.  The eigencheck clears that way.
 
-``common_denominator_sum`` adds many polynomials exactly that way, the
-cleared sum brought back once.  Both summation routes (fillings.f_hhl and
+``binomial_sum`` adds summands that are not yet polynomials: an x
+monomial times a coefficient in qt's exponent form, a monomial times
+binomials 1 - q^a t^b.  It works in cyclotomic labels (``cyclotomic``),
+in which the common denominator is an integer maximum and the final
+reduction exact division, so it takes no gcd and builds no Q(q,t) value
+per summand.  Both summation routes (fillings.f_hhl and
 matrixprod.f_matrix_product) add their summands with it; each computes
 its summands with its own weight kernel, and the sum knows nothing of
 either formula.
@@ -40,14 +44,20 @@ from __future__ import annotations
 from functools import wraps
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .qt import QTPolynomial, QTRational, qt_lcm
+from .cyclotomic import (
+    CyclotomicLabel,
+    cyclotomic_form,
+    cyclotomic_product,
+    cyclotomic_quotient,
+)
+from .qt import Factors, QTPolynomial, QTRational, qt_lcm
 
 __all__ = [
     "XPolynomial",
     "AlphabetMismatch",
     "ClearedPolynomial",
     "cleared_sum",
-    "common_denominator_sum",
+    "binomial_sum",
     "on_cleared",
     "cyclic_omega",
     "compose_vars",
@@ -349,12 +359,12 @@ Laurent = dict
 
 
 def add_shifted(
-    acc: Laurent, terms: Laurent, dq: int, dt: int, sign: int = 1
+    acc: Laurent, terms: Laurent, dq: int, dt: int, factor: int = 1
 ) -> None:
-    # acc += sign q^dq t^dt terms
+    # acc += factor q^dq t^dt terms
     for (qe, te), coeff in terms.items():
         key = (qe + dq, te + dt)
-        new = acc.get(key, 0) + sign * coeff
+        new = acc.get(key, 0) + factor * coeff
         if new:
             acc[key] = new
         else:
@@ -469,14 +479,61 @@ def cleared_sum(nvars: int, summands: Iterable[XPolynomial]) -> ClearedPolynomia
     return ClearedPolynomial(nvars, {e: acc for e, acc in totals.items() if acc}, common)
 
 
-def common_denominator_sum(nvars: int, summands: Iterable[XPolynomial]) -> XPolynomial:
-    """The exact sum of ``summands``, equal to adding them one by one with
-    ``+`` but without a gcd per addition: the ``cleared_sum``, with each
-    x-monomial's total numerator put in canonical form over the common
-    denominator once, with one gcd.  The result is the canonical
-    XPolynomial, so it is identical (==, hash, JSON) to the repeated sum.
+# one summand of ``binomial_sum``: x^exps times the product of the factors
+Summand = tuple[tuple[int, ...], Iterable[Factors]]
+
+
+def binomial_sum(nvars: int, summands: Iterable[Summand]) -> XPolynomial:
+    """The exact sum of x^exps prod(factors) over ``summands``, each a
+    monomial in x with a coefficient in qt's exponent form, equal to
+    adding them one by one as XPolynomials but with no gcd and no Q(q,t)
+    value per summand.
+
+    Each coefficient is written in cyclotomic labels
+    (``cyclotomic_form``: a sign, a monomial and integer counts, in which
+    shared factors have cancelled).  The summands are grouped by their
+    counts, and within a group their signed monomials are added per
+    x-monomial.  The common denominator D takes each label's largest
+    denominator count: the exact lcm, as the labels are pairwise coprime
+    irreducibles.  Each group is multiplied once by its cofactor, the
+    product of its own numerator labels and of the labels D has beyond
+    its denominator, and added into the numerators over D, Laurent
+    polynomials with integer coefficients.  Each coefficient of the result
+    is then reduced over D by exact division by D's labels
+    (``cyclotomic_quotient``).  The result is the canonical
+    XPolynomial, identical (==, hash, JSON) to the repeated sum.
     """
-    return cleared_sum(nvars, summands).to_x()
+    groups: dict[frozenset, dict[tuple[int, ...], Laurent]] = {}
+    for exps, factors in summands:
+        if len(exps) != nvars:
+            raise AlphabetMismatch(
+                f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
+            )
+        sign, qexp, texp, counts = cyclotomic_form(*factors)
+        acc = groups.setdefault(frozenset(counts.items()), {}).setdefault(exps, {})
+        key = (qexp, texp)
+        new = acc.get(key, 0) + sign
+        if new:
+            acc[key] = new
+        else:
+            del acc[key]
+    # groups whose summands all cancelled take no part in the denominator
+    groups = {counts: by_exps for counts, by_exps in groups.items() if any(by_exps.values())}
+    common: dict[CyclotomicLabel, int] = {}
+    for counts in groups:
+        for label, n in counts:
+            common[label] = max(common.get(label, 0), -n)
+    totals: dict[tuple[int, ...], Laurent] = {}
+    for counts, by_exps in groups.items():
+        own = dict(counts)
+        cofactor = cyclotomic_product(
+            (label, n + own.get(label, 0)) for label, n in common.items()
+        )
+        for exps, acc in by_exps.items():
+            total = totals.setdefault(exps, {})
+            for (qe, te), coeff in acc.items():
+                add_shifted(total, cofactor, qe, te, coeff)
+    return _raw(nvars, {e: cyclotomic_quotient(num, common) for e, num in totals.items() if num})
 
 
 def on_cleared(kernel: Callable[..., ClearedPolynomial]) -> Callable:

@@ -219,6 +219,7 @@ def test_seed_reproducibility(capsys):
         "compute --mu 500,0",
         "compute --mu 990",
         "verify eigen --mu 21,0",
+        "verify eigen --mu 0,1,2,3,4,5,6,7",
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):

@@ -1,6 +1,7 @@
 """Column operators, configuration enumeration and the matrix product."""
 
 import random
+import time
 
 import pytest
 
@@ -109,6 +110,32 @@ def test_count_configs_equals_the_enumeration():
     assert count_configs(Composition((0, 1, 2, 3, 4))) == 34560
     assert count_configs(Composition((0, 1, 2, 3, 4, 5))) == 24883200
     assert count_configs(Composition((500, 0))) == 2**499
+
+
+def test_count_configs_equals_a_sweep_over_column_states():
+    # the product formula against a column-by-column sweep with integer
+    # weights, which counts the legal next columns of every state
+    def sweep(mu, rho):
+        counts = {tuple(rho): 1}
+        for j in range(mu.maxpart):
+            survivors = [p for p in range(1, mu.n + 1) if mu.part(p) > j]
+            following = {}
+            for previous, count in counts.items():
+                for column in matrixprod._placements(previous, survivors):
+                    following[column] = following.get(column, 0) + count
+            counts = following
+        return sum(counts.values())
+
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        mu = Composition(tuple(rng.randint(0, 4) for _ in range(n)))
+        rho = rng.sample(range(1, n + 1), n)
+        assert count_configs(mu, rho) == sweep(mu, rho), (mu, rho)
+    # refusing an oversized composition needs no enumeration
+    start = time.perf_counter()
+    assert count_configs(Composition(tuple(range(30)))).bit_length() == 1382
+    assert time.perf_counter() - start < 1.0
 
 
 def test_configs_are_legal():

@@ -8,6 +8,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from nsmacdonald import qt
+from nsmacdonald.cyclotomic import (
+    cyclotomic_coefficients,
+    cyclotomic_form,
+    cyclotomic_product,
+    cyclotomic_quotient,
+)
 from nsmacdonald.qt import (
     ExactDivisionError,
     Fraction,
@@ -395,6 +401,76 @@ def test_normal_form_controls():
     assert other == form and hash(other) == hash(form)
     with pytest.raises(ValueError):
         qt.normal_form((0, 0, {(0, 0): 0}))
+
+
+# -- cyclotomic labels ---------------------------------------------------------
+
+
+def test_cyclotomic_polynomials_multiply_to_x_to_the_g_minus_one():
+    for g in range(1, 41):
+        product = [1]
+        for e in range(1, g + 1):
+            if g % e == 0:
+                phi = cyclotomic_coefficients(e)
+                assert phi[-1] == 1 and len(phi) - 1 == sum(
+                    1 for k in range(1, e + 1) if math.gcd(k, e) == 1
+                )
+                out = [0] * (len(product) + len(phi) - 1)
+                for i, a in enumerate(product):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                product = out
+        assert product == [-1] + [0] * (g - 1) + [1], g
+
+
+def laurent_value(terms):
+    return sum(
+        (QTRational.monomial(qe, te, c) for (qe, te), c in terms.items()), QTRational.zero()
+    )
+
+
+def phi_value(counts):
+    return laurent_value(cyclotomic_product(counts))
+
+
+@given(parallel_products, st.sampled_from([(1, 1), (0, 2), (-2, 4), (3, -3)]), st.integers(0, 2))
+@example((0, 0, {(2, 2): 1, (3, 3): -1}), (1, 1), 1)
+def test_cyclotomic_form_and_quotient_give_the_field_value(product, planted, k):
+    value = QTRational.from_binomials(*product)
+    sign, qexp, texp, counts = cyclotomic_form(product)
+    top = [(label, n) for label, n in counts.items() if n > 0]
+    bottom = {label: -n for label, n in counts.items() if n < 0}
+    field = QTRational.monomial(qexp, texp, sign) * phi_value(top) / phi_value(bottom.items())
+    assert field == value
+    # a factor planted k times over and under the line is divided out again
+    planted_counts = cyclotomic_form((0, 0, {planted: k}))[3]
+    for label, n in planted_counts.items():
+        bottom[label] = bottom.get(label, 0) + n
+    num = cyclotomic_product(top + list(planted_counts.items()))
+    quotient = cyclotomic_quotient(
+        {(qe + qexp, te + texp): sign * c for (qe, te), c in num.items()}, bottom
+    )
+    assert quotient == value
+    assert stored_form_ok(quotient.num) and stored_form_ok(quotient.den)
+
+
+def test_cyclotomic_form_controls():
+    # 1 - q^2 t^2 = -Phi_1(qt) Phi_2(qt); 1 - q^-2 = q^-2 Phi_1(q) Phi_2(q)
+    assert cyclotomic_form((0, 0, {(2, 2): 1})) == (-1, 0, 0, {(1, 1, 1): 1, (2, 1, 1): 1})
+    assert cyclotomic_form((0, 0, {(-2, 0): 1})) == (1, -2, 0, {(1, 1, 0): 1, (2, 1, 0): 1})
+    # (1 - qt) / (1 - q^2 t^2) = 1 / (1 + qt): the shared factor cancels
+    assert cyclotomic_form((0, 0, {(1, 1): 1, (2, 2): -1})) == (1, 0, 0, {(2, 1, 1): -1})
+    with pytest.raises(ValueError):
+        cyclotomic_form((0, 0, {(0, 0): 1}))
+    # rational coefficients: (3/2)(1 - q) / (q - 1) = -3/2 and
+    # (3/2)(1 + q) / ((q - 1)(q + 1)) = (3/2) / (q - 1)
+    phi_1, phi_2 = (1, 1, 0), (2, 1, 0)
+    c = Fraction(3, 2)
+    minus_c = QTRational.monomial(0, 0, -c)
+    assert cyclotomic_quotient({(0, 0): c, (1, 0): -c}, {phi_1: 1}) == minus_c
+    value = cyclotomic_quotient({(0, 0): c, (1, 0): c}, {phi_1: 1, phi_2: 1})
+    assert value == QTRational.monomial(0, 0, c) / (Q - ONE)
+    assert stored_form_ok(value.num) and stored_form_ok(value.den)
 
 
 # -- qt_gcd returns the greatest common divisor, not just a common one --------

@@ -7,11 +7,11 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from nsmacdonald.qt import Fraction, QTPolynomial, QTRational
+from nsmacdonald.qt import Fraction, QTPolynomial, QTRational, binomial_product
 from nsmacdonald.xpoly import (
     AlphabetMismatch,
     XPolynomial,
-    common_denominator_sum,
+    binomial_sum,
     compose_vars,
     cyclic_omega,
     divided_difference_div,
@@ -148,43 +148,64 @@ def test_str_smoke():
     assert "x1" in str(var(2, 1))
 
 
-# -- the exact sum over one common denominator --------------------------------
+# -- the exact sum of summands in exponent form ------------------------------
 
-# denominators shaped like the routes' ones (binomials 1 - q^a t^b and their
-# products), times monomials with exponents of either sign
-binomials = st.sampled_from([ONE - Q * T, ONE - Q * T * T, ONE - Q * Q * T, ONE - T, ONE + Q])
-monomials = st.builds(
-    QTRational.monomial, st.integers(-2, 3), st.integers(-3, 3),
-    st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+# labels along a few directions, parallel and opposite ones included, so that
+# denominators share cyclotomic factors (1 + q = (1 - q^2) / (1 - q) too)
+labels = st.builds(
+    lambda d, k: (k * d[0], k * d[1]),
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1)]),
+    st.sampled_from([-3, -2, -1, 1, 2, 3, 4]),
 )
-coefficients = st.builds(
-    lambda mono, dens, extra: reduce(lambda a, b: a / b, dens, mono) + extra,
-    monomials, st.lists(binomials, max_size=3), st.sampled_from([QTRational.zero(), ONE, T]),
+factor_groups = st.lists(
+    st.tuples(
+        st.integers(-2, 3),
+        st.integers(-3, 3),
+        st.dictionaries(labels, st.integers(-2, 2), max_size=3),
+    ),
+    min_size=1,
+    max_size=3,
 )
 exponent_vectors = st.tuples(st.integers(0, 2), st.integers(0, 2))
-summand_lists = st.lists(
-    st.dictionaries(exponent_vectors, coefficients, max_size=3).map(lambda t: XPolynomial(2, t)),
-    max_size=6,
-)
+summand_lists = st.lists(st.tuples(exponent_vectors, factor_groups), max_size=8)
+# -1 in exponent form: (1 - qt) / (1 - q^-1 t^-1) = -qt
+MINUS_ONE = (-1, -1, {(1, 1): 1, (-1, -1): -1})
 
 
-@given(summand_lists, st.lists(st.integers(0, 5), max_size=3))
-def test_common_denominator_sum_equals_repeated_addition(summands, negated):
+def as_polynomial(summand):
+    exps, factors = summand
+    return XPolynomial(2, {exps: QTRational.from_binomials(*binomial_product(factors))})
+
+
+@given(summand_lists, st.lists(st.integers(0, 7), max_size=3))
+def test_binomial_sum_equals_repeated_addition(summands, negated):
     # negating some summands makes whole terms cancel to zero
-    summands = summands + [-summands[k] for k in negated if k < len(summands)]
-    expected = reduce(lambda a, b: a + b, summands, XPolynomial.zero(2))
-    total = common_denominator_sum(2, summands)
+    summands = summands + [
+        (summands[k][0], summands[k][1] + [MINUS_ONE]) for k in negated if k < len(summands)
+    ]
+    expected = reduce(lambda a, b: a + b, map(as_polynomial, summands), XPolynomial.zero(2))
+    total = binomial_sum(2, summands)
     assert total == expected
     assert hash(total) == hash(expected)
     assert total.to_json() == expected.to_json()
 
 
-def test_common_denominator_sum_cancels_to_zero_and_checks_alphabet():
-    x1 = var(2, 1).scale(ONE / (ONE - Q * T) * QTRational.monomial(0, -2))
-    assert common_denominator_sum(2, [x1, -x1]).is_zero()
-    assert common_denominator_sum(2, []).is_zero()
+def test_binomial_sum_cancels_to_zero_and_checks_alphabet():
+    x1 = ((1, 0), [(0, -2, {(1, 1): -1})])
+    assert binomial_sum(2, [x1, (x1[0], x1[1] + [MINUS_ONE])]).is_zero()
+    assert binomial_sum(2, []).is_zero()
     with pytest.raises(AlphabetMismatch):
-        common_denominator_sum(2, [var(3, 1)])
+        binomial_sum(2, [((1, 0, 0), [])])
+
+
+def test_binomial_sum_reduces_over_the_exact_lcm():
+    # 1/(1 - q) + 1/(1 - q^2) = (2 + q)/(1 - q^2): lcm (1 - q)(1 + q), and
+    # no factor cancels; 1/(1 - q) - q/(1 - q) = 1: the whole lcm cancels
+    total = binomial_sum(1, [((0,), [(0, 0, {(1, 0): -1})]), ((0,), [(0, 0, {(2, 0): -1})])])
+    assert total == XPolynomial.constant(1, (ONE + ONE + Q) / (ONE - Q * Q))
+    minus_q = ((0,), [(1, 0, {(1, 0): -1}), MINUS_ONE])
+    one = binomial_sum(1, [((0,), [(0, 0, {(1, 0): -1})]), minus_q])
+    assert one == XPolynomial.one(1)
 
 
 @given(st.dictionaries(exponent_vectors, st.integers(-5, 5), max_size=4))
