@@ -25,11 +25,11 @@ Everything is recomputed on demand except what the matrix route needs
 once per configuration: Omega_mu in exponent form, as qt's ``Factors``
 (0, 0, {(mu_i - j, alpha_ij): m}) from ``omega_factors``, so that it
 cancels phi by adding multiplicities, and the table of twists of every
-column, ``column_twists``.  A bounded cache keeps one entry of each per
-composition (Composition is frozen and the mappings read-only, so a
-cached value is never changed by a caller).  The weight matching and the
-frozen coefficient take Omega_mu's value, ``omega_norm``, once per
-composition.
+column, ``column_twists``, one tuple per column.  A bounded cache keeps
+one entry of each per composition (Composition is frozen, the mapping
+read-only and the tuples immutable, so a cached value is never changed by
+a caller).  The weight matching and the frozen coefficient take
+Omega_mu's value, ``omega_norm``, once per composition.
 
 ``bracket_precedes`` (with the dominance order ``dominates``) is the
 order in which f_mu is triangular, x^mu plus terms x^nu below mu; the
@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .qt import Factors, QTRational
 
@@ -215,13 +215,12 @@ def omega_factors(mu: Composition) -> Factors:
 
 
 @lru_cache(maxsize=165)
-def column_twists(mu: Composition) -> tuple[Mapping[int, tuple[int, int] | None], ...]:
-    """The twists {p: v_param(mu, p, j)} of every column j = 0..max(mu),
-    one read-only mapping per column; from column max(mu) on every twist
-    is 0 (None)."""
+def column_twists(mu: Composition) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
+    """The twists (v_param(mu, 1, j), .., v_param(mu, n, j)) of every
+    column j = 0..max(mu), one tuple per column, which is also the column
+    kernel's cache key; from column max(mu) on every twist is 0 (None)."""
     return tuple(
-        MappingProxyType({p: v_param(mu, p, j) for p in range(1, mu.n + 1)})
-        for j in range(mu.maxpart + 1)
+        tuple(v_param(mu, p, j) for p in range(1, mu.n + 1)) for j in range(mu.maxpart + 1)
     )
 
 

@@ -105,16 +105,21 @@ def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
     sigma_{i',j+1}; those forbidden sets are looked up directly from the
     partially built filling.
 
-    A branch is cut as soon as it cannot be completed: square (i'', j-1)
-    of a later column i'' > i must avoid every sigma_{i',j-1} and
-    sigma_{i',j} with i' <= i, so once those entries cover 1..n and a
-    later column reaches row j-1, no filling extends the partial one.
+    A branch is cut as soon as it cannot be completed.  Let ``later`` be
+    the number of columns i'' > i that reach row j-1.  Their squares
+    (i'', j-1) attack each other, so their entries are distinct, and each
+    must avoid sigma_{i,j} and the entries ``covered`` of rows j-1 and j
+    in columns i' <= i.  So the branch dies when covered holds more than
+    n - later values, and when it holds exactly n - later, sigma_{i,j}
+    must lie in it.  On the basement row (j = 1) the later entries are the
+    fixed i'' > i, and the rule forbids sigma_{i,1} > i, as attacking them.
     Without the cut, the dead branches grow exponentially with the height
-    of columns such as those of (k, k), which has a single filling.
+    of equal columns such as those of (5,5,5,5,5), which has one filling.
     """
     n = mu.n
-    # reach[i]: the tallest column after column i (-1 past the last)
-    reach = [max(mu.parts[i:], default=-1) for i in range(n + 1)]
+    # reaching[i][r]: the number of columns after column i that reach row r
+    reaching = [[sum(1 for p in mu.parts[i:] if p >= r) for r in range(mu.maxpart + 1)]
+                for i in range(n + 1)]
 
     def fill(columns: list[tuple[int, ...]], i: int) -> Iterator[Filling]:
         if i > n:
@@ -135,18 +140,14 @@ def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
                     forbidden.add(column[j])
                 if j + 1 < len(column):
                     forbidden.add(column[j + 1])
-            if j == 1:
-                # (i, 1) attacks the fixed basement (i', 0) of every later column
-                forbidden.update(range(i + 1, n + 1))
-            if reach[i] >= j - 1:
-                # square (i'', j-1) of a later column must avoid these
-                # entries and sigma_{i,j}: no value may leave it none
+            later = reaching[i][j - 1]
+            if later:
                 covered = {current[j - 1]}
                 for column in columns:
                     covered.update(column[j - 1 : j + 1])
-                if len(covered) == n:
+                if len(covered) > n - later:
                     return
-                if len(covered) == n - 1:
+                if len(covered) == n - later:
                     forbidden.update(set(range(1, n + 1)) - covered)
             for value in range(1, n + 1):
                 if value not in forbidden:

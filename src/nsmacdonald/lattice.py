@@ -29,16 +29,24 @@ table ``_r_cleared`` is (x - t y) R_{y/x}, and ``r_weight`` divides it back
 at (x, y) = (1, z).  With L it satisfies the RLL (Yang-Baxter) relation,
 whose two sides ``_rll_sides`` computes multiplied by x - t y, so no R
 entry is ever divided; it sums over the support of R only.  The weights
-are generic over a ring holding x, y and t: ``ybe_check`` evaluates the
-sides at exact Fraction sample points (none a pole), ``ybe_check_symbolic``
-as polynomials in (x, y) over Q(q,t); QTRational ``t`` gives symbolic face
-weights.  Each certificate evaluates a face weight or R entry once per
-point (``_Point``, a table local to the call).
+are generic over a ring holding x, y and t: ``ybe_check_symbolic``
+evaluates the sides as polynomials in (x, y) over Q(q,t), and
+``ybe_check`` at exact rational sample points (none a pole), in integers.
+At (x, y, t) = (xn/xd, yn/yd, tn/td) each face weight, a polynomial in t
+of degree at most D, is stored times td^D, an integer (else it raises),
+and the face's spectral factor is xn or xd (yn or yd) by its x-degree;
+each cleared R entry is stored times lcm(xd, yd) td.  Every term of
+either side is one R entry times one x face times one y face, so both
+sides carry the same nonzero scale, and the integer sides are equal
+exactly when the rational ones are.  Each certificate evaluates a face
+weight or R entry once per point (``_Point``, a table local to the call);
+QTRational ``t`` gives symbolic face weights.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,26 +175,54 @@ def _vec_add(v: Occupation | None, colour: int, delta: int) -> Occupation | None
 
 
 class _Point:
-    """One point (x, y, t) of the RLL sides with its table: each face
-    weight L(I, j; K, l) at t (None where it vanishes) and each cleared R
-    entry at (x, y, t) is computed once, through the module's ``l_weight``
-    and ``_r_cleared`` (looked up when an entry is first needed)."""
+    """One point of the RLL sides with its table: ``face(I, j, K, l)``, the
+    face weight L(I, j; K, l) (None where it vanishes), and ``r(i, j, k,
+    l)``, the cleared R entry, each computed once.  ``x`` and ``y`` are
+    pairs: the factor a face at that spectral variable contributes when its
+    right edge is coloured (x-degree 1), and when it is not."""
 
-    def __init__(self, x, y, t):
-        self.x, self.y, self.t, self.zero = x, y, t, t - t
+    def __init__(self, x: tuple, y: tuple, zero, face, r):
+        self.x, self.y, self.zero = x, y, zero
+        self.face, self.r = cache(face), cache(r)
 
-        @cache
-        def face(I, j, K, l) -> StructuredWeight | None:
-            weight = l_weight(I, j, K, l, t)
-            return None if weight.is_zero() else weight
 
-        self.face = face
-        self.r = cache(lambda i, j, k, l: _r_cleared(i, j, k, l, x, y, t))
+def _face(I, j, K, l, t) -> StructuredWeight | None:
+    # looked up by the module's name, so a patched ``l_weight`` is seen
+    weight = l_weight(I, j, K, l, t)
+    return None if weight.is_zero() else weight
+
+
+def _integral(value: Fraction) -> int:
+    if value.denominator != 1:
+        raise ValueError(f"scaled RLL table entry {value} is not an integer")
+    return value.numerator
+
+
+def _integer_point(x: Fraction, y: Fraction, t: Fraction, degree: int) -> tuple[_Point, int]:
+    """The point (x, y, t) with its integer table (see the module
+    docstring; D = ``degree``), and the scale of both sides,
+    lcm(xd, yd) td^(2 D + 1) xd yd."""
+    face_scale = t.denominator**degree
+    r_scale = math.lcm(x.denominator, y.denominator) * t.denominator
+
+    def face(I, j, K, l):
+        weight = _face(I, j, K, l, t)
+        if weight is None:
+            return None
+        return StructuredWeight(_integral(weight.coeff * face_scale), weight.xdeg)
+
+    def r(i, j, k, l):
+        entry = _r_cleared(i, j, k, l, x, y, t)
+        return None if entry is None else _integral(entry * r_scale)
+
+    point = _Point((x.numerator, x.denominator), (y.numerator, y.denominator), 0, face, r)
+    return point, r_scale * face_scale**2 * x.denominator * y.denominator
 
 
 def _two_faces(I, J, left1, right1, u, left2, right2, v, at: _Point):
     """L_u(I, left1; K, right1) L_v(K, left2; J, right2), one face on the
-    other with K forced by conservation, or None if either face vanishes."""
+    other with K forced by conservation, or None if either face vanishes;
+    ``u`` and ``v`` are spectral pairs as in ``_Point``."""
     K = _vec_add(_vec_add(I, left1, +1), right1, -1)
     if K is None:
         return None
@@ -196,14 +232,12 @@ def _two_faces(I, J, left1, right1, u, left2, right2, v, at: _Point):
     w2 = at.face(K, left2, J, right2)
     if w2 is None:
         return None
-    product = w1.coeff * w2.coeff
-    if w1.xdeg:
-        product = product * u
-    return product * v if w2.xdeg else product
+    return w1.coeff * u[1 - w1.xdeg] * w2.coeff * v[1 - w2.xdeg]
 
 
 def _rll_sides(I, J, i1, i2, j1, j2, at: _Point) -> tuple[object, object]:
-    """Both sides of RLL times x - t y at the point ``at``: the sums over
+    """Both sides of RLL times x - t y (and the scale of an integer point)
+    at the point ``at``: the sums over
     k1, k2 of R(i2, i1; k2, k1) L_x(I, k1; K, j1) L_y(K, k2; J, j2) and of
     L_y(I, i2; K, k2) L_x(K, i1; J, k1) R(k2, k1; j2, j1).  R(i, j; k, l)
     vanishes unless (k, l) is (i, j) or (j, i), so only those (k2, k1)
@@ -260,20 +294,25 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
     compatible with colour conservation; any nonzero term on either side
     forces I + e_{i1} + e_{i2} = J + e_{j1} + e_{j2}, so non-conserving
     boundaries hold trivially (a random sample of them is evaluated as
-    well, as insurance that the implementation agrees).
+    well, as insurance that the implementation agrees).  The sides are
+    compared in integers: a face's bottom edge holds at most cap + 1 paths
+    of each colour, so its weight has t-degree at most n (cap + 1); one
+    degree more lets a table off by a factor of t fail rather than raise.
     """
     report = CheckReport(f"ybe n={n} cap={occupation_cap}")
     occupations = _occupations(n, occupation_cap)
     boundaries = _boundaries(n, occupation_cap, occupation_cap)
-    points = [_Point(x, y, t) for x, y, t in SAMPLE_POINTS]
+    degree = n * (occupation_cap + 1) + 1
+    points = [_integer_point(x, y, t, degree) for x, y, t in SAMPLE_POINTS]
     for I, J, i1, i2, j1, j2 in boundaries:
-        for at in points:
+        for (at, scale), (x, y, t) in zip(points, SAMPLE_POINTS):
             lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, at)
             report.count()
             if lhs != rhs:
                 report.fail(
                     f"RLL mismatch at I={I} J={J} colours=({i1},{i2};{j1},{j2}) "
-                    f"point (x={at.x}, y={at.y}, t={at.t}): {lhs} != {rhs}"
+                    f"point (x={x}, y={y}, t={t}): "
+                    f"{Fraction(lhs, scale)} != {Fraction(rhs, scale)}"
                 )
     rng = random.Random(seed)
     checked_nonconserving = 0
@@ -287,7 +326,7 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
         other = _vec_add(_vec_add(J, j1, +1), j2, +1)
         if target == other:
             continue
-        at = points[checked_nonconserving % len(points)]
+        at, _ = points[checked_nonconserving % len(points)]
         lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, at)
         report.count()
         checked_nonconserving += 1
@@ -307,13 +346,22 @@ def ybe_check_symbolic(n: int = 1, occupation_cap: int = 2) -> CheckReport:
     """Certify RLL fully symbolically as polynomials in (x, y) over Q(t).
 
     The same cleared sides as ``ybe_check``, with x, y and t polynomials in
-    (x, y) over Q(q,t); the L weights contribute monomials in x or y.
-    Intended for n = 1 (the sweep over larger n uses sample points).
+    (x, y) over Q(q,t) and the spectral pairs (x, 1) and (y, 1), so the L
+    weights contribute monomials in x or y.  Intended for n = 1 (the sweep
+    over larger n uses sample points).
     """
     report = CheckReport(f"ybe-symbolic n={n} cap={occupation_cap}")
     x = XPolynomial.variable(2, 1)
     y = XPolynomial.variable(2, 2)
-    at = _Point(x, y, XPolynomial.constant(2, QTRational.t()))
+    t = XPolynomial.constant(2, QTRational.t())
+    one = XPolynomial.one(2)
+    at = _Point(
+        (x, one),
+        (y, one),
+        XPolynomial.zero(2),
+        lambda I, j, K, l: _face(I, j, K, l, t),
+        lambda i, j, k, l: _r_cleared(i, j, k, l, x, y, t),
+    )
     for I, J, i1, i2, j1, j2 in _boundaries(n, occupation_cap, occupation_cap + 2):
         lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, at)
         report.count()

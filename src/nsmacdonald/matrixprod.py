@@ -32,7 +32,15 @@ t^h, downward v t^h) in qt's exponent form (``Factors``), or None where the
 component vanishes.  The one loop over columns, ``_column_walk``, multiplies
 each group across the columns of a configuration (or of its rows in another
 order) by ``binomial_product``: integer arithmetic, in which a binomial and
-its inverse cancel.  ``f_matrix_product`` hands each configuration's
+its inverse cancel.  It reads each column from the kernel's cache
+``_cached_column``, kept for the life of the process and bounded at 4096
+columns, so f_matrix_product, the cyclic relation, weight matching and the
+frozen coefficient share it.  Its key is (I, J, twists), the twists being
+the column's tuple of values from ``compositions.column_twists``, never
+only mu or a column index, so other twists are another key.  A cached
+column is compact and read-only: equal factor groups are one shared value
+(``_factor_group``), the groups without binomials share one empty mapping,
+and no caller changes a group it reads.  ``f_matrix_product`` hands each configuration's
 walk, with ``omega_factors`` (whose binomials cancel phi), to xpoly's
 ``binomial_sum`` in that form, skipping walks that vanish.  The weights
 as XPolynomials, each one ``QTRational.from_binomials``, are
@@ -63,6 +71,8 @@ Hall-Littlewood evaluation through a direct row-operator route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Sequence
 
 from .compositions import Composition, column_twists, gamma, omega_factors
@@ -205,6 +215,8 @@ def exponents_fgh(
 Walk = tuple[tuple[int, ...], tuple[Factors, ...]]
 # a twist parameter q^a t^b as (a, b), or None for zero
 Twist = tuple[int, int] | None
+# the binomials of every factor group without any, shared by every cached column
+_NO_BINOMIALS = MappingProxyType({})
 
 
 def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> Walk | None:
@@ -244,13 +256,30 @@ def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> 
             else:
                 down_q, down_t = down_q + vp[0], down_t + vp[1] + h[p]
     groups = (
-        (0, sum(g[p] for p in P), {}),
-        (0, 0, phi),
-        (0, 0, move),
-        (0, up_t, {}),
-        (down_q, down_t, {}),
+        _factor_group(0, sum(g[p] for p in P), frozenset()),
+        _factor_group(0, 0, frozenset(phi.items())),
+        _factor_group(0, 0, frozenset(move.items())),
+        _factor_group(0, up_t, frozenset()),
+        _factor_group(down_q, down_t, frozenset()),
     )
     return tuple(exps), groups
+
+
+@lru_cache(maxsize=1 << 10)
+def _factor_group(qexp: int, texp: int, binomials: frozenset) -> Factors:
+    """One read-only factor group per distinct value, shared by every
+    cached column that has it."""
+    return qexp, texp, MappingProxyType(dict(binomials)) if binomials else _NO_BINOMIALS
+
+
+@lru_cache(maxsize=1 << 12)
+def _cached_column(
+    I: tuple[int, ...], J: tuple[int, ...], twists: tuple[Twist, ...]
+) -> Walk | None:
+    """``_column_factors`` of boundary (I, J) with twist v_p = twists[p - 1],
+    kept for the life of the process: the key holds the twist values, so
+    a changed twist table is a new key."""
+    return _column_factors(I, J, dict(enumerate(twists, 1)))
 
 
 def column_component(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> XPolynomial:
@@ -363,7 +392,8 @@ def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | 
     """The one loop over lattice columns: the x exponents and each factor
     group of the column kernel, multiplied across ``columns`` (closed by
     the empty column) in exponent form, or None where a column component
-    vanishes.  The twists come from the cached table ``column_twists``.
+    vanishes.  The twists come from the cached table ``column_twists``,
+    and each column from the kernel's cache ``_cached_column``.
 
     ``columns[j][r-1]`` is the colour on row r of column j; the rows may be
     a permutation of a configuration's rows, and x_r stands for row r.
@@ -373,7 +403,7 @@ def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | 
     last = len(twists) - 1  # every twist is 0 from column max(mu) on
     walked = []
     for j in range(len(columns)):
-        column = _column_factors(closed[j], closed[j + 1], twists[min(j, last)])
+        column = _cached_column(closed[j], closed[j + 1], twists[min(j, last)])
         if column is None:
             return None
         walked.append(column)

@@ -231,6 +231,17 @@ def test_equal_columns_do_not_search_dead_branches():
     assert time.perf_counter() - start < 1.0
 
 
+def test_equal_columns_of_many_colours_do_not_search_dead_branches():
+    # one configuration and one filling each; with a cut that only looked
+    # at one later square, (5,5,5,5,5) took 1.35 s to enumerate and
+    # (5,5,5,5,5,5) did not finish in 60 s
+    for parts in ((5, 5, 5, 5, 5), (5, 5, 5, 5, 5, 5)):
+        mu = Composition(parts)
+        start = time.perf_counter()
+        assert f_hhl(mu) == f_matrix_product(mu)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_filling_validation():
     with pytest.raises(ValueError):
         filling((0, 1), [(2,), (2, 1)])  # wrong basement

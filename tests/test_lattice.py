@@ -136,6 +136,52 @@ def test_ybe_symbolic_detects_corrupted_r_table(monkeypatch):
     assert not ybe_check_symbolic(1, 1).ok
 
 
+def fraction_point(x, y, t):
+    # the RLL sides at (x, y, t) in Fraction arithmetic, unscaled
+    one = Fraction(1)
+    return lattice._Point(
+        (x, one),
+        (y, one),
+        Fraction(0),
+        lambda I, j, K, l: lattice._face(I, j, K, l, t),
+        lambda i, j, k, l: lattice._r_cleared(i, j, k, l, x, y, t),
+    )
+
+
+def test_integer_sides_are_the_fraction_sides_times_the_scale():
+    n, cap = 1, 2
+    for x, y, t in lattice.SAMPLE_POINTS:
+        at, scale = lattice._integer_point(x, y, t, n * (cap + 1) + 1)
+        exact = fraction_point(x, y, t)
+        for boundary in lattice._boundaries(n, cap, cap):
+            lhs, rhs = lattice._rll_sides(*boundary, at)
+            assert type(lhs) is int and type(rhs) is int
+            assert [lhs, rhs] == [side * scale for side in lattice._rll_sides(*boundary, exact)]
+
+
+def test_ybe_refuses_a_non_integral_scaled_weight(monkeypatch):
+    def planted(I, j, K, l, t=None):
+        weight = l_weight(I, j, K, l, t)
+        return StructuredWeight(weight.coeff / 7, weight.xdeg)
+
+    monkeypatch.setattr(lattice, "l_weight", planted)
+    with pytest.raises(ValueError, match="not an integer"):
+        ybe_check(1, 1)
+
+
+def test_ybe_failure_shows_the_unscaled_sides(monkeypatch):
+    monkeypatch.setattr(lattice, "l_weight", corrupted_l_weight)
+    expected = [
+        f"RLL mismatch at I={I} J={J} colours=({i1},{i2};{j1},{j2}) "
+        f"point (x={x}, y={y}, t={t}): {lhs} != {rhs}"
+        for I, J, i1, i2, j1, j2 in lattice._boundaries(1, 1, 1)
+        for x, y, t in lattice.SAMPLE_POINTS
+        for lhs, rhs in [lattice._rll_sides(I, J, i1, i2, j1, j2, fraction_point(x, y, t))]
+        if lhs != rhs
+    ]
+    assert expected and ybe_check(1, 1).failures == expected
+
+
 def test_certificate_boundary_counts():
     # the boundary sets of the certificates: 200 random non-conserving
     # spot checks plus 5 sample points per conserving boundary (J capped at

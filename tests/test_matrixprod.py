@@ -249,16 +249,40 @@ def test_cyclic_check_examples():
             assert cyclic_check(mu, i).ok
 
 
-def test_cyclic_check_detects_corrupted_twists(monkeypatch):
-    def corrupted(mu):
-        return tuple(
-            {p: None if v is None else (v[0], v[1] + 1) for p, v in column.items()}
-            for column in column_twists(mu)
-        )
+@pytest.mark.parametrize("parts", [(0, 2, 1), (2, 0, 1, 1), (0, 3, 0, 0)])
+def test_f_matrix_product_equals_the_plain_sum_of_weights(parts):
+    # both routes end in xpoly.binomial_sum, so their agreement cannot
+    # catch a fault there; this reference adds the configuration weights
+    # one by one in XPolynomial arithmetic (gcd reduction) instead.  The
+    # sum for (0,3,0,0) reduces over Phi_3(qt), not only Phi_1 and Phi_2
+    mu = Composition(parts)
+    expected = XPolynomial.zero(mu.n)
+    for xi in enumerate_configs(mu):
+        expected = expected + config_weight(xi, mu)
+    assert f_matrix_product(mu) == expected
 
-    monkeypatch.setattr(matrixprod, "column_twists", corrupted)
+
+def corrupted_twists(mu):
+    # every nonzero twist's t-exponent raised by 1
+    return tuple(
+        tuple(None if v is None else (v[0], v[1] + 1) for v in column)
+        for column in column_twists(mu)
+    )
+
+
+def test_cyclic_check_detects_corrupted_twists(monkeypatch):
+    monkeypatch.setattr(matrixprod, "column_twists", corrupted_twists)
     rep = cyclic_check(Composition((0, 1)), 2)
     assert not rep.ok
+
+
+def test_corrupted_twists_are_not_answered_from_a_warm_cache(monkeypatch):
+    # the column kernel's cache is keyed by the twist values: after a clean
+    # run has filled it for mu, corrupted twists still miss it and fail
+    mu = Composition((0, 1))
+    assert cyclic_check(mu, 2).ok
+    monkeypatch.setattr(matrixprod, "column_twists", corrupted_twists)
+    assert not cyclic_check(mu, 2).ok
 
 
 def test_cyclic_check_compares_x_exponents(monkeypatch):
