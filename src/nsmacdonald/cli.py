@@ -14,9 +14,10 @@ hecke.  Without --mu a check runs over the default composition family
 
 --rho needs --method matrix.  Exit codes: 0 all good, 1 a verification
 or route comparison failed, 2 usage error (including a flag value out of
-range, and a --mu too large to run: more than MAX_SQUARES diagram squares
-or more than MAX_CONFIGURATIONS configurations).  Computed polynomials go
-to stdout; verification reports go to stderr.
+range, a --mu too large to run: more than MAX_SQUARES diagram squares or
+more than MAX_CONFIGURATIONS configurations, and a ybe, exchange or hecke
+check whose flags ask for more work than MAX_WORK allows).  Computed
+polynomials go to stdout; verification reports go to stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from functools import lru_cache
 from typing import Sequence
@@ -62,6 +64,8 @@ CHECK_FLAGS = {
 CHECKS = tuple(CHECK_FLAGS)
 # defaults of the flags that have one
 VERIFY_DEFAULTS = {"cap": 2, "samples": 5, "seed": 0}
+# the alphabet sizes a check runs without --n
+DEFAULT_SIZES = {"ybe": [1, 2], "exchange": [2], "hecke": [2, 3]}
 
 
 # A --mu beyond either limit is refused before anything runs (exit 2).  The
@@ -74,9 +78,41 @@ VERIFY_DEFAULTS = {"cap": 2, "samples": 5, "seed": 0}
 MAX_SQUARES = 500
 MAX_CONFIGURATIONS = 10**6
 
+# ybe, exchange and hecke are sized by their flags: ``_work`` counts their
+# work from the flags in closed form, and a check above its limit is
+# refused before anything runs (exit 2).  Cost per unit, measured with
+# CPython 3.11 on one x86-64 core: ybe 0.04 ms per boundary, all of them
+# held in one list; exchange 0.6-0.8 ms (n = 4 takes 2.3 s, n = 5 19.5 s);
+# hecke 1-50 ms (n = 4 takes 10.5 s, n = 5 more than 100 s).  So a check
+# at its limit takes seconds to minutes.
+MAX_WORK = {
+    "ybe": (2 * 10**5, "RLL boundaries"),
+    "exchange": (10**5, "in-state colour pairs"),
+    "hecke": (10**4, "basement exchanges and relation samples"),
+}
+
 
 class UsageError(Exception):
     pass
+
+
+def _work(name: str, sizes: list[int], args, mu: Composition | None) -> int:
+    """The work of ``verify name`` at the alphabet sizes ``sizes``, in the
+    units of MAX_WORK, enumerating nothing.  A size above 64 counts as 64:
+    its work is past every limit anyway, and no huge integer is built."""
+    clamped = [min(n, 64) for n in sizes]
+    if name == "ybe":
+        # the sample sweep at each size and the symbolic sweep at n = 1
+        return sum((args.cap + 1) ** k * (k + 1) ** 4 for k in [*clamped, 1])
+    if name == "exchange":
+        return sum(4**k * k * k for k in clamped)
+    # n! (n - 1)/2 basement exchanges for each of the 3^n compositions with
+    # parts <= 2, or for --mu alone at its own size
+    return len(sizes) * args.samples + sum(
+        math.factorial(k) * (k - 1) // 2 * (1 if mu else 3**k)
+        for n, k in zip(sizes, clamped)
+        if mu is None or mu.n == n
+    )
 
 
 @lru_cache(maxsize=None)
@@ -186,21 +222,25 @@ def _run_check(name: str, args) -> CheckReport:
         value = getattr(args, flag)
         if value is not None and value < low:
             raise UsageError(f"--{flag} must be at least {low} for {name}, got {value}")
+    sizes = DEFAULT_SIZES.get(name) if args.n is None else [args.n]
+    if name in MAX_WORK:
+        limit, unit = MAX_WORK[name]
+        if _work(name, sizes, args, mu) > limit:
+            raise UsageError(f"verify {name} with these flags needs more than {limit} {unit}")
     targets = [mu] if mu else default_family()
     total = CheckReport(name)
     if name == "eigen":
         for m in targets:
             total.merge(verify_eigen(_f_cached(m.parts, None, "hhl"), m))
     elif name == "ybe":
-        sizes = [1, 2] if args.n is None else [args.n]
         for n in sizes:
             total.merge(ybe_check(n, occupation_cap=args.cap, seed=args.seed))
         total.merge(ybe_check_symbolic(1, args.cap))
     elif name == "exchange":
-        n = 2 if args.n is None else args.n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                total.merge(exchange_check(i, j, n, N=1, cap=1))
+        for n in sizes:
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    total.merge(exchange_check(i, j, n, N=1, cap=1))
     elif name == "cyclic":
         if args.i is not None:
             # colour K is checked on every target that has it
@@ -231,7 +271,6 @@ def _run_check(name: str, args) -> CheckReport:
                     total.fail(f"bijection round trip fails on {xi.columns}")
             total.merge(weight_match_check(m))
     elif name == "hecke":
-        sizes = [2, 3] if args.n is None else [args.n]
         if mu and mu.n not in sizes:
             # M's exchange checks run at M's own size only
             raise UsageError(

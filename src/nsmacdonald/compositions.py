@@ -22,14 +22,13 @@ Statistics:
 v_ij = 0: the column kernel only adds exponents.
 
 Everything is recomputed on demand except what the matrix route needs
-once per configuration: Omega_mu in exponent form, as qt's ``Factors``
-(0, 0, {(mu_i - j, alpha_ij): m}) from ``omega_factors``, so that it
-cancels phi by adding multiplicities, and the table of twists of every
-column, ``column_twists``, one tuple per column.  A bounded cache keeps
-one entry of each per composition (Composition is frozen, the mapping
-read-only and the tuples immutable, so a cached value is never changed by
-a caller).  The weight matching and the frozen coefficient take
-Omega_mu's value, ``omega_norm``, once per composition.
+once per configuration: Omega_mu in exponent form, cyclotomic's
+``Factors`` (0, 0, {(mu_i - j, alpha_ij): m}) from ``omega_factors``,
+which cancels phi in the cyclotomic form, and the table of twists of
+every column, ``column_twists``, one tuple per column.  A bounded cache
+keeps one entry of each per composition (Composition is frozen, the
+mapping read-only and the tuples immutable, so a cached value is never
+changed by a caller).  No route builds Omega_mu's value, ``omega_norm``.
 
 ``bracket_precedes`` (with the dominance order ``dominates``) is the
 order in which f_mu is triangular, x^mu plus terms x^nu below mu; the
@@ -45,7 +44,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, NamedTuple
 
-from .qt import Factors, QTRational
+from .cyclotomic import Factors, cyclotomic_form
+from .qt import QTRational
 
 __all__ = [
     "Composition",
@@ -226,7 +226,7 @@ def column_twists(mu: Composition) -> tuple[tuple[tuple[int, int] | None, ...], 
 
 def omega_norm(mu: Composition) -> QTRational:
     """The normalisation Omega_mu = prod (1 - q^{mu_i-j} t^{alpha_ij})."""
-    return QTRational.from_binomials(*omega_factors(mu))
+    return cyclotomic_form(omega_factors(mu)).value()
 
 
 def _as_square(s) -> Square:

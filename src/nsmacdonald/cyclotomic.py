@@ -1,48 +1,82 @@
-"""Cyclotomic labels: the irreducible factors of binomials 1 - q^a t^b.
+"""Cyclotomic labels: the canonical form of products of binomials 1 - q^a t^b.
+
+A product q^c t^d prod (1 - q^a t^b)^m, the shape of every lattice and
+HHL weight and of Omega_mu, is written (c, d, {(a, b): m}) (``Factors``,
+exponents of either sign, m < 0 in the denominator), a format owned here:
+``cyclotomic_form`` writes a product of such factors in its canonical
+form, and ``CyclotomicForm.value`` is the one way from a form to Q(q,t).
 
 A label (a, b) != (0, 0), normalised to a > 0, or a = 0 and b > 0 (by
-1 - m = -m (1 - m^-1), as in ``qt.normal_form``), is g times a primitive
-direction d = (d1, d2), g = gcd(a, b), and with u = q^d1 t^d2
+1 - m = -m (1 - m^-1)), is g times a primitive direction d = (d1, d2),
+g = gcd(a, b), and with u = q^d1 t^d2
 
   1 - q^a t^b = 1 - u^g = -prod over e | g of Phi_e(u),
 
-the Phi_e the cyclotomic polynomials.  The Phi_e(u) are irreducible and
-pairwise non-associate in Q[q^±1, t^±1] (the proof is in the docstring of
-``qt.BinomialProduct``).  The cyclotomic label (e, d1, d2) stands for the
-Laurent polynomial Phi_e(u): monic in u, with integer coefficients and a
-nonzero constant term, and its lex-leading term (q-degree major) is the
-coefficient 1 at u^phi(e), as d1 > 0 unless d = (0, 1).
+the Phi_e the cyclotomic polynomials.  The cyclotomic label (e, d1, d2)
+stands for the Laurent polynomial Phi_e(u): monic in u, with integer
+coefficients and a nonzero constant term, and its lex-leading term
+(q-degree major) is the coefficient 1 at u^phi(e), as d1 > 0 unless
+d = (0, 1).
 
-So a product of binomials in qt's exponent form is a sign, a monomial and
-a map of cyclotomic labels to integer counts (``cyclotomic_form``):
-common factors cancel by adding counts, the lcm of such denominators takes
-the largest count of each label, and a polynomial over such a denominator
-is reduced by exact division by its labels (``divide_cyclotomic``), no
-gcd being needed.  The arithmetic is on Laurent polynomials, dicts
-(qexp, texp) -> coefficient; ``cyclotomic_quotient`` and
-``cyclotomic_value`` turn the results into canonical Q(q,t) values.
+The Phi_e(u) are irreducible and pairwise non-associate in
+Q[q^±1, t^±1].  A primitive d extends to a basis of Z^2, so a monomial
+change of variables, an automorphism of Q[q^±1, t^±1], turns u into a
+variable: each Phi_e(u) is irreducible and no unit.  Its Newton polygon
+is a segment along d, and the units c q^k t^l only translate polygons,
+so Phi_e(u) and Phi_e'(u') are associate only if d = ±d' and then, as
+both are normalised, d = d' and e = e'.
+
+So a product of binomials is a sign, a monomial and a map of cyclotomic
+labels to nonzero integer counts (``cyclotomic_form``), and by unique
+factorisation two such forms are equal exactly when their values in
+Q(q,t) are: no value need be built to compare products.  Common factors
+cancel by adding counts, the lcm of such denominators takes the largest
+count of each label, and a polynomial over such a denominator is reduced
+by exact division by its labels (``divide_cyclotomic``), no gcd being
+needed; ``cyclotomic_quotient`` and ``CyclotomicForm.value`` turn the
+results, Laurent polynomials, into canonical Q(q,t) values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .qt import Factors, QTPolynomial, QTRational, _normalise
+from .qt import QTPolynomial, QTRational, _normalise
 
 __all__ = [
+    "CyclotomicForm",
     "cyclotomic_coefficients",
     "cyclotomic_form",
     "cyclotomic_product",
     "divide_cyclotomic",
     "cyclotomic_quotient",
-    "cyclotomic_value",
+    "split_laurent",
 ]
+
+# q^qexp t^texp prod (1 - q^a t^b)^m, written (qexp, texp, {(a, b): m})
+Factors = tuple[int, int, Mapping[tuple[int, int], int]]
 
 # (e, d1, d2): the cyclotomic polynomial Phi_e at u = q^d1 t^d2, d primitive
 # and normalised (d1 > 0, or d1 = 0 and d2 = 1)
 CyclotomicLabel = tuple[int, int, int]
+# A Laurent polynomial in (q, t) with exact rational coefficients:
+# (qexp, texp) -> nonzero int or Fraction, exponents of either sign.
+Laurent = dict
+
+
+def add_shifted(
+    acc: Laurent, terms: Laurent, dq: int, dt: int, factor: int = 1
+) -> None:
+    # acc += factor q^dq t^dt terms
+    for (qe, te), coeff in terms.items():
+        key = (qe + dq, te + dt)
+        new = acc.get(key, 0) + factor * coeff
+        if new:
+            acc[key] = new
+        else:
+            acc.pop(key, None)
 
 
 def _divide_monic(coeffs: list, divisor: tuple[int, ...]) -> list | None:
@@ -90,12 +124,33 @@ def _binomial_labels(a: int, b: int) -> tuple[int, int, int, tuple[CyclotomicLab
     return sign, qexp, texp, tuple((e, a // g, b // g) for e in range(1, g + 1) if g % e == 0)
 
 
-def cyclotomic_form(*factors: Factors) -> tuple[int, int, int, dict[CyclotomicLabel, int]]:
-    """The product of ``factors`` in exponent form (as ``qt.binomial_product``
-    multiplies them) as sign * q^qexp t^texp prod Phi^n over the items
-    (label, n) of the returned counts, n != 0 (n < 0 in the denominator).
-    A binomial and every factor it shares with another cancel in the
-    counts; a label (0, 0) is refused."""
+class CyclotomicForm(NamedTuple):
+    """sign * q^qexp t^texp prod Phi^n over the pairs (label, n) of
+    ``counts``, n < 0 in the denominator: the canonical form of a product
+    of binomials, built by ``cyclotomic_form``.  With no zero count, two
+    forms (hashable) are equal exactly when their values in Q(q,t) are."""
+
+    sign: int
+    qexp: int
+    texp: int
+    counts: frozenset[tuple[CyclotomicLabel, int]]
+
+    def value(self) -> QTRational:
+        """The product as a canonical Q(q,t) value: numerator and
+        denominator share no label, so they are coprime and are
+        multiplied out as they are."""
+        top = cyclotomic_product((label, n) for label, n in self.counts if n > 0)
+        return _over_coprime(
+            {(qe + self.qexp, te + self.texp): self.sign * c for (qe, te), c in top.items()},
+            [(label, -n) for label, n in self.counts if n < 0],
+        )
+
+
+def cyclotomic_form(*factors: Factors) -> CyclotomicForm:
+    """The canonical form of the product of ``factors`` in exponent form:
+    exponents and binomial multiplicities add over the factors, each
+    binomial splits into its labels, and shared factors cancel in the
+    counts.  A label (0, 0) is refused, whatever its multiplicity."""
     sign = 1
     qexp = texp = 0
     counts: dict[CyclotomicLabel, int] = {}
@@ -103,33 +158,28 @@ def cyclotomic_form(*factors: Factors) -> tuple[int, int, int, dict[CyclotomicLa
         qexp += fq
         texp += ft
         for (a, b), m in binomials.items():
+            s, i, j, labels = _binomial_labels(a, b)
             if m:
-                s, i, j, labels = _binomial_labels(a, b)
                 if s < 0 and m & 1:
                     sign = -sign
                 qexp += i * m
                 texp += j * m
                 for label in labels:
                     counts[label] = counts.get(label, 0) + m
-    return sign, qexp, texp, {label: n for label, n in counts.items() if n}
+    nonzero = frozenset((label, n) for label, n in counts.items() if n)
+    return CyclotomicForm(sign, qexp, texp, nonzero)
 
 
-def cyclotomic_product(counts: Iterable[tuple[CyclotomicLabel, int]]) -> dict:
+def cyclotomic_product(counts: Iterable[tuple[CyclotomicLabel, int]]) -> Laurent:
     """prod Phi^n over the items (label, n), n >= 0, as a Laurent
     polynomial with integer coefficients."""
     out = {(0, 0): 1}
     for (e, d1, d2), n in counts:
         phi = [(k * d1, k * d2, c) for k, c in enumerate(cyclotomic_coefficients(e)) if c]
         for _ in range(n):
-            step: dict = {}
-            for (qe, te), coeff in out.items():
-                for dq, dt, c in phi:
-                    key = (qe + dq, te + dt)
-                    new = step.get(key, 0) + c * coeff
-                    if new:
-                        step[key] = new
-                    else:
-                        step.pop(key, None)
+            step: Laurent = {}
+            for dq, dt, c in phi:
+                add_shifted(step, out, dq, dt, c)
             out = step
     return out
 
@@ -172,8 +222,9 @@ def divide_cyclotomic(terms: dict, label: CyclotomicLabel) -> dict | None:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_poly(terms: dict) -> tuple[QTPolynomial, int, int]:
-    # terms = q^dq t^dt poly, with poly a polynomial not divisible by q or t
+def split_laurent(terms: dict) -> tuple[QTPolynomial, int, int]:
+    """The nonzero Laurent polynomial ``terms`` as (poly, dq, dt), terms =
+    q^dq t^dt poly with poly a polynomial divisible by neither q nor t."""
     dq = min(qe for qe, _te in terms)
     dt = min(te for _qe, te in terms)
     return QTPolynomial({(qe - dq, te - dt): c for (qe, te), c in terms.items()}), dq, dt
@@ -183,8 +234,8 @@ def _over_coprime(num: dict, den: Iterable[tuple[CyclotomicLabel, int]]) -> QTRa
     # num / prod Phi^n over den, num a nonzero Laurent polynomial sharing no
     # factor with the product: no gcd, only the monomials split off (the
     # product's lex-leading coefficient is 1, see the module docstring)
-    npoly, nq, nt = _laurent_poly(num)
-    dpoly, dq, dt = _laurent_poly(cyclotomic_product(den))
+    npoly, nq, nt = split_laurent(num)
+    dpoly, dq, dt = split_laurent(cyclotomic_product(den))
     qexp, texp = nq - dq, nt - dt
     return _normalise(
         npoly * QTPolynomial.monomial(max(qexp, 0), max(texp, 0)),
@@ -212,15 +263,3 @@ def cyclotomic_quotient(num: dict, den: Mapping[CyclotomicLabel, int]) -> QTRati
         if n:
             left.append((label, n))
     return _over_coprime(num, left)
-
-
-def cyclotomic_value(*factors: Factors) -> QTRational:
-    """The product of ``factors`` in exponent form as a canonical Q(q,t)
-    value: after the counts cancel (``cyclotomic_form``), numerator and
-    denominator are coprime and are multiplied out as they are."""
-    sign, qexp, texp, counts = cyclotomic_form(*factors)
-    top = cyclotomic_product((label, n) for label, n in counts.items() if n > 0)
-    return _over_coprime(
-        {(qe + qexp, te + texp): sign * c for (qe, te), c in top.items()},
-        [(label, -n) for label, n in counts.items() if n < 0],
-    )

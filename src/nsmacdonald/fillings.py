@@ -25,14 +25,14 @@ sigma_{a,j} = row of colour a in lattice column j.  It is a weight
 preserving bijection onto non-attacking fillings; ``weight_match_check``
 verifies this square by square, including the individual factor-group
 identities the matching splits into.  The HHL side of those identities
-is the factor kernel ``_hhl_factors``, in qt's exponent form; the column
-side is matrixprod's column walk.  The identities compare products as
-qt's ``normal_form``, so no Q(q,t) value is built for them.  ``f_hhl``
-hands each filling's factor groups to xpoly's ``binomial_sum``, which
-adds them in cyclotomic labels with no gcd, as f_matrix_product hands it
-the configuration weights; neither builds a Q(q,t) value per summand.
-``hhl_summand``, the weight of one filling as an XPolynomial (one
-``from_binomials`` of the groups' product), is not on that path.
+is the factor kernel ``_hhl_factors``, in exponent form (cyclotomic's
+``Factors``); the column side is matrixprod's column walk.  The
+identities compare cyclotomic forms, so no Q(q,t) value is built for
+them.  ``f_hhl`` hands each filling's factor groups to xpoly's
+``binomial_sum``, which adds them in cyclotomic labels with no gcd, as
+f_matrix_product hands it the configuration weights; neither builds a
+Q(q,t) value per summand.  ``hhl_summand``, the weight of one filling as
+an XPolynomial, is not on that path.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .compositions import Composition, arm, attacks, leg, omega_factors
+from .cyclotomic import Factors, cyclotomic_form
 from .matrixprod import LatticeConfig, _column_walk, enumerate_configs
-from .qt import Factors, QTRational, binomial_product, normal_form
 from .reports import CheckReport
 from .xpoly import XPolynomial, binomial_sum
 
@@ -230,12 +230,8 @@ def _hhl_factors(sigma: Filling) -> tuple[tuple[int, ...], Factors, Factors, Fac
 def hhl_summand(sigma: Filling) -> XPolynomial:
     """The weight of one non-attacking filling in the combinatorial sum,
     built once from the product of its factor groups."""
-    return _summand(sigma.mu.n, *_hhl_factors(sigma))
-
-
-def _summand(n: int, exps: tuple[int, ...], *groups: Factors) -> XPolynomial:
-    coeff = QTRational.from_binomials(*binomial_product(groups))
-    return XPolynomial(n, {exps: coeff})
+    exps, *groups = _hhl_factors(sigma)
+    return XPolynomial(sigma.mu.n, {exps: cyclotomic_form(*groups).value()})
 
 
 def f_hhl(mu: Composition) -> XPolynomial:
@@ -293,11 +289,12 @@ def weight_match_check(mu: Composition) -> CheckReport:
 
     Each configuration is walked once and its filling's factors are built
     once; every identity, the totals too (Omega_mu times the walk's groups
-    against the product of the HHL groups), compares normal forms.
+    against the product of the HHL groups), compares cyclotomic forms, a
+    walk's group entering with the factors of all its columns.
     """
     report = CheckReport(f"weight-match mu={mu}")
     omega = omega_factors(mu)
-    one = normal_form()
+    one = cyclotomic_form()
     for xi in enumerate_configs(mu):
         walk = _column_walk(xi.columns, mu)
         report.count()
@@ -310,19 +307,19 @@ def weight_match_check(mu: Composition) -> CheckReport:
         if x_exps != exps:
             report.fail(f"x factors differ on {xi.columns}")
         report.count()
-        if normal_form(omega, phi) != one:
+        if cyclotomic_form(omega, *phi) != one:
             report.fail(f"Omega cancellation fails on {xi.columns}")
         report.count()
-        if normal_form(moves) != normal_form(denominators):
+        if cyclotomic_form(*moves) != cyclotomic_form(denominators):
             report.fail(f"descent/ascent denominators differ on {xi.columns}")
         report.count()
-        if normal_form(t_g, up_t_h) != normal_form(t_plus):
+        if cyclotomic_form(*t_g, *up_t_h) != cyclotomic_form(t_plus):
             report.fail(f"t^ord_+ mismatch on {xi.columns}")
         report.count()
-        if normal_form(down_v_t_h) != normal_form(numerators):
+        if cyclotomic_form(*down_v_t_h) != cyclotomic_form(numerators):
             report.fail(f"downward-move factor mismatch on {xi.columns}")
         report.count()
-        weight = normal_form(omega, *groups)
-        if x_exps != exps or weight != normal_form(t_plus, denominators, numerators):
+        weight = cyclotomic_form(omega, *itertools.chain.from_iterable(groups))
+        if x_exps != exps or weight != cyclotomic_form(t_plus, denominators, numerators):
             report.fail(f"total weights differ on {xi.columns}")
     return report

@@ -39,12 +39,12 @@ from __future__ import annotations
 import random
 
 from .compositions import Composition, eigenvalue_y
+from .cyclotomic import add_shifted
 from .qt import QTRational
 from .reports import CheckReport
 from .xpoly import (
     ClearedPolynomial,
     XPolynomial,
-    add_shifted,
     cyclic_omega,
     divided_difference_div,
     on_cleared,

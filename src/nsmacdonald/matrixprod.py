@@ -25,32 +25,26 @@ the 1/(1 - v t^f) factors, so nothing is ever truncated.
 
 Every twist v_p = q^{mu_p - j} t^{gamma_pj} is a monomial, which the kernel
 takes as its exponents (a, b), or None for v_p = 0, so each factor group is
-a monomial times binomials 1 - q^a t^b to integer powers.  This closed form
-is written once, in the column kernel ``_column_factors``: it returns the x
-targets and the factor groups above (t^g, phi, move denominators, upward
-t^h, downward v t^h) in qt's exponent form (``Factors``), or None where the
-component vanishes.  The one loop over columns, ``_column_walk``, multiplies
-each group across the columns of a configuration (or of its rows in another
-order) by ``binomial_product``: integer arithmetic, in which a binomial and
-its inverse cancel.  It reads each column from the kernel's cache
-``_cached_column``, kept for the life of the process and bounded at 4096
-columns, so f_matrix_product, the cyclic relation, weight matching and the
-frozen coefficient share it.  Its key is (I, J, twists), the twists being
-the column's tuple of values from ``compositions.column_twists``, never
-only mu or a column index, so other twists are another key.  A cached
-column is compact and read-only: equal factor groups are one shared value
-(``_factor_group``), the groups without binomials share one empty mapping,
-and no caller changes a group it reads.  ``f_matrix_product`` hands each configuration's
-walk, with ``omega_factors`` (whose binomials cancel phi), to xpoly's
-``binomial_sum`` in that form, skipping walks that vanish.  The weights
-as XPolynomials, each one ``QTRational.from_binomials``, are
-``config_weight`` and ``column_component`` (the one-column group
-product); the sum does not build them.  A weight that is only compared
-stays a product: the cyclic
-relation's partition functions (the shift q x_i of the top row is q^e, e
-that row's x exponent in the walk) and the frozen coefficient are compared
-as qt's ``normal_form``, equal exactly when the values are, and a value is
-built only to word a failure.
+a monomial times binomials 1 - q^a t^b to integer powers, in exponent form
+(cyclotomic's ``Factors``).  The closed form is written once, in the column
+kernel ``_column_factors``: the x targets and the factor groups (t^g, phi,
+move denominators, upward t^h, downward v t^h), or None where the
+component vanishes.
+
+The one loop over columns, ``_column_walk``, reads each column from the
+kernel's cache ``_cached_column`` (keyed by the boundary and the twist
+values), adds the x exponents across the columns of a configuration (or
+of its rows in another order) and keeps each factor group as the tuple of
+its per-column factors.  Nothing is multiplied per walk: every consumer
+hands the factors to ``cyclotomic_form``, where their counts add and a
+binomial and its inverse cancel.  ``f_matrix_product`` hands each walk,
+with ``omega_factors`` (whose binomials cancel phi), to xpoly's
+``binomial_sum``.  The cyclic relation's partition functions (the shift
+q x_i of the top row is q^e, e that row's x exponent in the walk) and the
+frozen coefficient are compared as cyclotomic forms, equal exactly when
+the values are.  A Q(q,t) value (``CyclotomicForm.value``) is built only
+by ``config_weight`` and ``column_component``, which no route sums, and to
+word a failure.
 
 A full lattice configuration xi records the colour on every vertical edge
 (column j = 0..N, row i = 1..n); its weight is the product of its N+1
@@ -72,14 +66,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
 from .compositions import Composition, column_twists, gamma, omega_factors
+from .cyclotomic import CyclotomicForm, Factors, cyclotomic_form
 from .lattice import row_operator_expand
-from .qt import BinomialProduct, Factors, QTRational, binomial_product, normal_form
+from .qt import QTRational
 from .reports import CheckReport
-from .xpoly import XPolynomial, binomial_sum, compose_vars
+from .xpoly import Summand, XPolynomial, binomial_sum, compose_vars
 
 __all__ = [
     "LatticeConfig",
@@ -208,18 +204,21 @@ def exponents_fgh(
     return f, g, h
 
 
-# x exponents (indexed by row) and the factor groups: prod over P of
-# t^{g(p)}, phi = prod 1/(1 - v t^f), the move denominators prod
+# one column's x exponents (indexed by row) and factor groups: prod over P
+# of t^{g(p)}, phi = prod 1/(1 - v t^f), the move denominators prod
 # (1-t)/(1 - v t^{f+1}) over row changes, prod t^h over upward and prod
 # v t^h over downward row changes
-Walk = tuple[tuple[int, ...], tuple[Factors, ...]]
+Column = tuple[tuple[int, ...], tuple[Factors, ...]]
+# the x exponents of several columns added, and each factor group as the
+# tuple of its per-column factors
+Walk = tuple[tuple[int, ...], tuple[tuple[Factors, ...], ...]]
 # a twist parameter q^a t^b as (a, b), or None for zero
 Twist = tuple[int, int] | None
 # the binomials of every factor group without any, shared by every cached column
 _NO_BINOMIALS = MappingProxyType({})
 
 
-def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> Walk | None:
+def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> Column | None:
     """The column kernel: the closed form of boundary (I, J) as its x
     exponents and factor groups in exponent form, or None where the
     component vanishes."""
@@ -275,10 +274,12 @@ def _factor_group(qexp: int, texp: int, binomials: frozenset) -> Factors:
 @lru_cache(maxsize=1 << 12)
 def _cached_column(
     I: tuple[int, ...], J: tuple[int, ...], twists: tuple[Twist, ...]
-) -> Walk | None:
+) -> Column | None:
     """``_column_factors`` of boundary (I, J) with twist v_p = twists[p - 1],
-    kept for the life of the process: the key holds the twist values, so
-    a changed twist table is a new key."""
+    kept for the life of the process and shared by every walk: the key
+    holds the twist values, so a changed twist table is a new key.  No
+    caller changes what it reads, as equal factor groups are one shared
+    value (``_factor_group``)."""
     return _column_factors(I, J, dict(enumerate(twists, 1)))
 
 
@@ -289,19 +290,19 @@ def column_component(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) ->
     (a, b), or None for zero; any colour outside P u Q must map to None
     (hypothesis of the closed form).  The result is a single
     monomial in the x alphabet (x_r for row r) with a Q(q,t) coefficient:
-    the one-column case of the group product of ``_column_walk``.
+    the one-column case of ``config_weight``, without Omega_mu.
     """
-    return _group_product(_column_factors(I, J, v), len(I))
+    return _monomial(len(I), _column_factors(I, J, v))
 
 
-def _group_product(walk: Walk | None, n: int, *factors: Factors) -> XPolynomial:
-    """``factors`` times the factor groups, as a monomial in x_1..x_n with
-    one coefficient built once (zero where a column vanished)."""
-    if walk is None:
+def _monomial(n: int, summand: Summand | None) -> XPolynomial:
+    """x^exps times the product of the factors, for ``summand`` = (exps,
+    factors), as a monomial in x_1..x_n with its coefficient built once
+    (zero for None, where a column vanished)."""
+    if summand is None:
         return XPolynomial.zero(n)
-    exps, groups = walk
-    coeff = QTRational.from_binomials(*binomial_product(factors + groups))
-    return XPolynomial.monomial(n, exps, coeff)
+    exps, factors = summand
+    return XPolynomial.monomial(n, exps, cyclotomic_form(*factors).value())
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +390,12 @@ def count_configs(mu: Composition, basement: Sequence[int] | None = None) -> int
 
 
 def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | None:
-    """The one loop over lattice columns: the x exponents and each factor
-    group of the column kernel, multiplied across ``columns`` (closed by
-    the empty column) in exponent form, or None where a column component
-    vanishes.  The twists come from the cached table ``column_twists``,
-    and each column from the kernel's cache ``_cached_column``.
+    """The one loop over lattice columns: the x exponents added across
+    ``columns`` (closed by the empty column) and each factor group of the
+    column kernel as the tuple of its per-column factors, or None where a
+    column component vanishes.  The twists come from the cached table
+    ``column_twists``, and each column from the kernel's cache
+    ``_cached_column``.
 
     ``columns[j][r-1]`` is the colour on row r of column j; the rows may be
     a permutation of a configuration's rows, and x_r stands for row r.
@@ -408,19 +410,18 @@ def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | 
             return None
         walked.append(column)
     exps = tuple(map(sum, zip(*(x for x, _ in walked))))
-    return exps, tuple(map(binomial_product, zip(*(groups for _, groups in walked))))
-
-
-def _weight(walk: Walk | None, mu: Composition) -> XPolynomial:
-    """Omega_mu times the factor groups of a configuration's walk; Omega_mu
-    enters as its binomials, which cancel those of phi."""
-    return _group_product(walk, mu.n, omega_factors(mu))
+    return exps, tuple(zip(*(groups for _, groups in walked)))
 
 
 def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
     """The weight of one configuration: Omega_mu times the product of its
-    column components (a single monomial in x with Q(q,t) coefficient)."""
-    return _weight(_column_walk(xi.columns, mu), mu)
+    column components (a single monomial in x with Q(q,t) coefficient).
+    Omega_mu enters as its binomials, which cancel those of phi."""
+    walk = _column_walk(xi.columns, mu)
+    if walk is None:
+        return XPolynomial.zero(mu.n)
+    exps, groups = walk
+    return _monomial(mu.n, (exps, chain([omega_factors(mu)], *groups)))
 
 
 def f_matrix_product(
@@ -436,7 +437,7 @@ def f_matrix_product(
     omega = omega_factors(mu)
     walks = (_column_walk(xi.columns, mu) for xi in enumerate_configs(mu, basement=rho))
     return binomial_sum(
-        mu.n, ((exps, (omega,) + groups) for exps, groups in filter(None, walks))
+        mu.n, ((exps, chain([omega], *groups)) for exps, groups in filter(None, walks))
     )
 
 
@@ -504,10 +505,10 @@ def kappa_ratio(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> QTRa
 
 def _cyclic_partition_functions(
     xi: LatticeConfig, mu: Composition, i: int
-) -> tuple[Walk | None, Walk | None]:
+) -> tuple[Summand | None, Summand | None]:
     """The fixed-internal-state partition functions (Z_l, Z_r) for colour i,
-    as walks: the exponent of x_c at index c - 1 and the factors, or None
-    where the partition function vanishes.
+    each as its x exponents (that of x_c at index c - 1) and factors, or
+    None where the partition function vanishes.
 
     Z_l places the colour-i row on top with spectral variable q x_i; Z_r
     places it at the bottom with variable x_i.  Both reuse the internal
@@ -516,7 +517,7 @@ def _cyclic_partition_functions(
     n = mu.n
     others = [c for c in range(1, n + 1) if c != i]
 
-    def partition_function(order: list[int], top_shift: int) -> Walk | None:
+    def partition_function(order: list[int], top_shift: int) -> Summand | None:
         # row r of the walk is row order[r-1] of xi and carries x_{order[r-1]};
         # the top row's variable is q^top_shift x_{order[n-1]}
         columns = [tuple(column[c - 1] for c in order) for column in xi.columns]
@@ -525,7 +526,7 @@ def _cyclic_partition_functions(
             return None
         exps, groups = walk
         placed = tuple(exps[order.index(c)] for c in range(1, n + 1))
-        return placed, groups + ((top_shift * exps[-1], 0, {}),)
+        return placed, (*chain.from_iterable(groups), (top_shift * exps[-1], 0, {}))
 
     return partition_function(others + [i], 1), partition_function([i] + others, 0)
 
@@ -534,7 +535,7 @@ def cyclic_check(mu: Composition, i: int) -> CheckReport:
     """Verify Z_l = q^{mu_i} t^{gamma_{i,0}} Z_r for every legal internal
     configuration (the refined, per-configuration cyclic relation): the x
     exponents of the two sides are equal and their coefficients, Z_l's
-    against the ratio's times Z_r's, have equal normal forms."""
+    against the ratio's times Z_r's, have equal cyclotomic forms."""
     if not 1 <= i <= mu.n:
         raise IndexError(f"colour {i} out of range 1..{mu.n}")
     report = CheckReport(f"cyclic mu={mu} i={i}")
@@ -547,9 +548,9 @@ def cyclic_check(mu: Composition, i: int) -> CheckReport:
         elif (
             left is None
             or left[0] != right[0]
-            or normal_form(*left[1]) != normal_form(*right[1], ratio)
+            or cyclotomic_form(*left[1]) != cyclotomic_form(*right[1], ratio)
         ):
-            z_left, z_right = (_group_product(z, mu.n) for z in (left, right))
+            z_left, z_right = (_monomial(mu.n, z) for z in (left, right))
             report.fail(
                 f"Z_l/Z_r != q^mu_i t^gamma on configuration {xi.columns}: "
                 f"{z_left} vs {QTRational.monomial(*ratio[:2])} * {z_right}"
@@ -564,13 +565,13 @@ def cyclic_check(mu: Composition, i: int) -> CheckReport:
 
 def frozen_coefficient(
     mu: Composition,
-) -> tuple[BinomialProduct | None, BinomialProduct]:
+) -> tuple[CyclotomicForm | None, CyclotomicForm]:
     """Coeff[x^mu] of the unnormalised matrix product, two ways.
 
     Route one evaluates the unique frozen configuration (each colour runs
     straight along its own row before exiting); route two is the closed
     product 1/Omega_mu.  Returns (from_configuration, from_omega) as
-    normal forms, None for a zero coefficient; the two must agree, and
+    cyclotomic forms, None for a zero coefficient; the two must agree, and
     ``.value()`` gives each in Q(q,t).  Neither is multiplied out.
     """
     n = mu.n
@@ -583,9 +584,9 @@ def frozen_coefficient(
     walk = _column_walk(frozen.columns, mu)
     from_config = None
     if walk is not None and walk[0] == tuple(mu.parts):
-        from_config = normal_form(*walk[1])
+        from_config = cyclotomic_form(*chain.from_iterable(walk[1]))
     _, _, omega = omega_factors(mu)
-    return from_config, normal_form((0, 0, {label: -m for label, m in omega.items()}))
+    return from_config, cyclotomic_form((0, 0, {label: -m for label, m in omega.items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -33,21 +33,8 @@ Negative exponents of q or t (needed e.g. for eigenvalue monomials
 q^a t^b with b < 0) are represented by placing the offending monomial in
 the denominator; QTPolynomial itself only ever stores exponents >= 0.
 
-A product q^c t^d prod (1 - q^a t^b)^m, the shape of every lattice and
-HHL weight, is written (c, d, {(a, b): m}) (``Factors``), a format owned
-here: ``binomial_product`` multiplies factors by adding exponents and
-multiplicities, ``QTRational.from_binomials`` builds the value once,
-without a gcd, and ``normal_form`` writes the product in a canonical form
-(``BinomialProduct``), so that two products compare equal exactly when
-their values do, without either value being built.
-
-Each binomial is a product of cyclotomic polynomials Phi_e(q^d1 t^d2)
-along its primitive direction d, and these are pairwise coprime
-irreducibles: the labels of module ``cyclotomic``, which builds on this
-one.  In them shared factors cancel, lcms are taken by integer arithmetic
-on counts and reductions are exact divisions, with no gcd:
-``from_binomials`` cancels parallel labels that way, and sums of binomial
-products (``xpoly.binomial_sum``) are reduced so.
+Products of binomials 1 - q^a t^b, the shape of every weight, have their
+own canonical form in module ``cyclotomic``, which builds on this one.
 
 All values are immutable after construction and all operations are pure,
 so they can be shared freely between threads.
@@ -58,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -71,9 +58,6 @@ __all__ = [
     "ExactDivisionError",
     "qt_gcd",
     "qt_lcm",
-    "binomial_product",
-    "BinomialProduct",
-    "normal_form",
 ]
 
 
@@ -595,52 +579,6 @@ class QTRational:
             QTPolynomial.monomial(nq, nt, coeff), QTPolynomial.monomial(dq, dt)
         )
 
-    @staticmethod
-    def from_binomials(
-        qexp: int, texp: int, binomials: Mapping[tuple[int, int], int]
-    ) -> "QTRational":
-        """The element q^qexp t^texp prod (1 - q^a t^b)^m over the items
-        (a, b) -> m of ``binomials`` (exponents of either sign, m < 0 in
-        the denominator); (a, b) = (0, 0) is refused.
-
-        Numerator and denominator are multiplied out once.  No binomial is
-        divisible by q or t, so in the UFD Q[q,t] the two are coprime as
-        soon as every numerator binomial is coprime to every denominator
-        binomial.  Labels (a, b) and (c, d) are coprime exactly when
-        a d != b c: with g = gcd(a, b) and m = q^{a/g} t^{b/g}, 1 - q^a t^b
-        is the product over e | g of the cyclotomic Phi_e(m), irreducible
-        in Q[q^±1, t^±1] as m is primitive, so two binomials share a factor
-        iff their labels are parallel (opposite directions too:
-        1 - m^-1 = -m^-1 (1 - m)).  Only then are the binomials split into
-        those factors (``cyclotomic.cyclotomic_value``), whose counts
-        cancel, and the two sides multiplied out from what is left; no gcd
-        is taken."""
-        if (0, 0) in binomials:
-            raise ValueError("the binomial 1 - q^0 t^0 is zero")
-        if any(
-            a * d == b * c
-            for (a, b), m in binomials.items() if m > 0
-            for (c, d), n in binomials.items() if n < 0
-        ):
-            # module cyclotomic builds on this one, so it is imported here
-            from .cyclotomic import cyclotomic_value
-
-            return cyclotomic_value((qexp, texp, binomials))
-        num, den = [], []
-        for (a, b), m in binomials.items():
-            if m:
-                # 1 - q^a t^b = q^min(a,0) t^min(b,0) * (its polynomial part)
-                qexp += min(a, 0) * m
-                texp += min(b, 0) * m
-                (num if m > 0 else den).append((a, b, abs(m)))
-        num_poly = QTPolynomial.monomial(max(qexp, 0), max(texp, 0))
-        den_poly = QTPolynomial.monomial(max(-qexp, 0), max(-texp, 0))
-        for a, b, m in num:
-            num_poly = num_poly * _binomial_power(a, b, m)
-        for a, b, m in den:
-            den_poly = den_poly * _binomial_power(a, b, m)
-        return _normalise(num_poly, den_poly)
-
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -804,100 +742,6 @@ def _normalise(num: QTPolynomial, den: QTPolynomial) -> "QTRational":
     # normalisation of the denominator remains.
     _, lead = den.leading_term()
     return _make_raw(num._divide_coefficients(lead), den._divide_coefficients(lead))
-
-
-@lru_cache(maxsize=1 << 10)
-def _binomial_power(a: int, b: int, m: int) -> QTPolynomial:
-    # the polynomial part of (1 - q^a t^b)^m, m >= 1: (1 - q^a t^b) divided
-    # by q^min(a,0) t^min(b,0), to the power m; not divisible by q or t
-    low_q, low_t = min(a, 0), min(b, 0)
-    base = _poly_raw({(-low_q, -low_t): 1, (a - low_q, b - low_t): -1})
-    return base if m == 1 else base * _binomial_power(a, b, m - 1)
-
-
-# q^qexp t^texp prod (1 - q^a t^b)^m, written (qexp, texp, {(a, b): m})
-Factors = tuple[int, int, Mapping[tuple[int, int], int]]
-
-
-def binomial_product(factors: Iterable[Factors]) -> Factors:
-    """The product of factors in exponent form: exponents and binomial
-    multiplicities add, so a binomial and its inverse cancel exactly."""
-    qexp = texp = 0
-    binomials: dict[tuple[int, int], int] = {}
-    for fq, ft, fb in factors:
-        qexp += fq
-        texp += ft
-        for key, m in fb.items():
-            binomials[key] = binomials.get(key, 0) + m
-    return qexp, texp, binomials
-
-
-class BinomialProduct(NamedTuple):
-    """The normal form of a product sign * q^qexp t^texp prod (1 - q^a t^b)^m,
-    built by ``normal_form``: equal products have equal normal forms, so
-    two products compare as values in Q(q,t) without either being
-    multiplied out.  ``labels`` holds the items ((a, b), m), m != 0, each
-    label normalised to a > 0, or a = 0 and b > 0.
-
-    Canonicity.  Every label (a, b) != (0, 0) is g times a primitive
-    direction d (g = gcd(a, b) >= 1), normalised along with (a, b), and
-    with u = q^d1 t^d2,
-
-      1 - q^a t^b = 1 - u^g = prod over e | g of Phi_e(u)
-
-    (Phi_e the cyclotomic polynomials).  A primitive d extends to a basis
-    of Z^2, so a monomial change of variables, an automorphism of
-    Q[q^±1, t^±1], turns u into a variable: each Phi_e(u) is irreducible
-    and no unit.  Its Newton polygon is a segment along d, and the units
-    c q^k t^l only translate polygons, so Phi_e(u) and Phi_e'(u') are
-    associate only if d = ±d' and then, as both are normalised, d = d'
-    and e = e'.  A product of normal form (s, i, j, L) is therefore the
-    unit s q^i t^j times prod Phi_e(u_d)^{n(d, e)}, where n(d, e) is the
-    sum of L(g d) over the multiples g of e.  This map from the label
-    multiplicities along d to the cyclotomic ones is unitriangular over
-    the divisor order: at the largest g with L(g d) != 0, n(d, g) = L(g d).
-    So it is injective, and by unique factorisation two normal forms with
-    the same value have the same labels, and then the same unit s q^i t^j.
-    Being a tuple, a normal form compares and hashes as one.
-    """
-
-    sign: int
-    qexp: int
-    texp: int
-    labels: frozenset
-
-    def value(self) -> QTRational:
-        """The product as an element of Q(q,t)."""
-        product = QTRational.from_binomials(self.qexp, self.texp, dict(self.labels))
-        return product if self.sign > 0 else -product
-
-
-def normal_form(*factors: Factors) -> BinomialProduct:
-    """The normal form of the product of ``factors`` in exponent form, as
-    ``binomial_product`` multiplies them (exponents of either sign); a
-    label (0, 0) is refused, as ``from_binomials`` refuses it.  A label
-    with a < 0, or a = 0 and b < 0, is rewritten by
-    1 - q^a t^b = -q^a t^b (1 - q^-a t^-b), and zero multiplicities are
-    dropped."""
-    sign = 1
-    qexp = texp = 0
-    labels: dict[tuple[int, int], int] = {}
-    for fq, ft, binomials in factors:
-        qexp += fq
-        texp += ft
-        for (a, b), m in binomials.items():
-            if a < 0 or (a == 0 and b <= 0):
-                if a == b == 0:
-                    raise ValueError("the binomial 1 - q^0 t^0 is zero")
-                qexp += a * m
-                texp += b * m
-                if m & 1:
-                    sign = -sign
-                a, b = -a, -b
-            labels[a, b] = labels.get((a, b), 0) + m
-    return BinomialProduct(
-        sign, qexp, texp, frozenset(item for item in labels.items() if item[1])
-    )
 
 
 def _make_raw(num: QTPolynomial, den: QTPolynomial) -> QTRational:

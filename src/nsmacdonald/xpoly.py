@@ -6,18 +6,19 @@ is fixed per polynomial; mixing alphabets raises AlphabetMismatch.
 
 The cleared form, ``ClearedPolynomial``, keeps the same polynomial as
 numerators over one common denominator D: each numerator is a Laurent
-polynomial in (q, t) with exact rational coefficients (``Laurent``, a
-dict (qexp, texp) -> coefficient), so adding numerators and multiplying
-by a monomial q^a t^b are integer and dict operations with no gcd.
+polynomial in (q, t) with exact rational coefficients (cyclotomic's
+``Laurent``, a dict (qexp, texp) -> coefficient), so adding numerators
+and multiplying by a monomial q^a t^b are integer and dict operations
+with no gcd.
 ``cleared_sum`` brings polynomials to that form, with one lcm of their
 denominators (one gcd per distinct denominator), and
 ``ClearedPolynomial.to_x`` brings it back, with each coefficient put in
 canonical form once, with one gcd.  The eigencheck clears that way.
 
 ``binomial_sum`` adds summands that are not yet polynomials: an x
-monomial times a coefficient in qt's exponent form, a monomial times
-binomials 1 - q^a t^b.  It works in cyclotomic labels (``cyclotomic``),
-in which the common denominator is an integer maximum and the final
+monomial times a coefficient in exponent form (``cyclotomic.Factors``),
+a monomial times binomials 1 - q^a t^b.  It works in their cyclotomic
+form, in which the common denominator is an integer maximum and the final
 reduction exact division, so it takes no gcd and builds no Q(q,t) value
 per summand.  Both summation routes (fillings.f_hhl and
 matrixprod.f_matrix_product) add their summands with it; each computes
@@ -46,11 +47,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .cyclotomic import (
     CyclotomicLabel,
+    Factors,
+    Laurent,
+    add_shifted,
     cyclotomic_form,
     cyclotomic_product,
     cyclotomic_quotient,
+    split_laurent,
 )
-from .qt import Factors, QTPolynomial, QTRational, qt_lcm
+from .qt import QTPolynomial, QTRational, qt_lcm
 
 __all__ = [
     "XPolynomial",
@@ -353,39 +358,14 @@ def _raw(nvars: int, terms: dict[tuple[int, ...], QTRational]) -> XPolynomial:
 # The cleared form: Laurent numerators over one common denominator.
 # ---------------------------------------------------------------------------
 
-# A Laurent polynomial in (q, t) with exact rational coefficients:
-# (qexp, texp) -> nonzero int or Fraction, exponents of either sign.
-Laurent = dict
-
-
-def add_shifted(
-    acc: Laurent, terms: Laurent, dq: int, dt: int, factor: int = 1
-) -> None:
-    # acc += factor q^dq t^dt terms
-    for (qe, te), coeff in terms.items():
-        key = (qe + dq, te + dt)
-        new = acc.get(key, 0) + factor * coeff
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
-
-
 def _shifted(terms: Laurent, dq: int, dt: int) -> Laurent:
     # a new Laurent polynomial q^dq t^dt terms
     return {(qe + dq, te + dt): coeff for (qe, te), coeff in terms.items()}
 
 
-def _split_laurent(acc: Laurent) -> tuple[QTPolynomial, int, int]:
-    # acc = q^dq t^dt poly, with poly a polynomial not divisible by q or t
-    dq = min(qe for qe, _te in acc)
-    dt = min(te for _qe, te in acc)
-    return QTPolynomial({(qe - dq, te - dt): c for (qe, te), c in acc.items()}), dq, dt
-
-
 def _over(num: Laurent, den: QTPolynomial) -> QTRational:
     # num / den in canonical form, with one gcd
-    poly, dq, dt = _split_laurent(num)
+    poly, dq, dt = split_laurent(num)
     return QTRational(
         poly * QTPolynomial.monomial(max(dq, 0), max(dt, 0)),
         den * QTPolynomial.monomial(max(-dq, 0), max(-dt, 0)),
@@ -464,7 +444,7 @@ def cleared_sum(nvars: int, summands: Iterable[XPolynomial]) -> ClearedPolynomia
         for exps, coeff in poly.terms.items():
             parts = split.get(coeff.den)
             if parts is None:
-                parts = split[coeff.den] = _split_laurent(coeff.den.terms)
+                parts = split[coeff.den] = split_laurent(coeff.den.terms)
             reduced, dq, dt = parts
             acc = groups.setdefault(reduced, {}).setdefault(exps, {})
             add_shifted(acc, coeff.num.terms, -dq, -dt)
@@ -474,7 +454,7 @@ def cleared_sum(nvars: int, summands: Iterable[XPolynomial]) -> ClearedPolynomia
         cofactor = common.div_exact(reduced)
         for exps, acc in by_exps.items():
             if acc:
-                num, dq, dt = _split_laurent(acc)
+                num, dq, dt = split_laurent(acc)
                 add_shifted(totals.setdefault(exps, {}), (num * cofactor).terms, dq, dt)
     return ClearedPolynomial(nvars, {e: acc for e, acc in totals.items() if acc}, common)
 
@@ -485,7 +465,7 @@ Summand = tuple[tuple[int, ...], Iterable[Factors]]
 
 def binomial_sum(nvars: int, summands: Iterable[Summand]) -> XPolynomial:
     """The exact sum of x^exps prod(factors) over ``summands``, each a
-    monomial in x with a coefficient in qt's exponent form, equal to
+    monomial in x with a coefficient in exponent form, equal to
     adding them one by one as XPolynomials but with no gcd and no Q(q,t)
     value per summand.
 
@@ -510,7 +490,7 @@ def binomial_sum(nvars: int, summands: Iterable[Summand]) -> XPolynomial:
                 f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
             )
         sign, qexp, texp, counts = cyclotomic_form(*factors)
-        acc = groups.setdefault(frozenset(counts.items()), {}).setdefault(exps, {})
+        acc = groups.setdefault(counts, {}).setdefault(exps, {})
         key = (qexp, texp)
         new = acc.get(key, 0) + sign
         if new:

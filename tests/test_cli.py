@@ -1,9 +1,12 @@
 """Command-line interface behaviour and output formats."""
 
+import argparse
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,8 @@ from nsmacdonald import cli
 from nsmacdonald.cli import main
 from nsmacdonald.xpoly import XPolynomial, reverse_alphabet
 from nsmacdonald.fillings import f_hhl
-from nsmacdonald.compositions import Composition
+from nsmacdonald.compositions import Composition, compositions_with
+from nsmacdonald.lattice import _boundaries, capped_states
 from nsmacdonald.matrixprod import cyclic_check, f_matrix_product
 
 
@@ -227,3 +231,51 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify hecke --n 9",
+        "verify exchange --n 9",
+        "verify ybe --cap 1000",
+        "verify hecke --samples 1000000000",
+        "verify ybe --n 1000000000000000000000",
+        "verify exchange --n 1000000000000000000000",
+        "verify hecke --n 1000000000000000000000",
+    ],
+)
+def test_oversized_verify_sizes_are_refused_at_once(capsys, monkeypatch, argv):
+    # the work is counted from the flags, so nothing runs before the
+    # refusal: a check reached past the guard fails here instead of running
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{argv} ran a check")
+
+    for name in ("ybe_check", "ybe_check_symbolic", "exchange_check", "verify_hecke_relations"):
+        monkeypatch.setattr(cli, name, ran)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "needs more than" in err
+
+
+def test_verify_work_counts_what_the_checks_run():
+    # each closed form against the enumeration it stands for: exchange's
+    # in-states and colour pairs and hecke's basement exchanges exactly,
+    # ybe's boundaries as an upper bound
+    args = argparse.Namespace(cap=2, samples=1)
+    for n in (2, 3, 4):
+        pairs = n * n * len(capped_states(n, 2, 1))
+        assert cli._work("exchange", [n], args, None) == pairs
+        ascents = sum(
+            rho[i] < rho[i + 1]
+            for rho in itertools.permutations(range(n))
+            for i in range(n - 1)
+        )
+        family = len(list(compositions_with(n, 2)))
+        assert cli._work("hecke", [n], args, None) == family * ascents + 1
+        assert cli._work("hecke", [n], args, Composition((0,) * n)) == ascents + 1
+    for n, cap in [(1, 2), (2, 2), (3, 1), (2, 0)]:
+        boundaries = len(_boundaries(n, cap, cap)) + len(_boundaries(1, cap, cap + 2))
+        assert cli._work("ybe", [n], argparse.Namespace(cap=cap), None) >= boundaries

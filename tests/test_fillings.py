@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from nsmacdonald import fillings
+from nsmacdonald import fillings, matrixprod
 from nsmacdonald.compositions import Composition, arm, compositions_with, leg
 from nsmacdonald.fillings import (
     Filling,
@@ -214,6 +214,26 @@ def test_weight_match_detects_a_corrupted_arm(monkeypatch):
         "downward-move factor mismatch",
         "total weights differ",
     }
+
+
+def test_weight_match_reads_every_column_of_a_group(monkeypatch):
+    # an extra factor t in the t^g group of the closing column, which comes
+    # after the first and has t^0 there on clean data: a check that read
+    # only one column of a group would not see it
+    original = matrixprod._cached_column
+    original.cache_clear()
+
+    def extra_t(I, J, twists):
+        column = original(I, J, twists)
+        if column is None or any(J):
+            return column
+        exps, ((qexp, texp, binomials), *groups) = column
+        return exps, ((qexp, texp + 1, binomials), *groups)
+
+    monkeypatch.setattr(matrixprod, "_cached_column", extra_t)
+    report = weight_match_check(Composition((1, 1)))
+    kinds = {message.split(" on ")[0] for message in report.failures}
+    assert kinds == {"t^ord_+ mismatch", "total weights differ"}
 
 
 def test_route_equivalence_spot():

@@ -308,46 +308,62 @@ def binomial_maps_sharing_a_factor(draw):
 )
 # parallel labels neither of which is a multiple of the other, on every run
 @example(0, 0, {(2, 2): 1, (3, 3): -1})
-def test_from_binomials_equals_field_product(qexp, texp, binomials):
-    value = QTRational.from_binomials(qexp, texp, binomials)
+def test_form_value_equals_field_product(qexp, texp, binomials):
+    value = cyclotomic_form((qexp, texp, binomials)).value()
     assert value == field_binomial_product(qexp, texp, binomials)
     assert stored_form_ok(value.num) and stored_form_ok(value.den)
     assert value.den.leading_term()[1] == 1
 
 
-def test_from_binomials_examples():
-    assert QTRational.from_binomials(0, 0, {}) == ONE
-    assert QTRational.from_binomials(2, -1, {(1, 1): 0}) == Q * Q / T
+def value_of(qexp, texp, binomials):
+    return cyclotomic_form((qexp, texp, binomials)).value()
+
+
+def form(sign, qexp, texp, counts):
+    """The cyclotomic form with these parts, counts given as a dict."""
+    return sign, qexp, texp, frozenset(counts.items())
+
+
+def test_form_value_examples():
+    assert value_of(0, 0, {}) == ONE
+    assert value_of(2, -1, {(1, 1): 0}) == Q * Q / T
     # (1 - qt) / (1 - q^2 t^2) = 1 / (1 + qt)
-    assert QTRational.from_binomials(0, 0, {(1, 1): 1, (2, 2): -1}) == ONE / (ONE + Q * T)
+    assert value_of(0, 0, {(1, 1): 1, (2, 2): -1}) == ONE / (ONE + Q * T)
     # (1 - t^2) / (1 - t^-2) = -t^2
-    assert QTRational.from_binomials(0, 0, {(0, 2): 1, (0, -2): -1}) == -(T * T)
-    assert QTRational.from_binomials(1, 0, {(1, -1): -1}) == Q / (ONE - Q / T)
+    assert value_of(0, 0, {(0, 2): 1, (0, -2): -1}) == -(T * T)
+    assert value_of(1, 0, {(1, -1): -1}) == Q / (ONE - Q / T)
     with pytest.raises(ValueError):
-        QTRational.from_binomials(0, 0, {(0, 0): 1})
+        value_of(0, 0, {(0, 0): 1})
 
 
-def test_binomial_product_adds_exponents_and_multiplicities():
+def test_cyclotomic_form_adds_exponents_and_counts():
+    # the factors multiply: exponents and multiplicities add, so a binomial
+    # and its inverse cancel across factors
     factors = [(1, 0, {(1, 1): 2}), (0, -1, {(1, 1): -2, (0, 1): 1}), (2, 3, {})]
-    assert qt.binomial_product(factors) == (3, 2, {(1, 1): 0, (0, 1): 1})
+    assert cyclotomic_form(*factors) == form(-1, 3, 2, {(1, 0, 1): 1})
+    assert cyclotomic_form(*factors) == cyclotomic_form((3, 2, {(1, 1): 0, (0, 1): 1}))
 
 
 def test_binomial_coprimality_test_is_exact():
-    # from_binomials skips the gcd when no numerator label (a, b) and
-    # denominator label (c, d) have a d = b c: exhaustively on a box, that
-    # is exactly when the two binomials are coprime
+    # two binomials share a factor exactly when their labels (a, b) and
+    # (c, d) are parallel, a d = b c, which is when their cyclotomic labels
+    # meet: exhaustively on a box, against the gcd, and the quotient's
+    # value is the field quotient either way
     labels = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
     for a, b in labels:
         top = ONE - QTRational.monomial(a, b)
+        top_labels = {label for label, _ in cyclotomic_form((0, 0, {(a, b): 1})).counts}
         for c, d in labels:
             bottom = ONE - QTRational.monomial(c, d)
             coprime = qt_gcd(top.num, bottom.num).is_one()
             assert (a * d != b * c) == coprime, ((a, b), (c, d))
-            factors = qt.binomial_product([(0, 0, {(a, b): 1}), (0, 0, {(c, d): -1})])
-            assert QTRational.from_binomials(*factors) == top / bottom, ((a, b), (c, d))
+            bottom_labels = {label for label, _ in cyclotomic_form((0, 0, {(c, d): 1})).counts}
+            assert top_labels.isdisjoint(bottom_labels) == coprime, ((a, b), (c, d))
+            quotient = cyclotomic_form((0, 0, {(a, b): 1}), (0, 0, {(c, d): -1}))
+            assert quotient.value() == top / bottom, ((a, b), (c, d))
 
 
-# -- the normal form of a binomial product ----------------------------------
+# -- the canonical form of a binomial product -------------------------------
 
 # primitive directions, opposite ones included, and multiples along them:
 # the labels among which a product can have two spellings
@@ -375,32 +391,44 @@ def flipped(product, flips):
     return qexp, texp, out
 
 
+def merged(first, second):
+    """One factor with the exponents and multiplicities of two added."""
+    binomials = dict(first[2])
+    for key, m in second[2].items():
+        binomials[key] = binomials.get(key, 0) + m
+    return first[0] + second[0], first[1] + second[1], binomials
+
+
 @given(parallel_products, parallel_products, st.sets(parallel_keys))
 @example((0, 0, {(2, 2): 1}), (0, 0, {(1, 1): 2}), set())
 def test_normal_forms_are_equal_exactly_when_values_are(first, second, flips):
-    value = QTRational.from_binomials(*first)
-    assert qt.normal_form(first).value() == value
-    assert qt.normal_form(first, second) == qt.normal_form(qt.binomial_product([first, second]))
+    # the values come from field arithmetic, not from the form under test
+    value = field_binomial_product(*first)
+    assert cyclotomic_form(first).value() == value
+    assert cyclotomic_form(first, second) == cyclotomic_form(merged(first, second))
     for other in (second, flipped(first, flips)):
-        same_value = value == QTRational.from_binomials(*other)
-        assert (qt.normal_form(first) == qt.normal_form(other)) == same_value, other
+        same_value = value == field_binomial_product(*other)
+        assert (cyclotomic_form(first) == cyclotomic_form(other)) == same_value, other
 
 
 def test_normal_form_controls():
     # 1 - q^2 t^2 = (1 - qt)(1 + qt) is not (1 - qt)^2
-    assert qt.normal_form((0, 0, {(2, 2): 1})) != qt.normal_form((0, 0, {(1, 1): 2}))
+    assert cyclotomic_form((0, 0, {(2, 2): 1})) != cyclotomic_form((0, 0, {(1, 1): 2}))
     # 1 - q^-1 t^-1 = -q^-1 t^-1 (1 - qt)
-    form = qt.normal_form((0, 0, {(-1, -1): 1}))
-    assert (form.sign, form.qexp, form.texp, dict(form.labels)) == (-1, -1, -1, {(1, 1): 1})
-    assert form.value() == ONE - QTRational.monomial(-1, -1)
-    # a label and its opposite merge, and zero multiplicities are dropped
+    minus = cyclotomic_form((0, 0, {(-1, -1): 1}))
+    minus_one = (0, -2, {(0, 2): 1, (0, -2): -1})  # t^-2 (1 - t^2) / (1 - t^-2)
+    assert minus == cyclotomic_form((-1, -1, {(1, 1): 1}), minus_one)
+    # in labels q^-1 t^-1 Phi_1(qt), Phi_1(u) = u - 1
+    assert minus == form(1, -1, -1, {(1, 1, 1): 1})
+    assert minus.value() == ONE - QTRational.monomial(-1, -1)
+    # a label and its opposite merge, and zero counts are dropped:
     # (1 - t^2) / (1 - t^-2) = -t^2
-    assert qt.normal_form((0, 0, {(0, 2): 1, (0, -2): -1, (1, 0): 0})) == (-1, 0, 2, frozenset())
+    assert cyclotomic_form((0, 0, {(0, 2): 1, (0, -2): -1, (1, 0): 0})) == form(-1, 0, 2, {})
     # q^-2 t^-2 (1 - qt)^2 / (1 - q^-1 t^-1) is the same product, spelt otherwise
-    other = qt.normal_form((-2, -2, {(1, 1): 2, (-1, -1): -1}), (0, 0, {(1, 2): 0}))
-    assert other == form and hash(other) == hash(form)
+    other = cyclotomic_form((-2, -2, {(1, 1): 2, (-1, -1): -1}), (0, 0, {(1, 2): 0}))
+    assert other == minus and hash(other) == hash(minus)
     with pytest.raises(ValueError):
-        qt.normal_form((0, 0, {(0, 0): 0}))
+        cyclotomic_form((0, 0, {(0, 0): 0}))
 
 
 # -- cyclotomic labels ---------------------------------------------------------
@@ -436,17 +464,17 @@ def phi_value(counts):
 @given(parallel_products, st.sampled_from([(1, 1), (0, 2), (-2, 4), (3, -3)]), st.integers(0, 2))
 @example((0, 0, {(2, 2): 1, (3, 3): -1}), (1, 1), 1)
 def test_cyclotomic_form_and_quotient_give_the_field_value(product, planted, k):
-    value = QTRational.from_binomials(*product)
+    value = field_binomial_product(*product)
     sign, qexp, texp, counts = cyclotomic_form(product)
-    top = [(label, n) for label, n in counts.items() if n > 0]
-    bottom = {label: -n for label, n in counts.items() if n < 0}
+    top = [(label, n) for label, n in counts if n > 0]
+    bottom = {label: -n for label, n in counts if n < 0}
     field = QTRational.monomial(qexp, texp, sign) * phi_value(top) / phi_value(bottom.items())
     assert field == value
     # a factor planted k times over and under the line is divided out again
     planted_counts = cyclotomic_form((0, 0, {planted: k}))[3]
-    for label, n in planted_counts.items():
+    for label, n in planted_counts:
         bottom[label] = bottom.get(label, 0) + n
-    num = cyclotomic_product(top + list(planted_counts.items()))
+    num = cyclotomic_product(top + list(planted_counts))
     quotient = cyclotomic_quotient(
         {(qe + qexp, te + texp): sign * c for (qe, te), c in num.items()}, bottom
     )
@@ -456,10 +484,10 @@ def test_cyclotomic_form_and_quotient_give_the_field_value(product, planted, k):
 
 def test_cyclotomic_form_controls():
     # 1 - q^2 t^2 = -Phi_1(qt) Phi_2(qt); 1 - q^-2 = q^-2 Phi_1(q) Phi_2(q)
-    assert cyclotomic_form((0, 0, {(2, 2): 1})) == (-1, 0, 0, {(1, 1, 1): 1, (2, 1, 1): 1})
-    assert cyclotomic_form((0, 0, {(-2, 0): 1})) == (1, -2, 0, {(1, 1, 0): 1, (2, 1, 0): 1})
+    assert cyclotomic_form((0, 0, {(2, 2): 1})) == form(-1, 0, 0, {(1, 1, 1): 1, (2, 1, 1): 1})
+    assert cyclotomic_form((0, 0, {(-2, 0): 1})) == form(1, -2, 0, {(1, 1, 0): 1, (2, 1, 0): 1})
     # (1 - qt) / (1 - q^2 t^2) = 1 / (1 + qt): the shared factor cancels
-    assert cyclotomic_form((0, 0, {(1, 1): 1, (2, 2): -1})) == (1, 0, 0, {(2, 1, 1): -1})
+    assert cyclotomic_form((0, 0, {(1, 1): 1, (2, 2): -1})) == form(1, 0, 0, {(2, 1, 1): -1})
     with pytest.raises(ValueError):
         cyclotomic_form((0, 0, {(0, 0): 1}))
     # rational coefficients: (3/2)(1 - q) / (q - 1) = -3/2 and
@@ -494,7 +522,7 @@ polynomial_labels = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambd
 def coprime_cofactors(draw):
     """Two products of binomials 1 - q^a t^b where no label of one is
     parallel to a label of the other, so the two are coprime by the label
-    criterion of ``QTRational.from_binomials`` (parallel labels within
+    criterion of ``test_binomial_coprimality_test_is_exact`` (parallel labels within
     one product, as in (1 - qt)(1 - q^2 t^2), are allowed)."""
     u = draw(st.lists(polynomial_labels, max_size=3))
     v = draw(

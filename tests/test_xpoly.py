@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
-from nsmacdonald.qt import Fraction, QTPolynomial, QTRational, binomial_product
+from nsmacdonald.qt import Fraction, QTPolynomial, QTRational
 from nsmacdonald.xpoly import (
     AlphabetMismatch,
     XPolynomial,
@@ -173,8 +173,14 @@ MINUS_ONE = (-1, -1, {(1, 1): 1, (-1, -1): -1})
 
 
 def as_polynomial(summand):
+    # the summand's coefficient multiplied out factor by factor in Q(q,t)
     exps, factors = summand
-    return XPolynomial(2, {exps: QTRational.from_binomials(*binomial_product(factors))})
+    coeff = ONE
+    for qexp, texp, binomials in factors:
+        coeff = coeff * QTRational.monomial(qexp, texp)
+        for (a, b), m in binomials.items():
+            coeff = coeff * (ONE - QTRational.monomial(a, b)) ** m
+    return XPolynomial(2, {exps: coeff})
 
 
 @given(summand_lists, st.lists(st.integers(0, 7), max_size=3))
