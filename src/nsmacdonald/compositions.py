@@ -130,14 +130,6 @@ class Composition:
             for j in range(1, self.parts[i - 1] + 1)
         ]
 
-    def extended_diagram(self) -> list[Square]:
-        """Diagram squares plus the basement row j = 0."""
-        return [
-            Square(i, j)
-            for i in range(1, self.n + 1)
-            for j in range(0, self.parts[i - 1] + 1)
-        ]
-
     def __iter__(self):
         return iter(self.parts)
 

@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .compositions import Composition, arm, attacks, leg, omega_factors
+from .compositions import Composition, arm, leg, omega_factors
 from .cyclotomic import Factors, cyclotomic_form
 from .matrixprod import LatticeConfig, _column_walk, enumerate_configs
 from .reports import CheckReport
@@ -80,13 +80,6 @@ class Filling:
     def entry(self, i: int, j: int) -> int:
         """sigma_{i,j} for a square of the extended diagram."""
         return self.columns[i - 1][j]
-
-    def is_non_attacking(self) -> bool:
-        squares = self.mu.extended_diagram()
-        for s, s2 in itertools.combinations(squares, 2):
-            if attacks(s, s2) and self.entry(*s) == self.entry(*s2):
-                return False
-        return True
 
     def x_monomial(self) -> tuple[int, ...]:
         """Exponent vector of x^sigma (basement squares excluded)."""

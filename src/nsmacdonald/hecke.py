@@ -15,40 +15,38 @@ composed right to left (T_i^{-1} acts first).  Their joint eigenfunctions
 are the nonsymmetric Macdonald polynomials; the eigenvalue of Y_i on the
 eigenfunction labelled by mu is eigenvalue_y(mu, i).
 
-Each operator is written once, on the cleared form of xpoly
-(``ClearedPolynomial``): D^{-1} sum_e L_e x^e, with one common
-denominator D and numerators L_e that are Laurent polynomials in (q, t)
-with exact rational coefficients.  The operators are Q(q,t)-linear and
-their coefficients are the monomials 1, q, t^{+-1}, so on that form they
-only permute and shift exponent keys and add numerators: the
-denominator D rides along untouched, and no QTRational is built, no gcd
-taken and no QTPolynomial multiplied.  On an XPolynomial, ``apply_T``,
-``apply_Y``, ``cyclic_omega`` and ``divided_difference_div`` clear the
-denominators once, act, and bring each coefficient back to canonical
-form in Q(q,t) once (``xpoly.on_cleared``).
+Each operator is written once, on the cleared form (module ``cleared``):
+D^{-1} sum_e L_e x^e, with one common denominator D and numerators L_e,
+Laurent polynomials in (q, t) with integer coefficients, each packed into
+one Python int.  The operators are Q(q,t)-linear and their coefficients
+are the monomials 1, q, t^{+-1}, so on that form they permute exponent
+keys, shift the packed numerators by whole slots and rows, and add them
+as integers: the denominator D rides along untouched, and no QTRational
+is built, no gcd taken and no QTPolynomial multiplied.  Before each
+step the operator checks in O(1) that its result fits the layout
+(``ClearedPolynomial.with_room``); if not, the numerators are laid out
+afresh, never truncated.  On an XPolynomial, ``apply_T``, ``apply_Y``,
+``cyclic_omega`` and ``divided_difference_div`` clear the denominators
+once, act, and bring each coefficient back to canonical form in Q(q,t)
+once (``xpoly.on_cleared``).
 
 ``verify_eigen`` clears f once, over the lcm D of its denominators, and
-compares Y_i(D f) with y_i (D f) as dicts of numerators.  That is exact
-equality in Q(q,t): both sides lie over the same D, over which every
-coefficient has exactly one numerator, so the numerators agree exactly
-when the coefficients of Y_i f and y_i f do (Y_i is linear, D != 0).
+forms Y_i(D f) - y_i (D f) over D and one layout: a dict of packed
+integer numerators, empty exactly when Y_i f = y_i f.  That is exact
+equality in Q(q,t): over a fixed D every coefficient has exactly one
+numerator (Y_i is linear, D != 0), and under one layout every numerator
+one integer.
 """
 
 from __future__ import annotations
 
 import random
 
+from .cleared import ClearedPolynomial
 from .compositions import Composition, eigenvalue_y
-from .cyclotomic import add_shifted
 from .qt import QTRational
 from .reports import CheckReport
-from .xpoly import (
-    ClearedPolynomial,
-    XPolynomial,
-    cyclic_omega,
-    divided_difference_div,
-    on_cleared,
-)
+from .xpoly import XPolynomial, cleared_sum, cyclic_omega, divided_difference_div, on_cleared
 
 __all__ = [
     "apply_T",
@@ -66,14 +64,19 @@ def apply_T(p: ClearedPolynomial, i: int, inverse: bool = False) -> ClearedPolyn
     n = p.nvars
     if not 1 <= i <= n - 1:
         raise IndexError(f"generator index {i} out of range 1..{n - 1}")
-    # the t exponents of the coefficients of p, x_i delta and x_{i+1} delta
-    tp, ti, tnext = (-1, -1, 0) if inverse else (1, 0, 1)
-    out = {e: {(qe, te + tp): c for (qe, te), c in num.items()} for e, num in p.terms.items()}
+    # T_i p = t p + c and T_i^{-1} p = t^{-1} (p + c), c = -x_i delta + t x_{i+1} delta:
+    # at most 1 + 2 degree times p's bound, and one more factor t
+    p = p.with_room(1 + 2 * p.degree, 1)
+    step = p.layout[0]  # a factor t: one slot up
+    out = dict(p.terms) if inverse else {e: num << step for e, num in p.terms.items()}
     for exps, num in divided_difference_div(p, i).terms.items():
-        for k, dt, sign in ((i - 1, ti, -1), (i, tnext, 1)):
-            key = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
-            add_shifted(out.setdefault(key, {}), num, 0, dt, sign)
-    return ClearedPolynomial(n, {e: c for e, c in out.items() if c}, p.den)
+        key = exps[:i - 1] + (exps[i - 1] + 1,) + exps[i:]
+        out[key] = out.get(key, 0) - num
+        key = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+        out[key] = out.get(key, 0) + (num << step)
+    terms = {e: c for e, c in out.items() if c}
+    result = p.derived(terms, p.bound * (1 + 2 * p.degree), p.tspan + 1, p.degree)
+    return result.shift(0, -1) if inverse else result
 
 
 @on_cleared
@@ -158,13 +161,14 @@ def verify_hecke_relations(n: int, samples: int = 5, seed: int = 0) -> CheckRepo
 def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
     """Check Y_i f = y_i(mu) f exactly for every i, on cleared denominators.
 
-    With D the lcm of f's coefficient denominators (``ClearedPolynomial.of``,
-    one ``qt_lcm``), the check is Y_i(D f) = y_i (D f), compared as dicts
-    of Laurent numerators; the eigenvalue y_i is a monomial, a shift of
-    their exponents.  A failure reports the first differing coefficient
-    of Y_i f - y_i f in graded lex order, the only coefficient brought
-    back to Q(q,t).  The zero polynomial, which every Y_i fixes but which
-    is no eigenfunction, fails one check.
+    With D the lcm of f's coefficient denominators (``cleared_sum``, one
+    ``qt_lcm``), the check is Y_i(D f) = y_i (D f), compared as their
+    difference, a dict of packed integer numerators under one layout; the
+    eigenvalue y_i is a monomial, a move of the layout's offsets.  A
+    failure reports the first differing coefficient of Y_i f - y_i f in
+    graded lex order, the only coefficient brought back to Q(q,t).  The
+    zero polynomial, which every Y_i fixes but which is no eigenfunction,
+    fails one check.
     """
     if f.nvars != mu.n:
         raise ValueError(f"alphabet size {f.nvars} does not match {mu}")
@@ -173,13 +177,12 @@ def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
         report.count()
         report.fail("f is the zero polynomial, which is no eigenfunction")
         return report
-    cleared = ClearedPolynomial.of(f)
+    cleared = cleared_sum(f.nvars, [f])
     for i in range(1, mu.n + 1):
-        lhs = apply_Y(cleared, i)
-        rhs = cleared.shift(*_exponents(eigenvalue_y(mu, i)))
+        diff = apply_Y(cleared, i) - cleared.shift(*_exponents(eigenvalue_y(mu, i)))
         report.count()
-        if lhs.terms != rhs.terms:
-            exps, coeff = (lhs - rhs).leading_term()
+        if diff.terms:
+            exps, coeff = diff.leading_term()
             report.fail(
                 f"Y_{i} f != y_{i} f; first differing coefficient at x^{exps}: {coeff}"
             )

@@ -63,7 +63,6 @@ __all__ = [
     "r_weight",
     "ybe_check",
     "ybe_check_symbolic",
-    "row_operator_elem",
     "row_operator_expand",
     "exchange_check",
     "capped_states",
@@ -422,49 +421,6 @@ def row_operator_expand(
 
     walk(0, colour, [], one, 0)
     return results
-
-
-def row_operator_elem(colour: int, in_state: State, out_state: State, t=None):
-    """One row matrix element as (coeff, xdeg): paths enter along the
-    bottom edge (``in_state``), colour enters on the left, and paths leave
-    along the top edge (``out_state``), so the element vanishes unless
-    out = in + e_colour as totals.
-
-    The element is always a monomial in x: the internal vertical edges of
-    the row are forced by conservation, so either the walk succeeds with a
-    unique weight or the element is zero.
-    """
-    if t is None:
-        t = QTRational.t()
-    n = len(in_state[0]) if in_state else 0
-    if len(in_state) != len(out_state):
-        raise ValueError("state shapes differ")
-    one = t**0
-    zero = one - one
-    left = colour
-    coeff = one
-    xdeg = 0
-    for top, bottom in zip(out_state, in_state):
-        # conservation fixes the right edge: bottom + e_left = top + e_right
-        diff = [b - a for a, b in zip(top, bottom)]
-        if left:
-            diff[left - 1] += 1
-        total = sum(diff)
-        if total == 0 and all(d == 0 for d in diff):
-            right = 0
-        elif total == 1 and diff.count(1) == 1 and diff.count(0) == n - 1:
-            right = diff.index(1) + 1
-        else:
-            return zero, 0
-        w = l_weight(bottom, left, top, right, t)
-        if w.is_zero():
-            return zero, 0
-        coeff = coeff * w.coeff
-        xdeg += w.xdeg
-        left = right
-    if left != 0:
-        return zero, 0
-    return coeff, xdeg
 
 
 def capped_states(n: int, nsites: int, cap: int) -> list[State]:

@@ -56,10 +56,11 @@ added by xpoly's ``binomial_sum`` (cyclotomic labels, no gcd), the sum
 f_hhl uses for its own summands.
 
 Permuted basements: f^rho is the same sum with colour rho_r entering row
-r instead of colour r.  The module also provides the rotation constant
-kappa, the per-configuration cyclic relation Z_l / Z_r = q^{mu_i}
-t^{gamma_{i,0}}, the frozen-configuration normalisation, and the q = 0
-Hall-Littlewood evaluation through a direct row-operator route.
+r instead of colour r.  The module also provides the per-configuration
+cyclic relation Z_l / Z_r = q^{mu_i} t^{gamma_{i,0}}, the
+frozen-configuration normalisation, the basement exchange T_i^{-1} f^rho
+= t^{-1} f^{s_i rho}, and the q = 0 Hall-Littlewood evaluation through a
+direct row-operator route.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .cyclotomic import CyclotomicForm, Factors, cyclotomic_form
 from .lattice import row_operator_expand
 from .qt import QTRational
 from .reports import CheckReport
-from .xpoly import Summand, XPolynomial, binomial_sum, compose_vars
+from .xpoly import Summand, XPolynomial, binomial_sum
 
 __all__ = [
     "LatticeConfig",
@@ -88,11 +89,9 @@ __all__ = [
     "config_weight",
     "f_matrix_product",
     "hall_littlewood_q0",
-    "kappa_ratio",
     "cyclic_check",
     "frozen_coefficient",
     "verify_exchange_basement",
-    "verify_basement_cyclic",
 ]
 
 
@@ -470,37 +469,8 @@ def hall_littlewood_q0(mu: Composition) -> XPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Rotation constant and the cyclic relation.
+# The cyclic relation.
 # ---------------------------------------------------------------------------
-
-
-def kappa_ratio(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> QTRational:
-    """The constant relating a column component to its rotated version:
-
-      kappa = t^{#{a in P : a > j_n} 1(j_n >= 1)}
-            / t^{#{a in Q : a < i_n} 1(i_n in P)}
-            * v_{i_n}^{1(i_n in Q)} / v_{j_n}^{1(j_n >= 1)}
-
-    written in terms of the colour data and the top edge states i_n, j_n,
-    with twists given as in ``column_component``.
-    """
-    P, Q = colour_data(I, J)
-    i_top, j_top = I[-1], J[-1]
-    qexp = texp = 0
-    if j_top >= 1:
-        vj = v.get(j_top)
-        if vj is None:
-            raise ZeroDivisionError(
-                f"rotation constant undefined: v_{j_top} = 0 with j_n = {j_top} >= 1"
-            )
-        qexp, texp = -vj[0], sum(1 for c in P if c > j_top) - vj[1]
-    if i_top in P:
-        texp -= sum(1 for c in Q if c < i_top)
-    if i_top in Q:
-        if v[i_top] is None:
-            return QTRational.zero()
-        qexp, texp = qexp + v[i_top][0], texp + v[i_top][1]
-    return QTRational.monomial(qexp, texp)
 
 
 def _cyclic_partition_functions(
@@ -590,7 +560,7 @@ def frozen_coefficient(
 
 
 # ---------------------------------------------------------------------------
-# Basement exchange and cyclic shifts (permuted-basement identities).
+# Basement exchange (a permuted-basement identity).
 # ---------------------------------------------------------------------------
 
 
@@ -611,28 +581,4 @@ def verify_exchange_basement(mu: Composition, i: int, rho: Sequence[int]) -> Che
     report.count()
     if lhs != rhs:
         report.fail(f"T_{i}^-1 f^{rho} != t^-1 f^{swapped}")
-    return report
-
-
-def verify_basement_cyclic(mu: Composition, rho: Sequence[int]) -> CheckReport:
-    """Check f^rho(x_1,..,q x_n) = t^{n-2 rho_n+1} y_{rho_n} f^{w rho}(x_n,x_1,..)."""
-    from .compositions import eigenvalue_y
-
-    rho = list(rho)
-    n = mu.n
-    report = CheckReport(f"basement-cyclic mu={mu} rho={rho}")
-    one, q = QTRational.one(), QTRational.q()
-    lhs = compose_vars(
-        f_matrix_product(mu, rho),
-        [(k, one) for k in range(1, n)] + [(n, q)],
-    )
-    rotated = [rho[-1]] + rho[:-1]
-    # evaluate f^{w rho} on the rotated alphabet (x_n, x_1, .., x_{n-1}):
-    # argument slot 1 receives x_n, slot k >= 2 receives x_{k-1}
-    images = [(n, one)] + [(k, one) for k in range(1, n)]
-    rhs = compose_vars(f_matrix_product(mu, rotated), images)
-    factor = QTRational.monomial(0, n - 2 * rho[-1] + 1) * eigenvalue_y(mu, rho[-1])
-    report.count()
-    if lhs != rhs.scale(factor):
-        report.fail(f"cyclic basement shift fails for rho={rho}")
     return report

@@ -4,16 +4,16 @@ A polynomial is a dict mapping dense exponent vectors (one entry per
 variable) to nonzero QTRational coefficients.  The alphabet size ``nvars``
 is fixed per polynomial; mixing alphabets raises AlphabetMismatch.
 
-The cleared form, ``ClearedPolynomial``, keeps the same polynomial as
-numerators over one common denominator D: each numerator is a Laurent
-polynomial in (q, t) with exact rational coefficients (cyclotomic's
-``Laurent``, a dict (qexp, texp) -> coefficient), so adding numerators
-and multiplying by a monomial q^a t^b are integer and dict operations
-with no gcd.
-``cleared_sum`` brings polynomials to that form, with one lcm of their
-denominators (one gcd per distinct denominator), and
-``ClearedPolynomial.to_x`` brings it back, with each coefficient put in
-canonical form once, with one gcd.  The eigencheck clears that way.
+The cleared form (module ``cleared``) keeps the same polynomial as
+numerators over one common denominator D, each a Laurent polynomial in
+(q, t) with integer coefficients packed into one Python int, so that
+adding numerators is one integer addition and a monomial factor
+q^a t^b a bit shift, with no gcd.  ``cleared_sum`` brings polynomials
+to that form: one lcm of their denominators (one gcd per distinct
+denominator), rational coefficients scaled to integers, and one packing
+per numerator.  ``on_cleared`` brings the result of an operator back,
+each coefficient decoded and put in canonical form once, with one gcd.
+The eigencheck clears that way.
 
 ``binomial_sum`` adds summands that are not yet polynomials: an x
 monomial times a coefficient in exponent form (``cyclotomic.Factors``),
@@ -26,16 +26,16 @@ its summands with its own weight kernel, and the sum knows nothing of
 either formula.
 
 The variable manipulations the affine Hecke operators need act on the
-cleared form; ``on_cleared`` extends each to XPolynomial (clear once,
-act, bring back once):
+packed numerators of the cleared form, each updating the envelope the
+form's exactness rests on (see ``cleared``); ``on_cleared`` extends each
+to XPolynomial (clear once, act, bring back once):
 
   cyclic_omega       the cyclic shift h(x_1,..,x_n) -> h(x_2,..,x_n, q x_1)
   divided_difference_div
                      the exact quotient (p - s_i p)/(x_i - x_{i+1})
 
 ``compose_vars`` substitutes each variable of an XPolynomial by a scalar
-multiple of a (possibly different) variable: alphabet reversal and the
-shifts of the permuted-basement identities.
+multiple of a (possibly different) variable, as alphabet reversal does.
 
 XPolynomial values are immutable; operations are pure functions.
 """
@@ -43,8 +43,10 @@ XPolynomial values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from functools import wraps
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .cleared import ClearedPolynomial
 from .cyclotomic import (
     CyclotomicLabel,
     Factors,
@@ -60,7 +62,6 @@ from .qt import QTPolynomial, QTRational, qt_lcm
 __all__ = [
     "XPolynomial",
     "AlphabetMismatch",
-    "ClearedPolynomial",
     "cleared_sum",
     "binomial_sum",
     "on_cleared",
@@ -355,75 +356,8 @@ def _raw(nvars: int, terms: dict[tuple[int, ...], QTRational]) -> XPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# The cleared form: Laurent numerators over one common denominator.
+# To and from the cleared form.
 # ---------------------------------------------------------------------------
-
-def _shifted(terms: Laurent, dq: int, dt: int) -> Laurent:
-    # a new Laurent polynomial q^dq t^dt terms
-    return {(qe + dq, te + dt): coeff for (qe, te), coeff in terms.items()}
-
-
-def _over(num: Laurent, den: QTPolynomial) -> QTRational:
-    # num / den in canonical form, with one gcd
-    poly, dq, dt = split_laurent(num)
-    return QTRational(
-        poly * QTPolynomial.monomial(max(dq, 0), max(dt, 0)),
-        den * QTPolynomial.monomial(max(-dq, 0), max(-dt, 0)),
-    )
-
-
-class ClearedPolynomial:
-    """A polynomial in x_1..x_n over Q(q,t) with its denominators cleared:
-    D^{-1} sum_e L_e x^e, with one common denominator D in Q[q,t] and
-    numerators L_e, Laurent polynomials in (q, t) with exact rational
-    coefficients (``Laurent``).
-
-    ``terms`` maps exponent vectors to nonzero numerators.  Over a fixed D
-    the numerators are unique (L_e is D times the coefficient of x^e), so
-    two cleared polynomials over the same D are equal in Q(q,t)[x] exactly
-    when their ``terms`` are equal dicts.  A monomial factor q^a t^b is a
-    shift of the numerators' exponent keys.  Values are not mutated after
-    construction; inner dicts may be shared between values.
-    """
-
-    __slots__ = ("nvars", "terms", "den")
-
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Laurent], den: QTPolynomial):
-        self.nvars = nvars
-        self.terms = terms
-        self.den = den
-
-    @staticmethod
-    def of(poly: XPolynomial) -> "ClearedPolynomial":
-        """``poly`` over the lcm of its denominators (``cleared_sum``)."""
-        return cleared_sum(poly.nvars, [poly])
-
-    def shift(self, dq: int, dt: int) -> "ClearedPolynomial":
-        """This polynomial times the monomial q^dq t^dt."""
-        return ClearedPolynomial(
-            self.nvars, {e: _shifted(c, dq, dt) for e, c in self.terms.items()}, self.den
-        )
-
-    def __sub__(self, other: "ClearedPolynomial") -> "ClearedPolynomial":
-        if self.nvars != other.nvars or self.den != other.den:
-            raise AlphabetMismatch("cleared polynomials over different alphabets or denominators")
-        out = {e: dict(c) for e, c in self.terms.items()}
-        for exps, num in other.terms.items():
-            add_shifted(out.setdefault(exps, {}), num, 0, 0, -1)
-        return ClearedPolynomial(self.nvars, {e: c for e, c in out.items() if c}, self.den)
-
-    def leading_term(self) -> tuple[tuple[int, ...], QTRational]:
-        """Greatest term under graded lex, its coefficient alone brought
-        back to canonical form in Q(q,t)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms, key=_grlex_key)
-        return key, _over(self.terms[key], self.den)
-
-    def to_x(self) -> XPolynomial:
-        """The canonical XPolynomial, with one gcd per coefficient."""
-        den = self.den
-        return _raw(self.nvars, {e: _over(num, den) for e, num in self.terms.items()})
 
 
 def cleared_sum(nvars: int, summands: Iterable[XPolynomial]) -> ClearedPolynomial:
@@ -435,6 +369,8 @@ def cleared_sum(nvars: int, summands: Iterable[XPolynomial]) -> ClearedPolynomia
     (d', x-monomial) as Laurent polynomials in (q, t) with integer (or
     rational) coefficients; the lcm D of the distinct d' takes one gcd per
     distinct d' (``qt_lcm``); and each group is multiplied once by D / d'.
+    Rational coefficients are then scaled to integers by the lcm of their
+    denominators, which D takes as a factor, and the numerators are packed.
     """
     split: dict[QTPolynomial, tuple[QTPolynomial, int, int]] = {}
     groups: dict[QTPolynomial, dict[tuple[int, ...], Laurent]] = {}
@@ -456,7 +392,12 @@ def cleared_sum(nvars: int, summands: Iterable[XPolynomial]) -> ClearedPolynomia
             if acc:
                 num, dq, dt = split_laurent(acc)
                 add_shifted(totals.setdefault(exps, {}), (num * cofactor).terms, dq, dt)
-    return ClearedPolynomial(nvars, {e: acc for e, acc in totals.items() if acc}, common)
+    totals = {e: acc for e, acc in totals.items() if acc}
+    scale = lcm(*(c.denominator for acc in totals.values() for c in acc.values()))
+    if scale != 1:
+        totals = {e: {k: int(c * scale) for k, c in acc.items()} for e, acc in totals.items()}
+        common = common.scale(scale)
+    return ClearedPolynomial.packed(nvars, common, [totals])[0]
 
 
 # one summand of ``binomial_sum``: x^exps times the product of the factors
@@ -519,14 +460,15 @@ def binomial_sum(nvars: int, summands: Iterable[Summand]) -> XPolynomial:
 def on_cleared(kernel: Callable[..., ClearedPolynomial]) -> Callable:
     """The operator ``kernel`` on cleared polynomials, extended to
     XPolynomial: an XPolynomial argument is cleared once
-    (``ClearedPolynomial.of``), acted on, and brought back with one
-    canonicalisation per coefficient (``ClearedPolynomial.to_x``); a
-    cleared argument is acted on as it is."""
+    (``cleared_sum``), acted on, and brought back with one
+    canonicalisation per coefficient (``ClearedPolynomial.coefficients``);
+    a cleared argument is acted on as it is."""
 
     @wraps(kernel)
     def operator(poly, *args, **kwargs):
         if isinstance(poly, XPolynomial):
-            return kernel(ClearedPolynomial.of(poly), *args, **kwargs).to_x()
+            out = kernel(cleared_sum(poly.nvars, [poly]), *args, **kwargs)
+            return _raw(out.nvars, out.coefficients())
         return kernel(poly, *args, **kwargs)
 
     return operator
@@ -578,14 +520,12 @@ def cyclic_omega(poly: ClearedPolynomial) -> ClearedPolynomial:
     """The cyclic generator: (omega h)(x_1,..,x_n) = h(x_2,..,x_n, q x_1).
 
     On monomials the exponent vector (v_1,..,v_n) becomes (v_n, v_1,..,v_{n-1})
-    and the wrapped exponent v_n contributes a factor q^{v_n}, a shift of
-    the numerator's q exponents.
+    and the wrapped exponent v_n contributes a factor q^{v_n}: a shift of
+    the packed numerator by v_n rows.
     """
-    return ClearedPolynomial(
-        poly.nvars,
-        {e[-1:] + e[:-1]: _shifted(num, e[-1], 0) for e, num in poly.terms.items()},
-        poly.den,
-    )
+    rowbits = poly.layout[0] * poly.layout[1]
+    terms = {e[-1:] + e[:-1]: num << rowbits * e[-1] for e, num in poly.terms.items()}
+    return poly.derived(terms, poly.bound, poly.tspan, poly.degree)
 
 
 def reverse_alphabet(poly: XPolynomial) -> XPolynomial:
@@ -593,16 +533,6 @@ def reverse_alphabet(poly: XPolynomial) -> XPolynomial:
     n = poly.nvars
     one = QTRational.one()
     return compose_vars(poly, [(n - k, one) for k in range(n)])
-
-
-def specialize_q(poly: XPolynomial, qval) -> XPolynomial:
-    """Set q to an exact rational value in every coefficient."""
-    out = {}
-    for exps, coeff in poly.terms.items():
-        new = coeff.substitute_q(qval)
-        if not new.is_zero():
-            out[exps] = new
-    return _raw(poly.nvars, out)
 
 
 @on_cleared
@@ -618,20 +548,23 @@ def divided_difference_div(poly: ClearedPolynomial, i: int) -> ClearedPolynomial
     n = poly.nvars
     if not 1 <= i <= n - 1:
         raise IndexError(f"index {i} out of range 1..{n - 1}")
+    # each numerator enters at most |a - b| <= degree outputs
+    poly = poly.with_room(poly.degree, 0)
     a, b = i - 1, i
-    out: dict[tuple[int, ...], Laurent] = {}
+    out: dict[tuple[int, ...], int] = {}
     for exps, num in poly.terms.items():
         ea, eb = exps[a], exps[b]
         if ea == eb:
             continue
-        sign = 1
         if ea < eb:
             # the mirrored term contributes with the opposite sign; handle
             # each unordered pair once from its ea > eb representative
-            ea, eb, sign = eb, ea, -1
+            ea, eb, num = eb, ea, -num
         base = list(exps)
         for k in range(ea - eb):
             base[a] = ea - 1 - k
             base[b] = eb + k
-            add_shifted(out.setdefault(tuple(base), {}), num, 0, 0, sign)
-    return ClearedPolynomial(n, {e: c for e, c in out.items() if c}, poly.den)
+            key = tuple(base)
+            out[key] = out.get(key, 0) + num
+    return poly.derived({e: c for e, c in out.items() if c}, poly.bound * poly.degree,
+                        poly.tspan, max(poly.degree - 1, 0))

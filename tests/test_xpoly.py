@@ -7,16 +7,20 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
+from nsmacdonald.cleared import ClearedPolynomial
 from nsmacdonald.qt import Fraction, QTPolynomial, QTRational
 from nsmacdonald.xpoly import (
     AlphabetMismatch,
     XPolynomial,
     binomial_sum,
+    cleared_sum,
     compose_vars,
     cyclic_omega,
     divided_difference_div,
     reverse_alphabet,
 )
+
+import bruteforce_oracle as oracle
 
 ONE = QTRational.one()
 Q = QTRational.q()
@@ -225,3 +229,92 @@ def test_int_and_fraction_coefficients_give_one_polynomial(values):
     assert as_int == as_frac
     assert hash(as_int) == hash(as_frac)
     assert as_int.to_json() == as_frac.to_json()
+
+
+# -- the cleared form: packed integer numerators -------------------------------
+
+# Laurent numerators with integer coefficients of either sign, large ones
+# included, and exponents of either sign
+laurents = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-4, 4)),
+    st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)).filter(bool),
+    min_size=1, max_size=6,
+)
+numerator_maps = st.dictionaries(exponent_vectors, laurents, max_size=4)
+DEN = QTPolynomial({(0, 0): 1, (1, 1): -1})  # 1 - qt, a denominator D to carry along
+
+
+def back(cleared):
+    return XPolynomial(cleared.nvars, cleared.coefficients())
+
+
+@given(numerator_maps)
+def test_pack_and_decode_round_trip(numerators):
+    [packed] = ClearedPolynomial.packed(2, DEN, [numerators])
+    assert packed.laurents() == numerators
+    assert all(isinstance(num, int) for num in packed.terms.values())
+
+
+@given(st.dictionaries(exponent_vectors, st.tuples(st.integers(-20, 20), st.integers(1, 12)),
+                       max_size=4), st.integers(-2, 2), st.integers(-2, 2))
+def test_cleared_sum_round_trip_with_fraction_coefficients(values, a, b):
+    # c/d q^a t^b: rational coefficients are scaled to integers, and the
+    # scale folded into D, and negative exponents are offsets of the layout
+    poly = XPolynomial(2, {
+        e: QTRational.monomial(a, b, Fraction(c, d)) / (ONE - Q * T) for e, (c, d) in values.items()
+    })
+    cleared = cleared_sum(2, [poly])
+    assert all(isinstance(num, int) for num in cleared.terms.values())
+    assert back(cleared) == poly
+
+
+def test_decoding_checks_every_slot():
+    [packed] = ClearedPolynomial.packed(2, DEN, [{(1, 0): {(0, 0): 3, (1, 2): -1}}])
+    width, row = packed.layout[:2]
+    num = packed.terms[(1, 0)]
+    # a t exponent past tspan: one wrapped towards the next row
+    wrapped = packed.derived({(1, 0): num + (1 << width * (packed.tspan + 1))},
+                             packed.bound, packed.tspan, packed.degree)
+    # a coefficient above the bound: an overflowed slot
+    overflowed = packed.derived({(1, 0): num + ((packed.bound + 1) << width * row)},
+                                packed.bound, packed.tspan, packed.degree)
+    for corrupt in (wrapped, overflowed):
+        with pytest.raises(ArithmeticError):
+            corrupt.laurents()
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), laurents, min_size=1, max_size=4),
+       st.integers(1, 2), st.integers(0, 5), st.integers(-3, 3))
+def test_packed_operators_equal_plain_arithmetic(numerators, i, dq, dt):
+    [packed] = ClearedPolynomial.packed(3, DEN, [numerators])
+    p = back(packed)
+    assert back(divided_difference_div(packed, i)) == oracle.plain_delta(p, i)
+    assert back(cyclic_omega(packed)) == compose_vars(p, [(2, ONE), (3, ONE), (1, Q)])
+    shifted = packed.shift(dq, dt)
+    assert back(shifted) == p.scale(QTRational.monomial(dq, dt))
+    # a difference over one D, of two layouts with different offsets
+    assert back(packed - shifted) == p - p.scale(QTRational.monomial(dq, dt))
+    assert not (shifted - shifted).terms
+
+
+def test_difference_wider_than_either_slot_width():
+    # 2^200 does not fit the small operand's slots: both are laid out afresh
+    small, _ = ClearedPolynomial.packed(2, DEN, [{(1, 0): {(0, 0): 1, (2, -1): -3}}, {}])
+    [huge] = ClearedPolynomial.packed(2, DEN, [{(1, 0): {(0, 0): 2**200}, (0, 1): {(-1, 5): 7}}])
+    assert huge.bound + small.bound >= 1 << (small.layout[0] - 1)
+    diff = small - huge
+    assert diff.layout[0] > small.layout[0]
+    assert diff.laurents() == {(1, 0): {(0, 0): 1 - 2**200, (2, -1): -3}, (0, 1): {(-1, 5): -7}}
+
+
+def test_difference_past_the_shared_layout_is_laid_out_afresh():
+    # both sides under one width and row, but the sum of their bounds or
+    # their joint t span does not fit it
+    [packed] = ClearedPolynomial.packed(2, DEN, [{(1, 0): {(0, 0): 1}}])
+    width, row = packed.layout[:2]
+    top = (1 << (width - 1)) - 1
+    a = packed.derived({(1, 0): top}, top, 0, 1)
+    b = packed.derived({(1, 0): -top}, top, 0, 1)
+    assert (a - b).laurents() == {(1, 0): {(0, 0): 2 * top}}
+    far = packed.shift(1, row)
+    assert (packed - far).laurents() == {(1, 0): {(0, 0): 1, (1, row): -1}}
