@@ -27,7 +27,6 @@ import itertools
 import json
 import math
 import sys
-from functools import lru_cache
 from typing import Sequence
 
 from .compositions import Composition, compositions_with, default_family
@@ -115,14 +114,6 @@ def _work(name: str, sizes: list[int], args, mu: Composition | None) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _f_cached(parts: tuple[int, ...], rho: tuple[int, ...] | None, method: str) -> XPolynomial:
-    mu = Composition(parts)
-    if method == "hhl":
-        return f_hhl(mu)
-    return f_matrix_product(mu, rho)
-
-
 def _parse_mu(text: str) -> Composition:
     try:
         mu = Composition.parse(text)
@@ -173,15 +164,15 @@ def _compute(args) -> int:
         return reverse_alphabet(poly) if args.convention == "E" else poly
 
     if args.method == "both":
-        via_hhl = finish(_f_cached(mu.parts, None, "hhl"))
-        via_matrix = finish(_f_cached(mu.parts, None, "matrix"))
+        via_hhl = finish(f_hhl(mu))
+        via_matrix = finish(f_matrix_product(mu))
         _emit(via_matrix, args.output, header)
         if via_hhl == via_matrix:
             print("routes agree", file=sys.stderr)
             return 0
         print("ROUTE MISMATCH between hhl and matrix evaluations", file=sys.stderr)
         return 1
-    poly = finish(_f_cached(mu.parts, rho, args.method))
+    poly = finish(f_hhl(mu) if args.method == "hhl" else f_matrix_product(mu, rho))
     _emit(poly, args.output, header)
     return 0
 
@@ -200,7 +191,7 @@ def _expand(args) -> int:
     if not args.mu:
         raise UsageError("expand requires --mu")
     mu = _parse_mu(args.mu)
-    poly = _f_cached(mu.parts, None, args.method)
+    poly = f_hhl(mu) if args.method == "hhl" else f_matrix_product(mu)
     if args.output == "text":
         for exps, coeff in poly.sorted_terms():
             print(f"x^{list(exps)}  {coeff}")
@@ -231,7 +222,7 @@ def _run_check(name: str, args) -> CheckReport:
     total = CheckReport(name)
     if name == "eigen":
         for m in targets:
-            total.merge(verify_eigen(_f_cached(m.parts, None, "hhl"), m))
+            total.merge(verify_eigen(f_hhl(m), m))
     elif name == "ybe":
         for n in sizes:
             total.merge(ybe_check(n, occupation_cap=args.cap, seed=args.seed))

@@ -42,14 +42,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .cyclotomic import Factors, cyclotomic_form
 from .qt import QTRational
 
 __all__ = [
     "Composition",
-    "Square",
     "eta",
     "eigenvalue_y",
     "gamma",
@@ -60,19 +59,11 @@ __all__ = [
     "omega_norm",
     "leg",
     "arm",
-    "attacks",
     "dominates",
     "bracket_precedes",
     "compositions_with",
     "default_family",
 ]
-
-
-class Square(NamedTuple):
-    """A square (col, row) of a composition diagram; col 1-based, row >= 0."""
-
-    col: int
-    row: int
 
 
 @dataclass(frozen=True)
@@ -121,14 +112,6 @@ class Composition:
     def sorted_desc(self) -> tuple[int, ...]:
         """The underlying partition mu+ (parts in decreasing order)."""
         return tuple(sorted(self.parts, reverse=True))
-
-    def diagram(self) -> list[Square]:
-        """Squares (i, j) with 1 <= j <= mu_i."""
-        return [
-            Square(i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.parts[i - 1] + 1)
-        ]
 
     def __iter__(self):
         return iter(self.parts)
@@ -221,42 +204,22 @@ def omega_norm(mu: Composition) -> QTRational:
     return cyclotomic_form(omega_factors(mu)).value()
 
 
-def _as_square(s) -> Square:
-    return s if isinstance(s, Square) else Square(*s)
-
-
-def leg(mu: Composition, s: Square | tuple[int, int]) -> int:
+def leg(mu: Composition, s: tuple[int, int]) -> int:
     """Leg length of a diagram square: mu_i - j."""
-    i, j = _as_square(s)
+    i, j = s
     _check_colour(mu, i)
     if not 1 <= j <= mu.parts[i - 1]:
         raise IndexError(f"square {(i, j)} outside the diagram of {mu}")
     return mu.parts[i - 1] - j
 
 
-def arm(mu: Composition, s: Square | tuple[int, int]) -> int:
+def arm(mu: Composition, s: tuple[int, int]) -> int:
     """Arm length of a diagram square: alpha_{i, j-1}."""
-    i, j = _as_square(s)
+    i, j = s
     _check_colour(mu, i)
     if not 1 <= j <= mu.parts[i - 1]:
         raise IndexError(f"square {(i, j)} outside the diagram of {mu}")
     return alpha(mu, i, j - 1)
-
-
-def attacks(s: Square | tuple[int, int], s2: Square | tuple[int, int]) -> bool:
-    """Whether two extended-diagram squares attack each other.
-
-    (i, j) attacks (i', j') when i < i' and either j = j' or j = j' + 1;
-    the relation is used symmetrically, so the order of arguments does not
-    matter.
-    """
-    i, j = _as_square(s)
-    i2, j2 = _as_square(s2)
-    if i == i2:
-        return False
-    if i > i2:
-        i, j, i2, j2 = i2, j2, i, j
-    return j == j2 or j == j2 + 1
 
 
 def dominates(nu: Composition, mu: Composition) -> bool:

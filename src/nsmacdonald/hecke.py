@@ -46,7 +46,7 @@ from .cleared import ClearedPolynomial
 from .compositions import Composition, eigenvalue_y
 from .qt import QTRational
 from .reports import CheckReport
-from .xpoly import XPolynomial, cleared_sum, cyclic_omega, divided_difference_div, on_cleared
+from .xpoly import XPolynomial, clear, cyclic_omega, divided_difference_div, on_cleared
 
 __all__ = [
     "apply_T",
@@ -161,14 +161,14 @@ def verify_hecke_relations(n: int, samples: int = 5, seed: int = 0) -> CheckRepo
 def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
     """Check Y_i f = y_i(mu) f exactly for every i, on cleared denominators.
 
-    With D the lcm of f's coefficient denominators (``cleared_sum``, one
-    ``qt_lcm``), the check is Y_i(D f) = y_i (D f), compared as their
-    difference, a dict of packed integer numerators under one layout; the
-    eigenvalue y_i is a monomial, a move of the layout's offsets.  A
-    failure reports the first differing coefficient of Y_i f - y_i f in
-    graded lex order, the only coefficient brought back to Q(q,t).  The
-    zero polynomial, which every Y_i fixes but which is no eigenfunction,
-    fails one check.
+    With D the lcm of f's coefficient denominators (``clear``: one
+    ``qt_lcm`` and one pass over the coefficients), the check is
+    Y_i(D f) = y_i (D f), compared as their difference, a dict of packed
+    integer numerators under one layout; the eigenvalue y_i is a
+    monomial, a move of the layout's offsets.  A failure reports the
+    first differing coefficient of Y_i f - y_i f in graded lex order, the
+    only coefficient brought back to Q(q,t).  The zero polynomial, which
+    every Y_i fixes but which is no eigenfunction, fails one check.
     """
     if f.nvars != mu.n:
         raise ValueError(f"alphabet size {f.nvars} does not match {mu}")
@@ -177,7 +177,7 @@ def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
         report.count()
         report.fail("f is the zero polynomial, which is no eigenfunction")
         return report
-    cleared = cleared_sum(f.nvars, [f])
+    cleared = clear(f)
     for i in range(1, mu.n + 1):
         diff = apply_Y(cleared, i) - cleared.shift(*_exponents(eigenvalue_y(mu, i)))
         report.count()

@@ -8,12 +8,13 @@ The cleared form (module ``cleared``) keeps the same polynomial as
 numerators over one common denominator D, each a Laurent polynomial in
 (q, t) with integer coefficients packed into one Python int, so that
 adding numerators is one integer addition and a monomial factor
-q^a t^b a bit shift, with no gcd.  ``cleared_sum`` brings polynomials
-to that form: one lcm of their denominators (one gcd per distinct
-denominator), rational coefficients scaled to integers, and one packing
-per numerator.  ``on_cleared`` brings the result of an operator back,
-each coefficient decoded and put in canonical form once, with one gcd.
-The eigencheck clears that way.
+q^a t^b a bit shift, with no gcd.  ``clear`` brings a polynomial to
+that form in one pass over its coefficients: one lcm D of their
+denominators (one gcd per distinct denominator), each numerator times
+D over its own denominator, rational coefficients scaled to integers,
+and one packing per numerator.  ``on_cleared`` brings the result of an
+operator back, each coefficient decoded and put in canonical form once,
+with one gcd.  The eigencheck clears that way.
 
 ``binomial_sum`` adds summands that are not yet polynomials: an x
 monomial times a coefficient in exponent form (``cyclotomic.Factors``),
@@ -55,14 +56,13 @@ from .cyclotomic import (
     cyclotomic_form,
     cyclotomic_product,
     cyclotomic_quotient,
-    split_laurent,
 )
-from .qt import QTPolynomial, QTRational, qt_lcm
+from .qt import QTRational, qt_lcm
 
 __all__ = [
     "XPolynomial",
     "AlphabetMismatch",
-    "cleared_sum",
+    "clear",
     "binomial_sum",
     "on_cleared",
     "cyclic_omega",
@@ -360,44 +360,24 @@ def _raw(nvars: int, terms: dict[tuple[int, ...], QTRational]) -> XPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def cleared_sum(nvars: int, summands: Iterable[XPolynomial]) -> ClearedPolynomial:
-    """The exact sum of ``summands`` in cleared form, without a gcd per
-    addition.
+def clear(poly: XPolynomial) -> ClearedPolynomial:
+    """``poly`` in cleared form, over the lcm D of its coefficients'
+    denominators (``qt_lcm``, one gcd per distinct denominator).
 
-    Each coefficient n/d has its denominator split as d = q^a t^b d', d'
-    not divisible by q or t.  The numerators q^-a t^-b n are added per
-    (d', x-monomial) as Laurent polynomials in (q, t) with integer (or
-    rational) coefficients; the lcm D of the distinct d' takes one gcd per
-    distinct d' (``qt_lcm``); and each group is multiplied once by D / d'.
-    Rational coefficients are then scaled to integers by the lcm of their
-    denominators, which D takes as a factor, and the numerators are packed.
+    Each coefficient n/d becomes the numerator n (D / d), one exact
+    division per distinct d.  Rational coefficients are then scaled to
+    integers by the lcm of their denominators, which D takes as a factor,
+    and the numerators are packed.
     """
-    split: dict[QTPolynomial, tuple[QTPolynomial, int, int]] = {}
-    groups: dict[QTPolynomial, dict[tuple[int, ...], Laurent]] = {}
-    for poly in summands:
-        if poly.nvars != nvars:
-            raise AlphabetMismatch(f"alphabet sizes differ: {nvars} vs {poly.nvars}")
-        for exps, coeff in poly.terms.items():
-            parts = split.get(coeff.den)
-            if parts is None:
-                parts = split[coeff.den] = split_laurent(coeff.den.terms)
-            reduced, dq, dt = parts
-            acc = groups.setdefault(reduced, {}).setdefault(exps, {})
-            add_shifted(acc, coeff.num.terms, -dq, -dt)
-    common = qt_lcm(groups)
-    totals: dict[tuple[int, ...], Laurent] = {}
-    for reduced, by_exps in groups.items():
-        cofactor = common.div_exact(reduced)
-        for exps, acc in by_exps.items():
-            if acc:
-                num, dq, dt = split_laurent(acc)
-                add_shifted(totals.setdefault(exps, {}), (num * cofactor).terms, dq, dt)
-    totals = {e: acc for e, acc in totals.items() if acc}
-    scale = lcm(*(c.denominator for acc in totals.values() for c in acc.values()))
+    dens = dict.fromkeys(coeff.den for coeff in poly.terms.values())
+    common = qt_lcm(dens)
+    cofactors = {den: common.div_exact(den) for den in dens}
+    totals = {e: (coeff.num * cofactors[coeff.den]).terms for e, coeff in poly.terms.items()}
+    scale = lcm(*(c.denominator for num in totals.values() for c in num.values()))
     if scale != 1:
-        totals = {e: {k: int(c * scale) for k, c in acc.items()} for e, acc in totals.items()}
+        totals = {e: {k: int(c * scale) for k, c in num.items()} for e, num in totals.items()}
         common = common.scale(scale)
-    return ClearedPolynomial.packed(nvars, common, [totals])[0]
+    return ClearedPolynomial.packed(poly.nvars, common, [totals])[0]
 
 
 # one summand of ``binomial_sum``: x^exps times the product of the factors
@@ -459,15 +439,15 @@ def binomial_sum(nvars: int, summands: Iterable[Summand]) -> XPolynomial:
 
 def on_cleared(kernel: Callable[..., ClearedPolynomial]) -> Callable:
     """The operator ``kernel`` on cleared polynomials, extended to
-    XPolynomial: an XPolynomial argument is cleared once
-    (``cleared_sum``), acted on, and brought back with one
-    canonicalisation per coefficient (``ClearedPolynomial.coefficients``);
-    a cleared argument is acted on as it is."""
+    XPolynomial: an XPolynomial argument is cleared once (``clear``),
+    acted on, and brought back with one canonicalisation per coefficient
+    (``ClearedPolynomial.coefficients``); a cleared argument is acted on
+    as it is."""
 
     @wraps(kernel)
     def operator(poly, *args, **kwargs):
         if isinstance(poly, XPolynomial):
-            out = kernel(cleared_sum(poly.nvars, [poly]), *args, **kwargs)
+            out = kernel(clear(poly), *args, **kwargs)
             return _raw(out.nvars, out.coefficients())
         return kernel(poly, *args, **kwargs)
 

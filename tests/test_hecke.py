@@ -14,10 +14,10 @@ from nsmacdonald.hecke import (
     verify_eigen,
     verify_hecke_relations,
 )
-from nsmacdonald.qt import QTRational
+from nsmacdonald.qt import Fraction, QTRational, qt_lcm
 from nsmacdonald.xpoly import (
     XPolynomial,
-    cleared_sum,
+    clear,
     compose_vars,
     cyclic_omega,
     divided_difference_div,
@@ -311,12 +311,33 @@ def back(cleared):
 
 @given(general_polynomials)
 def test_packed_generators_equal_plain_arithmetic(p):
-    cleared = cleared_sum(p.nvars, [p])
+    cleared = clear(p)
     for i in range(1, p.nvars):
         assert back(apply_T(cleared, i)) == plain_T(p, i)
         assert back(apply_T(cleared, i, inverse=True)) == plain_T(p, i, inverse=True)
         # a difference over one D and two layouts
         assert back(apply_T(cleared, i) - cleared) == plain_T(p, i) - p
+
+
+def test_clear_over_mixed_denominators():
+    # coefficients whose denominators differ by monomial factors and share
+    # the binomial 1 - qt, one of them squared, and one rational coefficient:
+    # D is their lcm, monomials included, times the lcm of the rational
+    # denominators
+    one_qt = ONE - Q * T
+    p = XPolynomial(3, {
+        (1, 0, 0): ONE / (T * one_qt),
+        (0, 2, 1): Q.inverse() / (one_qt * one_qt),
+        (0, 0, 2): T * T / (ONE - T),
+        (1, 1, 0): QTRational.monomial(1, 0, Fraction(-5, 6)) / one_qt,
+    })
+    cleared = clear(p)
+    assert back(cleared) == p
+    assert cleared.den == qt_lcm(c.den for c in p.terms.values()).scale(6)
+    for i in (1, 2):
+        assert apply_T(p, i) == plain_T(p, i)
+        assert apply_T(p, i, inverse=True) == plain_T(p, i, inverse=True)
+    assert cyclic_omega(p) == omega_by_substitution(p)
 
 
 def test_generator_chains_past_the_first_layout_stay_exact():
@@ -329,7 +350,7 @@ def test_generator_chains_past_the_first_layout_stay_exact():
     for n in (2, 3, 4):
         p = random_polynomial(n, rng)
         for poly in (p, p + XPolynomial.monomial(n, [2] + [0] * (n - 1), huge)):
-            cleared, plain = cleared_sum(n, [poly]), poly
+            cleared, plain = clear(poly), poly
             first = cleared.layout
             for step in range(4 * n):
                 i, inverse = step % (n - 1) + 1, step % 3 == 2

@@ -13,7 +13,7 @@ from nsmacdonald.xpoly import (
     AlphabetMismatch,
     XPolynomial,
     binomial_sum,
-    cleared_sum,
+    clear,
     compose_vars,
     cyclic_omega,
     divided_difference_div,
@@ -257,13 +257,13 @@ def test_pack_and_decode_round_trip(numerators):
 
 @given(st.dictionaries(exponent_vectors, st.tuples(st.integers(-20, 20), st.integers(1, 12)),
                        max_size=4), st.integers(-2, 2), st.integers(-2, 2))
-def test_cleared_sum_round_trip_with_fraction_coefficients(values, a, b):
+def test_clear_round_trip_with_fraction_coefficients(values, a, b):
     # c/d q^a t^b: rational coefficients are scaled to integers, and the
     # scale folded into D, and negative exponents are offsets of the layout
     poly = XPolynomial(2, {
         e: QTRational.monomial(a, b, Fraction(c, d)) / (ONE - Q * T) for e, (c, d) in values.items()
     })
-    cleared = cleared_sum(2, [poly])
+    cleared = clear(poly)
     assert all(isinstance(num, int) for num in cleared.terms.values())
     assert back(cleared) == poly
 
