@@ -33,12 +33,21 @@ them.  ``f_hhl`` hands each filling's factor groups to xpoly's
 f_matrix_product hands it the configuration weights; neither builds a
 Q(q,t) value per summand.  ``hhl_summand``, the weight of one filling as
 an XPolynomial, is not on that path.
+
+Leg, arm and the positions of the triples depend on mu alone; only the
+entries depend on the filling.  ``_hhl_tables`` lists them once per
+composition, in a bounded cache as ``omega_factors``: each square of
+dg(mu) with its label (leg + 1, arm + 1), taken once from
+``compositions``, and each triple with whether its square (i', j) lies in
+dg(mu).  The kernel reads a filling's entries against the tables in one
+pass, counting ord_+, ord_-, descents, ascents and the x exponents.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .compositions import Composition, arm, leg, omega_factors
@@ -50,8 +59,6 @@ from .xpoly import XPolynomial, binomial_sum
 __all__ = [
     "Filling",
     "enumerate_fillings",
-    "descent_ascent",
-    "ordered_triples",
     "hhl_summand",
     "f_hhl",
     "bijection_M",
@@ -67,15 +74,17 @@ class Filling:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.columns) != self.mu.n:
+        parts = self.mu.parts
+        n = len(parts)
+        if len(self.columns) != n:
             raise ValueError("one entry column per diagram column required")
-        for i, column in enumerate(self.columns, start=1):
-            if len(column) != self.mu.part(i) + 1:
-                raise ValueError(f"column {i} must hold {self.mu.part(i) + 1} entries")
+        for i, (column, part) in enumerate(zip(self.columns, parts), start=1):
+            if len(column) != part + 1:
+                raise ValueError(f"column {i} must hold {part + 1} entries")
             if column[0] != i:
                 raise ValueError(f"basement entry of column {i} must be {i}")
-            if any(not 1 <= entry <= self.mu.n for entry in column[1:]):
-                raise ValueError(f"entries of column {i} must lie in 1..{self.mu.n}")
+            if part and not (1 <= min(column[1:]) and max(column[1:]) <= n):
+                raise ValueError(f"entries of column {i} must lie in 1..{n}")
 
     def entry(self, i: int, j: int) -> int:
         """sigma_{i,j} for a square of the extended diagram."""
@@ -109,16 +118,17 @@ def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
     Without the cut, the dead branches grow exponentially with the height
     of equal columns such as those of (5,5,5,5,5), which has one filling.
     """
-    n = mu.n
+    parts = mu.parts
+    n = len(parts)
     # reaching[i][r]: the number of columns after column i that reach row r
-    reaching = [[sum(1 for p in mu.parts[i:] if p >= r) for r in range(mu.maxpart + 1)]
+    reaching = [[sum(1 for p in parts[i:] if p >= r) for r in range(max(parts) + 1)]
                 for i in range(n + 1)]
 
     def fill(columns: list[tuple[int, ...]], i: int) -> Iterator[Filling]:
         if i > n:
             yield Filling(mu, tuple(columns))
             return
-        height = mu.part(i)
+        height = parts[i - 1]
 
         def cells(j: int, current: list[int]) -> Iterator[Filling]:
             if j > height:
@@ -153,47 +163,25 @@ def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
     yield from fill([], 1)
 
 
-def descent_ascent(sigma: Filling) -> tuple[set, set]:
-    """The descent and ascent square sets of a filling.
-
-    A diagram square (i, j) is a descent when sigma_{i,j} > sigma_{i,j-1}
-    and an ascent when sigma_{i,j} < sigma_{i,j-1}.
-    """
-    descents, ascents = set(), set()
-    for i in range(1, sigma.mu.n + 1):
-        for j in range(1, sigma.mu.part(i) + 1):
-            here, below = sigma.entry(i, j), sigma.entry(i, j - 1)
-            if here > below:
-                descents.add((i, j))
-            elif here < below:
-                ascents.add((i, j))
-    return descents, ascents
-
-
-def ordered_triples(sigma: Filling) -> tuple[int, int]:
-    """Counts (positive, negative) of ordered triples.
-
-    A triple consists of squares (i, j) in dg(mu), (i', j-1) in the
-    extended diagram and (i', j), for i < i'; the entry sigma_{i',j} is
-    taken to be +infinity when (i', j) lies outside dg(mu).  Entries lie
-    in 1..n, so n + 1 serves as that infinity.
-    """
-    mu = sigma.mu
-    infinity = mu.n + 1
-    plus = minus = 0
-    for i in range(1, mu.n + 1):
-        for i2 in range(i + 1, mu.n + 1):
-            for j in range(1, mu.part(i) + 1):
-                if j - 1 > mu.part(i2):
-                    continue
-                mid = sigma.entry(i, j)
-                low = sigma.entry(i2, j - 1)
-                high = sigma.entry(i2, j) if j <= mu.part(i2) else infinity
-                if high > mid > low:
-                    plus += 1
-                elif high < mid < low:
-                    minus += 1
-    return plus, minus
+# 165 compositions make up the default family: a run over it keeps every table
+@lru_cache(maxsize=165)
+def _hhl_tables(mu: Composition) -> tuple[tuple, tuple]:
+    """The squares (c, j, (leg + 1, arm + 1)) of dg(mu) and the triples
+    (c, c', j, whether (i', j) lies in dg(mu)), with 0-based columns
+    c = i - 1 and c' = i' - 1 that index ``Filling.columns`` directly."""
+    parts = mu.parts
+    squares = tuple(
+        (i - 1, j, (leg(mu, (i, j)) + 1, arm(mu, (i, j)) + 1))
+        for i in range(1, mu.n + 1)
+        for j in range(1, parts[i - 1] + 1)
+    )
+    triples = tuple(
+        (c, c2, j, j <= parts[c2])
+        for c, c2 in itertools.combinations(range(mu.n), 2)
+        for j in range(1, parts[c] + 1)
+        if j - 1 <= parts[c2]
+    )
+    return squares, triples
 
 
 def _hhl_factors(sigma: Filling) -> tuple[tuple[int, ...], Factors, Factors, Factors]:
@@ -204,20 +192,32 @@ def _hhl_factors(sigma: Filling) -> tuple[tuple[int, ...], Factors, Factors, Fac
       prod over descents and ascents (1-t)/(1 - q^{l+1} t^{a+1}),
       t^{-ord_-} * prod over ascents q^{l+1} t^a,
 
-    with leg and arm evaluated once per descent or ascent square."""
-    mu = sigma.mu
-    plus, minus = ordered_triples(sigma)
-    descents, ascents = descent_ascent(sigma)
-    squares = descents | ascents
-    denominators = {(0, 1): len(squares)}  # the factors 1 - t
+    in one pass over the entries at mu's tables (``_hhl_tables``)."""
+    squares, triples = _hhl_tables(sigma.mu)
+    columns = sigma.columns
+    plus = minus = 0
+    for c, c2, j, inside in triples:
+        mid, low = columns[c][j], columns[c2][j - 1]
+        if not inside:
+            plus += mid > low
+        else:
+            high = columns[c2][j]
+            if high > mid > low:
+                plus += 1
+            elif high < mid < low:
+                minus += 1
+    exps = [0] * len(columns)
+    denominators = {(0, 1): 0}  # the factors 1 - t, one per descent or ascent
     q_exp, t_exp = 0, -minus
-    for s in squares:
-        la, aa = leg(mu, s), arm(mu, s)
-        key = (la + 1, aa + 1)
-        denominators[key] = denominators.get(key, 0) - 1
-        if s in ascents:
-            q_exp, t_exp = q_exp + la + 1, t_exp + aa
-    return sigma.x_monomial(), (0, plus, {}), (0, 0, denominators), (q_exp, t_exp, {})
+    for c, j, label in squares:
+        here, below = columns[c][j], columns[c][j - 1]
+        exps[here - 1] += 1
+        if here != below:
+            denominators[(0, 1)] += 1
+            denominators[label] = denominators.get(label, 0) - 1
+            if here < below:
+                q_exp, t_exp = q_exp + label[0], t_exp + label[1] - 1
+    return tuple(exps), (0, plus, {}), (0, 0, denominators), (q_exp, t_exp, {})
 
 
 def hhl_summand(sigma: Filling) -> XPolynomial:

@@ -196,10 +196,8 @@ def exponents_fgh(
     qs = sorted(Q)
     f = {p: sum(1 for l in qs if l < p) for p in P | Q}
     g = {p: sum(1 for l in qs if l < p and a[p] < b[l]) for p in P | Q}
-    h = {
-        p: sum(1 for l in qs if l < p and b[l] in _cyclic_interval(a[p], b[p], n))
-        for p in Q
-    }
+    intervals = {p: _cyclic_interval(a[p], b[p], n) for p in Q}
+    h = {p: sum(1 for l in qs if l < p and b[l] in intervals[p]) for p in Q}
     return f, g, h
 
 
@@ -353,13 +351,13 @@ def enumerate_configs(
     colour may only land on a row whose previous occupant is absent or of
     weakly smaller colour (``_placements``).
     """
-    N = mu.maxpart
+    survivors = [_survivors(mu, j) for j in range(mu.maxpart)]
 
     def extend(columns: list[tuple[int, ...]], j: int) -> Iterator[LatticeConfig]:
-        if j == N:
+        if j == len(survivors):
             yield LatticeConfig(tuple(columns))
             return
-        for column in _placements(columns[-1], _survivors(mu, j)):
+        for column in _placements(columns[-1], survivors[j]):
             columns.append(column)
             yield from extend(columns, j + 1)
             columns.pop()

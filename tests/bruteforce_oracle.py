@@ -10,8 +10,10 @@ shared, so this module serves as an oracle for the production routes.
 The two checks the tests apply to the package's own output, the attack
 relation on one filling and the specialisation q -> value, live here too,
 as does the divided difference in plain XPolynomial arithmetic, against
-which the packed Hecke operators are tested: the package itself never
-calls them.
+which the packed Hecke operators are tested, and the per-filling
+statistics ``descent_ascent`` and ``ordered_triples`` read square by
+square from a Filling, which the package's table kernel replaced: the
+package itself never calls them.
 
 Deliberately naive; only run it on tiny compositions.
 """
@@ -60,6 +62,49 @@ def non_attacking(filling) -> bool:
         if (j == j2 or j == j2 + 1) and filling.entry(i, j) == filling.entry(i2, j2):
             return False
     return True
+
+
+def descent_ascent(sigma) -> tuple[set, set]:
+    """The descent and ascent square sets of a filling (a Filling).
+
+    A diagram square (i, j) is a descent when sigma_{i,j} > sigma_{i,j-1}
+    and an ascent when sigma_{i,j} < sigma_{i,j-1}.
+    """
+    descents, ascents = set(), set()
+    for i in range(1, sigma.mu.n + 1):
+        for j in range(1, sigma.mu.part(i) + 1):
+            here, below = sigma.entry(i, j), sigma.entry(i, j - 1)
+            if here > below:
+                descents.add((i, j))
+            elif here < below:
+                ascents.add((i, j))
+    return descents, ascents
+
+
+def ordered_triples(sigma) -> tuple[int, int]:
+    """Counts (positive, negative) of ordered triples of a filling.
+
+    A triple consists of squares (i, j) in dg(mu), (i', j-1) in the
+    extended diagram and (i', j), for i < i'; the entry sigma_{i',j} is
+    taken to be +infinity when (i', j) lies outside dg(mu).  Entries lie
+    in 1..n, so n + 1 serves as that infinity.
+    """
+    mu = sigma.mu
+    infinity = mu.n + 1
+    plus = minus = 0
+    for i in range(1, mu.n + 1):
+        for i2 in range(i + 1, mu.n + 1):
+            for j in range(1, mu.part(i) + 1):
+                if j - 1 > mu.part(i2):
+                    continue
+                mid = sigma.entry(i, j)
+                low = sigma.entry(i2, j - 1)
+                high = sigma.entry(i2, j) if j <= mu.part(i2) else infinity
+                if high > mid > low:
+                    plus += 1
+                elif high < mid < low:
+                    minus += 1
+    return plus, minus
 
 
 def plain_delta(p: XPolynomial, i: int) -> XPolynomial:

@@ -6,16 +6,14 @@ import time
 import pytest
 
 from nsmacdonald import fillings, matrixprod
-from nsmacdonald.compositions import Composition, arm, compositions_with, leg
+from nsmacdonald.compositions import Composition, arm, compositions_with, default_family, leg
 from nsmacdonald.fillings import (
     Filling,
     bijection_M,
     bijection_M_inverse,
-    descent_ascent,
     enumerate_fillings,
     f_hhl,
     hhl_summand,
-    ordered_triples,
     weight_match_check,
 )
 from nsmacdonald.matrixprod import enumerate_configs, f_matrix_product
@@ -23,6 +21,7 @@ from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import XPolynomial
 
 import bruteforce_oracle as oracle
+from bruteforce_oracle import descent_ascent, ordered_triples
 
 ONE = QTRational.one()
 Q = QTRational.q()
@@ -133,6 +132,46 @@ def test_hhl_summand_equals_field_arithmetic():
             assert hhl_summand(sigma) == hhl_weight_by_field_arithmetic(sigma), sigma
 
 
+def brute_factors(parts, entries):
+    """The HHL kernel's x exponents and factor groups of one filling
+    ({(column, row): entry}), from the oracle's triples, leg and arm and
+    the descents and ascents read off the entries."""
+    plus, minus = oracle.brute_triples(parts, entries)
+    exps = [0] * len(parts)
+    denominators = {(0, 1): 0}
+    q_exp, t_exp = 0, -minus
+    for i in range(1, len(parts) + 1):
+        for j in range(1, parts[i - 1] + 1):
+            here, below = entries[(i, j)], entries[(i, j - 1)]
+            exps[here - 1] += 1
+            if here == below:
+                continue
+            la, aa = oracle.brute_leg(parts, i, j), oracle.brute_arm(parts, i, j)
+            denominators[(0, 1)] += 1
+            denominators[(la + 1, aa + 1)] = denominators.get((la + 1, aa + 1), 0) - 1
+            if here < below:  # ascent
+                q_exp, t_exp = q_exp + la + 1, t_exp + aa
+    return tuple(exps), (0, plus, {}), (0, 0, denominators), (q_exp, t_exp, {})
+
+
+def test_table_kernel_matches_bruteforce_statistics():
+    # group by group, on every filling of the default family and of wide
+    # compositions with empty and repeated columns
+    family = [mu.parts for mu in default_family()] + [
+        (2, 1, 0, 2, 1), (1, 0, 2, 0, 1, 0), (0, 1, 2, 1, 2), (2, 0, 1, 1, 0, 2)]
+    seen = 0
+    for parts in family:
+        for sigma in enumerate_fillings(Composition(parts)):
+            entries = {
+                (i, j): sigma.entry(i, j)
+                for i in range(1, len(parts) + 1)
+                for j in range(parts[i - 1] + 1)
+            }
+            assert fillings._hhl_factors(sigma) == brute_factors(parts, entries), sigma
+            seen += 1
+    assert seen > len(family)
+
+
 def test_f_hhl_goldens(golden_polys):
     for parts, poly in golden_polys.items():
         assert f_hhl(Composition(parts)) == poly
@@ -188,26 +227,33 @@ def test_weight_match_examples():
 
 
 def test_weight_match_detects_corrupted_triples(monkeypatch):
-    # ord_+ one too large: the t^ord_+ group and the total weight must
-    # fail, and every other factor group must still match
-    original = fillings.ordered_triples
+    # ord_+ one too large in the HHL kernel: the t^ord_+ group and the total
+    # weight must fail, and every other factor group must still match
+    original = fillings._hhl_factors
 
     def corrupted(sigma):
-        plus, minus = original(sigma)
-        return plus + 1, minus
+        exps, (qexp, plus, binomials), *groups = original(sigma)
+        return exps, (qexp, plus + 1, binomials), *groups
 
-    monkeypatch.setattr(fillings, "ordered_triples", corrupted)
+    monkeypatch.setattr(fillings, "_hhl_factors", corrupted)
     report = weight_match_check(Composition((1, 1)))
     kinds = sorted(message.split(" on ")[0] for message in report.failures)
     assert kinds == ["t^ord_+ mismatch", "total weights differ"]
 
 
 def test_weight_match_detects_a_corrupted_arm(monkeypatch):
-    # an arm one too long changes a descent/ascent denominator 1 - q^{l+1}
-    # t^{a+1} and an ascent numerator t^a; the normal forms must tell
+    # an arm one too long in the kernel's table changes a descent/ascent
+    # denominator 1 - q^{l+1} t^{a+1} and an ascent numerator t^a; the
+    # normal forms must tell.  The tables are cached per mu, so the cache
+    # is cleared before the corrupted arm builds one and again after it,
+    # leaving no corrupted table to later tests
     original = fillings.arm
     monkeypatch.setattr(fillings, "arm", lambda mu, s: original(mu, s) + 1)
-    report = weight_match_check(Composition((1, 2, 0)))
+    fillings._hhl_tables.cache_clear()
+    try:
+        report = weight_match_check(Composition((1, 2, 0)))
+    finally:
+        fillings._hhl_tables.cache_clear()
     kinds = {message.split(" on ")[0] for message in report.failures}
     assert kinds == {
         "descent/ascent denominators differ",
