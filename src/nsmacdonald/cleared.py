@@ -46,9 +46,23 @@ coefficients, and leaves room for nvars generator steps and one
 difference, 2 (1 + 2 degree)^nvars times the sum, and for 2 nvars more
 factors t in a row.  That covers Y_i, n - 1 generators and omega, and
 the difference of its result and y_i times its argument at common
-offsets, so the eigencheck lays out once.  Decoding (``laurents``)
-checks every slot against the envelope, as lattice's integer tables
-check every entry, and raises on a slot outside it.
+offsets, so the eigencheck lays out once.  Decoding (``decode``,
+``laurents``) checks every slot against the envelope, as lattice's
+integer tables check every entry, and raises SlotOverflow on a slot
+outside it.
+
+The same layout reduces sums over products of cyclotomic labels
+(``cyclotomic_quotients``, which ``xpoly.binomial_sum`` calls;
+``cyclotomic_quotient`` for one numerator).  A ``Frame`` is the layout
+(w, row, q0, t0) read as q -> X^row, t -> X, X = 2^w: a product of
+labels becomes a product of the integers Phi_e(2^(w s)), s = d1 row +
+d2, a sum of shifted products one integer sum, and a trial division by
+a label one ``divmod``.  A nonzero remainder proves that the label does
+not divide.  A zero one is certified when the reduced numerator is
+decoded, slot by slot, and found to fit the frame times the labels
+divided; when a certificate fails, the sum is laid out afresh, in the
+end in a careful frame that certifies each quotient, so no result rests
+on an unchecked step.
 
 Two cleared polynomials are compared only over the same D and under one
 layout, through their difference (``__sub__``): both move to the lower
@@ -60,10 +74,28 @@ is integers and bit lengths.
 
 from __future__ import annotations
 
-from .cyclotomic import Laurent, split_laurent
-from .qt import QTPolynomial, QTRational
+from functools import lru_cache
+from math import lcm, prod
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
-__all__ = ["ClearedPolynomial"]
+from .cyclotomic import (
+    CyclotomicLabel,
+    Laurent,
+    _over_coprime,
+    cyclotomic_coefficients,
+    cyclotomic_product,
+    split_laurent,
+)
+from .qt import Fraction, QTPolynomial, QTRational, _normalise
+
+__all__ = [
+    "ClearedPolynomial",
+    "Frame",
+    "SlotOverflow",
+    "cyclotomic_quotient",
+    "cyclotomic_quotients",
+    "decode",
+]
 
 
 def _halves(width: int, slots: int) -> bytes:
@@ -83,6 +115,34 @@ def _pack(num: Laurent, layout: tuple[int, int, int, int]) -> int:
     for k, c in at.items():
         raw[k * size:(k + 1) * size] = (c + half).to_bytes(size, "little")
     return int.from_bytes(raw, "little") - int.from_bytes(halves, "little")
+
+
+class SlotOverflow(ArithmeticError):
+    """A packed slot outside its envelope: the integer is not the image of
+    a Laurent polynomial that fits the layout."""
+
+
+def decode(num: int, layout: tuple[int, int, int, int], bound: int, tspan: int) -> Laurent:
+    """The Laurent polynomial whose image under ``layout`` is ``num``, read
+    as balanced base-2^w digits.  Every slot is checked: a coefficient
+    above ``bound`` (an overflowed slot) or at a t exponent more than
+    ``tspan`` above t0 (one wrapped into the next row) raises
+    SlotOverflow; nothing is truncated."""
+    width, row, q0, t0 = layout
+    size, half = width // 8, 1 << (width - 1)
+    # the balanced digits of num fill at most this many slots; adding half
+    # to each makes them plain base-2^width digits
+    slots = abs(num).bit_length() // width + 1
+    raw = (num + int.from_bytes(_halves(width, slots), "little")).to_bytes(slots * size, "little")
+    out = {}
+    for k in range(slots):
+        c = int.from_bytes(raw[k * size:(k + 1) * size], "little") - half
+        if c:
+            qe, te = divmod(k, row)
+            if te > tspan or abs(c) > bound:
+                raise SlotOverflow(f"packed slot {k} holds {c}, outside its envelope")
+            out[(q0 + qe, t0 + te)] = c
+    return out
 
 
 class ClearedPolynomial:
@@ -135,28 +195,9 @@ class ClearedPolynomial:
         return ClearedPolynomial.packed(self.nvars, self.den, [self.laurents()])[0]
 
     def laurents(self) -> dict[tuple[int, ...], Laurent]:
-        """The numerators decoded.  Every slot is checked: a coefficient
-        above ``bound`` (an overflowed slot) or at a t exponent above
-        ``tspan`` (one wrapped into the next row) raises ArithmeticError;
-        nothing is truncated."""
-        width, row, q0, t0 = self.layout
-        size, half = width // 8, 1 << (width - 1)
-        out = {}
-        for exps, num in self.terms.items():
-            # the balanced digits of num fill at most this many slots;
-            # adding half to each makes them plain base-2^width digits
-            slots = abs(num).bit_length() // width + 1
-            raw = (num + int.from_bytes(_halves(width, slots), "little")).to_bytes(
-                slots * size, "little")
-            laurent = out[exps] = {}
-            for k in range(slots):
-                c = int.from_bytes(raw[k * size:(k + 1) * size], "little") - half
-                if c:
-                    qe, te = divmod(k, row)
-                    if te > self.tspan or abs(c) > self.bound:
-                        raise ArithmeticError(f"packed slot {k} holds {c}, outside its envelope")
-                    laurent[(q0 + qe, t0 + te)] = c
-        return out
+        """The numerators decoded, every slot checked (``decode``)."""
+        return {exps: decode(num, self.layout, self.bound, self.tspan)
+                for exps, num in self.terms.items()}
 
     def shift(self, dq: int, dt: int) -> "ClearedPolynomial":
         """This polynomial times the monomial q^dq t^dt: the layout's
@@ -206,3 +247,208 @@ def _over(num: Laurent, den: QTPolynomial) -> QTRational:
         poly * QTPolynomial.monomial(max(dq, 0), max(dt, 0)),
         den * QTPolynomial.monomial(max(-dq, 0), max(-dt, 0)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Sums over products of cyclotomic labels, reduced on packed integers.
+# ---------------------------------------------------------------------------
+
+
+class Frame(NamedTuple):
+    """The Kronecker image of the Laurent polynomials with q >= q0 and
+    t0 <= t < t0 + tx: q^qe t^te goes to the slot (qe - q0) row + te - t0
+    of ``width`` bits, row >= tx, as under the layout (width, row, q0, t0).
+    That is q -> X^row, t -> X, X = 2^width, with q^q0 t^t0 moved to the
+    lowest slot: a ring map up to that shift, and one-to-one on the
+    polynomials whose coefficients lie below 2^(width - 1) in absolute
+    value.  ``terms`` = qx tx bounds the terms of a polynomial in the box,
+    qx its q extent; a ``careful`` frame certifies each division
+    (``_divided``)."""
+
+    width: int
+    row: int
+    q0: int
+    t0: int
+    tx: int
+    terms: int
+    careful: bool
+
+    def at(self, qe: int, te: int) -> int:
+        """The bit position of the slot of q^qe t^te."""
+        return self.width * ((qe - self.q0) * self.row + te - self.t0)
+
+    def phi(self, label: CyclotomicLabel) -> int:
+        """The image of Phi_e(u), u = q^d1 t^d2, as a factor: Phi_e at
+        2^(width s), s = d1 row + d2 > 0, a positive integer."""
+        e, d1, d2 = label
+        bits = self.width * (d1 * self.row + d2)
+        return sum(c << bits * k for k, c in enumerate(cyclotomic_coefficients(e)) if c)
+
+
+@lru_cache(maxsize=None)
+def _norms(e: int) -> tuple[int, int]:
+    # the L1 norms of Phi_e and of its cofactor (x^e - 1) / Phi_e, the
+    # product of the Phi_k over the proper divisors k of e
+    cofactor = cyclotomic_product(((k, 1, 0), 1) for k in range(1, e) if e % k == 0)
+    return sum(map(abs, cyclotomic_coefficients(e))), sum(map(abs, cofactor.values()))
+
+
+def _extent(counts: Iterable[tuple[CyclotomicLabel, int]]) -> tuple[int, int, int, int]:
+    # prod Phi^n over counts: (bound on its L1 norm, its q-degree, its
+    # lowest and highest t exponent); Phi_e(u)^n spans u^0 .. u^(n phi(e))
+    norm, qdeg, low, high = 1, 0, 0, 0
+    for (e, d1, d2), n in counts:
+        norm *= _norms(e)[0] ** n
+        span = n * (len(cyclotomic_coefficients(e)) - 1)
+        qdeg += span * d1
+        low += span * min(d2, 0)
+        high += span * max(d2, 0)
+    return norm, qdeg, low, high
+
+
+def _frames(bound: int, box: tuple[int, int, int, int], labels: list) -> Iterable[Frame]:
+    """The frames a sum is tried in, in turn: a plain one with 24 bits of
+    room above ``bound``, then careful ones, each with twice the room of
+    the last, until the certificates hold."""
+    q0, t0, qx, tx = box
+    # a row holds tx slots, and d1 row + d2 > 0 for every label
+    row = max(tx, 1 - min((d2 for _e, _d1, d2 in labels), default=0))
+    extra, careful = 24, False
+    while True:
+        yield Frame(8 * ((bound.bit_length() + extra) // 8 + 1), row, q0, t0, tx, qx * tx, careful)
+        extra, careful = 2 * extra, True
+
+
+def _certified(frame: Frame, num: int, divided: list[CyclotomicLabel]) -> Laurent:
+    """The Laurent polynomial B whose image is ``num``, the image of a
+    numerator N divided by those of the ``divided`` labels, certified to
+    be N / prod Phi: its slots are decoded, each checked, and B times
+    that product must fit the frame, its L1 norm at most the product of
+    the norms below 2^(width - 1) and its t exponents within t0 .. t0 +
+    tx - 1.  Then both B prod Phi and N fit and have the same image, so
+    they are equal.  Anything else raises SlotOverflow."""
+    width, row, q0, t0, tx = frame[:5]
+    norm, _qdeg, low, high = _extent((label, 1) for label in divided)
+    half = 1 << (width - 1)
+    terms = decode(num, (width, row, q0, t0), (half - 1) // norm, tx - 1 - high)
+    if sum(map(abs, terms.values())) * norm >= half or any(te + low < t0 for _qe, te in terms):
+        raise SlotOverflow("the reduced numerator times its divisors does not fit the frame")
+    return terms
+
+
+def _divided(frame: Frame, num: int, den: dict, images: dict) -> tuple[Laurent, list]:
+    """The numerator N with image ``num`` divided by the labels of
+    ``den``, each while it divides and up to its count, as (B, the labels
+    left with their counts).
+
+    A nonzero remainder proves that a label does not divide: a polynomial
+    quotient (Phi_e monic) would give an exact integer one.  A zero
+    remainder can be an accident of the integers: Phi_1(t) = t - 1 goes
+    to 2^w - 1, which divides the image 2^(w row) - 1 of q - 1, in every
+    width.  A plain frame certifies B once, at the end (``_certified``).
+    A careful frame certifies each quotient M of the current N as it is
+    made.  M (u^e - 1) = N (u^e - 1) / Phi_e(u), so every coefficient of
+    a true M is at most L1(N) L1((u^e - 1) / Phi_e(u)); in a frame wide
+    enough for ``terms`` coefficients that large, a quotient that fails
+    its certificate proves that the label does not divide, and in a
+    narrower one SlotOverflow is raised."""
+    left, divided = [], []
+    current = _certified(frame, num, []) if frame.careful else None
+    for label, n in den.items():
+        image = images[label]
+        while n:
+            quot, rem = divmod(num, image)
+            if rem:
+                break
+            if frame.careful:
+                try:
+                    current = _certified(frame, quot, [label])
+                except SlotOverflow:
+                    phi_norm, cofactor_norm = _norms(label[0])
+                    room = frame.terms * sum(map(abs, current.values())) * cofactor_norm * phi_norm
+                    if room >= 1 << (frame.width - 1):
+                        raise
+                    break
+            num, n = quot, n - 1
+            divided.append(label)
+        if n:
+            left.append((label, n))
+    return (current if frame.careful else _certified(frame, num, divided)), left
+
+
+# One part of a sum: the cofactor prod Phi^n over label counts, and per key
+# an integer Laurent polynomial that the cofactor multiplies.
+Part = tuple[Iterable[tuple[CyclotomicLabel, int]], Mapping[Hashable, Laurent]]
+
+
+def cyclotomic_quotients(parts: Iterable[Part], den: Mapping[CyclotomicLabel, int]) -> dict:
+    """Per key, the sum N over ``parts`` of its Laurent polynomial times
+    the part's cofactor, divided by prod Phi^n over ``den`` (n >= 0), in
+    canonical form; keys whose N is zero are left out.
+
+    The work is on Kronecker images (``Frame``), laid out once per call
+    from the envelope: the L1 norm of each N is at most the sum of its
+    coefficients' absolute values times the cofactors' norms, and its
+    exponents lie within the keys' plus the cofactors' extents.  Each
+    cofactor is a product of label images, each N a sum of shifted
+    cofactors, each label tried by ``divmod`` (``_divided``), and only the
+    reduced numerator B is decoded.  If a certificate fails, the sum is
+    laid out again in the next frame (``_frames``); this ends, as a
+    careful frame wide enough for every true quotient certifies them all.
+    B is coprime to the labels left, so B over their product is the
+    canonical value, its denominator multiplied out once per distinct
+    set of labels left."""
+    parts = [(tuple((label, n) for label, n in cofactor if n), accs) for cofactor, accs in parts]
+    den = {label: n for label, n in den.items() if n}
+    bounds: dict = {}
+    qs, ts = [], []
+    for cofactor, accs in parts:
+        norm, qdeg, low, high = _extent(cofactor)
+        for key, acc in accs.items():
+            bounds[key] = bounds.get(key, 0) + norm * sum(map(abs, acc.values()))
+            for qe, te in acc:
+                qs += (qe, qe + qdeg)
+                ts += (te + low, te + high)
+    if not qs:
+        return {}
+    q0, t0 = min(qs), min(ts)
+    box = (q0, t0, max(qs) - q0 + 1, max(ts) - t0 + 1)
+    labels = set(den).union(*(dict(cofactor) for cofactor, _accs in parts))
+    dens: dict = {}
+    for frame in _frames(max(bounds.values()), box, list(den)):
+        images = {label: frame.phi(label) for label in labels}
+        totals: dict = {}
+        for cofactor, accs in parts:
+            cof = prod(images[label] ** n for label, n in cofactor)
+            for key, acc in accs.items():
+                totals[key] = totals.get(key, 0) + sum(
+                    (c * cof) << frame.at(qe, te) for (qe, te), c in acc.items())
+        try:
+            reduced = {key: _divided(frame, num, den, images) for key, num in totals.items() if num}
+        except SlotOverflow:
+            continue
+        out = {}
+        for key, (num, left) in reduced.items():
+            left = tuple(left)
+            if left not in dens:
+                dens[left] = split_laurent(cyclotomic_product(left))
+            out[key] = _over_coprime(num, dens[left])
+        return out
+
+
+def cyclotomic_quotient(num: Laurent, den: Mapping[CyclotomicLabel, int]) -> QTRational:
+    """num / prod Phi^n over the items of ``den`` (n >= 0) in canonical
+    form, for a Laurent polynomial ``num`` with exact rational
+    coefficients: scaled to integers by the lcm of their denominators,
+    reduced by ``cyclotomic_quotients`` and scaled back.
+
+    The irreducible factors of the denominator are its labels, so
+    gcd(num, den) is prod Phi^k, k the number of times Phi divides num, up
+    to its count in ``den``: each label's Phi is divided out while it
+    divides, and what is left is coprime.  No gcd is taken."""
+    if not num:
+        return QTRational.zero()
+    scale = lcm(*(c.denominator for c in num.values()))
+    ints = {key: int(c * scale) for key, c in num.items()}
+    value = cyclotomic_quotients([((), {0: ints})], den)[0]
+    return value if scale == 1 else _normalise(value.num.scale(Fraction(1, scale)), value.den)

@@ -32,9 +32,12 @@ factorisation two such forms are equal exactly when their values in
 Q(q,t) are: no value need be built to compare products.  Common factors
 cancel by adding counts, the lcm of such denominators takes the largest
 count of each label, and a polynomial over such a denominator is reduced
-by exact division by its labels (``divide_cyclotomic``), no gcd being
-needed; ``cyclotomic_quotient`` and ``CyclotomicForm.value`` turn the
-results, Laurent polynomials, into canonical Q(q,t) values.
+by exact division by its labels, no gcd being needed.
+
+Sums over such denominators are added and reduced on packed integers,
+in module ``cleared`` (``cyclotomic_quotients``).  The results, Laurent
+polynomials over coprime products of labels, become canonical Q(q,t)
+values with no gcd (``_over_coprime``), as in ``CyclotomicForm.value``.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ __all__ = [
     "cyclotomic_coefficients",
     "cyclotomic_form",
     "cyclotomic_product",
-    "divide_cyclotomic",
-    "cyclotomic_quotient",
     "split_laurent",
 ]
 
@@ -142,7 +143,7 @@ class CyclotomicForm(NamedTuple):
         top = cyclotomic_product((label, n) for label, n in self.counts if n > 0)
         return _over_coprime(
             {(qe + self.qexp, te + self.texp): self.sign * c for (qe, te), c in top.items()},
-            [(label, -n) for label, n in self.counts if n < 0],
+            split_laurent(cyclotomic_product((label, -n) for label, n in self.counts if n < 0)),
         )
 
 
@@ -184,39 +185,6 @@ def cyclotomic_product(counts: Iterable[tuple[CyclotomicLabel, int]]) -> Laurent
     return out
 
 
-def divide_cyclotomic(terms: dict, label: CyclotomicLabel) -> dict | None:
-    """The exact quotient of the nonzero Laurent polynomial ``terms`` (exact
-    rational coefficients) by Phi_e(u), u = q^d1 t^d2, or None if Phi_e(u)
-    does not divide it.
-
-    The monomials of one class q^i t^j u^k (k in Z) are independent of
-    those of the other classes over Q[u^±1], so Phi_e(u) divides the sum
-    exactly when it divides each class's univariate part in u."""
-    e, d1, d2 = label
-    # class -> (its first term's key, {position along d from that key: coeff})
-    classes: dict[int, tuple[tuple[int, int], dict]] = {}
-    for (qe, te), coeff in terms.items():
-        entry = classes.get(qe * d2 - te * d1)
-        if entry is None:
-            entry = classes[qe * d2 - te * d1] = ((qe, te), {})
-        (bq, bt), members = entry
-        members[(qe - bq) // d1 if d1 else te - bt] = coeff
-    divisor = cyclotomic_coefficients(e)
-    out = {}
-    for (bq, bt), members in classes.values():
-        low = min(members)
-        coeffs = [0] * (max(members) - low + 1)
-        for k, coeff in members.items():
-            coeffs[k - low] = coeff
-        quot = _divide_monic(coeffs, divisor)
-        if quot is None:
-            return None
-        for k, coeff in enumerate(quot, start=low):
-            if coeff:
-                out[(bq + k * d1, bt + k * d2)] = coeff
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Canonical Q(q,t) values over products of labels.
 # ---------------------------------------------------------------------------
@@ -230,36 +198,15 @@ def split_laurent(terms: dict) -> tuple[QTPolynomial, int, int]:
     return QTPolynomial({(qe - dq, te - dt): c for (qe, te), c in terms.items()}), dq, dt
 
 
-def _over_coprime(num: dict, den: Iterable[tuple[CyclotomicLabel, int]]) -> QTRational:
-    # num / prod Phi^n over den, num a nonzero Laurent polynomial sharing no
-    # factor with the product: no gcd, only the monomials split off (the
-    # product's lex-leading coefficient is 1, see the module docstring)
+def _over_coprime(num: Laurent, den: tuple[QTPolynomial, int, int]) -> QTRational:
+    # num / q^dq t^dt dpoly, den = (dpoly, dq, dt) from split_laurent, num
+    # a nonzero Laurent polynomial sharing no factor with dpoly: no gcd,
+    # only the monomials split off (dpoly is a product of labels, its
+    # lex-leading coefficient 1, see the module docstring)
     npoly, nq, nt = split_laurent(num)
-    dpoly, dq, dt = split_laurent(cyclotomic_product(den))
+    dpoly, dq, dt = den
     qexp, texp = nq - dq, nt - dt
     return _normalise(
         npoly * QTPolynomial.monomial(max(qexp, 0), max(texp, 0)),
         dpoly * QTPolynomial.monomial(max(-qexp, 0), max(-texp, 0)),
     )
-
-
-def cyclotomic_quotient(num: dict, den: Mapping[CyclotomicLabel, int]) -> QTRational:
-    """num / prod Phi^n over the items of ``den`` (n >= 0) in canonical
-    form, for a Laurent polynomial ``num`` with exact rational coefficients.
-
-    The irreducible factors of the denominator are its labels, so
-    gcd(num, den) is prod Phi^k, k the number of times Phi divides num, up
-    to its count in ``den``: each label's Phi is divided out exactly while
-    it divides, and what is left is coprime.  No gcd is taken."""
-    if not num:
-        return QTRational.zero()
-    left = []
-    for label, n in den.items():
-        while n:
-            quotient = divide_cyclotomic(num, label)
-            if quotient is None:
-                break
-            num, n = quotient, n - 1
-        if n:
-            left.append((label, n))
-    return _over_coprime(num, left)

@@ -90,14 +90,6 @@ class Filling:
         """sigma_{i,j} for a square of the extended diagram."""
         return self.columns[i - 1][j]
 
-    def x_monomial(self) -> tuple[int, ...]:
-        """Exponent vector of x^sigma (basement squares excluded)."""
-        exps = [0] * self.mu.n
-        for i in range(1, self.mu.n + 1):
-            for j in range(1, self.mu.part(i) + 1):
-                exps[self.entry(i, j) - 1] += 1
-        return tuple(exps)
-
 
 def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
     """All non-attacking fillings, built column by column left to right.

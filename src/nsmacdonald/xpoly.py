@@ -19,9 +19,10 @@ with one gcd.  The eigencheck clears that way.
 ``binomial_sum`` adds summands that are not yet polynomials: an x
 monomial times a coefficient in exponent form (``cyclotomic.Factors``),
 a monomial times binomials 1 - q^a t^b.  It works in their cyclotomic
-form, in which the common denominator is an integer maximum and the final
-reduction exact division, so it takes no gcd and builds no Q(q,t) value
-per summand.  Both summation routes (fillings.f_hhl and
+form, in which the common denominator is an integer maximum, and
+``cleared.cyclotomic_quotients`` adds the numerators and reduces them
+by exact division as packed integers, so it takes no gcd and builds no
+Q(q,t) value per summand.  Both summation routes (fillings.f_hhl and
 matrixprod.f_matrix_product) add their summands with it; each computes
 its summands with its own weight kernel, and the sum knows nothing of
 either formula.
@@ -47,16 +48,8 @@ from functools import wraps
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .cleared import ClearedPolynomial
-from .cyclotomic import (
-    CyclotomicLabel,
-    Factors,
-    Laurent,
-    add_shifted,
-    cyclotomic_form,
-    cyclotomic_product,
-    cyclotomic_quotient,
-)
+from .cleared import ClearedPolynomial, cyclotomic_quotients
+from .cyclotomic import CyclotomicLabel, Factors, Laurent, cyclotomic_form
 from .qt import QTRational, qt_lcm
 
 __all__ = [
@@ -396,12 +389,11 @@ def binomial_sum(nvars: int, summands: Iterable[Summand]) -> XPolynomial:
     counts, and within a group their signed monomials are added per
     x-monomial.  The common denominator D takes each label's largest
     denominator count: the exact lcm, as the labels are pairwise coprime
-    irreducibles.  Each group is multiplied once by its cofactor, the
-    product of its own numerator labels and of the labels D has beyond
-    its denominator, and added into the numerators over D, Laurent
-    polynomials with integer coefficients.  Each coefficient of the result
-    is then reduced over D by exact division by D's labels
-    (``cyclotomic_quotient``).  The result is the canonical
+    irreducibles.  Each group's cofactor is the product of its own
+    numerator labels and of the labels D has beyond its denominator.
+    ``cyclotomic_quotients`` adds each group times its cofactor into the
+    numerators over D and reduces each over D by exact division by D's
+    labels, on packed integers.  The result is the canonical
     XPolynomial, identical (==, hash, JSON) to the repeated sum.
     """
     groups: dict[frozenset, dict[tuple[int, ...], Laurent]] = {}
@@ -424,17 +416,11 @@ def binomial_sum(nvars: int, summands: Iterable[Summand]) -> XPolynomial:
     for counts in groups:
         for label, n in counts:
             common[label] = max(common.get(label, 0), -n)
-    totals: dict[tuple[int, ...], Laurent] = {}
+    parts = []
     for counts, by_exps in groups.items():
         own = dict(counts)
-        cofactor = cyclotomic_product(
-            (label, n + own.get(label, 0)) for label, n in common.items()
-        )
-        for exps, acc in by_exps.items():
-            total = totals.setdefault(exps, {})
-            for (qe, te), coeff in acc.items():
-                add_shifted(total, cofactor, qe, te, coeff)
-    return _raw(nvars, {e: cyclotomic_quotient(num, common) for e, num in totals.items() if num})
+        parts.append(([(label, n + own.get(label, 0)) for label, n in common.items()], by_exps))
+    return _raw(nvars, cyclotomic_quotients(parts, common))
 
 
 def on_cleared(kernel: Callable[..., ClearedPolynomial]) -> Callable:

@@ -11,8 +11,8 @@ The two checks the tests apply to the package's own output, the attack
 relation on one filling and the specialisation q -> value, live here too,
 as does the divided difference in plain XPolynomial arithmetic, against
 which the packed Hecke operators are tested, and the per-filling
-statistics ``descent_ascent`` and ``ordered_triples`` read square by
-square from a Filling, which the package's table kernel replaced: the
+statistics ``descent_ascent``, ``ordered_triples`` and ``x_monomial``
+read square by square from a Filling, which the package's table kernel replaced: the
 package itself never calls them.
 
 Deliberately naive; only run it on tiny compositions.
@@ -79,6 +79,16 @@ def descent_ascent(sigma) -> tuple[set, set]:
             elif here < below:
                 ascents.add((i, j))
     return descents, ascents
+
+
+def x_monomial(sigma) -> tuple[int, ...]:
+    """Exponent vector of x^sigma for a filling (a Filling), basement
+    squares excluded."""
+    exps = [0] * sigma.mu.n
+    for i in range(1, sigma.mu.n + 1):
+        for j in range(1, sigma.mu.part(i) + 1):
+            exps[sigma.entry(i, j) - 1] += 1
+    return tuple(exps)
 
 
 def ordered_triples(sigma) -> tuple[int, int]:

@@ -8,11 +8,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 # Property tests run a fixed, bounded set of examples with no time limit per
 # example: the same examples on every run, no failure when the host runs at
-# half speed, and no example database written into the checkout.
+# half speed, and no example database written into the checkout.  "tier1"
+# is the default; "deep" (--hypothesis-profile deep) runs ten times as many.
 settings.register_profile(
     "tier1", derandomize=True, deadline=None, max_examples=60, database=None
 )
-settings.load_profile("tier1")
+settings.register_profile(
+    "deep", derandomize=True, deadline=None, max_examples=600, database=None
+)
+
+
+def pytest_configure(config):
+    settings.load_profile(config.getoption("hypothesis_profile", None) or "tier1")
 
 from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import XPolynomial

@@ -21,7 +21,7 @@ from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import XPolynomial
 
 import bruteforce_oracle as oracle
-from bruteforce_oracle import descent_ascent, ordered_triples
+from bruteforce_oracle import descent_ascent, ordered_triples, x_monomial
 
 ONE = QTRational.one()
 Q = QTRational.q()
@@ -123,7 +123,7 @@ def hhl_weight_by_field_arithmetic(sigma):
         weight = weight * (ONE - T) / (ONE - QTRational.monomial(la + 1, aa + 1))
         if s in ascents:
             weight = weight * QTRational.monomial(la + 1, aa)
-    return XPolynomial.monomial(mu.n, sigma.x_monomial(), weight)
+    return XPolynomial.monomial(mu.n, x_monomial(sigma), weight)
 
 
 def test_hhl_summand_equals_field_arithmetic():

@@ -7,13 +7,9 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from nsmacdonald import qt
-from nsmacdonald.cyclotomic import (
-    cyclotomic_coefficients,
-    cyclotomic_form,
-    cyclotomic_product,
-    cyclotomic_quotient,
-)
+from nsmacdonald import cleared, qt
+from nsmacdonald.cleared import cyclotomic_quotient, cyclotomic_quotients
+from nsmacdonald.cyclotomic import cyclotomic_coefficients, cyclotomic_form, cyclotomic_product
 from nsmacdonald.qt import (
     ExactDivisionError,
     Fraction,
@@ -499,6 +495,107 @@ def test_cyclotomic_form_controls():
     value = cyclotomic_quotient({(0, 0): c, (1, 0): c}, {phi_1: 1, phi_2: 1})
     assert value == QTRational.monomial(0, 0, c) / (Q - ONE)
     assert stored_form_ok(value.num) and stored_form_ok(value.den)
+
+
+# -- sums reduced on packed integers ----------------------------------------
+
+# normalised primitive directions, slopes of either sign, so that a label's
+# image 2^(w (d1 row + d2)) can be near the bottom of a row
+cyclotomic_labels = st.builds(
+    lambda e, d: (e, *d),
+    st.integers(1, 6),
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2), (3, -2)]),
+)
+label_counts = st.dictionaries(cyclotomic_labels, st.integers(0, 2), max_size=3)
+int_laurents = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-9, 9).filter(bool),
+    min_size=1, max_size=5,
+)
+
+
+def laurent_product(*factors):
+    out = {(0, 0): 1}
+    for factor in factors:
+        step = {}
+        for (qa, ta), a in out.items():
+            for (qb, tb), b in factor.items():
+                step[(qa + qb, ta + tb)] = step.get((qa + qb, ta + tb), 0) + a * b
+        out = {key: c for key, c in step.items() if c}
+    return out
+
+
+def added_counts(*counts):
+    out = {}
+    for each in counts:
+        for label, n in each.items():
+            out[label] = out.get(label, 0) + n
+    return out
+
+
+@given(st.lists(st.tuples(label_counts, int_laurents), min_size=1, max_size=3),
+       label_counts, label_counts)
+@example([({}, {(0, 0): 1, (1, 0): -1})], {}, {(1, 0, 1): 1})
+@example([({}, {(0, 0): 1})], {(1, 1, -1): 2, (2, 1, -1): 1}, {(1, 1, -1): 1})
+def test_packed_quotients_equal_field_arithmetic(parts, planted, den):
+    # sum of numerators times cofactors, all times planted labels, over a
+    # denominator holding them: the value in Q(q,t) arithmetic, where
+    # labels are only multiplied out, never divided
+    den = added_counts(den, planted)
+    sums = cyclotomic_quotients(
+        [(list(added_counts(cof, planted).items()), {"x": acc}) for cof, acc in parts], den)
+    numerator = sum((laurent_value(acc) * phi_value(cof.items()) for cof, acc in parts),
+                    QTRational.zero())
+    expected = numerator * phi_value(planted.items()) / phi_value(den.items())
+    assert sums.get("x", QTRational.zero()) == expected
+    if "x" in sums:
+        assert stored_form_ok(sums["x"].num) and stored_form_ok(sums["x"].den)
+
+
+def test_narrow_slots_are_widened_to_the_canonical_value(monkeypatch):
+    # (1 - q)(1 + 5t)(qt - 1) over (t - 1)(qt - 1), with the first frame
+    # forced down to 8-bit slots.  There 255, the image of t - 1, divides
+    # the image of the numerator, though t - 1 does not divide it (as it
+    # divides the image 2^(8 row) - 1 of q - 1): the certificate fails and
+    # the sum is laid out again, in a careful frame, until it holds
+    frames = []
+    plain = cleared._frames
+
+    def narrow(bound, box, labels):
+        for k, frame in enumerate(plain(bound, box, labels)):
+            frames.append(frame._replace(width=8) if k == 0 else frame)
+            yield frames[-1]
+
+    monkeypatch.setattr(cleared, "_frames", narrow)
+    phi_1_t, phi_1_qt = (1, 0, 1), (1, 1, 1)
+    terms = laurent_product({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): 5},
+                            {(1, 1): 1, (0, 0): -1})
+    value = cyclotomic_quotient(terms, {phi_1_t: 1, phi_1_qt: 1})
+    assert value == (ONE - Q) * (ONE + QTRational.monomial(0, 1, 5)) / (T - ONE)
+    first = frames[0]
+    image = sum(c << first.at(qe, te) for (qe, te), c in terms.items())
+    assert first.width == 8 and image % first.phi(phi_1_t) == 0
+    assert len(frames) > 1 and frames[-1].careful
+
+
+@pytest.mark.parametrize("label, box", [((1, 1, 1), (0, 0, 2, 3)), ((1, 1, -1), (0, -1, 2, 3))])
+def test_a_corrupted_reduced_numerator_fails_its_certificate(label, box):
+    # B = 1 + t, the numerator (u - 1)(1 + t) divided by Phi_1(u), u = qt
+    # or q/t, in the box of the numerator's exponents
+    frame = next(cleared._frames(8, box, [label]))
+    reduced = (1 << frame.at(0, 0)) + (1 << frame.at(0, 1))
+    assert cleared._certified(frame, reduced, [label]) == {(0, 0): 1, (0, 1): 1}
+    half = 1 << (frame.width - 1)
+    corrupted = [
+        # a slot above (half - 1) / L1(u - 1)
+        reduced + ((half // 2) << frame.at(1, 0)),
+        # two slots within it, whose sum times L1(u - 1) = 2 reaches 2^(w - 1)
+        reduced + ((half // 4) << frame.at(1, 0)) + ((half // 4) << frame.at(1, 1)),
+        # a term that u moves off the box: t^2 times qt, t^-1 times q/t
+        reduced + (1 << frame.at(0, 2 if label[2] > 0 else -1)),
+    ]
+    for num in corrupted:
+        with pytest.raises(ArithmeticError):
+            cleared._certified(frame, num, [label])
 
 
 # -- qt_gcd returns the greatest common divisor, not just a common one --------
