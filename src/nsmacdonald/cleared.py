@@ -9,14 +9,14 @@ Each numerator is one Python int, its Kronecker image
 
   N_e = sum c * 2^(w * ((qe - q0) * A + (te - t0)))
 
-over its terms c q^qe t^te, with w bits per slot (a multiple of 8), A
-slots per power of q (the row) and the offsets (q0, t0) held once per
-polynomial, in its ``layout`` (w, A, q0, t0).  A factor q^a t^b of one
-numerator is then a shift by w (a A + b) bits, adding numerators is one
-integer addition, and a factor q^a t^b of the whole polynomial moves the
-offsets alone.  That is all the Hecke operators do to numerators
-(``hecke.apply_T``, xpoly's ``cyclic_omega`` and
-``divided_difference_div``).
+over its terms c q^qe t^te, under the polynomial's ``layout``, a
+``Frame`` held once per polynomial: its ``width`` w bits per slot (a
+multiple of 8), its ``row`` A slots per power of q, and its offsets
+``q0``, ``t0``.  A factor q^a t^b of one numerator is then a shift by
+w (a A + b) bits, adding numerators is one integer addition, and a
+factor q^a t^b of the whole polynomial moves the offsets alone.  That
+is all the Hecke operators do to numerators (``hecke.apply_T``, xpoly's
+``cyclic_omega`` and ``divided_difference_div``).
 
 Exactness.  The image is linear, so sums and shifts of images are the
 images of the sums and shifts, however large the integers grow.  It is
@@ -51,17 +51,15 @@ offsets, so the eigencheck lays out once.  Decoding (``decode``,
 integer tables check every entry, and raises SlotOverflow on a slot
 outside it.
 
-The same layout reduces sums over products of cyclotomic labels
-(``cyclotomic_quotients``, which ``xpoly.binomial_sum`` calls;
-``cyclotomic_quotient`` for one numerator).  A ``Frame`` is the layout
-(w, row, q0, t0) read as q -> X^row, t -> X, X = 2^w: a product of
-labels becomes a product of the integers Phi_e(2^(w s)), s = d1 row +
-d2, a sum of shifted products one integer sum, and a trial division by
-a label one ``divmod``.  A nonzero remainder proves that the label does
-not divide.  A zero one is certified when the reduced numerator is
-decoded, slot by slot, and found to fit the frame times the labels
-divided; when a certificate fails, the sum is laid out afresh, in the
-end in a careful frame that certifies each quotient, so no result rests
+The same ``Frame`` reduces sums over products of cyclotomic labels
+(``cyclotomic_quotients``, which ``xpoly.binomial_sum`` calls), read as
+q -> X^row, t -> X, X = 2^w: a product of labels becomes a product of
+the integers Phi_e(2^(w s)), s = d1 row + d2, a sum of shifted products
+one integer sum, and a trial division by a label one ``divmod``.  A
+nonzero remainder proves that the label does not divide.  A zero one is
+certified when the reduced numerator is decoded, slot by slot, and found
+to fit the frame times the labels divided.  When a certificate fails,
+that sum is added again in plain Q(q,t) arithmetic, so no result rests
 on an unchecked step.
 
 Two cleared polynomials are compared only over the same D and under one
@@ -74,11 +72,11 @@ is integers and bit lengths.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .cyclotomic import (
+    CyclotomicForm,
     CyclotomicLabel,
     Laurent,
     _over_coprime,
@@ -86,16 +84,46 @@ from .cyclotomic import (
     cyclotomic_product,
     split_laurent,
 )
-from .qt import Fraction, QTPolynomial, QTRational, _normalise
+from .qt import QTPolynomial, QTRational
 
 __all__ = [
     "ClearedPolynomial",
     "Frame",
     "SlotOverflow",
-    "cyclotomic_quotient",
     "cyclotomic_quotients",
     "decode",
 ]
+
+
+class Frame(NamedTuple):
+    """The Kronecker image of the Laurent polynomials with q >= q0 and
+    t0 <= t < t0 + row: q^qe t^te goes to the slot (qe - q0) row + te - t0
+    of ``width`` bits.  That is q -> X^row, t -> X, X = 2^width, with
+    q^q0 t^t0 moved to the lowest slot: a ring map up to that shift, and
+    one-to-one on the polynomials whose coefficients lie below
+    2^(width - 1) in absolute value."""
+
+    width: int
+    row: int
+    q0: int
+    t0: int
+
+    @staticmethod
+    def holding(bound: int, row: int, q0: int, t0: int) -> "Frame":
+        """The frame whose slots, the fewest bytes wide, hold every
+        coefficient up to ``bound`` in absolute value."""
+        return Frame(8 * (bound.bit_length() // 8 + 1), row, q0, t0)
+
+    def at(self, qe: int, te: int) -> int:
+        """The bit position of the slot of q^qe t^te."""
+        return self.width * ((qe - self.q0) * self.row + te - self.t0)
+
+    def phi(self, label: CyclotomicLabel) -> int:
+        """The image of Phi_e(u), u = q^d1 t^d2, as a factor: Phi_e at
+        2^(width s), s = d1 row + d2 > 0, a positive integer."""
+        e, d1, d2 = label
+        bits = self.width * (d1 * self.row + d2)
+        return sum(c << bits * k for k, c in enumerate(cyclotomic_coefficients(e)) if c)
 
 
 def _halves(width: int, slots: int) -> bytes:
@@ -103,7 +131,7 @@ def _halves(width: int, slots: int) -> bytes:
     return (bytes(width // 8 - 1) + b"\x80") * slots
 
 
-def _pack(num: Laurent, layout: tuple[int, int, int, int]) -> int:
+def _pack(num: Laurent, layout: Frame) -> int:
     # the image of num, whose integer coefficients are below 2^(width - 1)
     # in absolute value: each written as the plain digit c + 2^(width - 1),
     # and the 2^(width - 1) of every slot taken off again
@@ -122,7 +150,7 @@ class SlotOverflow(ArithmeticError):
     a Laurent polynomial that fits the layout."""
 
 
-def decode(num: int, layout: tuple[int, int, int, int], bound: int, tspan: int) -> Laurent:
+def decode(num: int, layout: Frame, bound: int, tspan: int) -> Laurent:
     """The Laurent polynomial whose image under ``layout`` is ``num``, read
     as balanced base-2^w digits.  Every slot is checked: a coefficient
     above ``bound`` (an overflowed slot) or at a t exponent more than
@@ -150,7 +178,7 @@ class ClearedPolynomial:
     packed integer numerators L_e (the module docstring).
 
     ``terms`` maps exponent vectors to the nonzero packed numerators, all
-    under one ``layout`` (w, A, q0, t0); ``bound``, ``tspan`` and
+    under one ``layout``, a ``Frame``; ``bound``, ``tspan`` and
     ``degree`` are the envelope.  Values are not mutated after
     construction; ``terms`` dicts may be shared between values.
     """
@@ -158,7 +186,7 @@ class ClearedPolynomial:
     __slots__ = ("nvars", "terms", "den", "layout", "bound", "tspan", "degree")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int], den: QTPolynomial,
-                 layout: tuple[int, int, int, int], bound: int, tspan: int, degree: int):
+                 layout: Frame, bound: int, tspan: int, degree: int):
         self.nvars, self.terms, self.den, self.layout = nvars, terms, den, layout
         self.bound, self.tspan, self.degree = bound, tspan, degree
 
@@ -174,7 +202,7 @@ class ClearedPolynomial:
         bounds = [sum(abs(c) for num in nums.values() for c in num.values()) for nums in numerators]
         degree = max(max(map(sum, nums), default=0) for nums in numerators)
         room = 2 * max(bounds) * (1 + 2 * degree) ** nvars
-        layout = (8 * (room.bit_length() // 8 + 1), tspan + 1 + 2 * nvars, q0, t0)
+        layout = Frame.holding(room, tspan + 1 + 2 * nvars, q0, t0)
         return [
             ClearedPolynomial(nvars, {e: _pack(num, layout) for e, num in nums.items()},
                               den, layout, bound, tspan, degree)
@@ -203,7 +231,8 @@ class ClearedPolynomial:
         """This polynomial times the monomial q^dq t^dt: the layout's
         offsets move, and no numerator is touched."""
         width, row, q0, t0 = self.layout
-        return ClearedPolynomial(self.nvars, self.terms, self.den, (width, row, q0 + dq, t0 + dt),
+        layout = Frame(width, row, q0 + dq, t0 + dt)
+        return ClearedPolynomial(self.nvars, self.terms, self.den, layout,
                                  self.bound, self.tspan, self.degree)
 
     def __sub__(self, other: "ClearedPolynomial") -> "ClearedPolynomial":
@@ -213,18 +242,19 @@ class ClearedPolynomial:
         decoded and laid out afresh together."""
         if self.nvars != other.nvars or self.den != other.den:
             raise ValueError("cleared polynomials over different alphabets or denominators")
-        (width, row, qa, ta), (wb, rb, qb, tb) = self.layout, other.layout
-        q0, t0 = min(qa, qb), min(ta, tb)
-        tspan, bound = max(self.tspan + ta, other.tspan + tb) - t0, self.bound + other.bound
-        if (width, row) != (wb, rb) or bound >= 1 << (width - 1) or tspan >= row:
+        a, b = self.layout, other.layout
+        layout = Frame(a.width, a.row, min(a.q0, b.q0), min(a.t0, b.t0))
+        tspan = max(self.tspan + a.t0, other.tspan + b.t0) - layout.t0
+        bound = self.bound + other.bound
+        if a[:2] != b[:2] or bound >= 1 << (a.width - 1) or tspan >= a.row:
             a, b = ClearedPolynomial.packed(self.nvars, self.den, [self.laurents(), other.laurents()])
             return a - b
-        up_a, up_b = (width * ((q - q0) * row + t - t0) for q, t in ((qa, ta), (qb, tb)))
+        up_a, up_b = layout.at(a.q0, a.t0), layout.at(b.q0, b.t0)
         out = {e: num << up_a for e, num in self.terms.items()}
         for exps, num in other.terms.items():
             out[exps] = out.get(exps, 0) - (num << up_b)
         return ClearedPolynomial(self.nvars, {e: c for e, c in out.items() if c}, self.den,
-                                 (width, row, q0, t0), bound, tspan, max(self.degree, other.degree))
+                                 layout, bound, tspan, max(self.degree, other.degree))
 
     def coefficients(self) -> dict[tuple[int, ...], QTRational]:
         """Each coefficient L_e / D in canonical form, with one gcd each."""
@@ -254,69 +284,17 @@ def _over(num: Laurent, den: QTPolynomial) -> QTRational:
 # ---------------------------------------------------------------------------
 
 
-class Frame(NamedTuple):
-    """The Kronecker image of the Laurent polynomials with q >= q0 and
-    t0 <= t < t0 + tx: q^qe t^te goes to the slot (qe - q0) row + te - t0
-    of ``width`` bits, row >= tx, as under the layout (width, row, q0, t0).
-    That is q -> X^row, t -> X, X = 2^width, with q^q0 t^t0 moved to the
-    lowest slot: a ring map up to that shift, and one-to-one on the
-    polynomials whose coefficients lie below 2^(width - 1) in absolute
-    value.  ``terms`` = qx tx bounds the terms of a polynomial in the box,
-    qx its q extent; a ``careful`` frame certifies each division
-    (``_divided``)."""
-
-    width: int
-    row: int
-    q0: int
-    t0: int
-    tx: int
-    terms: int
-    careful: bool
-
-    def at(self, qe: int, te: int) -> int:
-        """The bit position of the slot of q^qe t^te."""
-        return self.width * ((qe - self.q0) * self.row + te - self.t0)
-
-    def phi(self, label: CyclotomicLabel) -> int:
-        """The image of Phi_e(u), u = q^d1 t^d2, as a factor: Phi_e at
-        2^(width s), s = d1 row + d2 > 0, a positive integer."""
-        e, d1, d2 = label
-        bits = self.width * (d1 * self.row + d2)
-        return sum(c << bits * k for k, c in enumerate(cyclotomic_coefficients(e)) if c)
-
-
-@lru_cache(maxsize=None)
-def _norms(e: int) -> tuple[int, int]:
-    # the L1 norms of Phi_e and of its cofactor (x^e - 1) / Phi_e, the
-    # product of the Phi_k over the proper divisors k of e
-    cofactor = cyclotomic_product(((k, 1, 0), 1) for k in range(1, e) if e % k == 0)
-    return sum(map(abs, cyclotomic_coefficients(e))), sum(map(abs, cofactor.values()))
-
-
-def _extent(counts: Iterable[tuple[CyclotomicLabel, int]]) -> tuple[int, int, int, int]:
-    # prod Phi^n over counts: (bound on its L1 norm, its q-degree, its
-    # lowest and highest t exponent); Phi_e(u)^n spans u^0 .. u^(n phi(e))
-    norm, qdeg, low, high = 1, 0, 0, 0
-    for (e, d1, d2), n in counts:
-        norm *= _norms(e)[0] ** n
-        span = n * (len(cyclotomic_coefficients(e)) - 1)
-        qdeg += span * d1
+def _extent(counts: Iterable[tuple[CyclotomicLabel, int]]) -> tuple[int, int, int]:
+    # prod Phi^n over counts: (bound on its L1 norm, its lowest and highest
+    # t exponent); Phi_e(u)^n spans u^0 .. u^(n phi(e))
+    norm, low, high = 1, 0, 0
+    for (e, _d1, d2), n in counts:
+        coefficients = cyclotomic_coefficients(e)
+        norm *= sum(map(abs, coefficients)) ** n
+        span = n * (len(coefficients) - 1)
         low += span * min(d2, 0)
         high += span * max(d2, 0)
-    return norm, qdeg, low, high
-
-
-def _frames(bound: int, box: tuple[int, int, int, int], labels: list) -> Iterable[Frame]:
-    """The frames a sum is tried in, in turn: a plain one with 24 bits of
-    room above ``bound``, then careful ones, each with twice the room of
-    the last, until the certificates hold."""
-    q0, t0, qx, tx = box
-    # a row holds tx slots, and d1 row + d2 > 0 for every label
-    row = max(tx, 1 - min((d2 for _e, _d1, d2 in labels), default=0))
-    extra, careful = 24, False
-    while True:
-        yield Frame(8 * ((bound.bit_length() + extra) // 8 + 1), row, q0, t0, tx, qx * tx, careful)
-        extra, careful = 2 * extra, True
+    return norm, low, high
 
 
 def _certified(frame: Frame, num: int, divided: list[CyclotomicLabel]) -> Laurent:
@@ -325,12 +303,12 @@ def _certified(frame: Frame, num: int, divided: list[CyclotomicLabel]) -> Lauren
     be N / prod Phi: its slots are decoded, each checked, and B times
     that product must fit the frame, its L1 norm at most the product of
     the norms below 2^(width - 1) and its t exponents within t0 .. t0 +
-    tx - 1.  Then both B prod Phi and N fit and have the same image, so
+    row - 1.  Then both B prod Phi and N fit and have the same image, so
     they are equal.  Anything else raises SlotOverflow."""
-    width, row, q0, t0, tx = frame[:5]
-    norm, _qdeg, low, high = _extent((label, 1) for label in divided)
+    width, row, _q0, t0 = frame
+    norm, low, high = _extent((label, 1) for label in divided)
     half = 1 << (width - 1)
-    terms = decode(num, (width, row, q0, t0), (half - 1) // norm, tx - 1 - high)
+    terms = decode(num, frame, (half - 1) // norm, row - 1 - high)
     if sum(map(abs, terms.values())) * norm >= half or any(te + low < t0 for _qe, te in terms):
         raise SlotOverflow("the reduced numerator times its divisors does not fit the frame")
     return terms
@@ -345,35 +323,19 @@ def _divided(frame: Frame, num: int, den: dict, images: dict) -> tuple[Laurent, 
     quotient (Phi_e monic) would give an exact integer one.  A zero
     remainder can be an accident of the integers: Phi_1(t) = t - 1 goes
     to 2^w - 1, which divides the image 2^(w row) - 1 of q - 1, in every
-    width.  A plain frame certifies B once, at the end (``_certified``).
-    A careful frame certifies each quotient M of the current N as it is
-    made.  M (u^e - 1) = N (u^e - 1) / Phi_e(u), so every coefficient of
-    a true M is at most L1(N) L1((u^e - 1) / Phi_e(u)); in a frame wide
-    enough for ``terms`` coefficients that large, a quotient that fails
-    its certificate proves that the label does not divide, and in a
-    narrower one SlotOverflow is raised."""
+    width.  So B is certified at the end (``_certified``)."""
     left, divided = [], []
-    current = _certified(frame, num, []) if frame.careful else None
     for label, n in den.items():
         image = images[label]
         while n:
             quot, rem = divmod(num, image)
             if rem:
                 break
-            if frame.careful:
-                try:
-                    current = _certified(frame, quot, [label])
-                except SlotOverflow:
-                    phi_norm, cofactor_norm = _norms(label[0])
-                    room = frame.terms * sum(map(abs, current.values())) * cofactor_norm * phi_norm
-                    if room >= 1 << (frame.width - 1):
-                        raise
-                    break
             num, n = quot, n - 1
             divided.append(label)
         if n:
             left.append((label, n))
-    return (current if frame.careful else _certified(frame, num, divided)), left
+    return _certified(frame, num, divided), left
 
 
 # One part of a sum: the cofactor prod Phi^n over label counts, and per key
@@ -381,74 +343,70 @@ def _divided(frame: Frame, num: int, den: dict, images: dict) -> tuple[Laurent, 
 Part = tuple[Iterable[tuple[CyclotomicLabel, int]], Mapping[Hashable, Laurent]]
 
 
+def _field_quotient(parts: list[Part], key: Hashable, den: dict) -> QTRational:
+    """The sum for ``key`` over ``den`` in plain Q(q,t) arithmetic: per
+    part, its numerator times its cofactor (a ``CyclotomicForm`` value),
+    added with gcds, and the sum divided by the value of ``den``."""
+    total = QTRational.zero()
+    for cofactor, accs in parts:
+        if accs.get(key):
+            product = CyclotomicForm(1, 0, 0, frozenset(cofactor)).value()
+            total = total + product * _over(accs[key], QTPolynomial.one())
+    return total / CyclotomicForm(1, 0, 0, frozenset(den.items())).value()
+
+
 def cyclotomic_quotients(parts: Iterable[Part], den: Mapping[CyclotomicLabel, int]) -> dict:
     """Per key, the sum N over ``parts`` of its Laurent polynomial times
     the part's cofactor, divided by prod Phi^n over ``den`` (n >= 0), in
     canonical form; keys whose N is zero are left out.
 
-    The work is on Kronecker images (``Frame``), laid out once per call
-    from the envelope: the L1 norm of each N is at most the sum of its
-    coefficients' absolute values times the cofactors' norms, and its
-    exponents lie within the keys' plus the cofactors' extents.  Each
-    cofactor is a product of label images, each N a sum of shifted
-    cofactors, each label tried by ``divmod`` (``_divided``), and only the
-    reduced numerator B is decoded.  If a certificate fails, the sum is
-    laid out again in the next frame (``_frames``); this ends, as a
-    careful frame wide enough for every true quotient certifies them all.
-    B is coprime to the labels left, so B over their product is the
-    canonical value, its denominator multiplied out once per distinct
-    set of labels left."""
+    The work is on Kronecker images under one ``Frame``, laid out from
+    the envelope with 24 bits of room for the quotients: the L1 norm of
+    each N is at most the sum of its coefficients' absolute values times
+    the cofactors' norms, and its exponents lie within the keys' plus the
+    cofactors' extents.  Each cofactor is a product of label images, each N a sum of
+    shifted cofactors, each label tried by ``divmod`` (``_divided``), and
+    only the reduced numerator B is decoded.  B is coprime to the labels
+    left, so B over their product is the canonical value, its
+    denominator multiplied out once per distinct set of labels left.  A
+    key whose certificate fails is summed again in Q(q,t)
+    (``_field_quotient``)."""
     parts = [(tuple((label, n) for label, n in cofactor if n), accs) for cofactor, accs in parts]
     den = {label: n for label, n in den.items() if n}
     bounds: dict = {}
     qs, ts = [], []
     for cofactor, accs in parts:
-        norm, qdeg, low, high = _extent(cofactor)
+        norm, low, high = _extent(cofactor)
         for key, acc in accs.items():
             bounds[key] = bounds.get(key, 0) + norm * sum(map(abs, acc.values()))
             for qe, te in acc:
-                qs += (qe, qe + qdeg)
+                qs.append(qe)
                 ts += (te + low, te + high)
     if not qs:
         return {}
-    q0, t0 = min(qs), min(ts)
-    box = (q0, t0, max(qs) - q0 + 1, max(ts) - t0 + 1)
+    # a row holds the t extent, and d1 row + d2 > 0 for every label
+    t0 = min(ts)
+    row = max(max(ts) - t0 + 1, 1 - min((d2 for _e, _d1, d2 in den), default=0))
+    frame = Frame.holding(max(bounds.values()) << 24, row, min(qs), t0)
     labels = set(den).union(*(dict(cofactor) for cofactor, _accs in parts))
-    dens: dict = {}
-    for frame in _frames(max(bounds.values()), box, list(den)):
-        images = {label: frame.phi(label) for label in labels}
-        totals: dict = {}
-        for cofactor, accs in parts:
-            cof = prod(images[label] ** n for label, n in cofactor)
-            for key, acc in accs.items():
-                totals[key] = totals.get(key, 0) + sum(
-                    (c * cof) << frame.at(qe, te) for (qe, te), c in acc.items())
-        try:
-            reduced = {key: _divided(frame, num, den, images) for key, num in totals.items() if num}
-        except SlotOverflow:
+    images = {label: frame.phi(label) for label in labels}
+    totals: dict = {}
+    for cofactor, accs in parts:
+        cof = prod(images[label] ** n for label, n in cofactor)
+        for key, acc in accs.items():
+            totals[key] = totals.get(key, 0) + sum(
+                (c * cof) << frame.at(qe, te) for (qe, te), c in acc.items())
+    out, dens = {}, {}
+    for key, num in totals.items():
+        if not num:
             continue
-        out = {}
-        for key, (num, left) in reduced.items():
-            left = tuple(left)
-            if left not in dens:
-                dens[left] = split_laurent(cyclotomic_product(left))
-            out[key] = _over_coprime(num, dens[left])
-        return out
-
-
-def cyclotomic_quotient(num: Laurent, den: Mapping[CyclotomicLabel, int]) -> QTRational:
-    """num / prod Phi^n over the items of ``den`` (n >= 0) in canonical
-    form, for a Laurent polynomial ``num`` with exact rational
-    coefficients: scaled to integers by the lcm of their denominators,
-    reduced by ``cyclotomic_quotients`` and scaled back.
-
-    The irreducible factors of the denominator are its labels, so
-    gcd(num, den) is prod Phi^k, k the number of times Phi divides num, up
-    to its count in ``den``: each label's Phi is divided out while it
-    divides, and what is left is coprime.  No gcd is taken."""
-    if not num:
-        return QTRational.zero()
-    scale = lcm(*(c.denominator for c in num.values()))
-    ints = {key: int(c * scale) for key, c in num.items()}
-    value = cyclotomic_quotients([((), {0: ints})], den)[0]
-    return value if scale == 1 else _normalise(value.num.scale(Fraction(1, scale)), value.den)
+        try:
+            num, left = _divided(frame, num, den, images)
+        except SlotOverflow:
+            out[key] = _field_quotient(parts, key, den)
+            continue
+        left = tuple(left)
+        if left not in dens:
+            dens[left] = split_laurent(cyclotomic_product(left))
+        out[key] = _over_coprime(num, dens[left])
+    return out

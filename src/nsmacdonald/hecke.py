@@ -67,7 +67,7 @@ def apply_T(p: ClearedPolynomial, i: int, inverse: bool = False) -> ClearedPolyn
     # T_i p = t p + c and T_i^{-1} p = t^{-1} (p + c), c = -x_i delta + t x_{i+1} delta:
     # at most 1 + 2 degree times p's bound, and one more factor t
     p = p.with_room(1 + 2 * p.degree, 1)
-    step = p.layout[0]  # a factor t: one slot up
+    step = p.layout.width  # a factor t: one slot up
     out = dict(p.terms) if inverse else {e: num << step for e, num in p.terms.items()}
     for exps, num in divided_difference_div(p, i).terms.items():
         key = exps[:i - 1] + (exps[i - 1] + 1,) + exps[i:]

@@ -489,7 +489,7 @@ def cyclic_omega(poly: ClearedPolynomial) -> ClearedPolynomial:
     and the wrapped exponent v_n contributes a factor q^{v_n}: a shift of
     the packed numerator by v_n rows.
     """
-    rowbits = poly.layout[0] * poly.layout[1]
+    rowbits = poly.layout.width * poly.layout.row
     terms = {e[-1:] + e[:-1]: num << rowbits * e[-1] for e, num in poly.terms.items()}
     return poly.derived(terms, poly.bound, poly.tspan, poly.degree)
 

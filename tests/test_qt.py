@@ -8,8 +8,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from nsmacdonald import cleared, qt
-from nsmacdonald.cleared import cyclotomic_quotient, cyclotomic_quotients
+from nsmacdonald.cleared import Frame, cyclotomic_quotients
+from nsmacdonald.compositions import Composition, compositions_with
 from nsmacdonald.cyclotomic import cyclotomic_coefficients, cyclotomic_form, cyclotomic_product
+from nsmacdonald.fillings import f_hhl
+from nsmacdonald.matrixprod import f_matrix_product
 from nsmacdonald.qt import (
     ExactDivisionError,
     Fraction,
@@ -471,9 +474,8 @@ def test_cyclotomic_form_and_quotient_give_the_field_value(product, planted, k):
     for label, n in planted_counts:
         bottom[label] = bottom.get(label, 0) + n
     num = cyclotomic_product(top + list(planted_counts))
-    quotient = cyclotomic_quotient(
-        {(qe + qexp, te + texp): sign * c for (qe, te), c in num.items()}, bottom
-    )
+    shifted = {(qe + qexp, te + texp): sign * c for (qe, te), c in num.items()}
+    quotient = cyclotomic_quotients([((), {0: shifted})], bottom)[0]
     assert quotient == value
     assert stored_form_ok(quotient.num) and stored_form_ok(quotient.den)
 
@@ -486,14 +488,12 @@ def test_cyclotomic_form_controls():
     assert cyclotomic_form((0, 0, {(1, 1): 1, (2, 2): -1})) == form(1, 0, 0, {(2, 1, 1): -1})
     with pytest.raises(ValueError):
         cyclotomic_form((0, 0, {(0, 0): 1}))
-    # rational coefficients: (3/2)(1 - q) / (q - 1) = -3/2 and
-    # (3/2)(1 + q) / ((q - 1)(q + 1)) = (3/2) / (q - 1)
+    # 3(1 - q) / (q - 1) = -3 and 3(1 + q) / ((q - 1)(q + 1)) = 3 / (q - 1)
     phi_1, phi_2 = (1, 1, 0), (2, 1, 0)
-    c = Fraction(3, 2)
-    minus_c = QTRational.monomial(0, 0, -c)
-    assert cyclotomic_quotient({(0, 0): c, (1, 0): -c}, {phi_1: 1}) == minus_c
-    value = cyclotomic_quotient({(0, 0): c, (1, 0): c}, {phi_1: 1, phi_2: 1})
-    assert value == QTRational.monomial(0, 0, c) / (Q - ONE)
+    minus = cyclotomic_quotients([((), {0: {(0, 0): 3, (1, 0): -3}})], {phi_1: 1})[0]
+    assert minus == QTRational.monomial(0, 0, -3)
+    value = cyclotomic_quotients([((), {0: {(0, 0): 3, (1, 0): 3}})], {phi_1: 1, phi_2: 1})[0]
+    assert value == QTRational.monomial(0, 0, 3) / (Q - ONE)
     assert stored_form_ok(value.num) and stored_form_ok(value.den)
 
 
@@ -551,37 +551,58 @@ def test_packed_quotients_equal_field_arithmetic(parts, planted, den):
         assert stored_form_ok(sums["x"].num) and stored_form_ok(sums["x"].den)
 
 
-def test_narrow_slots_are_widened_to_the_canonical_value(monkeypatch):
-    # (1 - q)(1 + 5t)(qt - 1) over (t - 1)(qt - 1), with the first frame
-    # forced down to 8-bit slots.  There 255, the image of t - 1, divides
-    # the image of the numerator, though t - 1 does not divide it (as it
-    # divides the image 2^(8 row) - 1 of q - 1): the certificate fails and
-    # the sum is laid out again, in a careful frame, until it holds
+@pytest.fixture
+def fallbacks(monkeypatch):
+    # the calls of cyclotomic_quotients' fallback to Q(q,t) arithmetic
+    calls, field_quotient = [], cleared._field_quotient
+
+    def counted(*args):
+        calls.append(args)
+        return field_quotient(*args)
+
+    monkeypatch.setattr(cleared, "_field_quotient", counted)
+    return calls
+
+
+def test_a_false_division_in_a_narrow_frame_falls_back_to_field_arithmetic(monkeypatch, fallbacks):
+    # (1 - q)(1 + 5t)(qt - 1) over (t - 1)(qt - 1), with the frame forced
+    # down to 8-bit slots.  There 255, the image of t - 1, divides the image
+    # of the numerator, though t - 1 does not divide it (as it divides the
+    # image 2^(8 row) - 1 of q - 1): the certificate fails and the sum is
+    # added again in Q(q,t)
     frames = []
-    plain = cleared._frames
 
-    def narrow(bound, box, labels):
-        for k, frame in enumerate(plain(bound, box, labels)):
-            frames.append(frame._replace(width=8) if k == 0 else frame)
-            yield frames[-1]
+    def narrow(bound, row, q0, t0):
+        frames.append(Frame(8, row, q0, t0))
+        return frames[-1]
 
-    monkeypatch.setattr(cleared, "_frames", narrow)
+    monkeypatch.setattr(Frame, "holding", staticmethod(narrow))
     phi_1_t, phi_1_qt = (1, 0, 1), (1, 1, 1)
     terms = laurent_product({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): 5},
                             {(1, 1): 1, (0, 0): -1})
-    value = cyclotomic_quotient(terms, {phi_1_t: 1, phi_1_qt: 1})
+    value = cyclotomic_quotients([((), {0: terms})], {phi_1_t: 1, phi_1_qt: 1})[0]
     assert value == (ONE - Q) * (ONE + QTRational.monomial(0, 1, 5)) / (T - ONE)
-    first = frames[0]
-    image = sum(c << first.at(qe, te) for (qe, te), c in terms.items())
-    assert first.width == 8 and image % first.phi(phi_1_t) == 0
-    assert len(frames) > 1 and frames[-1].careful
+    [frame] = frames
+    image = sum(c << frame.at(qe, te) for (qe, te), c in terms.items())
+    assert image % frame.phi(phi_1_t) == 0
+    assert len(fallbacks) == 1
 
 
-@pytest.mark.parametrize("label, box", [((1, 1, 1), (0, 0, 2, 3)), ((1, 1, -1), (0, -1, 2, 3))])
+def test_no_route_sum_falls_back_to_field_arithmetic(fallbacks):
+    # every sum of both routes is certified in its frame: a narrowed frame
+    # would fall back to gcd arithmetic, still exact, and show only here
+    family = [mu.parts for n in (1, 2, 3) for mu in compositions_with(n, 3)]
+    for parts in family + [(0, 2, 1, 3), (0, 1, 4, 2), (3, 0, 2, 1, 4)]:
+        assert f_hhl(Composition(parts)) == f_matrix_product(Composition(parts)), parts
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("label, box", [((1, 1, 1), (0, 0)), ((1, 1, -1), (0, -1))])
 def test_a_corrupted_reduced_numerator_fails_its_certificate(label, box):
     # B = 1 + t, the numerator (u - 1)(1 + t) divided by Phi_1(u), u = qt
-    # or q/t, in the box of the numerator's exponents
-    frame = next(cleared._frames(8, box, [label]))
+    # or q/t, in a frame of three t slots a row from the numerator's lowest
+    # exponents (q0, t0) = box
+    frame = Frame(32, 3, *box)
     reduced = (1 << frame.at(0, 0)) + (1 << frame.at(0, 1))
     assert cleared._certified(frame, reduced, [label]) == {(0, 0): 1, (0, 1): 1}
     half = 1 << (frame.width - 1)
@@ -590,7 +611,7 @@ def test_a_corrupted_reduced_numerator_fails_its_certificate(label, box):
         reduced + ((half // 2) << frame.at(1, 0)),
         # two slots within it, whose sum times L1(u - 1) = 2 reaches 2^(w - 1)
         reduced + ((half // 4) << frame.at(1, 0)) + ((half // 4) << frame.at(1, 1)),
-        # a term that u moves off the box: t^2 times qt, t^-1 times q/t
+        # a term that u moves off the frame: t^2 times qt, t^-1 times q/t
         reduced + (1 << frame.at(0, 2 if label[2] > 0 else -1)),
     ]
     for num in corrupted:
