@@ -2,9 +2,9 @@
 integer numerators over one common denominator.
 
 A ``ClearedPolynomial`` is D^{-1} sum_e L_e x^e: one denominator D in
-Q[q,t] for the whole polynomial and, per x-monomial, a numerator L_e, a
-Laurent polynomial in (q, t) with integer coefficients (xpoly's
-``clear`` scales rational ones to integers and folds the scale into D).
+Z[q,t] for the whole polynomial (xpoly's ``clear`` takes the lcm of the
+coefficients' denominators) and, per x-monomial, a numerator L_e, a
+Laurent polynomial in (q, t) with integer coefficients.
 Each numerator is one Python int, its Kronecker image
 
   N_e = sum c * 2^(w * ((qe - q0) * A + (te - t0)))

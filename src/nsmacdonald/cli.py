@@ -14,8 +14,9 @@ hecke.  Without --mu a check runs over the default composition family
 
 --rho needs --method matrix.  Exit codes: 0 all good, 1 a verification
 or route comparison failed, 2 usage error (including a flag value out of
-range, a --mu too large to run: more than MAX_SQUARES diagram squares or
-more than MAX_CONFIGURATIONS configurations, and a ybe, exchange or hecke
+range, a --mu too large to run: more than MAX_PARTS = 64 parts, more than
+MAX_SQUARES diagram squares or more than MAX_CONFIGURATIONS
+configurations, two different check names, and a ybe, exchange or hecke
 check whose flags ask for more work than MAX_WORK allows).  Computed
 polynomials go to stdout; verification reports go to stderr.
 """
@@ -67,13 +68,15 @@ VERIFY_DEFAULTS = {"cap": 2, "samples": 5, "seed": 0}
 DEFAULT_SIZES = {"ybe": [1, 2], "exchange": [2], "hecke": [2, 3]}
 
 
-# A --mu beyond either limit is refused before anything runs (exit 2).  The
-# enumerations of fillings and configurations recurse once per diagram
-# square, so MAX_SQUARES keeps them well inside Python's default recursion
-# limit of 1000.  Each route spends about 0.2-0.4 ms per configuration (one
-# filling per configuration), so a composition at MAX_CONFIGURATIONS takes
-# minutes per route; the count is exact and takes no enumeration
+# A --mu beyond any limit is refused before anything runs (exit 2).  The
+# filling search nests about 2 n + |mu| frames for n parts, so MAX_PARTS and
+# MAX_SQUARES keep it well inside Python's default recursion limit of 1000;
+# the eigencheck's cost grows as about n^4 (0.65 s on (0,..,0,1) at 64
+# parts, 48 s at 200).  Each route spends about 0.2-0.4 ms per configuration
+# (one filling per configuration), so a composition at MAX_CONFIGURATIONS
+# takes minutes per route; the count is exact and takes no enumeration
 # (``matrixprod.count_configs``), so a refusal is immediate.
+MAX_PARTS = 64
 MAX_SQUARES = 500
 MAX_CONFIGURATIONS = 10**6
 
@@ -119,6 +122,8 @@ def _parse_mu(text: str) -> Composition:
         mu = Composition.parse(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if mu.n > MAX_PARTS:
+        raise UsageError(f"--mu has {mu.n} parts; at most {MAX_PARTS} are supported")
     squares = sum(mu.parts)
     if squares > MAX_SQUARES:
         raise UsageError(
@@ -282,6 +287,8 @@ def _run_check(name: str, args) -> CheckReport:
 
 
 def _verify(args) -> int:
+    if args.check_pos and args.check and args.check_pos != args.check:
+        raise UsageError(f"two check names given: {args.check_pos} and --check {args.check}")
     name = args.check_pos or args.check
     if not name:
         raise UsageError("verify requires a check name (positional or --check)")

@@ -62,8 +62,8 @@ Factors = tuple[int, int, Mapping[tuple[int, int], int]]
 # (e, d1, d2): the cyclotomic polynomial Phi_e at u = q^d1 t^d2, d primitive
 # and normalised (d1 > 0, or d1 = 0 and d2 = 1)
 CyclotomicLabel = tuple[int, int, int]
-# A Laurent polynomial in (q, t) with exact rational coefficients:
-# (qexp, texp) -> nonzero int or Fraction, exponents of either sign.
+# A Laurent polynomial in (q, t) with integer coefficients:
+# (qexp, texp) -> nonzero int, exponents of either sign.
 Laurent = dict
 
 
@@ -201,8 +201,8 @@ def split_laurent(terms: dict) -> tuple[QTPolynomial, int, int]:
 def _over_coprime(num: Laurent, den: tuple[QTPolynomial, int, int]) -> QTRational:
     # num / q^dq t^dt dpoly, den = (dpoly, dq, dt) from split_laurent, num
     # a nonzero Laurent polynomial sharing no factor with dpoly: no gcd,
-    # only the monomials split off (dpoly is a product of labels, its
-    # lex-leading coefficient 1, see the module docstring)
+    # only the monomials split off (dpoly is a product of labels, primitive
+    # and of lex-leading coefficient 1, see the module docstring)
     npoly, nq, nt = split_laurent(num)
     dpoly, dq, dt = den
     qexp, texp = nq - dq, nt - dt

@@ -1,26 +1,23 @@
 """Exact arithmetic in the coefficient field Q(q,t).
 
-Three layers, from the ground up:
+Q(q,t) is stored as the fraction field of Z[q,t], in two layers:
 
-  coefficients  -- exact rationals, stored as ``int`` whenever the value is
-                   integral and as ``Fraction`` (stdlib ``fractions``) only
-                   otherwise, never as float.  Every coefficient enters
-                   through ``_exact``, which raises TypeError on anything
-                   else (floats included), and every coefficient quotient
-                   goes through ``_div``.  Sums and products of ints stay
-                   ints, so the common case never builds a Fraction.
-                   ``3`` and ``Fraction(3)`` compare, hash and serialise
-                   alike, so the storage type is invisible outside.
-  QTPolynomial  -- sparse bivariate polynomials in (q, t) over Q, stored as
-                   a dict mapping (qexp, texp) -> coefficient with no zero
-                   coefficients.
+  QTPolynomial  -- sparse bivariate polynomials in (q, t) over Z, stored as
+                   a dict mapping (qexp, texp) -> nonzero int.  Every
+                   coefficient enters through ``_exact``, which refuses
+                   anything but an integer (floats included), and every
+                   coefficient quotient goes through ``_div``, which
+                   raises ExactDivisionError when it is not an integer.
   QTRational    -- elements of the field Q(q,t), stored as a reduced pair
                    num/den of QTPolynomials.
 
-Canonical form of a QTRational: gcd(num, den) = 1 and den is normalised so
-that its lexicographically greatest term (q-degree major, t-degree minor)
-has coefficient 1.  Equal field elements therefore have identical stored
-representations, which makes equality, hashing and serialisation trivial.
+Canonical form of a QTRational: num and den are coprime in Z[q,t], integer
+content included, and the lexicographically greatest term of den (q-degree
+major, t-degree minor) has a positive coefficient.  The units of Z[q,t]
+are +-1, so equal field elements have identical stored representations,
+which makes equality, hashing and serialisation trivial.  Rationals enter
+only as values: the points of ``eval`` and the coefficient p/r of
+``QTRational.monomial``, stored as num p over den r.
 
 The gcd behind it (``qt_gcd``) is the heuristic gcd of Char, Geddes and
 Gonnet on Python integers: q and then t are set to integers large
@@ -44,9 +41,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Union
 
+# a rational value: an evaluation point or a monomial's coefficient
 Scalar = Union[int, Fraction]
 
 __all__ = [
@@ -68,7 +66,7 @@ class QTDivisionByZero(ZeroDivisionError):
 class VanishingDenominator(ZeroDivisionError):
     """Evaluation of a QTRational at a point where its denominator vanishes."""
 
-    def __init__(self, qval: Fraction, tval: Fraction):
+    def __init__(self, qval: Scalar, tval: Scalar):
         super().__init__(f"denominator vanishes at q={qval}, t={tval}")
         self.point = (qval, tval)
 
@@ -77,48 +75,43 @@ class ExactDivisionError(ArithmeticError):
     """Polynomial division that was required to be exact left a remainder."""
 
 
-def _exact(value) -> Scalar:
-    """A coefficient in stored form: int when integral, else Fraction.
-
-    Anything but an int or a Fraction is refused; a float in particular
-    would carry its binary rounding error into the exact layers."""
+def _exact(value) -> int:
+    """A coefficient in stored form, an int: an integral Fraction is taken
+    as its int, and anything else is refused (a float in particular would
+    carry its binary rounding error into the exact layers)."""
     if type(value) is int:
         return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):  # bool and other int subclasses
+    if isinstance(value, (int, Fraction)) and value.denominator == 1:
         return int(value)
-    raise TypeError(f"exact coefficient must be int or Fraction, not {type(value).__name__}")
+    raise TypeError(f"coefficient must be an integer, not {value!r}")
 
 
-def _div(a: Scalar, b: Scalar) -> Scalar:
-    """The exact quotient a / b of two stored coefficients, in stored form.
-
-    The one place coefficients are divided: ``a / b`` on two ints would
-    give a float."""
-    if type(a) is int and type(b) is int:
-        quot, rem = divmod(a, b)
-        return Fraction(a, b) if rem else quot
-    value = Fraction(a) / b
-    return value.numerator if value.denominator == 1 else value
+def _rational(value) -> Scalar:
+    # an exact rational value, a point or a monomial's coefficient; floats
+    # are refused as in ``_exact``
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"exact value must be int or Fraction, not {type(value).__name__}")
 
 
-def _ints(terms: dict) -> dict:
-    # sums and products of Fractions can be integral: store those as int
-    for key, coeff in terms.items():
-        if type(coeff) is Fraction and coeff.denominator == 1:
-            terms[key] = coeff.numerator
-    return terms
+def _div(a: int, b: int) -> int:
+    """The exact quotient a / b of two coefficients.
+
+    The one place coefficients are divided: ``a / b`` would give a float,
+    and a remainder raises ExactDivisionError."""
+    quot, rem = divmod(a, b)
+    if rem:
+        raise ExactDivisionError(f"{b} does not divide {a}")
+    return quot
 
 
 class QTPolynomial:
-    """A polynomial in (q, t) with exact rational coefficients (int or
-    Fraction), sparsely stored."""
+    """A polynomial in (q, t) with integer coefficients, sparsely stored."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int], Scalar] = {}
+    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+        clean: dict[tuple[int, int], int] = {}
         if terms:
             for key, coeff in terms.items():
                 value = _exact(coeff)
@@ -144,11 +137,11 @@ class QTPolynomial:
         return _POLY_ONE
 
     @staticmethod
-    def constant(value: Scalar) -> "QTPolynomial":
+    def constant(value: int) -> "QTPolynomial":
         return QTPolynomial({(0, 0): value})
 
     @staticmethod
-    def monomial(qexp: int, texp: int, coeff: Scalar = 1) -> "QTPolynomial":
+    def monomial(qexp: int, texp: int, coeff: int = 1) -> "QTPolynomial":
         return QTPolynomial({(qexp, texp): coeff})
 
     # -- basic queries -----------------------------------------------------
@@ -162,7 +155,7 @@ class QTPolynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def leading_term(self) -> tuple[tuple[int, int], Scalar]:
+    def leading_term(self) -> tuple[tuple[int, int], int]:
         """Greatest term in the fixed lex order (q major, t minor), which is
         the tuple order of the (qexp, texp) keys."""
         if not self.terms:
@@ -184,7 +177,7 @@ class QTPolynomial:
                 out[key] = new
             else:
                 out.pop(key, None)
-        return _poly_raw(_ints(out))
+        return _poly_raw(out)
 
     def __sub__(self, other: "QTPolynomial") -> "QTPolynomial":
         if not other.terms:
@@ -196,7 +189,7 @@ class QTPolynomial:
                 out[key] = new
             else:
                 out.pop(key, None)
-        return _poly_raw(_ints(out))
+        return _poly_raw(out)
 
     def __neg__(self) -> "QTPolynomial":
         return _poly_raw({key: -coeff for key, coeff in self.terms.items()})
@@ -204,7 +197,7 @@ class QTPolynomial:
     def __mul__(self, other: "QTPolynomial") -> "QTPolynomial":
         if not self.terms or not other.terms:
             return _POLY_ZERO
-        out: dict[tuple[int, int], Scalar] = {}
+        out: dict[tuple[int, int], int] = {}
         for (qa, ta), ca in self.terms.items():
             for (qb, tb), cb in other.terms.items():
                 key = (qa + qb, ta + tb)
@@ -213,21 +206,15 @@ class QTPolynomial:
                     out[key] = new
                 else:
                     out.pop(key, None)
-        return _poly_raw(_ints(out))
+        return _poly_raw(out)
 
-    def scale(self, factor: Scalar) -> "QTPolynomial":
+    def scale(self, factor: int) -> "QTPolynomial":
         factor = _exact(factor)
         if factor == 0:
             return _POLY_ZERO
         if factor == 1:
             return self
-        return _poly_raw(_ints({key: coeff * factor for key, coeff in self.terms.items()}))
-
-    def _divide_coefficients(self, divisor: Scalar) -> "QTPolynomial":
-        # every coefficient divided exactly by the nonzero scalar divisor
-        if divisor == 1:
-            return self
-        return _poly_raw({key: _div(coeff, divisor) for key, coeff in self.terms.items()})
+        return _poly_raw({key: coeff * factor for key, coeff in self.terms.items()})
 
     # -- comparisons, hashing ---------------------------------------------
 
@@ -246,23 +233,23 @@ class QTPolynomial:
     # -- evaluation and division -------------------------------------------
 
     def eval(self, qval: Scalar, tval: Scalar) -> Fraction:
-        qv, tv = Fraction(_exact(qval)), Fraction(_exact(tval))
+        qv, tv = _rational(qval), _rational(tval)
         total = Fraction(0)
         for (qe, te), coeff in self.terms.items():
             total += coeff * qv**qe * tv**te
         return total
 
-    def substitute_q(self, qval: Scalar) -> "QTPolynomial":
-        """Collapse q to an exact rational value, keeping t symbolic."""
+    def substitute_q(self, qval: int) -> "QTPolynomial":
+        """Collapse q to an integer value, keeping t symbolic."""
         qv = _exact(qval)
-        out: dict[tuple[int, int], Scalar] = {}
+        out: dict[tuple[int, int], int] = {}
         for (qe, te), coeff in self.terms.items():
             new = out.get((0, te), 0) + coeff * qv**qe
             if new:
                 out[(0, te)] = new
             else:
                 out.pop((0, te), None)
-        return _poly_raw(_ints(out))
+        return _poly_raw(out)
 
     def div_exact(self, divisor: "QTPolynomial") -> "QTPolynomial":
         """Exact polynomial quotient self / divisor.
@@ -285,7 +272,7 @@ class QTPolynomial:
             return _poly_raw(out)
         remainder = dict(self.terms)
         (dq, dt), dc = divisor.leading_term()
-        quotient: dict[tuple[int, int], Scalar] = {}
+        quotient: dict[tuple[int, int], int] = {}
         while remainder:
             (rq, rt) = max(remainder)
             if rq < dq or rt < dt:
@@ -304,7 +291,7 @@ class QTPolynomial:
 
     # -- display and serialisation ------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[int, int, Scalar]]:
+    def sorted_terms(self) -> list[tuple[int, int, int]]:
         """Terms as (qexp, texp, coeff), descending in the fixed lex order."""
         return [
             (qe, te, self.terms[(qe, te)])
@@ -344,14 +331,13 @@ class QTPolynomial:
     def from_json(data: Iterable[Iterable]) -> "QTPolynomial":
         # coefficients are written as strings (to_json); parse those only
         return QTPolynomial({
-            (int(qe), int(te)): Fraction(c) if isinstance(c, str) else c
-            for qe, te, c in data
+            (int(qe), int(te)): int(c) if isinstance(c, str) else c for qe, te, c in data
         })
 
 
-def _poly_raw(terms: dict[tuple[int, int], Scalar]) -> QTPolynomial:
+def _poly_raw(terms: dict[tuple[int, int], int]) -> QTPolynomial:
     # internal fast constructor: terms already clean (no zeros, valid keys,
-    # coefficients in stored form)
+    # int coefficients)
     poly = QTPolynomial.__new__(QTPolynomial)
     object.__setattr__(poly, "terms", terms)
     object.__setattr__(poly, "_hash", None)
@@ -367,45 +353,45 @@ _POLY_ONE = QTPolynomial({(0, 0): 1})
 # (J. Symb. Comp. 1989; Geddes, Czapor and Labahn, Algorithms for Computer
 # Algebra, section 7.7), on Python integers.
 #
-# The gcd over Q is only defined up to a scalar, so both inputs are cleared
-# to primitive integer polynomials once.  Then q is set to an integer
-# xi >= 2 min(|a|, |b|) + 2, |.| the largest absolute coefficient.  The gcd
-# of the two images in Z[t] is found the same way, with t set to xi' (the
-# same bound on the images) and one integer gcd, and it keeps its integer
-# content.  The bivariate candidate is read back from it as symmetric
-# xi-adic digits, and its primitive part is accepted only if it divides
-# both inputs exactly (``QTPolynomial.div_exact``); otherwise xi grows.
-# With that bound an accepted candidate is the greatest common divisor, so
-# the result is exact, and a large enough xi is always accepted;
-# ``_heu_gcd`` proves both.
+# q is set to an integer xi >= 2 min(|a|, |b|) + 2, |.| the largest
+# absolute coefficient.  The gcd of the two images in Z[t] is found the
+# same way, with t set to xi' (the same bound on the images) and one
+# integer gcd, and it keeps its integer content.  The bivariate candidate
+# is read back from it as symmetric xi-adic digits, and its primitive part
+# is accepted only if it divides both inputs exactly
+# (``QTPolynomial.div_exact``); otherwise xi grows.  With that bound an
+# accepted candidate is the greatest common divisor, so the result is
+# exact, and a large enough xi is always accepted; ``_heu_gcd`` proves
+# both.
 # ---------------------------------------------------------------------------
 
 
 def qt_gcd(a: QTPolynomial, b: QTPolynomial) -> QTPolynomial:
-    """Greatest common divisor in Q[q,t], normalised to lex-leading coefficient 1.
+    """Greatest common divisor in Z[q,t], integer content included, with a
+    positive lex-leading coefficient.
 
-    Computed by the heuristic gcd on integer images (the gcd over Q is
-    unchanged by clearing denominators); the result divides both inputs
-    exactly.  Both inputs zero is rejected.
+    Computed by the heuristic gcd on integer images; the result divides
+    both inputs exactly.  Both inputs zero is rejected.
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero():
-        return _monic_lex(b)
+        return _positive(b)
     if b.is_zero():
-        return _monic_lex(a)
+        return _positive(a)
     if a.is_monomial() or b.is_monomial():
         mono, other = (a, b) if a.is_monomial() else (b, a)
-        (mq, mt), _ = mono.leading_term()
+        (mq, mt), mc = mono.leading_term()
         gq = min([mq] + [qe for (qe, _te) in other.terms])
         gt = min([mt] + [te for (_qe, te) in other.terms])
-        return QTPolynomial.monomial(gq, gt)
+        return QTPolynomial.monomial(gq, gt, _int_gcd(mc, *other.terms.values()))
     return _gcd_cached(a, b)
 
 
 def qt_lcm(polys: Iterable[QTPolynomial]) -> QTPolynomial:
-    """Least common multiple in Q[q,t] of nonzero polynomials, normalised to
-    lex-leading coefficient 1 (the lcm of no polynomials is 1).
+    """Least common multiple in Z[q,t] of nonzero polynomials, integer
+    content included, with a positive lex-leading coefficient (the lcm of
+    no polynomials is 1).
 
     One gcd per distinct input: lcm(L, p) = L * (p / gcd(L, p))."""
     lcm = _POLY_ONE
@@ -415,24 +401,17 @@ def qt_lcm(polys: Iterable[QTPolynomial]) -> QTPolynomial:
         if poly.is_one():
             continue
         lcm = lcm * poly.div_exact(qt_gcd(lcm, poly))
-    return _monic_lex(lcm)
+    return _positive(lcm)
 
 
 @lru_cache(maxsize=1 << 14)
 def _gcd_cached(a: QTPolynomial, b: QTPolynomial) -> QTPolynomial:
-    return _monic_lex(_poly_raw(_heu_gcd(_primitive(a.terms), _primitive(b.terms), 0)))
+    return _positive(_poly_raw(_heu_gcd(a.terms, b.terms, 0)))
 
 
-def _primitive(terms: dict) -> dict:
-    """The primitive integer polynomial that is a rational multiple of the
-    nonzero polynomial ``terms``: denominators cleared, content divided out."""
-    den = _int_lcm(*(c.denominator for c in terms.values()))
-    if den != 1:
-        terms = {key: (c * den).numerator for key, c in terms.items()}
-    content = _int_gcd(*terms.values())
-    if content == 1:
-        return terms
-    return {key: c // content for key, c in terms.items()}
+def _positive(poly: QTPolynomial) -> QTPolynomial:
+    # the associate (poly or -poly) with a positive lex-leading coefficient
+    return -poly if poly.leading_term()[1] < 0 else poly
 
 
 def _digits(n: int, xi: int) -> list[int]:
@@ -502,7 +481,8 @@ def _heu_gcd(a: dict, b: dict, var: int) -> dict:
             for i, d in enumerate(_digits(c, xi)):
                 if d:
                     candidate[(i, te) if var == 0 else (qe, i)] = d
-        divisor = _poly_raw(_primitive(candidate))
+        unit = _int_gcd(*candidate.values())  # the candidate's content
+        divisor = _poly_raw({key: c // unit for key, c in candidate.items()})
         try:
             poly_a.div_exact(divisor)
             poly_b.div_exact(divisor)
@@ -519,11 +499,6 @@ def _at(terms: dict, var: int, xi: int) -> dict:
         key, e = ((0, te), qe) if var == 0 else ((qe, 0), te)
         out[key] = out.get(key, 0) + c * xi**e
     return {key: c for key, c in out.items() if c}
-
-
-def _monic_lex(poly: QTPolynomial) -> QTPolynomial:
-    _, lead = poly.leading_term()
-    return poly._divide_coefficients(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +544,16 @@ class QTRational:
 
     @staticmethod
     def monomial(qexp: int, texp: int, coeff: Scalar = 1) -> "QTRational":
-        """The element coeff * q^qexp * t^texp; negative exponents allowed."""
-        coeff = _exact(coeff)
+        """The element coeff * q^qexp * t^texp, coeff = p/r rational, stored
+        as p q^qexp over r; negative exponents are moved to the denominator."""
+        coeff = _rational(coeff)
         if coeff == 0:
             return _ZERO
         nq, nt = max(qexp, 0), max(texp, 0)
         dq, dt = max(-qexp, 0), max(-texp, 0)
         return _make_raw(
-            QTPolynomial.monomial(nq, nt, coeff), QTPolynomial.monomial(dq, dt)
+            QTPolynomial.monomial(nq, nt, coeff.numerator),
+            QTPolynomial.monomial(dq, dt, coeff.denominator),
         )
 
     # -- queries -------------------------------------------------------------
@@ -687,14 +664,14 @@ class QTRational:
 
     def eval(self, qval: Scalar, tval: Scalar) -> Fraction:
         """Exact value at an exact rational point (qval, tval)."""
-        qv, tv = Fraction(_exact(qval)), Fraction(_exact(tval))
+        qv, tv = _rational(qval), _rational(tval)
         den = self.den.eval(qv, tv)
         if den == 0:
             raise VanishingDenominator(qv, tv)
         return self.num.eval(qv, tv) / den
 
-    def substitute_q(self, qval: Scalar) -> "QTRational":
-        """The specialised element with q set to an exact rational value."""
+    def substitute_q(self, qval: int) -> "QTRational":
+        """The specialised element with q set to an integer value."""
         den = self.den.substitute_q(qval)
         if den.is_zero():
             raise QTDivisionByZero(f"denominator vanishes identically at q={qval}")
@@ -733,15 +710,12 @@ def _reduce(num: QTPolynomial, den: QTPolynomial) -> tuple[QTPolynomial, QTPolyn
         if not g.is_one():
             num = num.div_exact(g)
             den = den.div_exact(g)
-    _, lead = den.leading_term()
-    return num._divide_coefficients(lead), den._divide_coefficients(lead)
+    return (-num, -den) if den.leading_term()[1] < 0 else (num, den)
 
 
 def _normalise(num: QTPolynomial, den: QTPolynomial) -> "QTRational":
-    # num/den with gcd(num, den) already 1: only the leading-coefficient
-    # normalisation of the denominator remains.
-    _, lead = den.leading_term()
-    return _make_raw(num._divide_coefficients(lead), den._divide_coefficients(lead))
+    # num/den already coprime in Z[q,t]: only the sign of den's lead remains
+    return _make_raw(-num, -den) if den.leading_term()[1] < 0 else _make_raw(num, den)
 
 
 def _make_raw(num: QTPolynomial, den: QTPolynomial) -> QTRational:

@@ -9,12 +9,12 @@ numerators over one common denominator D, each a Laurent polynomial in
 (q, t) with integer coefficients packed into one Python int, so that
 adding numerators is one integer addition and a monomial factor
 q^a t^b a bit shift, with no gcd.  ``clear`` brings a polynomial to
-that form in one pass over its coefficients: one lcm D of their
-denominators (one gcd per distinct denominator), each numerator times
-D over its own denominator, rational coefficients scaled to integers,
-and one packing per numerator.  ``on_cleared`` brings the result of an
-operator back, each coefficient decoded and put in canonical form once,
-with one gcd.  The eigencheck clears that way.
+that form in one pass over its coefficients: one lcm D in Z[q,t] of
+their denominators (one gcd per distinct denominator), each numerator
+times D over its own denominator, and one packing per numerator.
+``on_cleared`` brings the result of an operator back, each coefficient
+decoded and put in canonical form once, with one gcd.  The eigencheck
+clears that way.
 
 ``binomial_sum`` adds summands that are not yet polynomials: an x
 monomial times a coefficient in exponent form (``cyclotomic.Factors``),
@@ -45,7 +45,6 @@ XPolynomial values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from functools import wraps
-from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cleared import ClearedPolynomial, cyclotomic_quotients
@@ -354,22 +353,17 @@ def _raw(nvars: int, terms: dict[tuple[int, ...], QTRational]) -> XPolynomial:
 
 
 def clear(poly: XPolynomial) -> ClearedPolynomial:
-    """``poly`` in cleared form, over the lcm D of its coefficients'
-    denominators (``qt_lcm``, one gcd per distinct denominator).
+    """``poly`` in cleared form, over the lcm D in Z[q,t] of its
+    coefficients' denominators (``qt_lcm``, one gcd per distinct
+    denominator).
 
-    Each coefficient n/d becomes the numerator n (D / d), one exact
-    division per distinct d.  Rational coefficients are then scaled to
-    integers by the lcm of their denominators, which D takes as a factor,
-    and the numerators are packed.
+    Each coefficient n/d becomes the integer numerator n (D / d), one
+    exact division per distinct d, and the numerators are packed.
     """
     dens = dict.fromkeys(coeff.den for coeff in poly.terms.values())
     common = qt_lcm(dens)
     cofactors = {den: common.div_exact(den) for den in dens}
     totals = {e: (coeff.num * cofactors[coeff.den]).terms for e, coeff in poly.terms.items()}
-    scale = lcm(*(c.denominator for num in totals.values() for c in num.values()))
-    if scale != 1:
-        totals = {e: {k: int(c * scale) for k, c in num.items()} for e, num in totals.items()}
-        common = common.scale(scale)
     return ClearedPolynomial.packed(poly.nvars, common, [totals])[0]
 
 

@@ -52,6 +52,26 @@ def test_verify_positional_check(capsys):
     assert "PASS" in err
 
 
+def test_two_check_names_must_agree(capsys, monkeypatch):
+    # one name given twice runs once; two names are refused before either runs
+    code, _out, err = run(capsys, "verify", "frozen", "--check", "frozen", "--mu", "2,0")
+    assert code == 0 and err.startswith("[PASS] frozen")
+    monkeypatch.setattr(cli, "_run_check", lambda *args: pytest.fail("a check ran"))
+    code, out, err = run(capsys, "verify", "frozen", "--check", "eigen", "--mu", "0,1")
+    assert code == 2 and out == ""
+    assert err == "error: two check names given: frozen and --check eigen\n"
+
+
+def test_part_limit_is_checked_before_anything_runs(capsys, monkeypatch):
+    at_limit = ",".join(["0"] * (cli.MAX_PARTS - 1) + ["1"])
+    code, out, _err = run(capsys, "compute", "--mu", at_limit, "--method", "hhl")
+    assert code == 0 and out.strip()
+    monkeypatch.setattr(cli, "count_configs", lambda mu: pytest.fail("counted"))
+    code, out, err = run(capsys, "verify", "eigen", "--mu", "0," + at_limit)
+    assert code == 2 and out == ""
+    assert err == f"error: --mu has {cli.MAX_PARTS + 1} parts; at most {cli.MAX_PARTS} are supported\n"
+
+
 @pytest.mark.parametrize("check, count", [("frozen", 1), ("cyclic", 1), ("bijection", 8)])
 def test_verify_a_deep_single_part(capsys, check, count):
     # one configuration with 400 columns: compared as products, Omega_mu
@@ -224,6 +244,13 @@ def test_seed_reproducibility(capsys):
         "compute --mu 990",
         "verify eigen --mu 21,0",
         "verify eigen --mu 0,1,2,3,4,5,6,7",
+        # more parts than the filling search or the eigencheck can take
+        pytest.param("compute --mu " + ",".join(["1"] * 330), id="compute-330-ones"),
+        pytest.param("compute --mu " + ",".join(["0"] * 500), id="compute-500-zeros"),
+        pytest.param("verify eigen --mu " + ",".join(["0"] * 400 + ["1"]), id="eigen-401-parts"),
+        pytest.param("compute --mu " + ",".join(["0"] * 64 + ["1"]), id="compute-65-parts"),
+        "verify frozen --check eigen --mu 0,1",
+        "verify eigen --check frozen",
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):

@@ -28,10 +28,10 @@ Q = QTRational.q()
 T = QTRational.t()
 
 
-def rand_poly(rng, nterms=3, deg=3, denom=False):
+def rand_poly(rng, nterms=3, deg=3):
     terms = {}
     for _ in range(nterms):
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4) if denom else 1)
+        c = rng.randint(-5, 5)
         if c:
             terms[(rng.randint(0, deg), rng.randint(0, deg))] = c
     poly = QTPolynomial(terms)
@@ -126,12 +126,17 @@ def test_field_axioms_random_triples():
 
 
 def test_canonical_form_is_representation_independent():
+    # a common factor c, integer content and sign included, cancels; so
+    # does a rational constant r, which enters as a value
     rng = random.Random(1)
     for _ in range(200):
         a = rand_elem(rng)
-        c = rand_poly(rng, nterms=2, deg=2, denom=True)
-        assert QTRational(a.num * c, a.den * c) == a
-        assert hash(QTRational(a.num * c, a.den * c)) == hash(a)
+        c = rand_poly(rng, nterms=2, deg=2).scale(rng.choice([-6, -2, -1, 1, 3, 4]))
+        r = QTRational.monomial(0, 0, Fraction(rng.choice([-5, -2, 1, 3]), rng.randint(1, 4)))
+        for value in (QTRational(a.num * c, a.den * c),
+                      QTRational(a.num * c) * r / (QTRational(a.den * c) * r)):
+            assert value == a
+            assert hash(value) == hash(a)
 
 
 def test_eval_is_multiplicative():
@@ -177,15 +182,20 @@ def test_exact_division_error():
         (ONE - Q * T).num.div_exact(QTPolynomial.monomial(1, 0))
 
 
-# -- stored coefficients: int when integral, Fraction otherwise, never float --
+# -- stored coefficients: int only, never Fraction or float -------------------
 
 def stored_form_ok(poly):
-    for coeff in poly.terms.values():
-        if type(coeff) is int:
-            continue
-        if type(coeff) is not Fraction or coeff.denominator == 1:
-            return False
-    return True
+    return all(type(coeff) is int for coeff in poly.terms.values())
+
+
+def content(poly):
+    return math.gcd(*poly.terms.values())
+
+
+def positive(poly):
+    """The associate of ``poly`` (itself or its negative) with a positive
+    lex-leading coefficient."""
+    return -poly if poly.leading_term()[1] < 0 else poly
 
 
 @pytest.mark.parametrize(
@@ -207,28 +217,40 @@ def test_floats_are_refused(build):
 
 
 def test_integral_coefficients_are_stored_as_int():
-    half = QTPolynomial({(1, 0): Fraction(1, 2), (0, 0): Fraction(4, 2)})
-    assert type(half.terms[(0, 0)]) is int
-    doubled = half + half
-    assert all(type(c) is int for c in doubled.terms.values())
-    assert doubled == QTPolynomial({(1, 0): 1, (0, 0): 4})
-    # the lex-leading coefficient 2 is divided out exactly, not by 1 / 2
-    value = QTRational(QTPolynomial.one(), QTPolynomial({(1, 0): 2, (0, 0): 4}))
-    assert value.den.terms == {(1, 0): 1, (0, 0): 2}
-    assert value.num.terms == {(0, 0): Fraction(1, 2)}
+    two = QTPolynomial({(1, 0): Fraction(6, 3), (0, 0): Fraction(4, 2)})
+    assert all(type(c) is int for c in two.terms.values())
+    assert two + two == QTPolynomial({(1, 0): 4, (0, 0): 4})
+    with pytest.raises(TypeError):
+        QTPolynomial({(1, 0): Fraction(1, 2)})
+    # the denominator keeps its lex-leading coefficient 2: 1 / (2q + 4)
+    # is stored as it is, and its negative flips the sign of num, not den
+    den = QTPolynomial({(1, 0): 2, (0, 0): 4})
+    value = QTRational(QTPolynomial.one(), den)
+    assert value.den.terms == {(1, 0): 2, (0, 0): 4}
+    assert value.num.terms == {(0, 0): 1}
+    assert QTRational(QTPolynomial.one(), -den) == -value
+    assert (-value).num.terms == {(0, 0): -1} and (-value).den == den
+    # a rational coefficient enters as a value: q / 2 is num q over den 2
+    half = QTRational.monomial(1, 0, Fraction(1, 2))
+    assert half.num.terms == {(1, 0): 1} and half.den.terms == {(0, 0): 2}
+    assert half + half == Q
     assert stored_form_ok(value.num) and stored_form_ok(value.den)
 
 
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
 integers = st.integers(-6, 6)
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-polys = st.dictionaries(exponents, st.one_of(integers, rationals), max_size=4).map(QTPolynomial)
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+polys = st.dictionaries(exponents, integers, max_size=4).map(QTPolynomial)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
-elements = st.builds(QTRational, polys, nonzero_polys)
+# rational numbers enter Q(q,t) as values, here a constant factor
+elements = st.builds(
+    lambda num, den, r: QTRational(num, den) * QTRational.monomial(0, 0, r),
+    polys, nonzero_polys, rationals,
+)
 
 
-@given(st.dictionaries(exponents, integers, max_size=5), nonzero_polys)
-def test_int_and_fraction_construction_agree(terms, den):
+@given(st.dictionaries(exponents, integers, max_size=5), nonzero_polys, rationals)
+def test_int_and_fraction_construction_agree(terms, den, r):
     as_int = QTPolynomial(terms)
     as_frac = QTPolynomial({key: Fraction(c) for key, c in terms.items()})
     assert as_int == as_frac
@@ -239,18 +261,27 @@ def test_int_and_fraction_construction_agree(terms, den):
     r_int, r_frac = QTRational(as_int, den), QTRational(as_frac, den)
     assert r_int == r_frac and hash(r_int) == hash(r_frac)
     assert r_int.to_json() == r_frac.to_json()
+    # a rational coefficient p/s is the quotient of the integers p and s
+    mono = QTRational.monomial(0, 0, r)
+    quotient = QTRational(QTPolynomial.constant(r.numerator), QTPolynomial.constant(r.denominator))
+    assert mono == quotient and hash(mono) == hash(quotient)
 
 
 @given(polys, nonzero_polys)
 def test_product_divides_back(a, b):
     assert (a * b).div_exact(b) == a
+    # over Z: 2b divides ab only when 2 divides a's content
+    if not a.is_zero() and content(a) % 2:
+        with pytest.raises(ExactDivisionError):
+            (a * b).div_exact(b.scale(2))
 
 
-@given(polys, polys, st.one_of(integers, rationals), nonzero_polys)
+@given(polys, polys, integers, nonzero_polys)
 def test_polynomial_operations_keep_stored_form(a, b, c, d):
     results = [a + b, a - b, a * b, -a, a.scale(c), (a * d).div_exact(d), a.substitute_q(c)]
     if not a.is_zero() or not b.is_zero():
         results.append(qt_gcd(a, b))
+        assert results[-1].leading_term()[1] > 0
     for poly in results:
         assert stored_form_ok(poly)
 
@@ -262,7 +293,31 @@ def test_field_operations_keep_stored_form(x, y):
         results += [x / y, y.inverse()]
     for value in results:
         assert stored_form_ok(value.num) and stored_form_ok(value.den)
-        assert value.den.leading_term()[1] == 1
+        assert value.den.leading_term()[1] > 0
+
+
+# a common factor: nonzero constants of either sign, monomials and
+# polynomials of several terms, integer content included
+factors = st.one_of(integers.filter(bool).map(QTPolynomial.constant), nonzero_polys)
+
+
+@given(polys, nonzero_polys, factors)
+@example(QTPolynomial({(1, 0): 2}), QTPolynomial({(0, 0): 4, (1, 1): -6}),
+         QTPolynomial.constant(-3))
+@example(QTPolynomial({(0, 0): 3, (1, 0): 3}), QTPolynomial({(2, 1): 5, (0, 0): -5}),
+         QTPolynomial({(0, 0): -2, (1, 2): 4}))
+def test_canonical_form_over_the_integers(a, b, c):
+    value = QTRational(a, b)
+    scaled = QTRational(a * c, b * c)
+    assert scaled == value
+    assert (scaled.num, scaled.den) == (value.num, value.den)
+    assert hash(scaled) == hash(value)
+    assert stored_form_ok(value.num) and stored_form_ok(value.den)
+    assert value.den.leading_term()[1] > 0
+    # num and den share no factor in Z[q,t]: no integer, no polynomial
+    if not value.is_zero():
+        assert math.gcd(content(value.num), content(value.den)) == 1
+        assert qt_gcd(value.num, value.den).is_one()
 
 
 def field_binomial_product(qexp, texp, binomials):
@@ -622,10 +677,6 @@ def test_a_corrupted_reduced_numerator_fails_its_certificate(label, box):
 # -- qt_gcd returns the greatest common divisor, not just a common one --------
 
 
-def monic(poly):
-    return poly.scale(Fraction(1) / poly.leading_term()[1])
-
-
 def binomials_times(labels):
     poly = QTPolynomial.one()
     for a, b in labels:
@@ -654,9 +705,12 @@ def coprime_cofactors(draw):
 
 @given(nonzero_polys, st.integers(0, 2), st.integers(0, 2), coprime_cofactors())
 def test_gcd_of_planted_factor_with_coprime_cofactors_is_that_factor(g, i, j, cofactors):
+    # the cofactors are primitive, so the gcd over Z is g itself, content
+    # included, made positive
     g = g * QTPolynomial.monomial(i, j)
     u, v = cofactors
-    assert qt_gcd(g * u, g * v) == monic(g)
+    primitive = QTPolynomial({key: c // content(g) for key, c in g.terms.items()})
+    assert qt_gcd(g * u, g * v) == positive(primitive).scale(content(g))
 
 
 @pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 3)])
@@ -666,7 +720,7 @@ def test_gcd_of_cyclotomic_binomials(a, b):
         for k in range(1, 7):
             d = math.gcd(j, k)
             got = qt_gcd(binomials_times([(j * a, j * b)]), binomials_times([(k * a, k * b)]))
-            assert got == monic(binomials_times([(d * a, d * b)])), (j, k)
+            assert got == positive(binomials_times([(d * a, d * b)])), (j, k)
 
 
 def test_gcd_rejects_a_spurious_candidate_and_grows_xi(monkeypatch):
