@@ -16,8 +16,8 @@ hecke.  Without --mu a check runs over the default composition family
 or route comparison failed, 2 usage error (including a flag value out of
 range, a --mu too large to run: more than MAX_PARTS = 64 parts, more than
 MAX_SQUARES diagram squares or more than MAX_CONFIGURATIONS
-configurations, two different check names, and a ybe, exchange or hecke
-check whose flags ask for more work than MAX_WORK allows).  Computed
+configurations, two different check names, and an eigen, ybe, exchange
+or hecke check that asks for more work than MAX_WORK allows).  Computed
 polynomials go to stdout; verification reports go to stderr.
 """
 
@@ -80,14 +80,17 @@ MAX_PARTS = 64
 MAX_SQUARES = 500
 MAX_CONFIGURATIONS = 10**6
 
-# ybe, exchange and hecke are sized by their flags: ``_work`` counts their
-# work from the flags in closed form, and a check above its limit is
-# refused before anything runs (exit 2).  Cost per unit, measured with
-# CPython 3.11 on one x86-64 core: ybe 0.04 ms per boundary, all of them
-# held in one list; exchange 0.6-0.8 ms (n = 4 takes 2.3 s, n = 5 19.5 s);
-# hecke 1-50 ms (n = 4 takes 10.5 s, n = 5 more than 100 s).  So a check
-# at its limit takes seconds to minutes.
+# ybe, exchange and hecke are sized by their flags, eigen by its
+# compositions: ``_work`` counts their work in closed form, and a check
+# above its limit is refused before anything runs (exit 2).  Cost per
+# unit, measured with CPython 3.11 on one x86-64 core: ybe 0.04 ms per
+# boundary, all of them held in one list; exchange 0.6-0.8 ms (n = 4 takes
+# 2.3 s, n = 5 19.5 s); hecke 1-50 ms (n = 4 takes 10.5 s, n = 5 more than
+# 100 s); eigen 20-30 ns (0,..,0,1,1 with 52 parts, 3.7 * 10^8 units, takes
+# 7.1 s, and with 64 parts, 1.04 * 10^9, 27 s).  So a check at its limit
+# takes seconds to minutes.
 MAX_WORK = {
+    "eigen": (10**9, "configurations times n^3"),
     "ybe": (2 * 10**5, "RLL boundaries"),
     "exchange": (10**5, "in-state colour pairs"),
     "hecke": (10**4, "basement exchanges and relation samples"),
@@ -98,10 +101,15 @@ class UsageError(Exception):
     pass
 
 
-def _work(name: str, sizes: list[int], args, mu: Composition | None) -> int:
+def _work(name: str, sizes: list[int] | None, args, mu: Composition | None) -> int:
     """The work of ``verify name`` at the alphabet sizes ``sizes``, in the
     units of MAX_WORK, enumerating nothing.  A size above 64 counts as 64:
     its work is past every limit anyway, and no huge integer is built."""
+    if name == "eigen":
+        # n operators Y_i of about n operators T_i each, every one over each
+        # term of f_mu (n exponents), which has at most one term per
+        # configuration
+        return sum(count_configs(m) * m.n**3 for m in ([mu] if mu else default_family()))
     clamped = [min(n, 64) for n in sizes]
     if name == "ybe":
         # the sample sweep at each size and the symbolic sweep at n = 1

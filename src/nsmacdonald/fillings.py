@@ -28,11 +28,11 @@ identities the matching splits into.  The HHL side of those identities
 is the factor kernel ``_hhl_factors``, in exponent form (cyclotomic's
 ``Factors``); the column side is matrixprod's column walk.  The
 identities compare cyclotomic forms, so no Q(q,t) value is built for
-them.  ``f_hhl`` hands each filling's factor groups to xpoly's
-``binomial_sum``, which adds them in cyclotomic labels with no gcd, as
-f_matrix_product hands it the configuration weights; neither builds a
-Q(q,t) value per summand.  ``hhl_summand``, the weight of one filling as
-an XPolynomial, is not on that path.
+them.  ``f_hhl`` hands the cyclotomic form of each filling's factor
+groups to xpoly's ``binomial_sum``, which adds them in cyclotomic labels
+with no gcd, as f_matrix_product hands it the configuration weights'
+forms; neither builds a Q(q,t) value per summand.  ``hhl_summand``, the
+weight of one filling as an XPolynomial, is not on that path.
 
 Leg, arm and the positions of the triples depend on mu alone; only the
 entries depend on the filling.  ``_hhl_tables`` lists them once per
@@ -52,7 +52,7 @@ from typing import Iterator
 
 from .compositions import Composition, arm, leg, omega_factors
 from .cyclotomic import Factors, cyclotomic_form
-from .matrixprod import LatticeConfig, _column_walk, enumerate_configs
+from .matrixprod import LatticeConfig, _column_walk, _weight_form, enumerate_configs
 from .reports import CheckReport
 from .xpoly import XPolynomial, binomial_sum
 
@@ -221,10 +221,9 @@ def hhl_summand(sigma: Filling) -> XPolynomial:
 
 def f_hhl(mu: Composition) -> XPolynomial:
     """The nonsymmetric Macdonald polynomial via the combinatorial sum,
-    each filling's factor groups added in exponent form."""
-    return binomial_sum(
-        mu.n, ((exps, groups) for exps, *groups in map(_hhl_factors, enumerate_fillings(mu)))
-    )
+    each filling's factor groups added in their cyclotomic form."""
+    factors = map(_hhl_factors, enumerate_fillings(mu))
+    return binomial_sum(mu.n, ((exps, cyclotomic_form(*groups)) for exps, *groups in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +272,11 @@ def weight_match_check(mu: Composition) -> CheckReport:
       downward moves   prod v t^h (downward)           = t^{-ord_-} * ascent numerators
 
     Each configuration is walked once and its filling's factors are built
-    once; every identity, the totals too (Omega_mu times the walk's groups
-    against the product of the HHL groups), compares cyclotomic forms, a
-    walk's group entering with the factors of all its columns.
+    once; every identity compares cyclotomic forms, a walk's group
+    entering with the factors of all its columns.  The totals compare the
+    weight's form as f_matrix_product sums it (``_weight_form``, Omega_mu's
+    with the walk's column forms added) against the product of the HHL
+    groups.
     """
     report = CheckReport(f"weight-match mu={mu}")
     omega = omega_factors(mu)
@@ -286,7 +287,7 @@ def weight_match_check(mu: Composition) -> CheckReport:
         if walk is None:
             report.fail(f"configuration weight vanishes on {xi.columns}")
             continue
-        x_exps, groups = walk
+        x_exps, groups, forms = walk
         t_g, phi, moves, up_t_h, down_v_t_h = groups
         exps, t_plus, denominators, numerators = _hhl_factors(bijection_M(xi, mu))
         if x_exps != exps:
@@ -304,7 +305,7 @@ def weight_match_check(mu: Composition) -> CheckReport:
         if cyclotomic_form(*down_v_t_h) != cyclotomic_form(numerators):
             report.fail(f"downward-move factor mismatch on {xi.columns}")
         report.count()
-        weight = cyclotomic_form(omega, *itertools.chain.from_iterable(groups))
+        weight = _weight_form(mu, forms)
         if x_exps != exps or weight != cyclotomic_form(t_plus, denominators, numerators):
             report.fail(f"total weights differ on {xi.columns}")
     return report

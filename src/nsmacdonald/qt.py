@@ -208,14 +208,6 @@ class QTPolynomial:
                     out.pop(key, None)
         return _poly_raw(out)
 
-    def scale(self, factor: int) -> "QTPolynomial":
-        factor = _exact(factor)
-        if factor == 0:
-            return _POLY_ZERO
-        if factor == 1:
-            return self
-        return _poly_raw({key: coeff * factor for key, coeff in self.terms.items()})
-
     # -- comparisons, hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -17,15 +17,14 @@ decoded and put in canonical form once, with one gcd.  The eigencheck
 clears that way.
 
 ``binomial_sum`` adds summands that are not yet polynomials: an x
-monomial times a coefficient in exponent form (``cyclotomic.Factors``),
-a monomial times binomials 1 - q^a t^b.  It works in their cyclotomic
-form, in which the common denominator is an integer maximum, and
-``cleared.cyclotomic_quotients`` adds the numerators and reduces them
-by exact division as packed integers, so it takes no gcd and builds no
-Q(q,t) value per summand.  Both summation routes (fillings.f_hhl and
-matrixprod.f_matrix_product) add their summands with it; each computes
-its summands with its own weight kernel, and the sum knows nothing of
-either formula.
+monomial times a product of binomials 1 - q^a t^b in its cyclotomic
+form (``cyclotomic.CyclotomicForm``), in which the common denominator is
+an integer maximum, and ``cleared.cyclotomic_quotients`` adds the
+numerators and reduces them by exact division as packed integers, so it
+takes no gcd and builds no Q(q,t) value per summand.  Both summation
+routes (fillings.f_hhl and matrixprod.f_matrix_product) add their
+summands with it; each computes its summands' forms with its own weight
+kernel, and the sum knows nothing of either formula.
 
 The variable manipulations the affine Hecke operators need act on the
 packed numerators of the cleared form, each updating the envelope the
@@ -48,7 +47,7 @@ from functools import wraps
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cleared import ClearedPolynomial, cyclotomic_quotients
-from .cyclotomic import CyclotomicLabel, Factors, Laurent, cyclotomic_form
+from .cyclotomic import CyclotomicForm, CyclotomicLabel, Laurent
 from .qt import QTRational, qt_lcm
 
 __all__ = [
@@ -367,36 +366,36 @@ def clear(poly: XPolynomial) -> ClearedPolynomial:
     return ClearedPolynomial.packed(poly.nvars, common, [totals])[0]
 
 
-# one summand of ``binomial_sum``: x^exps times the product of the factors
-Summand = tuple[tuple[int, ...], Iterable[Factors]]
+# one summand of ``binomial_sum``: x^exps times the value of the form
+Summand = tuple[tuple[int, ...], CyclotomicForm]
 
 
 def binomial_sum(nvars: int, summands: Iterable[Summand]) -> XPolynomial:
-    """The exact sum of x^exps prod(factors) over ``summands``, each a
-    monomial in x with a coefficient in exponent form, equal to
-    adding them one by one as XPolynomials but with no gcd and no Q(q,t)
-    value per summand.
+    """The exact sum of x^exps times form over ``summands``, each a
+    monomial in x with a coefficient in cyclotomic form, equal to adding
+    them one by one as XPolynomials but with no gcd and no Q(q,t) value
+    per summand.
 
-    Each coefficient is written in cyclotomic labels
-    (``cyclotomic_form``: a sign, a monomial and integer counts, in which
-    shared factors have cancelled).  The summands are grouped by their
-    counts, and within a group their signed monomials are added per
-    x-monomial.  The common denominator D takes each label's largest
-    denominator count: the exact lcm, as the labels are pairwise coprime
-    irreducibles.  Each group's cofactor is the product of its own
-    numerator labels and of the labels D has beyond its denominator.
+    Each coefficient comes written in cyclotomic labels (a sign, a
+    monomial and integer counts, in which shared factors have cancelled:
+    ``cyclotomic_form``, or a sum of such forms' exponents and counts).
+    The summands are grouped by their counts, and within a group their
+    signed monomials are added per x-monomial.  The common denominator D
+    takes each label's largest denominator count: the exact lcm, as the
+    labels are pairwise coprime irreducibles.  Each group's cofactor is
+    the product of its own numerator labels and of the labels D has
+    beyond its denominator.
     ``cyclotomic_quotients`` adds each group times its cofactor into the
     numerators over D and reduces each over D by exact division by D's
     labels, on packed integers.  The result is the canonical
     XPolynomial, identical (==, hash, JSON) to the repeated sum.
     """
     groups: dict[frozenset, dict[tuple[int, ...], Laurent]] = {}
-    for exps, factors in summands:
+    for exps, (sign, qexp, texp, counts) in summands:
         if len(exps) != nvars:
             raise AlphabetMismatch(
                 f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
             )
-        sign, qexp, texp, counts = cyclotomic_form(*factors)
         acc = groups.setdefault(counts, {}).setdefault(exps, {})
         key = (qexp, texp)
         new = acc.get(key, 0) + sign

@@ -13,7 +13,11 @@ as does the divided difference in plain XPolynomial arithmetic, against
 which the packed Hecke operators are tested, and the per-filling
 statistics ``descent_ascent``, ``ordered_triples`` and ``x_monomial``
 read square by square from a Filling, which the package's table kernel replaced: the
-package itself never calls them.
+package itself never calls them.  The set-based column kernel
+(``column_factors`` with ``colour_data``, ``coordinates`` and
+``exponents_fgh``), the closed form written set by set as the matrixprod
+module docstring states it, is the reference for the package's
+one-pass integer kernel.
 
 Deliberately naive; only run it on tiny compositions.
 """
@@ -22,6 +26,9 @@ from __future__ import annotations
 
 import itertools
 
+from typing import Sequence
+
+from nsmacdonald.matrixprod import InadmissiblePair
 from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import XPolynomial
 
@@ -199,3 +206,106 @@ def brute_f(mu: tuple[int, ...]) -> XPolynomial:
                     coeff = coeff * QTRational.monomial(la + 1, aa) * (one - t) / denom
         total = total + XPolynomial(n, {tuple(exps): coeff})
     return total
+
+
+def _multiplicities(vec: Sequence[int], n: int) -> list[int]:
+    mult = [0] * (n + 1)
+    for colour in vec:
+        mult[colour] += 1
+    return mult
+
+
+def colour_data(I: Sequence[int], J: Sequence[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """The sets (P, Q): colours entering left that exit top resp. right.
+
+    Raises InadmissiblePair unless every colour >= 1 appears at most once
+    in I and no more often in J than in I.
+    """
+    n = len(I)
+    if len(J) != n:
+        raise InadmissiblePair("boundary vectors of different length")
+    mult_i = _multiplicities(I, n)
+    mult_j = _multiplicities(J, n)
+    for colour in range(1, n + 1):
+        if not 1 >= mult_i[colour] >= mult_j[colour] >= 0:
+            raise InadmissiblePair(
+                f"colour {colour} has multiplicities {mult_i[colour]} -> {mult_j[colour]}"
+            )
+    P = frozenset(c for c in range(1, n + 1) if mult_i[c] == 1 and mult_j[c] == 0)
+    Q = frozenset(c for c in range(1, n + 1) if mult_i[c] == 1 and mult_j[c] == 1)
+    return P, Q
+
+
+def coordinates(I: Sequence[int], J: Sequence[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Rows where each colour crosses the boundaries: i_{a_p} = p, j_{b_p} = p.
+
+    For an admissible pair (see colour_data) a covers P u Q and b covers Q.
+    """
+    a = {p: row for row, p in enumerate(I, start=1) if p}
+    b = {p: row for row, p in enumerate(J, start=1) if p}
+    return a, b
+
+
+def _cyclic_interval(a: int, b: int, n: int) -> set[int]:
+    if a < b:
+        return set(range(a + 1, b))
+    if a > b:
+        return set(range(a + 1, n + 1)) | set(range(1, b))
+    return set()
+
+
+def exponents_fgh(P, Q, a, b, n):
+    """The combinatorial exponents f, g, h of a column boundary."""
+    qs = sorted(Q)
+    f = {p: sum(1 for l in qs if l < p) for p in P | Q}
+    g = {p: sum(1 for l in qs if l < p and a[p] < b[l]) for p in P | Q}
+    intervals = {p: _cyclic_interval(a[p], b[p], n) for p in Q}
+    h = {p: sum(1 for l in qs if l < p and b[l] in intervals[p]) for p in Q}
+    return f, g, h
+
+
+def column_factors(I, J, v):
+    """The closed form of boundary (I, J) under the twists ``v`` (colour ->
+    (a, b) for q^a t^b, or None), set by set: its x exponents and five
+    factor groups (t^g over P, phi, the move denominators, upward t^h,
+    downward v t^h), or None where the component vanishes."""
+    n = len(I)
+    P, Q = colour_data(I, J)
+    for colour in range(1, n + 1):
+        if colour not in P and colour not in Q and v.get(colour) is not None:
+            raise ValueError(f"nonzero twist parameter for colour {colour} outside P u Q")
+    a, b = coordinates(I, J)
+    if any(p > l and a[p] == b[l] for p in P | Q for l in Q):
+        return None
+    f, g, h = exponents_fgh(P, Q, a, b, n)
+    phi: dict[tuple[int, int], int] = {}
+    move: dict[tuple[int, int], int] = {}
+    up_t = down_q = down_t = 0
+    for p in P | Q:
+        vp = v[p]
+        if vp is not None:
+            key = (vp[0], vp[1] + f[p])
+            phi[key] = phi.get(key, 0) - 1
+    exps = [0] * n
+    for p in Q:
+        exps[b[p] - 1] = 1
+        if a[p] != b[p]:
+            vp = v[p]
+            move[(0, 1)] = move.get((0, 1), 0) + 1
+            if vp is not None:
+                key = (vp[0], vp[1] + f[p] + 1)
+                move[key] = move.get(key, 0) - 1
+            if a[p] < b[p]:
+                up_t += h[p]
+            elif vp is None:
+                return None
+            else:
+                down_q, down_t = down_q + vp[0], down_t + vp[1] + h[p]
+    groups = (
+        (0, sum(g[p] for p in P), {}),
+        (0, 0, phi),
+        (0, 0, move),
+        (0, up_t, {}),
+        (down_q, down_t, {}),
+    )
+    return tuple(exps), groups

@@ -15,9 +15,9 @@ from nsmacdonald import cli
 from nsmacdonald.cli import main
 from nsmacdonald.xpoly import XPolynomial, reverse_alphabet
 from nsmacdonald.fillings import f_hhl
-from nsmacdonald.compositions import Composition, compositions_with
+from nsmacdonald.compositions import Composition, compositions_with, default_family
 from nsmacdonald.lattice import _boundaries, capped_states
-from nsmacdonald.matrixprod import cyclic_check, f_matrix_product
+from nsmacdonald.matrixprod import cyclic_check, enumerate_configs, f_matrix_product
 
 
 def run(capsys, *argv):
@@ -270,6 +270,11 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
         "verify ybe --n 1000000000000000000000",
         "verify exchange --n 1000000000000000000000",
         "verify hecke --n 1000000000000000000000",
+        # within MAX_PARTS and MAX_CONFIGURATIONS (238328), but 6 * 10^10
+        # units of eigencheck work
+        pytest.param(
+            "verify eigen --mu " + ",".join(["0"] * 61 + ["1"] * 3), id="eigen-61-zeros-3-ones"
+        ),
     ],
 )
 def test_oversized_verify_sizes_are_refused_at_once(capsys, monkeypatch, argv):
@@ -278,7 +283,8 @@ def test_oversized_verify_sizes_are_refused_at_once(capsys, monkeypatch, argv):
     def ran(*args, **kwargs):
         raise AssertionError(f"{argv} ran a check")
 
-    for name in ("ybe_check", "ybe_check_symbolic", "exchange_check", "verify_hecke_relations"):
+    for name in ("ybe_check", "ybe_check_symbolic", "exchange_check", "verify_hecke_relations",
+                 "verify_eigen", "f_hhl"):
         monkeypatch.setattr(cli, name, ran)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv.split())
@@ -306,3 +312,13 @@ def test_verify_work_counts_what_the_checks_run():
     for n, cap in [(1, 2), (2, 2), (3, 1), (2, 0)]:
         boundaries = len(_boundaries(n, cap, cap)) + len(_boundaries(1, cap, cap + 2))
         assert cli._work("ybe", [n], argparse.Namespace(cap=cap), None) >= boundaries
+    # eigen: n^3 per configuration, and f_mu has at most one term per
+    # configuration, the premise of that count
+    for mu in [*compositions_with(3, 2), Composition((0, 1, 4, 2)), Composition((3, 0, 2, 1))]:
+        configs = sum(1 for _ in enumerate_configs(mu))
+        assert cli._work("eigen", None, args, mu) == configs * mu.n**3
+        assert len(f_hhl(mu).terms) <= configs
+    family = default_family()
+    assert cli._work("eigen", None, args, None) == sum(
+        cli._work("eigen", None, args, mu) for mu in family
+    )

@@ -264,8 +264,9 @@ def test_weight_match_detects_a_corrupted_arm(monkeypatch):
 
 def test_weight_match_reads_every_column_of_a_group(monkeypatch):
     # an extra factor t in the t^g group of the closing column, which comes
-    # after the first and has t^0 there on clean data: a check that read
-    # only one column of a group would not see it
+    # after the first and has t^0 there on clean data, and in that column's
+    # form, as a kernel that computed it would put it there: a check that
+    # read only one column of a group would not see it
     original = matrixprod._cached_column
     original.cache_clear()
 
@@ -273,13 +274,36 @@ def test_weight_match_reads_every_column_of_a_group(monkeypatch):
         column = original(I, J, twists)
         if column is None or any(J):
             return column
-        exps, ((qexp, texp, binomials), *groups) = column
-        return exps, ((qexp, texp + 1, binomials), *groups)
+        exps, ((qexp, texp, binomials), *groups), form = column
+        return exps, ((qexp, texp + 1, binomials), *groups), form._replace(texp=form.texp + 1)
 
     monkeypatch.setattr(matrixprod, "_cached_column", extra_t)
     report = weight_match_check(Composition((1, 1)))
     kinds = {message.split(" on ")[0] for message in report.failures}
     assert kinds == {"t^ord_+ mismatch", "total weights differ"}
+
+
+def test_a_column_form_that_disagrees_with_its_groups_is_caught(monkeypatch):
+    # the twin of the test above: the closing column's form has the extra t
+    # and its groups are clean.  f_matrix_product sums the forms, so it
+    # parts from f_hhl; weight_match_check's totals, which read the walk's
+    # form, fail while every group identity holds
+    original = matrixprod._cached_column
+    original.cache_clear()
+
+    def extra_t(I, J, twists):
+        column = original(I, J, twists)
+        if column is None or any(J):
+            return column
+        exps, groups, form = column
+        return exps, groups, form._replace(texp=form.texp + 1)
+
+    monkeypatch.setattr(matrixprod, "_cached_column", extra_t)
+    mu = Composition((0, 2, 1))
+    assert f_hhl(mu) != f_matrix_product(mu)
+    report = weight_match_check(mu)
+    kinds = {message.split(" on ")[0] for message in report.failures}
+    assert kinds == {"total weights differ"}
 
 
 def test_route_equivalence_spot():

@@ -2,8 +2,10 @@
 
 import random
 import time
+from itertools import chain, combinations, permutations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nsmacdonald import matrixprod
 from nsmacdonald.compositions import (
@@ -11,21 +13,21 @@ from nsmacdonald.compositions import (
     alpha,
     column_twists,
     compositions_with,
+    default_family,
     eigenvalue_y,
+    omega_factors,
     omega_norm,
     v_param,
 )
+from nsmacdonald.cyclotomic import cyclotomic_form
 from nsmacdonald.matrixprod import (
     InadmissiblePair,
     LatticeConfig,
-    colour_data,
     column_component,
     config_weight,
-    coordinates,
     count_configs,
     cyclic_check,
     enumerate_configs,
-    exponents_fgh,
     f_matrix_product,
     frozen_coefficient,
     hall_littlewood_q0,
@@ -35,7 +37,13 @@ from nsmacdonald.qt import QTRational
 from nsmacdonald.reports import CheckReport
 from nsmacdonald.xpoly import XPolynomial, compose_vars
 
-from bruteforce_oracle import specialize_q
+from bruteforce_oracle import (
+    colour_data,
+    column_factors,
+    coordinates,
+    exponents_fgh,
+    specialize_q,
+)
 
 ONE = QTRational.one()
 Q = QTRational.q()
@@ -132,6 +140,122 @@ def test_exponents_trivial_and_cyclic():
     a3, b3 = {1: 1, 2: 3}, {1: 1, 2: 2}
     f3, g3, h3 = exponents_fgh(P3, Q3, a3, b3, 3)
     assert h3[2] == 1
+
+
+def assert_kernel_equals_oracle(I, J, v):
+    # the one-pass kernel against the set-based closed form: the same
+    # exception, or both None, or equal x exponents and factor groups, and
+    # a form equal to that of the groups
+    try:
+        expected = column_factors(I, J, v)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            matrixprod._column_factors(I, J, v)
+        assert type(raised.value) is type(exc), (I, J, v)
+        return
+    column = matrixprod._column_factors(I, J, v)
+    if expected is None:
+        assert column is None, (I, J, v)
+        return
+    exps, groups, form = column
+    assert exps == expected[0], (I, J, v)
+    assert [(q, t, dict(binomials)) for q, t, binomials in groups] == list(expected[1])
+    assert form == cyclotomic_form(*groups), (I, J, v)
+
+
+def admissible_boundaries(n):
+    # every (I, J): the colours of I placed injectively into rows, and a
+    # subset of them placed injectively into the rows of J
+    for k in range(n + 1):
+        for colours in combinations(range(1, n + 1), k):
+            for rows in permutations(range(n), k):
+                I = [0] * n
+                for c, r in zip(colours, rows):
+                    I[r] = c
+                for m in range(k + 1):
+                    for kept in combinations(colours, m):
+                        for jrows in permutations(range(n), m):
+                            J = [0] * n
+                            for c, r in zip(kept, jrows):
+                                J[r] = c
+                            yield tuple(I), tuple(J)
+
+
+def test_one_pass_kernel_equals_the_set_based_oracle():
+    # every admissible boundary with n <= 4 (13617 at n = 4), each under
+    # twists of zero and under random twists with zeros among them
+    rng = random.Random(3)
+    for n in range(1, 5):
+        for I, J in admissible_boundaries(n):
+            zero = dict.fromkeys(range(1, n + 1))
+            drawn = {
+                p: rng.choice([None, (rng.randint(1, 3), rng.randint(-2, 3))]) if p in I else None
+                for p in range(1, n + 1)
+            }
+            assert_kernel_equals_oracle(I, J, zero)
+            assert_kernel_equals_oracle(I, J, drawn)
+
+
+def test_one_pass_kernel_refuses_every_inadmissible_pair():
+    for n in range(1, 4):
+        for I, J in product(product(range(n + 1), repeat=n), repeat=2):
+            try:
+                column_factors(I, J, {})
+            except InadmissiblePair:
+                with pytest.raises(InadmissiblePair):
+                    matrixprod._column_factors(I, J, {})
+            except KeyError:
+                pass  # admissible: the empty twist table lacks a colour of P u Q
+    for I, J in [((3, 0), (0, 0)), ((0, 1), (2, 0)), ((1, 0), (0, 0, 0)), ((-1, 0), (0, 0))]:
+        with pytest.raises(InadmissiblePair):
+            matrixprod._column_factors(I, J, {1: None, 2: None})
+
+
+twist_values = st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(-4, 4)))
+
+
+@given(st.data())
+def test_column_kernel_equals_the_oracle_property(data):
+    # a random boundary of up to 6 rows under random twists, made
+    # inadmissible (a repeated colour, a colour only on the right) or given
+    # a twist outside P u Q in some draws
+    n = data.draw(st.integers(1, 6))
+    left = data.draw(st.permutations(range(1, n + 1)))
+    I = [c if data.draw(st.booleans()) else 0 for c in left]
+    present = [c for c in I if c]
+    rows = data.draw(st.permutations(range(n)))
+    J = [0] * n
+    for c, r in zip([c for c in present if data.draw(st.booleans())], rows):
+        J[r] = c
+    v = {p: data.draw(twist_values) if p in present else None for p in range(1, n + 1)}
+    absent = [c for c in range(1, n + 1) if c not in present]
+    fault = data.draw(st.sampled_from(["none", "repeat", "new", "stray"]))
+    if fault == "repeat" and present and 0 in I:
+        I[I.index(0)] = present[0]
+    elif fault == "new" and absent and 0 in J:
+        J[J.index(0)] = absent[0]
+    elif fault == "stray" and absent:
+        v[absent[0]] = (1, 0)
+    assert_kernel_equals_oracle(tuple(I), tuple(J), v)
+
+
+def test_walk_forms_are_omega_plus_the_column_forms():
+    # each cached column's form is that of its groups, and each walk's
+    # summed form, the weight f_matrix_product adds, that of Omega_mu and
+    # all its columns' groups
+    for mu in default_family() + [Composition((0, 1, 2, 3, 4))]:
+        omega, twists, seen = omega_factors(mu), column_twists(mu), set()
+        for xi in enumerate_configs(mu):
+            _, groups, forms = matrixprod._column_walk(xi.columns, mu)
+            weight = matrixprod._weight_form(mu, forms)
+            assert weight == cyclotomic_form(omega, *chain.from_iterable(groups)), xi
+            closed = xi.columns + ((0,) * mu.n,)
+            for j in range(len(xi.columns)):
+                key = (closed[j], closed[j + 1], twists[min(j, len(twists) - 1)])
+                if key not in seen:
+                    seen.add(key)
+                    _, column_groups, column_form = matrixprod._cached_column(*key)
+                    assert column_form == cyclotomic_form(*column_groups), key
 
 
 def test_column_component_examples():
@@ -343,8 +467,8 @@ def test_cyclic_check_compares_x_exponents(monkeypatch):
     walk = matrixprod._column_walk
 
     def swapped(columns, mu):
-        exps, groups = walk(columns, mu)
-        return (exps[1], exps[0]) + exps[2:], groups
+        exps, groups, forms = walk(columns, mu)
+        return (exps[1], exps[0]) + exps[2:], groups, forms
 
     monkeypatch.setattr(matrixprod, "_column_walk", swapped)
     mu = Composition((0, 2, 1))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nsmacdonald.cleared import ClearedPolynomial
+from nsmacdonald.cyclotomic import cyclotomic_form
 from nsmacdonald.qt import Fraction, QTPolynomial, QTRational
 from nsmacdonald.xpoly import (
     AlphabetMismatch,
@@ -187,6 +188,11 @@ def as_polynomial(summand):
     return XPolynomial(2, {exps: coeff})
 
 
+def formed(summands):
+    # binomial_sum's summands: each coefficient in its cyclotomic form
+    return [(exps, cyclotomic_form(*factors)) for exps, factors in summands]
+
+
 @given(summand_lists, st.lists(st.integers(0, 7), max_size=3))
 def test_binomial_sum_equals_repeated_addition(summands, negated):
     # negating some summands makes whole terms cancel to zero
@@ -194,7 +200,7 @@ def test_binomial_sum_equals_repeated_addition(summands, negated):
         (summands[k][0], summands[k][1] + [MINUS_ONE]) for k in negated if k < len(summands)
     ]
     expected = reduce(lambda a, b: a + b, map(as_polynomial, summands), XPolynomial.zero(2))
-    total = binomial_sum(2, summands)
+    total = binomial_sum(2, formed(summands))
     assert total == expected
     assert hash(total) == hash(expected)
     assert total.to_json() == expected.to_json()
@@ -202,19 +208,21 @@ def test_binomial_sum_equals_repeated_addition(summands, negated):
 
 def test_binomial_sum_cancels_to_zero_and_checks_alphabet():
     x1 = ((1, 0), [(0, -2, {(1, 1): -1})])
-    assert binomial_sum(2, [x1, (x1[0], x1[1] + [MINUS_ONE])]).is_zero()
+    assert binomial_sum(2, formed([x1, (x1[0], x1[1] + [MINUS_ONE])])).is_zero()
     assert binomial_sum(2, []).is_zero()
     with pytest.raises(AlphabetMismatch):
-        binomial_sum(2, [((1, 0, 0), [])])
+        binomial_sum(2, formed([((1, 0, 0), [])]))
 
 
 def test_binomial_sum_reduces_over_the_exact_lcm():
     # 1/(1 - q) + 1/(1 - q^2) = (2 + q)/(1 - q^2): lcm (1 - q)(1 + q), and
     # no factor cancels; 1/(1 - q) - q/(1 - q) = 1: the whole lcm cancels
-    total = binomial_sum(1, [((0,), [(0, 0, {(1, 0): -1})]), ((0,), [(0, 0, {(2, 0): -1})])])
+    total = binomial_sum(
+        1, formed([((0,), [(0, 0, {(1, 0): -1})]), ((0,), [(0, 0, {(2, 0): -1})])])
+    )
     assert total == XPolynomial.constant(1, (ONE + ONE + Q) / (ONE - Q * Q))
     minus_q = ((0,), [(1, 0, {(1, 0): -1}), MINUS_ONE])
-    one = binomial_sum(1, [((0,), [(0, 0, {(1, 0): -1})]), minus_q])
+    one = binomial_sum(1, formed([((0,), [(0, 0, {(1, 0): -1})]), minus_q]))
     assert one == XPolynomial.one(1)
 
 
