@@ -148,7 +148,8 @@ def _parse_mu(text: str) -> Composition:
 
 def _parse_rho(text: str, n: int) -> tuple[int, ...]:
     try:
-        rho = tuple(int(p) for p in text.split(","))
+        # a permutation is a composition: one parser for both flags
+        rho = Composition.parse(text).parts
     except ValueError as exc:
         raise UsageError(f"malformed permutation string {text!r}") from exc
     if sorted(rho) != list(range(1, n + 1)):

@@ -21,14 +21,14 @@ Statistics:
 ``v_param`` gives a twist as its exponents (mu_i - j, gamma_ij), or None for
 v_ij = 0: the column kernel only adds exponents.
 
-Everything is recomputed on demand except what the matrix route needs
-once per configuration: Omega_mu in exponent form, cyclotomic's
-``Factors`` (0, 0, {(mu_i - j, alpha_ij): m}) from ``omega_factors``,
-which cancels phi in the cyclotomic form, and the table of twists of
-every column, ``column_twists``, one tuple per column.  A bounded cache
-keeps one entry of each per composition (Composition is frozen, the
-mapping read-only and the tuples immutable, so a cached value is never
-changed by a caller).  No route builds Omega_mu's value, ``omega_norm``.
+Everything is recomputed on demand except the table of twists of every
+column, ``column_twists``, one tuple per column, which the matrix route
+reads per configuration: a bounded cache keeps one per composition
+(Composition is frozen and the tuples immutable).  Omega_mu in exponent
+form, ``omega_factors``, is read once per check: with f(p) =
+#{l < p : mu_l > j}, gamma_pj + f(p) = alpha_pj, so Omega_mu cancels
+the column kernel's phi factors 1/(1 - v_pj t^{f(p)}) and the route's
+weights leave both out.  No route builds Omega_mu's value, ``omega_norm``.
 
 ``bracket_precedes`` (with the dominance order ``dominates``) is the
 order in which f_mu is triangular, x^mu plus terms x^nu below mu; the
@@ -38,10 +38,10 @@ acceptance suite's triangularity criterion checks f_mu against it.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Iterator
 
 from .cyclotomic import Factors, cyclotomic_form
@@ -81,12 +81,12 @@ class Composition:
 
     @staticmethod
     def parse(text: str) -> "Composition":
-        """Parse a comma-separated part list such as "0,4,4,1,5"."""
-        try:
-            parts = tuple(int(piece) for piece in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"malformed composition string {text!r}") from exc
-        return Composition(parts)
+        """Parse a comma-separated part list such as "0,4,4,1,5", each part
+        an optional minus sign and ASCII digits, spaces around it allowed."""
+        pieces = text.split(",")
+        if not all(re.fullmatch(r" *-?[0-9]+ *", piece) for piece in pieces):
+            raise ValueError(f"malformed composition string {text!r}")
+        return Composition(tuple(map(int, pieces)))
 
     @property
     def n(self) -> int:
@@ -176,8 +176,6 @@ def v_param(mu: Composition, i: int, j: int) -> tuple[int, int] | None:
     return mu.parts[i - 1] - j, gamma(mu, i, j)
 
 
-# 165 compositions make up the default family: a run over it keeps every value
-@lru_cache(maxsize=165)
 def omega_factors(mu: Composition) -> Factors:
     """Omega_mu in exponent form: the binomials 1 - q^a t^b with labels
     (a, b) = (mu_i - j, alpha_ij), for j = 0..mu_i-1, i = 1..n."""
@@ -186,9 +184,10 @@ def omega_factors(mu: Composition) -> Factors:
         for i in range(1, mu.n + 1)
         for j in range(mu.parts[i - 1])
     )
-    return 0, 0, MappingProxyType(labels)
+    return 0, 0, labels
 
 
+# 165 compositions make up the default family: a run over it keeps every value
 @lru_cache(maxsize=165)
 def column_twists(mu: Composition) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
     """The twists (v_param(mu, 1, j), .., v_param(mu, n, j)) of every

@@ -36,10 +36,10 @@ weight of one filling as an XPolynomial, is not on that path.
 
 Leg, arm and the positions of the triples depend on mu alone; only the
 entries depend on the filling.  ``_hhl_tables`` lists them once per
-composition, in a bounded cache as ``omega_factors``: each square of
-dg(mu) with its label (leg + 1, arm + 1), taken once from
-``compositions``, and each triple with whether its square (i', j) lies in
-dg(mu).  The kernel reads a filling's entries against the tables in one
+composition, in a bounded cache as ``compositions.column_twists``: each
+square of dg(mu) with its label (leg + 1, arm + 1), taken once from
+``compositions``, and each triple with whether its square (i', j) lies
+in dg(mu).  The kernel reads a filling's entries against the tables in one
 pass, counting ord_+, ord_-, descents, ascents and the x exponents.
 """
 
@@ -273,9 +273,11 @@ def weight_match_check(mu: Composition) -> CheckReport:
 
     Each configuration is walked once and its filling's factors are built
     once; every identity compares cyclotomic forms, a walk's group
-    entering with the factors of all its columns.  The totals compare the
-    weight's form as f_matrix_product sums it (``_weight_form``, Omega_mu's
-    with the walk's column forms added) against the product of the HHL
+    entering with the factors of all its columns.  The normalisation
+    identity, gamma_pj + f(p) = alpha_pj in every column j, is what lets
+    the matrix route leave phi and Omega_mu out of its weights: the totals
+    compare the weight's form as f_matrix_product sums it (``_weight_form``,
+    the product of the walk's column forms) against the product of the HHL
     groups.
     """
     report = CheckReport(f"weight-match mu={mu}")
@@ -305,7 +307,7 @@ def weight_match_check(mu: Composition) -> CheckReport:
         if cyclotomic_form(*down_v_t_h) != cyclotomic_form(numerators):
             report.fail(f"downward-move factor mismatch on {xi.columns}")
         report.count()
-        weight = _weight_form(mu, forms)
+        weight = _weight_form(forms)
         if x_exps != exps or weight != cyclotomic_form(t_plus, denominators, numerators):
             report.fail(f"total weights differ on {xi.columns}")
     return report

@@ -28,31 +28,32 @@ takes as its exponents (a, b), or None for v_p = 0, so each factor group is
 a monomial times binomials 1 - q^a t^b to integer powers, in exponent form
 (cyclotomic's ``Factors``).  The closed form is written once, in the column
 kernel ``_column_factors``, one integer pass over the colours: the x
-targets, the factor groups (t^g, phi, move denominators, upward t^h,
-downward v t^h) and their cyclotomic form, or None where the component
-vanishes.
-
-The one loop over columns, ``_column_walk``, reads each column from the
-kernel's cache ``_cached_column`` (keyed by the boundary and the twist
-values), adds the x exponents across the columns of a configuration (or
-of its rows in another order), and keeps each factor group as the tuple
-of its per-column factors, and the columns' forms.  No binomial is split
-again per walk: ``f_matrix_product`` sums each walk's ``_weight_form``
-with xpoly's ``binomial_sum``.  The checks (cyclic relation, where the
-shift q x_i of the top row is q^e, e that row's x exponent in the walk;
-frozen coefficient; weight matching) compare the ``cyclotomic_form`` of
-the groups, equal exactly when the values are.  A Q(q,t) value is built
-only by ``config_weight`` and ``column_component``, which no route sums,
-and to word a failure.
+targets and the factor groups (t^g, phi, move denominators, upward t^h,
+downward v t^h), or None where the component vanishes.
 
 A full lattice configuration xi records the colour on every vertical edge
 (column j = 0..N, row i = 1..n); its weight is the product of its N+1
-column components times the normalisation Omega_mu, and
+column components times the normalisation Omega_mu, and f_mu is the sum
+of the weights over mu-legal configurations.  Omega_mu cancels every phi:
+in column j, Q = {l : mu_l > j}, so f(p) = #{l < p : mu_l > j} counts
+colours, not rows, and gamma_pj + f(p) = alpha_pj makes colour p's phi
+the inverse of Omega_mu's (p, j) factor.  So a weight is the product of
+its columns' groups other than phi, whatever the rows.
 
-  f_mu = sum over mu-legal configurations of weight(xi),
-
-added by xpoly's ``binomial_sum`` (cyclotomic labels, no gcd), the sum
-f_hhl uses for its own summands.
+The one loop over columns, ``_column_walk``, reads each column from the
+kernel's cache ``_cached_column`` (keyed by the boundary and the twist
+values), which also holds the cyclotomic form of its groups other than
+phi.  It adds the x exponents across the columns of a configuration (or
+of its rows in another order), and keeps each factor group as the tuple
+of its per-column factors, and the columns' forms.  Their product,
+``_weight_form``, is what ``f_matrix_product`` sums with xpoly's
+``binomial_sum`` (cyclotomic labels, no gcd) and ``cyclic_check``
+compares (the shift q x_i of the top row is q^e, e that row's x exponent
+in the walk).  The frozen coefficient and weight matching compare the
+``cyclotomic_form`` of the groups, phi included.  Forms are equal
+exactly when the values are; a Q(q,t) value is built only by
+``config_weight`` and ``column_component``, which no route sums, and to
+word a failure.
 
 Permuted basements: f^rho is the same sum with colour rho_r entering row
 r instead of colour r.  The module also provides the per-configuration
@@ -72,7 +73,7 @@ from types import MappingProxyType
 from typing import Iterator, Sequence
 
 from .compositions import Composition, column_twists, gamma, omega_factors
-from .cyclotomic import CyclotomicForm, Factors, _binomial_labels, cyclotomic_form
+from .cyclotomic import CyclotomicForm, Factors, cyclotomic_form
 from .lattice import row_operator_expand
 from .qt import QTRational
 from .reports import CheckReport
@@ -136,10 +137,12 @@ class LatticeConfig:
 # ---------------------------------------------------------------------------
 
 
-# one column's x exponents (indexed by row), factor groups (prod over P of
-# t^{g(p)}, phi = prod 1/(1 - v t^f), prod (1-t)/(1 - v t^{f+1}) over row
-# changes, prod t^h over upward, prod v t^h over downward ones) and form
-Column = tuple[tuple[int, ...], tuple[Factors, ...], CyclotomicForm]
+# one column's x exponents (indexed by row) and factor groups (prod over P
+# of t^{g(p)}, phi = prod 1/(1 - v t^f), prod (1-t)/(1 - v t^{f+1}) over
+# row changes, prod t^h over upward, prod v t^h over downward ones), then
+# as cached, with the form of its groups other than phi
+Column = tuple[tuple[int, ...], tuple[Factors, ...]]
+CachedColumn = tuple[tuple[int, ...], tuple[Factors, ...], CyclotomicForm]
 # several columns' x exponents added, groups as tuples, and their forms
 Walk = tuple[tuple[int, ...], tuple[tuple[Factors, ...], ...], tuple[CyclotomicForm, ...]]
 # a twist parameter q^a t^b as (a, b), or None for zero
@@ -149,16 +152,15 @@ _NO_BINOMIALS = MappingProxyType({})
 
 
 def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> Column | None:
-    """The column kernel: boundary (I, J) as its x exponents, factor
-    groups and their cyclotomic form, or None where it vanishes.
+    """The column kernel: boundary (I, J) as its x exponents and factor
+    groups, or None where it vanishes.
 
     a[p], b[p] are colour p's rows on the left, right edge (0 if none).
     One pass over the colours in increasing order keeps in ``below`` the
     b rows of the l in Q with l < p: f(p) is their number, g(p), h(p)
-    count those above a[p] and in the cyclic interval (a[p], b[p]).  Each
-    binomial is split into labels as it enters its group.  Raises
-    InadmissiblePair unless each colour of 1..n is at most once in I and
-    in J, and in J only if in I."""
+    count those above a[p] and in the cyclic interval (a[p], b[p]).  f(p)
+    counts colours, not rows.  Raises InadmissiblePair unless each colour
+    of 1..n is at most once in I and in J, and in J only if in I."""
     n = len(I)
     if len(J) != n:
         raise InadmissiblePair("boundary vectors of different length")
@@ -178,18 +180,11 @@ def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> 
     phi: dict[tuple[int, int], int] = {}
     move: dict[tuple[int, int], int] = {}
     t_g = up_t = down_q = down_t = 0
-    sign, qexp, texp, counts = 1, 0, 0, {}
     vanishes = False
 
     def binomial(group: dict, key: tuple[int, int], m: int) -> None:
-        # (1 - q^a t^b)^m into ``group`` and into the form
-        nonlocal sign, qexp, texp
+        # (1 - q^a t^b)^m into ``group``
         group[key] = group.get(key, 0) + m
-        s, i, j, labels = _binomial_labels(*key)
-        sign *= s
-        qexp, texp = qexp + i * m, texp + j * m
-        for label in labels:
-            counts[label] = counts.get(label, 0) + m
 
     for p in range(1, n + 1):
         ap, bp = a[p], b[p]
@@ -227,9 +222,7 @@ def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> 
         _factor_group(0, up_t, frozenset()),
         _factor_group(down_q, down_t, frozenset()),
     )
-    nonzero = _label_counts(frozenset(filter(itemgetter(1), counts.items())))
-    form = CyclotomicForm(sign, qexp + down_q, texp + t_g + up_t + down_t, nonzero)
-    return tuple(exps), groups, form
+    return tuple(exps), groups
 
 
 @lru_cache(maxsize=1 << 10)
@@ -248,25 +241,26 @@ def _label_counts(counts: frozenset) -> frozenset:
 @lru_cache(maxsize=1 << 12)
 def _cached_column(
     I: tuple[int, ...], J: tuple[int, ...], twists: tuple[Twist, ...]
-) -> Column | None:
-    """``_column_factors`` of boundary (I, J) with twist v_p = twists[p - 1],
-    kept for the life of the process and shared by every walk: the key
-    holds the twist values, so a changed twist table is a new key.  Groups
-    (``_factor_group``) and forms are read-only."""
-    return _column_factors(I, J, dict(enumerate(twists, 1)))
+) -> CachedColumn | None:
+    """``_column_factors`` of boundary (I, J) with twist v_p = twists[p - 1]
+    and the form of its groups other than phi (gamma_pj + f(p) = alpha_pj:
+    Omega_mu cancels phi), kept for the life of the process and shared by
+    every walk: the key holds the twist values, so a changed twist table
+    is a new key.  Groups (``_factor_group``) and forms are read-only, and
+    equal label counts are one object (``_label_counts``)."""
+    column = _column_factors(I, J, dict(enumerate(twists, 1)))
+    if column is None:
+        return None
+    exps, groups = column
+    t_g, _phi, *rest = groups
+    sign, qexp, texp, counts = cyclotomic_form(t_g, *rest)
+    return exps, groups, CyclotomicForm(sign, qexp, texp, _label_counts(counts))
 
 
-@lru_cache(maxsize=165)
-def _omega_form(mu: Composition) -> CyclotomicForm:
-    """Omega_mu's cyclotomic form, to which ``_weight_form`` adds a walk's."""
-    return cyclotomic_form(omega_factors(mu))
-
-
-def _weight_form(mu: Composition, forms: Sequence[CyclotomicForm]) -> CyclotomicForm:
-    """A configuration's weight as a cyclotomic form: its walk's column
-    ``forms`` added to Omega_mu's, whose labels cancel phi's."""
-    sign, qexp, texp, counts = _omega_form(mu)
-    counts = dict(counts)
+def _weight_form(forms: Sequence[CyclotomicForm]) -> CyclotomicForm:
+    """The product of a walk's column ``forms``: a configuration's weight
+    as a cyclotomic form, Omega_mu and phi having cancelled."""
+    sign, qexp, texp, counts = 1, 0, 0, {}
     get = counts.get
     for s, qe, te, labels in forms:
         sign, qexp, texp = sign * s, qexp + qe, texp + te
@@ -284,16 +278,17 @@ def column_component(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) ->
     monomial in the x alphabet (x_r for row r) with a Q(q,t) coefficient:
     the one-column case of ``config_weight``, without Omega_mu.
     """
-    return _monomial(len(I), _column_factors(I, J, v))
+    column = _column_factors(I, J, v)
+    return _monomial(len(I), column and (column[0], cyclotomic_form(*column[1])))
 
 
-def _monomial(n: int, found: tuple | None) -> XPolynomial:
-    """x^exps times the value of form, for ``found`` = (exps, .., form): a
-    column or a summand, as a monomial in x_1..x_n with its coefficient
-    built once (zero for None, where a column vanished)."""
+def _monomial(n: int, found: Summand | None) -> XPolynomial:
+    """x^exps times the value of form, for ``found`` = (exps, form), as a
+    monomial in x_1..x_n with its coefficient built once (zero for None,
+    where a column vanished)."""
     if found is None:
         return XPolynomial.zero(n)
-    exps, *_, form = found
+    exps, form = found
     return XPolynomial.monomial(n, exps, form.value())
 
 
@@ -407,9 +402,9 @@ def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | 
 def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
     """The weight of one configuration: Omega_mu times the product of its
     column components (a single monomial in x with Q(q,t) coefficient),
-    built from its walk's ``_weight_form``."""
+    built from its walk's ``_weight_form``, Omega_mu having cancelled phi."""
     walk = _column_walk(xi.columns, mu)
-    return _monomial(mu.n, walk and (walk[0], _weight_form(mu, walk[2])))
+    return _monomial(mu.n, walk and (walk[0], _weight_form(walk[2])))
 
 
 def f_matrix_product(
@@ -424,7 +419,7 @@ def f_matrix_product(
     """
     walks = (_column_walk(xi.columns, mu) for xi in enumerate_configs(mu, basement=rho))
     return binomial_sum(
-        mu.n, ((exps, _weight_form(mu, forms)) for exps, _, forms in filter(None, walks))
+        mu.n, ((exps, _weight_form(forms)) for exps, _, forms in filter(None, walks))
     )
 
 
@@ -466,8 +461,9 @@ def _cyclic_partition_functions(
 ) -> tuple[Summand | None, Summand | None]:
     """The fixed-internal-state partition functions Z_l and q^a t^b Z_r,
     (a, b) = ``ratio``, for colour i: each its x exponents (x_c's at index
-    c - 1) and the form of its walk's groups times its monomial, or None
-    where it vanishes.
+    c - 1) and the product of its walk's column forms and its monomial,
+    or None where it vanishes: Omega_mu times the function, as phi, left
+    out of the forms, is 1/Omega_mu on every walk (module docstring).
 
     Z_l places the colour-i row on top with spectral variable q x_i; Z_r
     places it at the bottom with variable x_i.  Both reuse the internal
@@ -483,10 +479,10 @@ def _cyclic_partition_functions(
         walk = _column_walk(columns, mu)
         if walk is None:
             return None
-        exps, groups, _ = walk
+        exps, _, forms = walk
         placed = tuple(exps[order.index(c)] for c in range(1, n + 1))
-        shift = (qexp + top_shift * exps[-1], texp, {})
-        return placed, cyclotomic_form(*chain.from_iterable(groups), shift)
+        shift = CyclotomicForm(1, qexp + top_shift * exps[-1], texp, frozenset())
+        return placed, _weight_form((*forms, shift))
 
     return (
         partition_function(others + [i], 1, 0, 0),
@@ -510,7 +506,7 @@ def cyclic_check(mu: Composition, i: int) -> CheckReport:
             report.fail(f"Z_r vanishes on legal configuration {xi.columns}")
         elif left != right:
             report.fail(
-                f"Z_l != q^mu_i t^gamma Z_r on configuration {xi.columns}: "
+                f"Z_l != q^mu_i t^gamma Z_r on configuration {xi.columns}, times Omega_mu: "
                 f"{_monomial(mu.n, left)} vs {_monomial(mu.n, right)}"
             )
     return report

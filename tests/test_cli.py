@@ -251,6 +251,11 @@ def test_seed_reproducibility(capsys):
         pytest.param("compute --mu " + ",".join(["0"] * 64 + ["1"]), id="compute-65-parts"),
         "verify frozen --check eigen --mu 0,1",
         "verify eigen --check frozen",
+        # int() alone reads 1_0 as 10 and takes non-ASCII digits
+        "compute --mu 1_0",
+        "compute --mu 0,1 --rho 0_2,1 --method matrix",
+        "compute --mu \u0661,0",
+        "compute --mu 0,1 --rho 2,\u0661 --method matrix",
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):

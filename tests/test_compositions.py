@@ -31,8 +31,10 @@ def test_parse_and_basics():
     assert mu.n == 5 and mu.maxpart == 5 and mu.weight == 14
     assert mu.reverse().parts == (5, 1, 4, 4, 0)
     assert mu.sorted_desc() == (5, 4, 4, 1, 0)
-    with pytest.raises(ValueError):
-        Composition.parse("1,x")
+    assert Composition.parse(" 2 , 0").parts == (2, 0)
+    for text in ["1,x", "1_0", "+1", "\u0661", "1,", "", "1 2", "1\t"]:
+        with pytest.raises(ValueError):
+            Composition.parse(text)
     with pytest.raises(ValueError):
         Composition((1, -1))
 

@@ -144,8 +144,7 @@ def test_exponents_trivial_and_cyclic():
 
 def assert_kernel_equals_oracle(I, J, v):
     # the one-pass kernel against the set-based closed form: the same
-    # exception, or both None, or equal x exponents and factor groups, and
-    # a form equal to that of the groups
+    # exception, or both None, or equal x exponents and factor groups
     try:
         expected = column_factors(I, J, v)
     except ValueError as exc:
@@ -157,10 +156,9 @@ def assert_kernel_equals_oracle(I, J, v):
     if expected is None:
         assert column is None, (I, J, v)
         return
-    exps, groups, form = column
+    exps, groups = column
     assert exps == expected[0], (I, J, v)
     assert [(q, t, dict(binomials)) for q, t, binomials in groups] == list(expected[1])
-    assert form == cyclotomic_form(*groups), (I, J, v)
 
 
 def admissible_boundaries(n):
@@ -240,22 +238,44 @@ def test_column_kernel_equals_the_oracle_property(data):
 
 
 def test_walk_forms_are_omega_plus_the_column_forms():
-    # each cached column's form is that of its groups, and each walk's
-    # summed form, the weight f_matrix_product adds, that of Omega_mu and
-    # all its columns' groups
+    # each cached column's form is that of its groups without phi, and each
+    # walk's summed form, the weight f_matrix_product adds, that of Omega_mu
+    # and all its columns' groups
     for mu in default_family() + [Composition((0, 1, 2, 3, 4))]:
         omega, twists, seen = omega_factors(mu), column_twists(mu), set()
         for xi in enumerate_configs(mu):
             _, groups, forms = matrixprod._column_walk(xi.columns, mu)
-            weight = matrixprod._weight_form(mu, forms)
+            weight = matrixprod._weight_form(forms)
             assert weight == cyclotomic_form(omega, *chain.from_iterable(groups)), xi
             closed = xi.columns + ((0,) * mu.n,)
             for j in range(len(xi.columns)):
                 key = (closed[j], closed[j + 1], twists[min(j, len(twists) - 1)])
                 if key not in seen:
                     seen.add(key)
-                    _, column_groups, column_form = matrixprod._cached_column(*key)
-                    assert column_form == cyclotomic_form(*column_groups), key
+                    _, (t_g, _phi, *rest), column_form = matrixprod._cached_column(*key)
+                    assert column_form == cyclotomic_form(t_g, *rest), key
+
+
+def test_phi_is_the_inverse_of_omega_on_every_walk():
+    # the identity the route's forms rely on to leave out phi and Omega_mu:
+    # gamma_pj + f(p) = alpha_pj, with f(p) counting colours, not rows.  On
+    # every walk f_matrix_product takes (every basement for n <= 3) and
+    # every walk cyclic_check takes (colour i's row on top, or at the
+    # bottom), the phi groups' form is that of 1/Omega_mu
+    for mu in default_family():
+        inverse = cyclotomic_form((0, 0, {key: -m for key, m in omega_factors(mu)[2].items()}))
+        identity = tuple(range(1, mu.n + 1))
+        orders = [identity]
+        for i in identity:
+            others = [c for c in identity if c != i]
+            orders += [others + [i], [i] + others]
+        for rho in permutations(identity) if mu.n <= 3 else [identity]:
+            for xi in enumerate_configs(mu, basement=rho):
+                for order in orders if rho == identity else [identity]:
+                    columns = [tuple(column[c - 1] for c in order) for column in xi.columns]
+                    walk = matrixprod._column_walk(columns, mu)
+                    if walk is not None:
+                        assert cyclotomic_form(*walk[1][1]) == inverse, (mu, rho, columns)
 
 
 def test_column_component_examples():
