@@ -30,7 +30,7 @@ import math
 import sys
 from typing import Sequence
 
-from .compositions import Composition, compositions_with, default_family
+from .compositions import Composition, compositions_with, default_family, parse_int
 from .fillings import (
     bijection_M,
     bijection_M_inverse,
@@ -62,6 +62,8 @@ CHECK_FLAGS = {
     "ybe": {"n", "cap", "seed"},
 }
 CHECKS = tuple(CHECK_FLAGS)
+# the verify flags that take an integer (``parse_int``)
+INT_FLAGS = ("i", "n", "cap", "samples", "seed")
 # defaults of the flags that have one
 VERIFY_DEFAULTS = {"cap": 2, "samples": 5, "seed": 0}
 # the alphabet sizes a check runs without --n
@@ -69,13 +71,14 @@ DEFAULT_SIZES = {"ybe": [1, 2], "exchange": [2], "hecke": [2, 3]}
 
 
 # A --mu beyond any limit is refused before anything runs (exit 2).  The
-# filling search nests about 2 n + |mu| frames for n parts, so MAX_PARTS and
-# MAX_SQUARES keep it well inside Python's default recursion limit of 1000;
+# filling search nests about |mu| frames, one per diagram square, so
+# MAX_SQUARES keeps it well inside Python's default recursion limit of 1000;
 # the eigencheck's cost grows as about n^4 (0.65 s on (0,..,0,1) at 64
-# parts, 48 s at 200).  Each route spends about 0.2-0.4 ms per configuration
-# (one filling per configuration), so a composition at MAX_CONFIGURATIONS
-# takes minutes per route; the count is exact and takes no enumeration
-# (``matrixprod.count_configs``), so a refusal is immediate.
+# parts, 48 s at 200), which MAX_PARTS bounds.  Each route spends about
+# 0.2-0.4 ms per configuration (one filling per configuration), so a
+# composition at MAX_CONFIGURATIONS takes minutes per route; the count is
+# exact and takes no enumeration (``matrixprod.count_configs``), so a
+# refusal is immediate.
 MAX_PARTS = 64
 MAX_SQUARES = 500
 MAX_CONFIGURATIONS = 10**6
@@ -215,12 +218,15 @@ def _expand(args) -> int:
 
 
 def _run_check(name: str, args) -> CheckReport:
-    for flag in ("mu", "i", "n", "cap", "samples", "seed"):
+    for flag in ("mu", *INT_FLAGS):
         if getattr(args, flag) is not None and flag not in CHECK_FLAGS[name]:
             raise UsageError(f"--{flag} is not used by verify {name}")
-    for flag, default in VERIFY_DEFAULTS.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
+    for flag in INT_FLAGS:
+        text = getattr(args, flag)
+        try:
+            setattr(args, flag, VERIFY_DEFAULTS.get(flag) if text is None else parse_int(text))
+        except ValueError as exc:
+            raise UsageError(f"--{flag}: {exc}") from None
     mu = _parse_mu(args.mu) if args.mu else None
     lowest = {"i": 1, "n": 2 if name == "hecke" else 1, "cap": 0, "samples": 1}
     for flag, low in lowest.items():
@@ -331,11 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("check_pos", nargs="?", choices=CHECKS, metavar="check")
     verify.add_argument("--check", choices=CHECKS)
     verify.add_argument("--mu", help="one composition for eigen/cyclic/frozen/bijection/hecke")
-    verify.add_argument("--i", type=int, help="restrict cyclic check to one colour")
-    verify.add_argument("--n", type=int, help="alphabet size for ybe/exchange/hecke")
-    verify.add_argument("--cap", type=int, help="occupation cap for ybe (default 2)")
-    verify.add_argument("--samples", type=int, help="random samples for hecke (default 5)")
-    verify.add_argument("--seed", type=int, help="random seed for ybe/hecke (default 0)")
+    verify.add_argument("--i", help="restrict cyclic check to one colour")
+    verify.add_argument("--n", help="alphabet size for ybe/exchange/hecke")
+    verify.add_argument("--cap", help="occupation cap for ybe (default 2)")
+    verify.add_argument("--samples", help="random samples for hecke (default 5)")
+    verify.add_argument("--seed", help="random seed for ybe/hecke (default 0)")
     verify.set_defaults(func=_verify)
 
     return parser

@@ -49,6 +49,7 @@ from .qt import QTRational
 
 __all__ = [
     "Composition",
+    "parse_int",
     "eta",
     "eigenvalue_y",
     "gamma",
@@ -64,6 +65,14 @@ __all__ = [
     "compositions_with",
     "default_family",
 ]
+
+
+def parse_int(text: str) -> int:
+    """An optional minus sign and ASCII digits, spaces around them allowed,
+    as an int; int() alone also reads 1_0 as 10 and takes non-ASCII digits."""
+    if not re.fullmatch(r" *-?[0-9]+ *", text):
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -82,11 +91,12 @@ class Composition:
     @staticmethod
     def parse(text: str) -> "Composition":
         """Parse a comma-separated part list such as "0,4,4,1,5", each part
-        an optional minus sign and ASCII digits, spaces around it allowed."""
-        pieces = text.split(",")
-        if not all(re.fullmatch(r" *-?[0-9]+ *", piece) for piece in pieces):
-            raise ValueError(f"malformed composition string {text!r}")
-        return Composition(tuple(map(int, pieces)))
+        an integer as ``parse_int`` reads it."""
+        try:
+            parts = tuple(map(parse_int, text.split(",")))
+        except ValueError:
+            raise ValueError(f"malformed composition string {text!r}") from None
+        return Composition(parts)
 
     @property
     def n(self) -> int:

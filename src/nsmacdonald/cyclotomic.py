@@ -4,7 +4,8 @@ A product q^c t^d prod (1 - q^a t^b)^m, the shape of every lattice and
 HHL weight and of Omega_mu, is written (c, d, {(a, b): m}) (``Factors``,
 exponents of either sign, m < 0 in the denominator), a format owned here:
 ``cyclotomic_form`` writes a product of such factors in its canonical
-form, and ``CyclotomicForm.value`` is the one way from a form to Q(q,t).
+form, ``form_product`` is the one product of forms, and
+``CyclotomicForm.value`` is the one way from a form to Q(q,t).
 
 A label (a, b) != (0, 0), normalised to a > 0, or a = 0 and b > 0 (by
 1 - m = -m (1 - m^-1)), is g times a primitive direction d = (d1, d2),
@@ -53,6 +54,7 @@ __all__ = [
     "cyclotomic_coefficients",
     "cyclotomic_form",
     "cyclotomic_product",
+    "form_product",
     "split_laurent",
 ]
 
@@ -65,19 +67,6 @@ CyclotomicLabel = tuple[int, int, int]
 # A Laurent polynomial in (q, t) with integer coefficients:
 # (qexp, texp) -> nonzero int, exponents of either sign.
 Laurent = dict
-
-
-def add_shifted(
-    acc: Laurent, terms: Laurent, dq: int, dt: int, factor: int = 1
-) -> None:
-    # acc += factor q^dq t^dt terms
-    for (qe, te), coeff in terms.items():
-        key = (qe + dq, te + dt)
-        new = acc.get(key, 0) + factor * coeff
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
 
 
 def _divide_monic(coeffs: list, divisor: tuple[int, ...]) -> list | None:
@@ -171,6 +160,17 @@ def cyclotomic_form(*factors: Factors) -> CyclotomicForm:
     return CyclotomicForm(sign, qexp, texp, nonzero)
 
 
+def form_product(forms: Iterable[CyclotomicForm]) -> CyclotomicForm:
+    """The product of cyclotomic ``forms``: signs multiply, exponents and
+    label counts add, and counts that cancel to zero are dropped."""
+    sign, qexp, texp, counts = 1, 0, 0, {}
+    for s, qe, te, labels in forms:
+        sign, qexp, texp = sign * s, qexp + qe, texp + te
+        for label, m in labels:
+            counts[label] = counts.get(label, 0) + m
+    return CyclotomicForm(sign, qexp, texp, frozenset(item for item in counts.items() if item[1]))
+
+
 def cyclotomic_product(counts: Iterable[tuple[CyclotomicLabel, int]]) -> Laurent:
     """prod Phi^n over the items (label, n), n >= 0, as a Laurent
     polynomial with integer coefficients."""
@@ -180,7 +180,12 @@ def cyclotomic_product(counts: Iterable[tuple[CyclotomicLabel, int]]) -> Laurent
         for _ in range(n):
             step: Laurent = {}
             for dq, dt, c in phi:
-                add_shifted(step, out, dq, dt, c)
+                for (qe, te), coeff in out.items():
+                    key = (qe + dq, te + dt)
+                    if new := step.get(key, 0) + c * coeff:
+                        step[key] = new
+                    else:
+                        del step[key]
             out = step
     return out
 

@@ -17,7 +17,8 @@ square below, (l, a) leg and arm lengths, and Delta the signed count of
 ordered triples ((i,j), (i',j-1), (i',j)), i < i': positive when
 sigma_{i',j} > sigma_{i,j} > sigma_{i',j-1}, negative when the chain runs
 the other way, with sigma_{i',j} read as +infinity if (i', j) is outside
-the diagram.
+the diagram.  ``enumerate_fillings`` fills the squares of dg(mu) in one
+recursive search, one frame per square.
 
 The map M from cylinder configurations sends a configuration to the
 filling whose column a lists the rows visited by the colour-a path:
@@ -26,12 +27,13 @@ preserving bijection onto non-attacking fillings; ``weight_match_check``
 verifies this square by square, including the individual factor-group
 identities the matching splits into.  The HHL side of those identities
 is the factor kernel ``_hhl_factors``, in exponent form (cyclotomic's
-``Factors``); the column side is matrixprod's column walk.  The
-identities compare cyclotomic forms, so no Q(q,t) value is built for
-them.  ``f_hhl`` hands the cyclotomic form of each filling's factor
-groups to xpoly's ``binomial_sum``, which adds them in cyclotomic labels
-with no gcd, as f_matrix_product hands it the configuration weights'
-forms; neither builds a Q(q,t) value per summand.  ``hhl_summand``, the
+``Factors``); the column side is matrixprod's column walk, whose cached
+group forms the check multiplies (``form_product``).  The identities
+compare cyclotomic forms, so no Q(q,t) value is built for them.
+``f_hhl`` hands the cyclotomic form of each filling's factor groups to
+xpoly's ``binomial_sum``, which adds them in cyclotomic labels with no
+gcd, as f_matrix_product hands it the configuration weights' forms;
+neither builds a Q(q,t) value per summand.  ``hhl_summand``, the
 weight of one filling as an XPolynomial, is not on that path.
 
 Leg, arm and the positions of the triples depend on mu alone; only the
@@ -51,8 +53,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .compositions import Composition, arm, leg, omega_factors
-from .cyclotomic import Factors, cyclotomic_form
-from .matrixprod import LatticeConfig, _column_walk, _weight_form, enumerate_configs
+from .cyclotomic import Factors, cyclotomic_form, form_product
+from .matrixprod import LatticeConfig, _column_walk, enumerate_configs
 from .reports import CheckReport
 from .xpoly import XPolynomial, binomial_sum
 
@@ -92,12 +94,14 @@ class Filling:
 
 
 def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
-    """All non-attacking fillings, built column by column left to right.
+    """All non-attacking fillings, one square at a time: the squares of
+    dg(mu) column by column left to right, each column bottom to top, with
+    the entries written into one table of columns, basement pinned.  So a
+    filling passes through |mu| + 1 generator frames.
 
     When square (i, j) is filled, the attack constraints against earlier
     columns i' < i forbid exactly the entries sigma_{i',j} and
-    sigma_{i',j+1}; those forbidden sets are looked up directly from the
-    partially built filling.
+    sigma_{i',j+1}, read from the table.
 
     A branch is cut as soon as it cannot be completed.  Let ``later`` be
     the number of columns i'' > i that reach row j-1.  Their squares
@@ -112,47 +116,37 @@ def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
     """
     parts = mu.parts
     n = len(parts)
-    # reaching[i][r]: the number of columns after column i that reach row r
-    reaching = [[sum(1 for p in parts[i:] if p >= r) for r in range(max(parts) + 1)]
-                for i in range(n + 1)]
+    # reaching[c][r]: the number of columns after column c (0-based) that reach row r
+    reaching = [[sum(p >= r for p in parts[c + 1 :]) for r in range(max(parts) + 1)]
+                for c in range(n)]
+    columns = [[i] + [0] * part for i, part in enumerate(parts, 1)]
+    squares = [(c, j) for c, part in enumerate(parts) for j in range(1, part + 1)]
 
-    def fill(columns: list[tuple[int, ...]], i: int) -> Iterator[Filling]:
-        if i > n:
-            yield Filling(mu, tuple(columns))
+    def search(k: int) -> Iterator[Filling]:
+        if k == len(squares):
+            yield Filling(mu, tuple(map(tuple, columns)))
             return
-        height = parts[i - 1]
-
-        def cells(j: int, current: list[int]) -> Iterator[Filling]:
-            if j > height:
-                columns.append(tuple(current))
-                yield from fill(columns, i + 1)
-                columns.pop()
+        c, j = squares[k]
+        forbidden = set()
+        for column in columns[:c]:
+            forbidden.update(column[j : j + 2])
+        later = reaching[c][j - 1]
+        if later:
+            # rows j-1 and j of the earlier columns, row j-1 of this one
+            covered = {columns[c][j - 1]}
+            for column in columns[:c]:
+                covered.update(column[j - 1 : j + 1])
+            if len(covered) > n - later:
                 return
-            forbidden = set()
-            for prev in range(i - 1):
-                column = columns[prev]
-                if j < len(column):
-                    forbidden.add(column[j])
-                if j + 1 < len(column):
-                    forbidden.add(column[j + 1])
-            later = reaching[i][j - 1]
-            if later:
-                covered = {current[j - 1]}
-                for column in columns:
-                    covered.update(column[j - 1 : j + 1])
-                if len(covered) > n - later:
-                    return
-                if len(covered) == n - later:
-                    forbidden.update(set(range(1, n + 1)) - covered)
-            for value in range(1, n + 1):
-                if value not in forbidden:
-                    current.append(value)
-                    yield from cells(j + 1, current)
-                    current.pop()
+            if len(covered) == n - later:
+                forbidden.update(set(range(1, n + 1)) - covered)
+        column = columns[c]
+        for value in range(1, n + 1):
+            if value not in forbidden:
+                column[j] = value
+                yield from search(k + 1)
 
-        yield from cells(1, [i])
-
-    yield from fill([], 1)
+    return search(0)
 
 
 # 165 compositions make up the default family: a run over it keeps every table
@@ -273,15 +267,16 @@ def weight_match_check(mu: Composition) -> CheckReport:
 
     Each configuration is walked once and its filling's factors are built
     once; every identity compares cyclotomic forms, a walk's group
-    entering with the factors of all its columns.  The normalisation
-    identity, gamma_pj + f(p) = alpha_pj in every column j, is what lets
-    the matrix route leave phi and Omega_mu out of its weights: the totals
-    compare the weight's form as f_matrix_product sums it (``_weight_form``,
-    the product of the walk's column forms) against the product of the HHL
-    groups.
+    entering as the product (``form_product``) of its columns' cached
+    group forms, so ``cyclotomic_form`` is called only on the HHL groups
+    and Omega_mu.  The normalisation identity, gamma_pj + f(p) = alpha_pj
+    in every column j, is what lets the matrix route leave phi and
+    Omega_mu out of its weights: the totals compare the weight's form as
+    f_matrix_product sums it (the product of the walk's column forms)
+    against the product of the HHL groups.
     """
     report = CheckReport(f"weight-match mu={mu}")
-    omega = omega_factors(mu)
+    omega = cyclotomic_form(omega_factors(mu))
     one = cyclotomic_form()
     for xi in enumerate_configs(mu):
         walk = _column_walk(xi.columns, mu)
@@ -291,23 +286,24 @@ def weight_match_check(mu: Composition) -> CheckReport:
             continue
         x_exps, groups, forms = walk
         t_g, phi, moves, up_t_h, down_v_t_h = groups
-        exps, t_plus, denominators, numerators = _hhl_factors(bijection_M(xi, mu))
+        exps, *hhl_groups = _hhl_factors(bijection_M(xi, mu))
+        t_plus, denominators, numerators = map(cyclotomic_form, hhl_groups)
         if x_exps != exps:
             report.fail(f"x factors differ on {xi.columns}")
         report.count()
-        if cyclotomic_form(omega, *phi) != one:
+        if form_product((omega, *phi)) != one:
             report.fail(f"Omega cancellation fails on {xi.columns}")
         report.count()
-        if cyclotomic_form(*moves) != cyclotomic_form(denominators):
+        if form_product(moves) != denominators:
             report.fail(f"descent/ascent denominators differ on {xi.columns}")
         report.count()
-        if cyclotomic_form(*t_g, *up_t_h) != cyclotomic_form(t_plus):
+        if form_product(t_g + up_t_h) != t_plus:
             report.fail(f"t^ord_+ mismatch on {xi.columns}")
         report.count()
-        if cyclotomic_form(*down_v_t_h) != cyclotomic_form(numerators):
+        if form_product(down_v_t_h) != numerators:
             report.fail(f"downward-move factor mismatch on {xi.columns}")
         report.count()
-        weight = _weight_form(forms)
-        if x_exps != exps or weight != cyclotomic_form(t_plus, denominators, numerators):
+        hhl_weight = form_product((t_plus, denominators, numerators))
+        if x_exps != exps or form_product(forms) != hhl_weight:
             report.fail(f"total weights differ on {xi.columns}")
     return report

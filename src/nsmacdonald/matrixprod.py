@@ -42,16 +42,17 @@ its columns' groups other than phi, whatever the rows.
 
 The one loop over columns, ``_column_walk``, reads each column from the
 kernel's cache ``_cached_column`` (keyed by the boundary and the twist
-values), which also holds the cyclotomic form of its groups other than
-phi.  It adds the x exponents across the columns of a configuration (or
-of its rows in another order), and keeps each factor group as the tuple
-of its per-column factors, and the columns' forms.  Their product,
-``_weight_form``, is what ``f_matrix_product`` sums with xpoly's
-``binomial_sum`` (cyclotomic labels, no gcd) and ``cyclic_check``
-compares (the shift q x_i of the top row is q^e, e that row's x exponent
-in the walk).  The frozen coefficient and weight matching compare the
-``cyclotomic_form`` of the groups, phi included.  Forms are equal
-exactly when the values are; a Q(q,t) value is built only by
+values), which holds each factor group as its cyclotomic form and the
+column's form, the product of its group forms other than phi.  It adds
+the x exponents across the columns of a configuration (or of its rows
+in another order), and keeps each factor group as the tuple of its
+per-column forms, and the columns' forms.  Their product
+(cyclotomic's ``form_product``) is what ``f_matrix_product`` sums with
+xpoly's ``binomial_sum`` (cyclotomic labels, no gcd) and
+``cyclic_check`` compares (the shift q x_i of the top row is q^e, e
+that row's x exponent in the walk).  The frozen coefficient and weight
+matching multiply the cached group forms, phi included.  Forms are
+equal exactly when the values are; a Q(q,t) value is built only by
 ``config_weight`` and ``column_component``, which no route sums, and to
 word a failure.
 
@@ -68,12 +69,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
-from types import MappingProxyType
 from typing import Iterator, Sequence
 
 from .compositions import Composition, column_twists, gamma, omega_factors
-from .cyclotomic import CyclotomicForm, Factors, cyclotomic_form
+from .cyclotomic import CyclotomicForm, Factors, cyclotomic_form, form_product
 from .lattice import row_operator_expand
 from .qt import QTRational
 from .reports import CheckReport
@@ -140,15 +139,13 @@ class LatticeConfig:
 # one column's x exponents (indexed by row) and factor groups (prod over P
 # of t^{g(p)}, phi = prod 1/(1 - v t^f), prod (1-t)/(1 - v t^{f+1}) over
 # row changes, prod t^h over upward, prod v t^h over downward ones), then
-# as cached, with the form of its groups other than phi
+# as cached, each group as its form, with the form of its groups other than phi
 Column = tuple[tuple[int, ...], tuple[Factors, ...]]
-CachedColumn = tuple[tuple[int, ...], tuple[Factors, ...], CyclotomicForm]
-# several columns' x exponents added, groups as tuples, and their forms
-Walk = tuple[tuple[int, ...], tuple[tuple[Factors, ...], ...], tuple[CyclotomicForm, ...]]
+CachedColumn = tuple[tuple[int, ...], tuple[CyclotomicForm, ...], CyclotomicForm]
+# several columns' x exponents added, group forms as tuples, and their forms
+Walk = tuple[tuple[int, ...], tuple[tuple[CyclotomicForm, ...], ...], tuple[CyclotomicForm, ...]]
 # a twist parameter q^a t^b as (a, b), or None for zero
 Twist = tuple[int, int] | None
-# the binomials of every factor group without any, shared by every cached column
-_NO_BINOMIALS = MappingProxyType({})
 
 
 def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> Column | None:
@@ -215,58 +212,41 @@ def _column_factors(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> 
         below.append(bp)
     if vanishes:
         return None
-    groups = (
-        _factor_group(0, t_g, frozenset()),
-        _factor_group(0, 0, frozenset(phi.items())),
-        _factor_group(0, 0, frozenset(move.items())),
-        _factor_group(0, up_t, frozenset()),
-        _factor_group(down_q, down_t, frozenset()),
-    )
+    groups = ((0, t_g, {}), (0, 0, phi), (0, 0, move), (0, up_t, {}), (down_q, down_t, {}))
     return tuple(exps), groups
 
 
 @lru_cache(maxsize=1 << 10)
-def _factor_group(qexp: int, texp: int, binomials: frozenset) -> Factors:
-    """One read-only factor group per distinct value, shared by every
-    cached column that has it."""
-    return qexp, texp, MappingProxyType(dict(binomials)) if binomials else _NO_BINOMIALS
+def _group_form(qexp: int, texp: int, binomials: frozenset) -> CyclotomicForm:
+    """The form of one factor group (a column's, or the cyclic relation's
+    monomial shift), one object per distinct group."""
+    return cyclotomic_form((qexp, texp, dict(binomials)))
 
 
 @lru_cache(maxsize=1 << 10)
-def _label_counts(counts: frozenset) -> frozenset:
-    """One set of label counts per distinct value, shared by column forms."""
-    return counts
+def _shared(form: CyclotomicForm) -> CyclotomicForm:
+    """One column form per distinct value, shared by every cached column."""
+    return form
 
 
 @lru_cache(maxsize=1 << 12)
 def _cached_column(
     I: tuple[int, ...], J: tuple[int, ...], twists: tuple[Twist, ...]
 ) -> CachedColumn | None:
-    """``_column_factors`` of boundary (I, J) with twist v_p = twists[p - 1]
-    and the form of its groups other than phi (gamma_pj + f(p) = alpha_pj:
-    Omega_mu cancels phi), kept for the life of the process and shared by
-    every walk: the key holds the twist values, so a changed twist table
-    is a new key.  Groups (``_factor_group``) and forms are read-only, and
-    equal label counts are one object (``_label_counts``)."""
+    """``_column_factors`` of boundary (I, J) with twist v_p = twists[p - 1],
+    each factor group as its cyclotomic form (``_group_form``), and the
+    column's form, the product of its group forms other than phi
+    (gamma_pj + f(p) = alpha_pj: Omega_mu cancels phi).  Kept for the life
+    of the process and shared by every walk: the key holds the twist
+    values, so a changed twist table is a new key.  Equal group forms and
+    equal column forms are one object each (``_group_form``, ``_shared``)."""
     column = _column_factors(I, J, dict(enumerate(twists, 1)))
     if column is None:
         return None
     exps, groups = column
-    t_g, _phi, *rest = groups
-    sign, qexp, texp, counts = cyclotomic_form(t_g, *rest)
-    return exps, groups, CyclotomicForm(sign, qexp, texp, _label_counts(counts))
-
-
-def _weight_form(forms: Sequence[CyclotomicForm]) -> CyclotomicForm:
-    """The product of a walk's column ``forms``: a configuration's weight
-    as a cyclotomic form, Omega_mu and phi having cancelled."""
-    sign, qexp, texp, counts = 1, 0, 0, {}
-    get = counts.get
-    for s, qe, te, labels in forms:
-        sign, qexp, texp = sign * s, qexp + qe, texp + te
-        for label, m in labels:
-            counts[label] = get(label, 0) + m
-    return CyclotomicForm(sign, qexp, texp, frozenset(filter(itemgetter(1), counts.items())))
+    forms = tuple(_group_form(qe, te, frozenset(b.items())) for qe, te, b in groups)
+    t_g, _phi, *rest = forms
+    return exps, forms, _shared(form_product((t_g, *rest)))
 
 
 def column_component(I: Sequence[int], J: Sequence[int], v: dict[int, Twist]) -> XPolynomial:
@@ -402,9 +382,10 @@ def _column_walk(columns: Sequence[tuple[int, ...]], mu: Composition) -> Walk | 
 def config_weight(xi: LatticeConfig, mu: Composition) -> XPolynomial:
     """The weight of one configuration: Omega_mu times the product of its
     column components (a single monomial in x with Q(q,t) coefficient),
-    built from its walk's ``_weight_form``, Omega_mu having cancelled phi."""
+    built from the product of its walk's column forms, Omega_mu having
+    cancelled phi."""
     walk = _column_walk(xi.columns, mu)
-    return _monomial(mu.n, walk and (walk[0], _weight_form(walk[2])))
+    return _monomial(mu.n, walk and (walk[0], form_product(walk[2])))
 
 
 def f_matrix_product(
@@ -412,14 +393,14 @@ def f_matrix_product(
 ) -> XPolynomial:
     """The matrix-product polynomial f_mu (or permuted-basement f^rho_mu).
 
-    Sums the configuration weights, each its walk's x exponents and
-    ``_weight_form``, over all legal configurations with colour rho_r
-    entering row r; rho defaults to the identity, giving the nonsymmetric
-    Macdonald polynomial itself.
+    Sums the configuration weights, each its walk's x exponents and the
+    product of its column forms, over all legal configurations with colour
+    rho_r entering row r; rho defaults to the identity, giving the
+    nonsymmetric Macdonald polynomial itself.
     """
     walks = (_column_walk(xi.columns, mu) for xi in enumerate_configs(mu, basement=rho))
     return binomial_sum(
-        mu.n, ((exps, _weight_form(forms)) for exps, _, forms in filter(None, walks))
+        mu.n, ((exps, form_product(forms)) for exps, _, forms in filter(None, walks))
     )
 
 
@@ -481,8 +462,8 @@ def _cyclic_partition_functions(
             return None
         exps, _, forms = walk
         placed = tuple(exps[order.index(c)] for c in range(1, n + 1))
-        shift = CyclotomicForm(1, qexp + top_shift * exps[-1], texp, frozenset())
-        return placed, _weight_form((*forms, shift))
+        shift = _group_form(qexp + top_shift * exps[-1], texp, frozenset())
+        return placed, form_product((*forms, shift))
 
     return (
         partition_function(others + [i], 1, 0, 0),
@@ -538,7 +519,7 @@ def frozen_coefficient(
     walk = _column_walk(frozen.columns, mu)
     from_config = None
     if walk is not None and walk[0] == tuple(mu.parts):
-        from_config = cyclotomic_form(*chain.from_iterable(walk[1]))
+        from_config = form_product(chain.from_iterable(walk[1]))
     _, _, omega = omega_factors(mu)
     return from_config, cyclotomic_form((0, 0, {label: -m for label, m in omega.items()}))
 

@@ -211,6 +211,13 @@ def test_seed_reproducibility(capsys):
     assert err1 == err2
 
 
+def test_integer_flags_take_a_sign_and_spaces(capsys):
+    code, _out, err = run(capsys, "verify", "hecke", "--n", "2", "--seed", "-3", "--samples", "1")
+    assert code == 0 and err.startswith("[PASS] hecke")
+    code, _out, err = run(capsys, "verify", "cyclic", "--mu", "0,1,2", "--i", " 2 ")
+    assert code == 0 and err.startswith("[PASS] cyclic: 12 checks")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -256,6 +263,13 @@ def test_seed_reproducibility(capsys):
         "compute --mu 0,1 --rho 0_2,1 --method matrix",
         "compute --mu \u0661,0",
         "compute --mu 0,1 --rho 2,\u0661 --method matrix",
+        # the integer flags read integers by the same rule as --mu
+        "verify cyclic --mu 0,1,2 --i \u0662",
+        "verify cyclic --mu 0,1,2 --i 1_0",
+        "verify ybe --n 1 --cap 0_0",
+        "verify hecke --n \uff12 --samples 1",
+        "verify cyclic --mu 0,1,2 --i abc",
+        "verify hecke --n 2 --seed 1_0",
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):

@@ -1,6 +1,7 @@
 """Non-attacking fillings, the combinatorial sum, and the bijection."""
 
 import itertools
+import sys
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from nsmacdonald.fillings import (
     hhl_summand,
     weight_match_check,
 )
-from nsmacdonald.matrixprod import enumerate_configs, f_matrix_product
+from nsmacdonald.matrixprod import count_configs, enumerate_configs, f_matrix_product
 from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import XPolynomial
 
@@ -51,6 +52,33 @@ def test_enumeration_matches_naive_filter():
             )
             brute.add(cols)
         assert mine == brute
+
+
+def recursion_depth() -> int:
+    """The caller's depth as the recursion limit counts it: the limit less
+    the calls still free (calls through C count too, so frames alone
+    undercount it)."""
+    def down(k):
+        try:
+            return down(k + 1)
+        except RecursionError:
+            return k
+
+    return sys.getrecursionlimit() - down(0) - 1
+
+
+def test_the_search_nests_about_one_frame_per_square():
+    # the search takes one frame per square of dg(mu), whatever the number
+    # of columns: run under a recursion limit |mu| + 10 above the caller's
+    for parts in [(0,) * 60 + (1, 1), (0, 1, 2, 3, 4), (2,) * 12]:
+        mu = Composition(parts)
+        depth, limit = recursion_depth(), sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + sum(parts) + 10)
+        try:
+            count = sum(1 for _ in enumerate_fillings(mu))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count == count_configs(mu), parts
 
 
 def test_all_enumerated_are_non_attacking():
@@ -263,10 +291,10 @@ def test_weight_match_detects_a_corrupted_arm(monkeypatch):
 
 
 def test_weight_match_reads_every_column_of_a_group(monkeypatch):
-    # an extra factor t in the t^g group of the closing column, which comes
-    # after the first and has t^0 there on clean data, and in that column's
-    # form, as a kernel that computed it would put it there: a check that
-    # read only one column of a group would not see it
+    # an extra factor t in the t^g group's form of the closing column, which
+    # comes after the first and has t^0 there on clean data, and in that
+    # column's form, as a kernel that computed it would put it there: a
+    # check that read only one column of a group would not see it
     original = matrixprod._cached_column
     original.cache_clear()
 
@@ -274,8 +302,8 @@ def test_weight_match_reads_every_column_of_a_group(monkeypatch):
         column = original(I, J, twists)
         if column is None or any(J):
             return column
-        exps, ((qexp, texp, binomials), *groups), form = column
-        return exps, ((qexp, texp + 1, binomials), *groups), form._replace(texp=form.texp + 1)
+        exps, (t_g, *groups), form = column
+        return exps, (t_g._replace(texp=t_g.texp + 1), *groups), form._replace(texp=form.texp + 1)
 
     monkeypatch.setattr(matrixprod, "_cached_column", extra_t)
     report = weight_match_check(Composition((1, 1)))

@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +19,7 @@ from nsmacdonald.compositions import (
     omega_norm,
     v_param,
 )
-from nsmacdonald.cyclotomic import cyclotomic_form
+from nsmacdonald.cyclotomic import cyclotomic_form, form_product
 from nsmacdonald.matrixprod import (
     InadmissiblePair,
     LatticeConfig,
@@ -238,22 +238,27 @@ def test_column_kernel_equals_the_oracle_property(data):
 
 
 def test_walk_forms_are_omega_plus_the_column_forms():
-    # each cached column's form is that of its groups without phi, and each
+    # against the kernel: each cached column's group forms are those of the
+    # kernel's groups and its form that of the groups without phi, and each
     # walk's summed form, the weight f_matrix_product adds, that of Omega_mu
-    # and all its columns' groups
+    # and all its columns' kernel groups
     for mu in default_family() + [Composition((0, 1, 2, 3, 4))]:
         omega, twists, seen = omega_factors(mu), column_twists(mu), set()
         for xi in enumerate_configs(mu):
-            _, groups, forms = matrixprod._column_walk(xi.columns, mu)
-            weight = matrixprod._weight_form(forms)
-            assert weight == cyclotomic_form(omega, *chain.from_iterable(groups)), xi
+            _, _, forms = matrixprod._column_walk(xi.columns, mu)
             closed = xi.columns + ((0,) * mu.n,)
+            kernel = []
             for j in range(len(xi.columns)):
                 key = (closed[j], closed[j + 1], twists[min(j, len(twists) - 1)])
+                _, groups = matrixprod._column_factors(key[0], key[1], dict(enumerate(key[2], 1)))
+                kernel += groups
                 if key not in seen:
                     seen.add(key)
-                    _, (t_g, _phi, *rest), column_form = matrixprod._cached_column(*key)
+                    _, group_forms, column_form = matrixprod._cached_column(*key)
+                    assert group_forms == tuple(map(cyclotomic_form, groups)), key
+                    t_g, _phi, *rest = groups
                     assert column_form == cyclotomic_form(t_g, *rest), key
+            assert form_product(forms) == cyclotomic_form(omega, *kernel), xi
 
 
 def test_phi_is_the_inverse_of_omega_on_every_walk():
@@ -275,7 +280,7 @@ def test_phi_is_the_inverse_of_omega_on_every_walk():
                     columns = [tuple(column[c - 1] for c in order) for column in xi.columns]
                     walk = matrixprod._column_walk(columns, mu)
                     if walk is not None:
-                        assert cyclotomic_form(*walk[1][1]) == inverse, (mu, rho, columns)
+                        assert form_product(walk[1][1]) == inverse, (mu, rho, columns)
 
 
 def test_column_component_examples():

@@ -10,7 +10,12 @@ from hypothesis import example, given, strategies as st
 from nsmacdonald import cleared, qt
 from nsmacdonald.cleared import Frame, cyclotomic_quotients
 from nsmacdonald.compositions import Composition, compositions_with
-from nsmacdonald.cyclotomic import cyclotomic_coefficients, cyclotomic_form, cyclotomic_product
+from nsmacdonald.cyclotomic import (
+    cyclotomic_coefficients,
+    cyclotomic_form,
+    cyclotomic_product,
+    form_product,
+)
 from nsmacdonald.fillings import f_hhl
 from nsmacdonald.matrixprod import f_matrix_product
 from nsmacdonald.qt import (
@@ -485,6 +490,27 @@ def test_normal_form_controls():
     assert other == minus and hash(other) == hash(minus)
     with pytest.raises(ValueError):
         cyclotomic_form((0, 0, {(0, 0): 0}))
+
+
+@given(st.lists(parallel_products, max_size=4))
+# counts that cancel to zero, and a sign that flips back
+@example([(0, 0, {(1, 1): 1}), (1, 0, {(2, 2): -1}), (0, 0, {(-1, -1): 1})])
+@example([(0, 0, {(0, 1): 1}), (0, 0, {(0, -1): 1}), (0, 0, {(2, 2): 1})])
+def test_form_product_is_the_form_of_all_factors(factors):
+    assert form_product(map(cyclotomic_form, factors)) == cyclotomic_form(*factors)
+
+
+def test_form_product_controls():
+    assert form_product([]) == cyclotomic_form() == form(1, 0, 0, {})
+    # 1 - qt = -Phi_1(qt): its inverse cancels it, label and sign
+    up, down = cyclotomic_form((0, 0, {(1, 1): 1})), cyclotomic_form((0, 0, {(1, 1): -1}))
+    assert up == form(-1, 0, 0, {(1, 1, 1): 1})
+    assert form_product([up, down]) == form(1, 0, 0, {})
+    assert form_product([up, up, cyclotomic_form((2, -1, {}))]) == form(1, 2, -1, {(1, 1, 1): 2})
+    # (1 - qt)(1 - q^-1 t^-1) = -q^-1 t^-1 (1 - qt)^2: the signs multiply to -1
+    assert form_product([up, cyclotomic_form((0, 0, {(-1, -1): 1}))]) == form(
+        -1, -1, -1, {(1, 1, 1): 2}
+    )
 
 
 # -- cyclotomic labels ---------------------------------------------------------
