@@ -86,9 +86,10 @@ MAX_CONFIGURATIONS = 10**6
 # ybe, exchange and hecke are sized by their flags, eigen by its
 # compositions: ``_work`` counts their work in closed form, and a check
 # above its limit is refused before anything runs (exit 2).  Cost per
-# unit, measured with CPython 3.11 on one x86-64 core: ybe 0.04 ms per
-# boundary, all of them held in one list; exchange 0.6-0.8 ms (n = 4 takes
-# 2.3 s, n = 5 19.5 s); hecke 1-50 ms (n = 4 takes 10.5 s, n = 5 more than
+# unit, measured with CPython 3.11 on one x86-64 core: ybe 0.01 ms per
+# boundary (n = 4 with cap 3, 1.6 * 10^5 boundaries, takes 1.2-1.6 s), all
+# of them held in one list; exchange 0.2-0.3 ms (n = 4 takes 0.85 s, n = 5
+# 6-7 s); hecke 1-50 ms (n = 4 takes 10.5 s, n = 5 more than
 # 100 s); eigen 20-30 ns (0,..,0,1,1 with 52 parts, 3.7 * 10^8 units, takes
 # 7.1 s, and with 64 parts, 1.04 * 10^9, 27 s).  So a check at its limit
 # takes seconds to minutes.

@@ -16,31 +16,28 @@ I[a..b] the partial sum I_a + .. + I_b):
   (I, i; I + e_i - e_j, j) x (1 - t^{I_j}) t^{I[j+1..n]}
   (I, j; I + e_j - e_i, i) 0
 
-The x dependence is structural: a face contributes one factor of x exactly
-when its right edge carries a colour >= 1, so weights are returned as a
-coefficient plus an x-degree flag rather than as polynomials.
+Each is (1 - t^a) t^b x^xdeg, a = 0 read as t^b, and x^xdeg is one
+factor of x exactly when the right edge is coloured.  The table is
+written once, in that exponent form (``_face_form``); ``l_weight``
+evaluates it over the ring of ``t``.
 
 The fundamental R-matrix R_z(i, j; k, l) (bottom, left; top, right) is
   R_z(i,i;i,i) = 1   and, for i < j,
   R_z(j,i;j,i) = t(1-z)/(1-tz)      R_z(i,j;i,j) = (1-z)/(1-tz)
   R_z(j,i;i,j) = (1-t)/(1-tz)       R_z(i,j;j,i) = (1-t)z/(1-tz),
-all other patterns vanishing.  It is written once, in cleared form: the
-table ``_r_cleared`` is (x - t y) R_{y/x}, and ``r_weight`` divides it back
-at (x, y) = (1, z).  With L it satisfies the RLL (Yang-Baxter) relation,
-whose two sides ``_rll_sides`` computes multiplied by x - t y, so no R
-entry is ever divided; it sums over the support of R only.  The weights
-are generic over a ring holding x, y and t: ``ybe_check_symbolic``
-evaluates the sides as polynomials in (x, y) over Q(q,t), and
-``ybe_check`` at exact rational sample points (none a pole), in integers.
-At (x, y, t) = (xn/xd, yn/yd, tn/td) each face weight, a polynomial in t
-of degree at most D, is stored times td^D, an integer (else it raises),
-and the face's spectral factor is xn or xd (yn or yd) by its x-degree;
-each cleared R entry is stored times lcm(xd, yd) td.  Every term of
-either side is one R entry times one x face times one y face, so both
-sides carry the same nonzero scale, and the integer sides are equal
-exactly when the rational ones are.  Each certificate evaluates a face
-weight or R entry once per point (``_Point``, a table local to the call);
-QTRational ``t`` gives symbolic face weights.
+all other patterns vanishing.  It is written once, in cleared form:
+``_r_cleared`` is (x - t y) R_{y/x}, and ``r_weight`` divides it back at
+(x, y) = (1, z).  The RLL (Yang-Baxter) relation times x - t y is a sum
+of terms, each a cleared R entry times an x face times a y face
+(``_rll_terms``), all in Z[t][x, y].  ``ybe_check_symbolic`` sums them
+as integer polynomials in (x, y, t) (``_Poly``, dicts of ints), as
+``exchange_check`` does the row operators' products.  ``ybe_check``
+sums them in integers at exact rational sample points (none a pole):
+at (xn/xd, yn/yd, tn/td) the face (a, b, xdeg) times td^D xd is
+(td^a - tn^a) tn^b td^(D-a-b) times xn or xd by its x-degree (yn or yd
+for y), D bounding a + b, and a cleared R entry is taken times
+lcm(xd, yd) td.  Both sides carry one nonzero scale, so they are equal
+exactly when the rational sides are; no gcd is computed.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .qt import QTRational
+from .qt import QTPolynomial, QTRational
 from .reports import CheckReport
 from .xpoly import XPolynomial
 
@@ -88,6 +85,34 @@ def _is_zero(value) -> bool:
     return value == 0 if is_zero is None else is_zero()
 
 
+def _face_form(I: Sequence[int], j: int, K: Sequence[int], l: int) -> tuple | None:
+    """L(I, j; K, l) as (a, b, xdeg), the weight (1 - t^a) t^b x^xdeg
+    with a = 0 read as t^b, or None where it vanishes: off conservation
+    and on the forbidden colour crossing."""
+    diff = list(K)  # conservation: I + e_j = K + e_l
+    if j:
+        diff[j - 1] -= 1
+    if l:
+        diff[l - 1] += 1
+    if tuple(diff) != tuple(I):
+        return None
+    if l == 0:  # no path, or colour j joining upwards
+        return 0, 0, 0
+    if j == l:
+        return 0, sum(I[l:]), 1
+    if j > l:  # the forbidden crossing
+        return None
+    # colour l peeling off downwards (j = 0) or crossing j < l: I_l >= 1
+    return I[l - 1], sum(I[l:]), 1
+
+
+def _weight(form: tuple, t):
+    """The coefficient (1 - t^a) t^b of the form (a, b, xdeg), in the ring
+    of ``t``."""
+    a, b, _ = form
+    return (t**0 - t**a) * t**b if a else t**b
+
+
 def l_weight(I: Sequence[int], j: int, K: Sequence[int], l: int, t=None) -> StructuredWeight:
     """The face weight L(I, j; K, l) over the coefficient ring of ``t``.
 
@@ -102,31 +127,10 @@ def l_weight(I: Sequence[int], j: int, K: Sequence[int], l: int, t=None) -> Stru
         raise ValueError("occupation vectors of different rank")
     if min(I) < 0 or min(K) < 0 or not 0 <= j <= n or not 0 <= l <= n:
         raise ValueError("malformed face labels")
-    one = t**0
-    zero = one - one
-    # conservation: I + e_j = K + e_l
-    diff = list(K)
-    if j:
-        diff[j - 1] -= 1
-    if l:
-        diff[l - 1] += 1
-    if tuple(diff) != tuple(I):
-        return StructuredWeight(zero, 0)
-    if j == 0 and l == 0:
-        return StructuredWeight(one, 0)
-    if j == l:
-        return StructuredWeight(t ** _suffix(I, j), 1)
-    if j == 0:  # path of colour l peels off downwards: I -> I - e_l
-        return StructuredWeight((one - t ** I[l - 1]) * t ** _suffix(I, l), 1)
-    if l == 0:  # path of colour j joins upwards: I -> I + e_j
-        return StructuredWeight(one, 0)
-    if j < l:
-        return StructuredWeight((one - t ** I[l - 1]) * t ** _suffix(I, l), 1)
-    return StructuredWeight(zero, 1)  # j > l >= 1 is the forbidden crossing
-
-
-def _suffix(I: Sequence[int], colour: int) -> int:
-    return sum(I[colour:])
+    form = _face_form(I, j, K, l)
+    if form is None:
+        return StructuredWeight(t**0 - t**0, 0)
+    return StructuredWeight(_weight(form, t), form[2])
 
 
 def _r_cleared(i: int, j: int, k: int, l: int, x, y, t):
@@ -160,6 +164,43 @@ def r_weight(i: int, j: int, k: int, l: int, z, t):
     return cleared / denom
 
 
+class _Poly(dict):
+    """A polynomial in Z[x, y, t]: exponents -> nonzero coefficient.  ``str``
+    prints the XPolynomial over Q(q,t) it equals."""
+
+    def __add__(self, other: _Poly) -> _Poly:
+        out = _Poly(self)
+        for e, c in other.items():
+            out[e] = out.get(e, 0) + c
+            if not out[e]:
+                del out[e]
+        return out
+
+    def __sub__(self, other: _Poly) -> _Poly:
+        return self + _Poly({e: -c for e, c in other.items()})
+
+    def __mul__(self, other: _Poly) -> _Poly:
+        out: dict = {}
+        for (a, b, c), u in self.items():
+            for (d, e, f), v in other.items():
+                key = (a + d, b + e, c + f)
+                out[key] = out.get(key, 0) + u * v
+        return _Poly({e: c for e, c in out.items() if c})
+
+    def __pow__(self, k: int) -> _Poly:  # only monomials are raised
+        [(e, c)] = self.items()
+        return _Poly({(e[0] * k, e[1] * k, e[2] * k): c**k})
+
+    def __str__(self) -> str:
+        coeffs: dict = {}
+        for (xe, ye, te), c in self.items():
+            coeffs.setdefault((xe, ye), {})[0, te] = c
+        return str(XPolynomial(2, {e: QTRational(QTPolynomial(p)) for e, p in coeffs.items()}))
+
+
+_X, _Y, _T = (_Poly({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Yang-Baxter (RLL) verification.
 # ---------------------------------------------------------------------------
@@ -173,89 +214,80 @@ def _vec_add(v: Occupation | None, colour: int, delta: int) -> Occupation | None
     return tuple(out) if out[colour - 1] >= 0 else None
 
 
-class _Point:
-    """One point of the RLL sides with its table: ``face(I, j, K, l)``, the
-    face weight L(I, j; K, l) (None where it vanishes), and ``r(i, j, k,
-    l)``, the cleared R entry, each computed once.  ``x`` and ``y`` are
-    pairs: the factor a face at that spectral variable contributes when its
-    right edge is coloured (x-degree 1), and when it is not."""
-
-    def __init__(self, x: tuple, y: tuple, zero, face, r):
-        self.x, self.y, self.zero = x, y, zero
-        self.face, self.r = cache(face), cache(r)
-
-
-def _face(I, j, K, l, t) -> StructuredWeight | None:
-    # looked up by the module's name, so a patched ``l_weight`` is seen
-    weight = l_weight(I, j, K, l, t)
-    return None if weight.is_zero() else weight
-
-
-def _integral(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"scaled RLL table entry {value} is not an integer")
-    return value.numerator
-
-
-def _integer_point(x: Fraction, y: Fraction, t: Fraction, degree: int) -> tuple[_Point, int]:
-    """The point (x, y, t) with its integer table (see the module
-    docstring; D = ``degree``), and the scale of both sides,
-    lcm(xd, yd) td^(2 D + 1) xd yd."""
-    face_scale = t.denominator**degree
-    r_scale = math.lcm(x.denominator, y.denominator) * t.denominator
-
-    def face(I, j, K, l):
-        weight = _face(I, j, K, l, t)
-        if weight is None:
-            return None
-        return StructuredWeight(_integral(weight.coeff * face_scale), weight.xdeg)
-
-    def r(i, j, k, l):
-        entry = _r_cleared(i, j, k, l, x, y, t)
-        return None if entry is None else _integral(entry * r_scale)
-
-    point = _Point((x.numerator, x.denominator), (y.numerator, y.denominator), 0, face, r)
-    return point, r_scale * face_scale**2 * x.denominator * y.denominator
-
-
-def _two_faces(I, J, left1, right1, u, left2, right2, v, at: _Point):
-    """L_u(I, left1; K, right1) L_v(K, left2; J, right2), one face on the
-    other with K forced by conservation, or None if either face vanishes;
-    ``u`` and ``v`` are spectral pairs as in ``_Point``."""
+def _two_forms(I, J, left1, right1, left2, right2, face) -> tuple | None:
+    """The forms of L(I, left1; K, right1) and L(K, left2; J, right2), K
+    forced by conservation, or None if either face vanishes."""
     K = _vec_add(_vec_add(I, left1, +1), right1, -1)
-    if K is None:
-        return None
-    w1 = at.face(I, left1, K, right1)
-    if w1 is None:
-        return None
-    w2 = at.face(K, left2, J, right2)
-    if w2 is None:
-        return None
-    return w1.coeff * u[1 - w1.xdeg] * w2.coeff * v[1 - w2.xdeg]
+    lower = K is not None and face(I, left1, K, right1)
+    upper = lower and face(K, left2, J, right2)
+    return upper and (lower, upper)
 
 
-def _rll_sides(I, J, i1, i2, j1, j2, at: _Point) -> tuple[object, object]:
-    """Both sides of RLL times x - t y (and the scale of an integer point)
-    at the point ``at``: the sums over
-    k1, k2 of R(i2, i1; k2, k1) L_x(I, k1; K, j1) L_y(K, k2; J, j2) and of
-    L_y(I, i2; K, k2) L_x(K, i1; J, k1) R(k2, k1; j2, j1).  R(i, j; k, l)
-    vanishes unless (k, l) is (i, j) or (j, i), so only those (k2, k1)
-    are summed."""
-    x, y = at.x, at.y
-    lhs = rhs = at.zero
-    for k2, k1 in {(i2, i1), (i1, i2)}:
-        r = at.r(i2, i1, k2, k1)
-        if r is not None:
-            faces = _two_faces(I, J, k1, j1, x, k2, j2, y, at)
-            if faces is not None:
-                lhs = lhs + r * faces
-    for k2, k1 in {(j2, j1), (j1, j2)}:
-        r = at.r(k2, k1, j2, j1)
-        if r is not None:
-            faces = _two_faces(I, J, i2, k2, y, i1, k1, x, at)
-            if faces is not None:
-                rhs = rhs + faces * r
+def _rll_terms(I, J, i1, i2, j1, j2, face) -> tuple[list, list]:
+    """Both sides of RLL times x - t y as lists of terms (R labels, x face
+    form, y face form): the sums over k1, k2 of R(i2, i1; k2, k1)
+    L_x(I, k1; K, j1) L_y(K, k2; J, j2) and of L_y(I, i2; K, k2)
+    L_x(K, i1; J, k1) R(k2, k1; j2, j1), over the (k2, k1) where R can
+    be nonzero, with ``face`` for ``_face_form``."""
+    lhs = [
+        ((i2, i1, k2, k1), *forms)
+        for k2, k1 in {(i2, i1), (i1, i2)}
+        if (forms := _two_forms(I, J, k1, j1, k2, j2, face))
+    ]
+    rhs = [
+        ((k2, k1, j2, j1), *forms[::-1])
+        for k2, k1 in {(j2, j1), (j1, j2)}
+        if (forms := _two_forms(I, J, i2, k2, i1, k1, face))
+    ]
     return lhs, rhs
+
+
+def _integer_point(x: Fraction, y: Fraction, t: Fraction, degree: int):
+    """``value(key, f, g)``, the integer value of a term of ``_rll_terms``
+    at (x, y, t) (module docstring; D = ``degree``), and the scale of both
+    sides, lcm(xd, yd) td^(2 D + 1) xd yd."""
+    tn, td = t.numerator, t.denominator
+    r_scale = math.lcm(x.denominator, y.denominator) * td
+
+    @cache
+    def face(form: tuple, axis: int) -> int:
+        a, b, xdeg = form
+        if a + b > degree:
+            raise ValueError(f"face weight of t-degree {a + b} exceeds {degree}")
+        z = (x, y)[axis]
+        return (td**a - tn**a if a else 1) * tn**b * td ** (degree - a - b) * (
+            z.numerator if xdeg else z.denominator
+        )
+
+    @cache
+    def r(key: tuple) -> int:
+        entry = _r_cleared(*key, x, y, t)
+        entry = Fraction(0 if entry is None else entry * r_scale)
+        if entry.denominator != 1:
+            raise ValueError(f"scaled RLL table entry {entry} is not an integer")
+        return entry.numerator
+
+    scale = r_scale * td ** (2 * degree) * x.denominator * y.denominator
+    return lambda key, f, g: r(key) * face(f, 0) * face(g, 1), scale
+
+
+def _rll_at(points: list, face):
+    """``sides(I, J, i1, i2, j1, j2)``: both RLL sides at each of
+    ``points`` (``_integer_point`` pairs), each term evaluated once."""
+
+    @cache
+    def term(*labels) -> list[int]:
+        return [value(*labels) for value, _ in points]
+
+    zeros = [0] * len(points)
+
+    def sides(*boundary) -> list[list[int]]:
+        return [
+            [sum(column) for column in zip(zeros, *itertools.starmap(term, terms))]
+            for terms in _rll_terms(*boundary, face)
+        ]
+
+    return sides
 
 
 def _occupations(n: int, cap: int) -> list[Occupation]:
@@ -290,28 +322,29 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
     """Certify the RLL relation at exact rational sample points.
 
     Runs over every boundary (i1, i2, j1, j2, I, J with entries <= cap)
-    compatible with colour conservation; any nonzero term on either side
-    forces I + e_{i1} + e_{i2} = J + e_{j1} + e_{j2}, so non-conserving
-    boundaries hold trivially (a random sample of them is evaluated as
-    well, as insurance that the implementation agrees).  The sides are
-    compared in integers: a face's bottom edge holds at most cap + 1 paths
-    of each colour, so its weight has t-degree at most n (cap + 1); one
-    degree more lets a table off by a factor of t fail rather than raise.
+    compatible with colour conservation, the only ones with a nonzero
+    term (a random sample of the others is evaluated too).  The sides are compared in integers: a face's bottom
+    edge holds at most cap + 1 paths of each colour, so its weight has
+    t-degree at most n (cap + 1); one degree more lets a table off by a
+    factor of t fail rather than raise.
     """
     report = CheckReport(f"ybe n={n} cap={occupation_cap}")
     occupations = _occupations(n, occupation_cap)
     boundaries = _boundaries(n, occupation_cap, occupation_cap)
     degree = n * (occupation_cap + 1) + 1
     points = [_integer_point(x, y, t, degree) for x, y, t in SAMPLE_POINTS]
+    sides = _rll_at(points, cache(_face_form))
     for I, J, i1, i2, j1, j2 in boundaries:
-        for (at, scale), (x, y, t) in zip(points, SAMPLE_POINTS):
-            lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, at)
-            report.count()
-            if lhs != rhs:
+        lhs, rhs = sides(I, J, i1, i2, j1, j2)
+        report.count(len(points))
+        if lhs == rhs:
+            continue
+        for left, right, (_, scale), (x, y, t) in zip(lhs, rhs, points, SAMPLE_POINTS):
+            if left != right:
                 report.fail(
                     f"RLL mismatch at I={I} J={J} colours=({i1},{i2};{j1},{j2}) "
                     f"point (x={x}, y={y}, t={t}): "
-                    f"{Fraction(lhs, scale)} != {Fraction(rhs, scale)}"
+                    f"{Fraction(left, scale)} != {Fraction(right, scale)}"
                 )
     rng = random.Random(seed)
     checked_nonconserving = 0
@@ -325,11 +358,10 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
         other = _vec_add(_vec_add(J, j1, +1), j2, +1)
         if target == other:
             continue
-        at, _ = points[checked_nonconserving % len(points)]
-        lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, at)
+        at = checked_nonconserving % len(points)
         report.count()
         checked_nonconserving += 1
-        if lhs != 0 or rhs != 0:
+        if any(side[at] for side in sides(I, J, i1, i2, j1, j2)):
             report.fail(
                 f"non-conserving boundary I={I} J={J} colours=({i1},{i2};{j1},{j2}) "
                 f"gave nonzero side"
@@ -342,27 +374,23 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
 
 
 def ybe_check_symbolic(n: int = 1, occupation_cap: int = 2) -> CheckReport:
-    """Certify RLL fully symbolically as polynomials in (x, y) over Q(t).
+    """Certify RLL fully symbolically, as polynomials in Z[x, y, t].
 
-    The same cleared sides as ``ybe_check``, with x, y and t polynomials in
-    (x, y) over Q(q,t) and the spectral pairs (x, 1) and (y, 1), so the L
-    weights contribute monomials in x or y.  Intended for n = 1 (the sweep
-    over larger n uses sample points).
+    Intended for n = 1 (the sweep over larger n uses sample points).
     """
     report = CheckReport(f"ybe-symbolic n={n} cap={occupation_cap}")
-    x = XPolynomial.variable(2, 1)
-    y = XPolynomial.variable(2, 2)
-    t = XPolynomial.constant(2, QTRational.t())
-    one = XPolynomial.one(2)
-    at = _Point(
-        (x, one),
-        (y, one),
-        XPolynomial.zero(2),
-        lambda I, j, K, l: _face(I, j, K, l, t),
-        lambda i, j, k, l: _r_cleared(i, j, k, l, x, y, t),
-    )
+    face = cache(_face_form)
+
+    @cache
+    def term(key: tuple, f: tuple, g: tuple) -> _Poly:
+        r = _r_cleared(*key, _X, _Y, _T)
+        return _Poly() if r is None else r * _weight(f, _T) * _X ** f[2] * _weight(g, _T) * _Y ** g[2]
+
     for I, J, i1, i2, j1, j2 in _boundaries(n, occupation_cap, occupation_cap + 2):
-        lhs, rhs = _rll_sides(I, J, i1, i2, j1, j2, at)
+        lhs, rhs = (
+            sum(itertools.starmap(term, terms), _Poly())
+            for terms in _rll_terms(I, J, i1, i2, j1, j2, face)
+        )
         report.count()
         if lhs != rhs:
             report.fail(
@@ -384,15 +412,15 @@ def row_operator_expand(
 
     The row operator maps the state on top of the row to states along its
     bottom; colour enters on the left and 0 exits on the right.  Returns
-    triples (bottom_state, coefficient, x_degree); internal vertical edges
-    are chosen face by face, and every returned element is nonzero.
+    triples (bottom_state, coefficient, x_degree), coefficients in the ring
+    of ``t``; internal vertical edges are chosen face by face, and every
+    returned element is nonzero.
     """
     if t is None:
         t = QTRational.t()
     n = len(top_state[0]) if top_state else 0
     if not 1 <= colour <= n:
         raise ValueError(f"row colour {colour} out of range 1..{n}")
-    one = t**0
     results: list[tuple[State, object, int]] = []
 
     def walk(site: int, left: int, bottoms: list[Occupation], coeff, xdeg: int):
@@ -412,14 +440,14 @@ def row_operator_expand(
             if min(vec) < 0:
                 continue
             bottom = tuple(vec)
-            w = l_weight(bottom, left, top, right, t)
-            if w.is_zero():
+            form = _face_form(bottom, left, top, right)
+            if form is None:
                 continue
             bottoms.append(bottom)
-            walk(site + 1, right, bottoms, coeff * w.coeff, xdeg + w.xdeg)
+            walk(site + 1, right, bottoms, coeff * _weight(form, t), xdeg + form[2])
             bottoms.pop()
 
-    walk(0, colour, [], one, 0)
+    walk(0, colour, [], t**0, 0)
     return results
 
 
@@ -431,24 +459,19 @@ def capped_states(n: int, nsites: int, cap: int) -> list[State]:
 
 def _product_elems(
     left: tuple[int, int], right: tuple[int, int], in_state: State, expand
-) -> dict[State, XPolynomial]:
-    """Matrix elements of C_left C_right applied to |in_state>.
-
-    ``left`` and ``right`` are (colour, variable) pairs with variable 1
-    for x and 2 for y; the right operator acts first, and
-    ``expand(colour, state)`` gives its ``row_operator_expand`` triples.
-    Returns a map from out states to polynomials in (x, y) over Q(q,t).
-    """
-    out: dict[State, XPolynomial] = {}
-    for mid, coeff_r, deg_r in expand(right[0], in_state):
-        for final, coeff_l, deg_l in expand(left[0], mid):
-            exps = [0, 0]
-            exps[left[1] - 1] += deg_l
-            exps[right[1] - 1] += deg_r
-            term = XPolynomial(2, {tuple(exps): coeff_l * coeff_r})
+) -> dict[State, _Poly]:
+    """Matrix elements of C_left C_right applied to |in_state> in Z[t][x, y].
+    ``left`` and ``right`` are (colour, variable) pairs, the variable 0 for
+    x and 1 for y; the right operator acts first, and ``expand(colour,
+    state)`` gives its out states with their coefficients times x^deg and
+    times y^deg."""
+    out: dict[State, _Poly] = {}
+    for mid, coeffs_r in expand(right[0], in_state):
+        for final, coeffs_l in expand(left[0], mid):
+            term = coeffs_l[left[1]] * coeffs_r[right[1]]
             cur = out.get(final)
             out[final] = term if cur is None else cur + term
-    return {state: poly for state, poly in out.items() if not poly.is_zero()}
+    return {state: poly for state, poly in out.items() if poly}
 
 
 def exchange_check(i: int, j: int, n: int, N: int = 1, cap: int = 1) -> CheckReport:
@@ -457,42 +480,31 @@ def exchange_check(i: int, j: int, n: int, N: int = 1, cap: int = 1) -> CheckRep
     The applicable relation (commutation for i = j, the t-twisted
     relations otherwise) is verified component-wise between all capped
     in-states and every reachable out-state, as an exact identity of
-    polynomials in (x, y) over Q(t) after clearing the x - y denominator.
+    polynomials in (x, y) over Z[t] after clearing the x - y denominator.
     """
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("colours out of range")
     report = CheckReport(f"exchange i={i} j={j} n={n} N={N} cap={cap}")
-    one, t = QTRational.one(), QTRational.t()
-    x = XPolynomial.variable(2, 1)
-    y = XPolynomial.variable(2, 2)
-    x_minus_y = x - y
-    x_minus_ty = x - y.scale(t)
+    x, y, t = _X, _Y, _T
+    # lhs = fa C_i(x) C_j(y), rhs = fb C_j(y) C_i(x) + fc C_j(x) C_i(y)
+    if i == j:
+        fa, fb, fc = t**0, t**0, _Poly()
+    else:
+        fa = t * (x - y) if i < j else x - y
+        fb, fc = x - t * y, (t - t**0) * (x if i < j else y)
     # the three products meet the same (colour, state) pairs: expand each once
-    expansions: dict[tuple[int, State], list] = {}
-
+    @cache
     def expand(colour: int, state: State) -> list:
-        if (colour, state) not in expansions:
-            expansions[colour, state] = row_operator_expand(colour, state, t)
-        return expansions[colour, state]
+        expansion = row_operator_expand(colour, state, t)
+        return [(bottom, [coeff * x**deg, coeff * y**deg]) for bottom, coeff, deg in expansion]
 
     for in_state in capped_states(n, N + 1, cap):
-        a = _product_elems((i, 1), (j, 2), in_state, expand)  # C_i(x) C_j(y)
-        b = _product_elems((j, 2), (i, 1), in_state, expand)  # C_j(y) C_i(x)
-        c = _product_elems((j, 1), (i, 2), in_state, expand)  # C_j(x) C_i(y)
-        outs = set(a) | set(b) | set(c)
-        for out in sorted(outs):
-            ea = a.get(out, XPolynomial.zero(2))
-            eb = b.get(out, XPolynomial.zero(2))
-            ec = c.get(out, XPolynomial.zero(2))
-            if i == j:
-                lhs = ea
-                rhs = eb
-            elif i < j:
-                lhs = (ea * x_minus_y).scale(t)
-                rhs = eb * x_minus_ty - (ec * x).scale(one - t)
-            else:
-                lhs = ea * x_minus_y
-                rhs = eb * x_minus_ty - (ec * y).scale(one - t)
+        a = _product_elems((i, 0), (j, 1), in_state, expand)  # C_i(x) C_j(y)
+        b = _product_elems((j, 1), (i, 0), in_state, expand)  # C_j(y) C_i(x)
+        c = _product_elems((j, 0), (i, 1), in_state, expand)  # C_j(x) C_i(y)
+        for out in sorted(set(a) | set(b) | set(c)):
+            lhs = fa * a.get(out, _Poly())
+            rhs = fb * b.get(out, _Poly()) + fc * c.get(out, _Poly())
             report.count()
             if lhs != rhs:
                 report.fail(

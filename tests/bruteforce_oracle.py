@@ -17,7 +17,11 @@ package itself never calls them.  The set-based column kernel
 (``column_factors`` with ``colour_data``, ``coordinates`` and
 ``exponents_fgh``), the closed form written set by set as the matrixprod
 module docstring states it, is the reference for the package's
-one-pass integer kernel.
+one-pass integer kernel.  The lattice certificates' field-arithmetic
+sides, which their integer sides replaced, are the reference for those:
+both RLL sides as Fractions (``rll_sides``, every (k1, k2), the face
+weights through ``l_weight``) and the row-operator products over Q(q,t)
+(``exchange_products``).
 
 Deliberately naive; only run it on tiny compositions.
 """
@@ -28,6 +32,7 @@ import itertools
 
 from typing import Sequence
 
+from nsmacdonald.lattice import _r_cleared, capped_states, l_weight, row_operator_expand
 from nsmacdonald.matrixprod import InadmissiblePair
 from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import XPolynomial
@@ -309,3 +314,63 @@ def column_factors(I, J, v):
         (down_q, down_t, {}),
     )
     return tuple(exps), groups
+
+
+def rll_sides(I, J, i1, i2, j1, j2, x, y, t):
+    """Both sides of RLL times x - t y at the rational point (x, y, t), in
+    Fraction arithmetic: the sums over all colours k1, k2 of
+    R(i2, i1; k2, k1) L_x(I, k1; K, j1) L_y(K, k2; J, j2) and of
+    L_y(I, i2; K, k2) L_x(K, i1; J, k1) R(k2, k1; j2, j1), K forced by
+    conservation, R the cleared table."""
+    n = len(I)
+
+    def faces(left1, right1, left2, right2, u, v):
+        K = list(I)
+        if left1:
+            K[left1 - 1] += 1
+        if right1:
+            K[right1 - 1] -= 1
+        if min(K) < 0:
+            return 0
+        lower = l_weight(I, left1, tuple(K), right1, t)
+        upper = l_weight(tuple(K), left2, J, right2, t)
+        return lower.coeff * u**lower.xdeg * upper.coeff * v**upper.xdeg
+
+    def r(*labels):
+        entry = _r_cleared(*labels, x, y, t)
+        return 0 if entry is None else entry
+
+    colours = list(itertools.product(range(n + 1), repeat=2))
+    lhs = sum(r(i2, i1, k2, k1) * faces(k1, j1, k2, j2, x, y) for k1, k2 in colours)
+    rhs = sum(faces(i2, k2, i1, k1, y, x) * r(k2, k1, j2, j1) for k1, k2 in colours)
+    return lhs, rhs
+
+
+def exchange_products(i: int, j: int, n: int) -> dict:
+    """For every in-state of ``exchange_check(i, j, n)`` (N = 1, cap = 1),
+    the products C_i(x) C_j(y), C_j(y) C_i(x) and C_j(x) C_i(y) applied to
+    it, each a map from out states to polynomials in (x, y) over Q(q,t)."""
+    t = QTRational.t()
+    walks = {}
+
+    def expand(colour, state):
+        if (colour, state) not in walks:
+            walks[colour, state] = row_operator_expand(colour, state, t)
+        return walks[colour, state]
+
+    def product(left, right, in_state):
+        out = {}
+        for mid, coeff_r, deg_r in expand(right[0], in_state):
+            for final, coeff_l, deg_l in expand(left[0], mid):
+                exps = [0, 0]
+                exps[left[1]] += deg_l
+                exps[right[1]] += deg_r
+                term = XPolynomial(2, {tuple(exps): coeff_l * coeff_r})
+                out[final] = out[final] + term if final in out else term
+        return {state: poly for state, poly in out.items() if not poly.is_zero()}
+
+    return {
+        in_state: [product(left, right, in_state)
+                   for left, right in (((i, 0), (j, 1)), ((j, 1), (i, 0)), ((j, 0), (i, 1)))]
+        for in_state in capped_states(n, 2, 1)
+    }

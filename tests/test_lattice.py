@@ -7,7 +7,6 @@ import pytest
 
 from nsmacdonald import lattice
 from nsmacdonald.lattice import (
-    StructuredWeight,
     capped_states,
     exchange_check,
     l_weight,
@@ -17,6 +16,8 @@ from nsmacdonald.lattice import (
     ybe_check_symbolic,
 )
 from nsmacdonald.qt import QTRational
+
+import bruteforce_oracle as oracle
 
 ONE = QTRational.one()
 T = QTRational.t()
@@ -98,21 +99,46 @@ def test_ybe_symbolic_n1():
     assert rep.ok, rep.failures[:3]
 
 
-def corrupted_l_weight(I, j, K, l, t=None):
-    w = l_weight(I, j, K, l, t)
-    if j == 0 and l == 1 and not w.is_zero():
-        return StructuredWeight(w.coeff * (t if t is not None else T), w.xdeg)
-    return w
+FACE_FORM = lattice._face_form
+
+
+def times_t(condition):
+    """The face table with every nonzero face (I, j; K, l) for which
+    ``condition(j, l)`` holds multiplied by t."""
+
+    def corrupted(I, j, K, l):
+        form = FACE_FORM(I, j, K, l)
+        if form is None or not condition(j, l):
+            return form
+        a, b, xdeg = form
+        return a, b + 1, xdeg
+
+    return corrupted
+
+
+peel_off_times_t = times_t(lambda j, l: j == 0 and l == 1)
 
 
 def test_ybe_detects_corrupted_table(monkeypatch):
-    monkeypatch.setattr(lattice, "l_weight", corrupted_l_weight)
+    monkeypatch.setattr(lattice, "_face_form", peel_off_times_t)
     assert not ybe_check(1, 1).ok
 
 
 def test_ybe_symbolic_detects_corrupted_table(monkeypatch):
-    monkeypatch.setattr(lattice, "l_weight", corrupted_l_weight)
+    monkeypatch.setattr(lattice, "_face_form", peel_off_times_t)
     assert not ybe_check_symbolic(1, 1).ok
+
+
+def test_exchange_detects_corrupted_table(monkeypatch):
+    # a pass-through face (j == l >= 1) times t breaks the t-twisted
+    # relations; a peel-off face (j = 0, l = 1) times t is not caught by
+    # exchange at n = 2 (for each in- and out-state the three products all
+    # gain the same power of t), only by ybe (test_ybe_detects_corrupted_table)
+    monkeypatch.setattr(lattice, "_face_form", times_t(lambda j, l: j == l >= 1))
+    failing = {(i, j) for i in (1, 2) for j in (1, 2) if not exchange_check(i, j, 2).ok}
+    assert failing == {(1, 2), (2, 1)}
+    monkeypatch.setattr(lattice, "_face_form", peel_off_times_t)
+    assert all(exchange_check(i, j, 2).ok for i in (1, 2) for j in (1, 2))
 
 
 R_CLEARED = lattice._r_cleared
@@ -135,50 +161,73 @@ def test_ybe_symbolic_detects_corrupted_r_table(monkeypatch):
     assert not ybe_check_symbolic(1, 1).ok
 
 
-def fraction_point(x, y, t):
-    # the RLL sides at (x, y, t) in Fraction arithmetic, unscaled
-    one = Fraction(1)
-    return lattice._Point(
-        (x, one),
-        (y, one),
-        Fraction(0),
-        lambda I, j, K, l: lattice._face(I, j, K, l, t),
-        lambda i, j, k, l: lattice._r_cleared(i, j, k, l, x, y, t),
-    )
-
-
 def test_integer_sides_are_the_fraction_sides_times_the_scale():
-    n, cap = 1, 2
-    for x, y, t in lattice.SAMPLE_POINTS:
-        at, scale = lattice._integer_point(x, y, t, n * (cap + 1) + 1)
-        exact = fraction_point(x, y, t)
+    for n, cap in ((1, 2), (2, 2)):
+        points = [
+            lattice._integer_point(x, y, t, n * (cap + 1) + 1) for x, y, t in lattice.SAMPLE_POINTS
+        ]
+        sides = lattice._rll_at(points, FACE_FORM)
         for boundary in lattice._boundaries(n, cap, cap):
-            lhs, rhs = lattice._rll_sides(*boundary, at)
-            assert type(lhs) is int and type(rhs) is int
-            assert [lhs, rhs] == [side * scale for side in lattice._rll_sides(*boundary, exact)]
+            lhs, rhs = sides(*boundary)
+            for k, (x, y, t) in enumerate(lattice.SAMPLE_POINTS):
+                assert type(lhs[k]) is int and type(rhs[k]) is int
+                scale = points[k][1]
+                assert [lhs[k], rhs[k]] == [side * scale for side in oracle.rll_sides(*boundary, x, y, t)]
 
 
 def test_ybe_refuses_a_non_integral_scaled_weight(monkeypatch):
-    def planted(I, j, K, l, t=None):
-        weight = l_weight(I, j, K, l, t)
-        return StructuredWeight(weight.coeff / 7, weight.xdeg)
+    # a face of t-degree above the bound D is one whose weight times td^D
+    # is not an integer; at n = cap = 1, D = n (cap + 1) + 1 = 3, and t^4
+    # on every pass-through face is beyond it
+    def planted(I, j, K, l):
+        form = FACE_FORM(I, j, K, l)
+        return form if form is None or j != l else (0, form[1] + 4, form[2])
 
-    monkeypatch.setattr(lattice, "l_weight", planted)
-    with pytest.raises(ValueError, match="not an integer"):
+    monkeypatch.setattr(lattice, "_face_form", planted)
+    with pytest.raises(ValueError, match="t-degree 4 exceeds 3"):
         ybe_check(1, 1)
 
 
 def test_ybe_failure_shows_the_unscaled_sides(monkeypatch):
-    monkeypatch.setattr(lattice, "l_weight", corrupted_l_weight)
+    monkeypatch.setattr(lattice, "_face_form", peel_off_times_t)
     expected = [
         f"RLL mismatch at I={I} J={J} colours=({i1},{i2};{j1},{j2}) "
         f"point (x={x}, y={y}, t={t}): {lhs} != {rhs}"
         for I, J, i1, i2, j1, j2 in lattice._boundaries(1, 1, 1)
         for x, y, t in lattice.SAMPLE_POINTS
-        for lhs, rhs in [lattice._rll_sides(I, J, i1, i2, j1, j2, fraction_point(x, y, t))]
+        for lhs, rhs in [oracle.rll_sides(I, J, i1, i2, j1, j2, x, y, t)]
         if lhs != rhs
     ]
     assert expected and ybe_check(1, 1).failures == expected
+
+
+def as_integer_polynomial(poly):
+    """An XPolynomial in (x, y) over Z[t] as exponents (x, y, t) ->
+    coefficient."""
+    out = {}
+    for (xe, ye), coeff in poly.terms.items():
+        assert coeff.den.is_one()
+        for (qe, te), c in coeff.num.terms.items():
+            assert qe == 0
+            out[xe, ye, te] = c
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_integer_exchange_products_equal_the_field_products(n):
+    # exchange_check's expansion: coefficients over Z[t] times x^deg and y^deg
+    def expand(colour, state):
+        walk = row_operator_expand(colour, state, lattice._T)
+        return [(bottom, [c * lattice._X**d, c * lattice._Y**d]) for bottom, c, d in walk]
+
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        for in_state, products in oracle.exchange_products(i, j, n).items():
+            pairs = ((i, 0), (j, 1)), ((j, 1), (i, 0)), ((j, 0), (i, 1))
+            for (left, right), field in zip(pairs, products):
+                integer = lattice._product_elems(left, right, in_state, expand)
+                assert integer.keys() == field.keys()
+                for out, poly in field.items():
+                    assert dict(integer[out]) == as_integer_polynomial(poly), (in_state, out)
 
 
 def test_certificate_boundary_counts():
