@@ -47,20 +47,22 @@ difference, 2 (1 + 2 degree)^nvars times the sum, and for 2 nvars more
 factors t in a row.  That covers Y_i, n - 1 generators and omega, and
 the difference of its result and y_i times its argument at common
 offsets, so the eigencheck lays out once.  Decoding (``decode``,
-``laurents``) checks every slot against the envelope, as lattice's
-integer tables check every entry, and raises SlotOverflow on a slot
-outside it.
+``laurents``) skips the empty slots in bulk and checks every other
+slot against the envelope, as lattice's integer tables check every
+entry, raising SlotOverflow on a slot outside it.
 
 The same ``Frame`` reduces sums over products of cyclotomic labels
 (``cyclotomic_quotients``, which ``xpoly.binomial_sum`` calls), read as
 q -> X^row, t -> X, X = 2^w: a product of labels becomes a product of
 the integers Phi_e(2^(w s)), s = d1 row + d2, a sum of shifted products
-one integer sum, and a trial division by a label one ``divmod``.  A
+one integer sum, and a trial division by a label one ``divmod``.  The
+frame's slots hold the sums' own L1 bound, with no room above it.  A
 nonzero remainder proves that the label does not divide.  A zero one is
-certified when the reduced numerator is decoded, slot by slot, and found
-to fit the frame times the labels divided.  When a certificate fails,
-that sum is added again in plain Q(q,t) arithmetic, so no result rests
-on an unchecked step.
+certified when the reduced numerator is decoded and found to fit the
+frame times the labels divided.  When a certificate fails, that sum is
+added again in plain Q(q,t) arithmetic, so no result rests on an
+unchecked step.  The canonical values are built by exponent shifts,
+with no gcd and no polynomial product.
 
 Two cleared polynomials are compared only over the same D and under one
 layout, through their difference (``__sub__``): both move to the lower
@@ -72,6 +74,7 @@ is integers and bit lengths.
 
 from __future__ import annotations
 
+import re
 from math import prod
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
@@ -79,7 +82,9 @@ from .cyclotomic import (
     CyclotomicForm,
     CyclotomicLabel,
     Laurent,
+    _lowest,
     _over_coprime,
+    _shifted,
     cyclotomic_coefficients,
     cyclotomic_product,
     split_laurent,
@@ -131,6 +136,10 @@ def _halves(width: int, slots: int) -> bytes:
     return (bytes(width // 8 - 1) + b"\x80") * slots
 
 
+# a run of nonzero bytes
+_DIFFERING = re.compile(rb"[^\x00]+")
+
+
 def _pack(num: Laurent, layout: Frame) -> int:
     # the image of num, whose integer coefficients are below 2^(width - 1)
     # in absolute value: each written as the plain digit c + 2^(width - 1),
@@ -152,20 +161,23 @@ class SlotOverflow(ArithmeticError):
 
 def decode(num: int, layout: Frame, bound: int, tspan: int) -> Laurent:
     """The Laurent polynomial whose image under ``layout`` is ``num``, read
-    as balanced base-2^w digits.  Every slot is checked: a coefficient
-    above ``bound`` (an overflowed slot) or at a t exponent more than
-    ``tspan`` above t0 (one wrapped into the next row) raises
+    as balanced base-2^w digits.  Every nonzero slot is checked: a
+    coefficient above ``bound`` (an overflowed slot) or at a t exponent
+    more than ``tspan`` above t0 (one wrapped into the next row) raises
     SlotOverflow; nothing is truncated."""
     width, row, q0, t0 = layout
     size, half = width // 8, 1 << (width - 1)
     # the balanced digits of num fill at most this many slots; adding half
-    # to each makes them plain base-2^width digits
+    # to each makes them plain base-2^width digits, and an empty slot's
+    # digit is half, so only slots with a byte differing from it are read
     slots = abs(num).bit_length() // width + 1
-    raw = (num + int.from_bytes(_halves(width, slots), "little")).to_bytes(slots * size, "little")
+    halves = int.from_bytes(_halves(width, slots), "little")
+    plain = num + halves
+    raw = plain.to_bytes(slots * size, "little")
     out = {}
-    for k in range(slots):
-        c = int.from_bytes(raw[k * size:(k + 1) * size], "little") - half
-        if c:
+    for run in _DIFFERING.finditer((plain ^ halves).to_bytes(slots * size, "little")):
+        for k in range(run.start() // size, (run.end() - 1) // size + 1):
+            c = int.from_bytes(raw[k * size:(k + 1) * size], "little") - half
             qe, te = divmod(k, row)
             if te > tspan or abs(c) > bound:
                 raise SlotOverflow(f"packed slot {k} holds {c}, outside its envelope")
@@ -271,12 +283,11 @@ class ClearedPolynomial:
 
 
 def _over(num: Laurent, den: QTPolynomial) -> QTRational:
-    # num / den in canonical form, with one gcd
-    poly, dq, dt = split_laurent(num)
-    return QTRational(
-        poly * QTPolynomial.monomial(max(dq, 0), max(dt, 0)),
-        den * QTPolynomial.monomial(max(-dq, 0), max(-dt, 0)),
-    )
+    # num / den in canonical form, with one gcd: both moved by the monomial
+    # that takes num's negative exponents to 0
+    dq, dt = _lowest(num)
+    dq, dt = max(-dq, 0), max(-dt, 0)
+    return QTRational(_shifted(num, dq, dt), _shifted(den.terms, dq, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +308,17 @@ def _extent(counts: Iterable[tuple[CyclotomicLabel, int]]) -> tuple[int, int, in
     return norm, low, high
 
 
-def _certified(frame: Frame, num: int, divided: list[CyclotomicLabel]) -> Laurent:
+def _certified(frame: Frame, num: int, divisors: tuple[int, int, int]) -> Laurent:
     """The Laurent polynomial B whose image is ``num``, the image of a
-    numerator N divided by those of the ``divided`` labels, certified to
-    be N / prod Phi: its slots are decoded, each checked, and B times
-    that product must fit the frame, its L1 norm at most the product of
-    the norms below 2^(width - 1) and its t exponents within t0 .. t0 +
-    row - 1.  Then both B prod Phi and N fit and have the same image, so
-    they are equal.  Anything else raises SlotOverflow."""
+    numerator N divided by those of labels whose product has the extent
+    ``divisors`` (``_extent``), certified to be N / prod Phi: its slots
+    are decoded, each checked, and B times that product must fit the
+    frame, its L1 norm at most the product of the norms below
+    2^(width - 1) and its t exponents within t0 .. t0 + row - 1.  Then
+    both B prod Phi and N fit and have the same image, so they are equal.
+    Anything else raises SlotOverflow."""
     width, row, _q0, t0 = frame
-    norm, low, high = _extent((label, 1) for label in divided)
+    norm, low, high = divisors
     half = 1 << (width - 1)
     terms = decode(num, frame, (half - 1) // norm, row - 1 - high)
     if sum(map(abs, terms.values())) * norm >= half or any(te + low < t0 for _qe, te in terms):
@@ -314,28 +326,30 @@ def _certified(frame: Frame, num: int, divided: list[CyclotomicLabel]) -> Lauren
     return terms
 
 
-def _divided(frame: Frame, num: int, den: dict, images: dict) -> tuple[Laurent, list]:
-    """The numerator N with image ``num`` divided by the labels of
-    ``den``, each while it divides and up to its count, as (B, the labels
-    left with their counts).
+def _divided(num: int, den: dict, images: dict) -> tuple[int, tuple, tuple]:
+    """The image ``num`` of a numerator N divided by the images of the
+    labels of ``den``, each while it divides and up to its count, as (the
+    quotient, the labels divided and the labels left, each with its
+    count).
 
     A nonzero remainder proves that a label does not divide: a polynomial
     quotient (Phi_e monic) would give an exact integer one.  A zero
     remainder can be an accident of the integers: Phi_1(t) = t - 1 goes
     to 2^w - 1, which divides the image 2^(w row) - 1 of q - 1, in every
-    width.  So B is certified at the end (``_certified``)."""
-    left, divided = [], []
+    width.  So the quotient is certified afterwards (``_certified``)."""
+    divided, left = [], []
     for label, n in den.items():
-        image = images[label]
-        while n:
+        image, k = images[label], 0
+        while k < n:
             quot, rem = divmod(num, image)
             if rem:
                 break
-            num, n = quot, n - 1
-            divided.append(label)
-        if n:
-            left.append((label, n))
-    return _certified(frame, num, divided), left
+            num, k = quot, k + 1
+        if k:
+            divided.append((label, k))
+        if k < n:
+            left.append((label, n - k))
+    return num, tuple(divided), tuple(left)
 
 
 # One part of a sum: the cofactor prod Phi^n over label counts, and per key
@@ -361,16 +375,16 @@ def cyclotomic_quotients(parts: Iterable[Part], den: Mapping[CyclotomicLabel, in
     canonical form; keys whose N is zero are left out.
 
     The work is on Kronecker images under one ``Frame``, laid out from
-    the envelope with 24 bits of room for the quotients: the L1 norm of
-    each N is at most the sum of its coefficients' absolute values times
-    the cofactors' norms, and its exponents lie within the keys' plus the
-    cofactors' extents.  Each cofactor is a product of label images, each N a sum of
-    shifted cofactors, each label tried by ``divmod`` (``_divided``), and
-    only the reduced numerator B is decoded.  B is coprime to the labels
-    left, so B over their product is the canonical value, its
-    denominator multiplied out once per distinct set of labels left.  A
-    key whose certificate fails is summed again in Q(q,t)
-    (``_field_quotient``)."""
+    the envelope with no room above it: the L1 norm of each N is at most
+    the sum of its coefficients' absolute values times the cofactors'
+    norms, and its exponents lie within the keys' plus the cofactors'
+    extents.  Each cofactor is a product of label images, each N a sum
+    of shifted cofactors, each label tried by ``divmod`` (``_divided``).
+    Then each key costs only its own terms: its quotient B is decoded and
+    certified, and B is coprime to the labels left, so B and their
+    product, multiplied out once per distinct set, moved by one monomial
+    are the canonical value.  A key whose certificate fails is summed
+    again in Q(q,t) (``_field_quotient``)."""
     parts = [(tuple((label, n) for label, n in cofactor if n), accs) for cofactor, accs in parts]
     den = {label: n for label, n in den.items() if n}
     bounds: dict = {}
@@ -387,7 +401,7 @@ def cyclotomic_quotients(parts: Iterable[Part], den: Mapping[CyclotomicLabel, in
     # a row holds the t extent, and d1 row + d2 > 0 for every label
     t0 = min(ts)
     row = max(max(ts) - t0 + 1, 1 - min((d2 for _e, _d1, d2 in den), default=0))
-    frame = Frame.holding(max(bounds.values()) << 24, row, min(qs), t0)
+    frame = Frame.holding(max(bounds.values()), row, min(qs), t0)
     labels = set(den).union(*(dict(cofactor) for cofactor, _accs in parts))
     images = {label: frame.phi(label) for label in labels}
     totals: dict = {}
@@ -396,16 +410,20 @@ def cyclotomic_quotients(parts: Iterable[Part], den: Mapping[CyclotomicLabel, in
         for key, acc in accs.items():
             totals[key] = totals.get(key, 0) + sum(
                 (c * cof) << frame.at(qe, te) for (qe, te), c in acc.items())
-    out, dens = {}, {}
+    # per distinct set of labels divided its extent, and per distinct set
+    # left its product, each found once per call
+    out, extents, dens = {}, {}, {}
     for key, num in totals.items():
         if not num:
             continue
+        num, divided, left = _divided(num, den, images)
+        if divided not in extents:
+            extents[divided] = _extent(divided)
         try:
-            num, left = _divided(frame, num, den, images)
+            num = _certified(frame, num, extents[divided])
         except SlotOverflow:
             out[key] = _field_quotient(parts, key, den)
             continue
-        left = tuple(left)
         if left not in dens:
             dens[left] = split_laurent(cyclotomic_product(left))
         out[key] = _over_coprime(num, dens[left])

@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple
 
-from .qt import QTPolynomial, QTRational, _normalise
+from .qt import QTPolynomial, QTRational, _normalise, _poly_raw
 
 __all__ = [
     "CyclotomicForm",
@@ -195,23 +195,32 @@ def cyclotomic_product(counts: Iterable[tuple[CyclotomicLabel, int]]) -> Laurent
 # ---------------------------------------------------------------------------
 
 
-def split_laurent(terms: dict) -> tuple[QTPolynomial, int, int]:
+def _shifted(terms: Laurent, dq: int, dt: int) -> QTPolynomial:
+    # q^dq t^dt times the Laurent polynomial terms, its exponents then >= 0
+    return _poly_raw({(qe + dq, te + dt): c for (qe, te), c in terms.items()})
+
+
+def _lowest(terms: Laurent) -> tuple[int, int]:
+    # the lowest q and the lowest t exponent of a nonzero Laurent polynomial
+    qs, ts = zip(*terms)
+    return min(qs), min(ts)
+
+
+def split_laurent(terms: Laurent) -> tuple[QTPolynomial, int, int]:
     """The nonzero Laurent polynomial ``terms`` as (poly, dq, dt), terms =
     q^dq t^dt poly with poly a polynomial divisible by neither q nor t."""
-    dq = min(qe for qe, _te in terms)
-    dt = min(te for _qe, te in terms)
-    return QTPolynomial({(qe - dq, te - dt): c for (qe, te), c in terms.items()}), dq, dt
+    dq, dt = _lowest(terms)
+    return _shifted(terms, -dq, -dt), dq, dt
 
 
 def _over_coprime(num: Laurent, den: tuple[QTPolynomial, int, int]) -> QTRational:
     # num / q^dq t^dt dpoly, den = (dpoly, dq, dt) from split_laurent, num
-    # a nonzero Laurent polynomial sharing no factor with dpoly: no gcd,
-    # only the monomials split off (dpoly is a product of labels, primitive
-    # and of lex-leading coefficient 1, see the module docstring)
-    npoly, nq, nt = split_laurent(num)
+    # a nonzero Laurent polynomial sharing no factor with dpoly: no gcd and
+    # no product, only monomials moved (dpoly is a product of labels,
+    # primitive and of lex-leading coefficient 1, see the module docstring)
     dpoly, dq, dt = den
+    nq, nt = _lowest(num)
     qexp, texp = nq - dq, nt - dt
-    return _normalise(
-        npoly * QTPolynomial.monomial(max(qexp, 0), max(texp, 0)),
-        dpoly * QTPolynomial.monomial(max(-qexp, 0), max(-texp, 0)),
-    )
+    if qexp < 0 or texp < 0:
+        dpoly = _shifted(dpoly.terms, max(-qexp, 0), max(-texp, 0))
+    return _normalise(_shifted(num, max(qexp, 0) - nq, max(texp, 0) - nt), dpoly)

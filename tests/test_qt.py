@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from nsmacdonald import cleared, qt
+from nsmacdonald import cleared, qt, xpoly
 from nsmacdonald.cleared import Frame, cyclotomic_quotients
 from nsmacdonald.compositions import Composition, compositions_with
 from nsmacdonald.cyclotomic import (
@@ -674,10 +674,56 @@ def test_a_false_division_in_a_narrow_frame_falls_back_to_field_arithmetic(monke
 def test_no_route_sum_falls_back_to_field_arithmetic(fallbacks):
     # every sum of both routes is certified in its frame: a narrowed frame
     # would fall back to gcd arithmetic, still exact, and show only here
+    # in frames laid out at the sums' own L1 bound, with no room above it;
+    # (5,5,1), (1,2,5) and (2,2,1,2,2,1) are drawn by the bench
     family = [mu.parts for n in (1, 2, 3) for mu in compositions_with(n, 3)]
-    for parts in family + [(0, 2, 1, 3), (0, 1, 4, 2), (3, 0, 2, 1, 4)]:
+    for parts in family + [(0, 2, 1, 3), (0, 1, 4, 2), (3, 0, 2, 1, 4), (5, 5, 1), (1, 2, 5),
+                           (2, 2, 1, 2, 2, 1)]:
         assert f_hhl(Composition(parts)) == f_matrix_product(Composition(parts)), parts
     assert fallbacks == []
+
+
+@pytest.fixture
+def field_operations(monkeypatch):
+    # the QTPolynomial products and gcds taken inside cyclotomic_quotients
+    # when xpoly.binomial_sum calls it, and the number of those calls
+    calls, inside, reductions = [], [], []
+    quotients = xpoly.cyclotomic_quotients
+
+    def reduce(*args):
+        reductions.append(args)
+        inside.append(True)
+        try:
+            return quotients(*args)
+        finally:
+            inside.pop()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if inside:
+                calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(xpoly, "cyclotomic_quotients", reduce)
+    monkeypatch.setattr(QTPolynomial, "__mul__", counted("mul", QTPolynomial.__mul__))
+    monkeypatch.setattr(qt, "qt_gcd", counted("gcd", qt.qt_gcd))
+    return calls, reductions
+
+
+def test_route_sums_take_no_polynomial_product_or_gcd(monkeypatch, field_operations):
+    # the canonical values are the reduced numerators and the labels'
+    # product moved by exponent shifts
+    calls, reductions = field_operations
+    f_hhl(Composition((0, 1, 4, 2)))
+    assert reductions and calls == []
+    # the counters are live: the false division in an 8-bit frame (above)
+    # falls back to Q(q,t) arithmetic, with products and gcds
+    monkeypatch.setattr(Frame, "holding", staticmethod(lambda _bound, *at: Frame(8, *at)))
+    terms = laurent_product({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): 5},
+                            {(1, 1): 1, (0, 0): -1})
+    xpoly.cyclotomic_quotients([((), {0: terms})], {(1, 0, 1): 1, (1, 1, 1): 1})
+    assert "mul" in calls and "gcd" in calls
 
 
 @pytest.mark.parametrize("label, box", [((1, 1, 1), (0, 0)), ((1, 1, -1), (0, -1))])
@@ -687,7 +733,8 @@ def test_a_corrupted_reduced_numerator_fails_its_certificate(label, box):
     # exponents (q0, t0) = box
     frame = Frame(32, 3, *box)
     reduced = (1 << frame.at(0, 0)) + (1 << frame.at(0, 1))
-    assert cleared._certified(frame, reduced, [label]) == {(0, 0): 1, (0, 1): 1}
+    divisors = cleared._extent([(label, 1)])
+    assert cleared._certified(frame, reduced, divisors) == {(0, 0): 1, (0, 1): 1}
     half = 1 << (frame.width - 1)
     corrupted = [
         # a slot above (half - 1) / L1(u - 1)
@@ -699,7 +746,7 @@ def test_a_corrupted_reduced_numerator_fails_its_certificate(label, box):
     ]
     for num in corrupted:
         with pytest.raises(ArithmeticError):
-            cleared._certified(frame, num, [label])
+            cleared._certified(frame, num, divisors)
 
 
 # -- qt_gcd returns the greatest common divisor, not just a common one --------

@@ -5,9 +5,9 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from nsmacdonald.cleared import ClearedPolynomial
+from nsmacdonald.cleared import ClearedPolynomial, Frame, SlotOverflow, _pack, decode
 from nsmacdonald.cyclotomic import cyclotomic_form
 from nsmacdonald.qt import Fraction, QTPolynomial, QTRational
 from nsmacdonald.xpoly import (
@@ -289,6 +289,52 @@ def test_decoding_checks_every_slot():
     for corrupt in (wrapped, overflowed):
         with pytest.raises(ArithmeticError):
             corrupt.laurents()
+
+
+@st.composite
+def framed_laurents(draw):
+    """A frame of random width, row and offsets, and a sparse Laurent
+    polynomial that fits it, its coefficients below a quarter of 2^(w-1)
+    and its q exponents up to 20 rows above q0: long runs of empty slots."""
+    width = draw(st.sampled_from([8, 16, 24, 64]))
+    frame = Frame(width, draw(st.integers(1, 6)), draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    top = (1 << (width - 1)) // 4
+    num = draw(st.dictionaries(
+        st.tuples(st.integers(frame.q0, frame.q0 + 20), st.integers(frame.t0, frame.t0 + frame.row - 1)),
+        st.integers(-top, top).filter(bool), min_size=1, max_size=6))
+    return frame, num
+
+
+def envelope(frame, num):
+    return max(map(abs, num.values())), max(te for _qe, te in num) - frame.t0
+
+
+@given(framed_laurents())
+@example((Frame(16, 3, 0, 0), {(0, 0): 256, (0, 1): -256, (7, 2): 1, (20, 0): -1}))
+def test_decode_inverts_pack(framed):
+    # the slots that differ from the empty one are found in runs of bytes:
+    # a slot whose low byte is the empty slot's (256), neighbours whose
+    # bytes make one run, and runs many empty slots apart
+    frame, num = framed
+    assert decode(_pack(num, frame), frame, *envelope(frame, num)) == num
+
+
+@given(framed_laurents(), st.data())
+def test_decode_refuses_a_planted_slot_outside_the_envelope(framed, data):
+    # one more term in an empty slot, either at a t exponent past tspan
+    # (wrapped towards the next row) or with a coefficient above the bound
+    frame, num = framed
+    bound, tspan = envelope(frame, num)
+    free = [(qe, te) for qe in range(frame.q0, frame.q0 + 21)
+            for te in range(frame.t0, frame.t0 + frame.row) if (qe, te) not in num]
+    qe, te = data.draw(st.sampled_from(free))
+    if te - frame.t0 > tspan:
+        c = data.draw(st.integers(-bound, bound).filter(bool))
+    else:
+        c = data.draw(st.integers(bound + 1, (1 << (frame.width - 1)) - 1)) * data.draw(
+            st.sampled_from([1, -1]))
+    with pytest.raises(SlotOverflow):
+        decode(_pack(num, frame) + (c << frame.at(qe, te)), frame, bound, tspan)
 
 
 @given(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), laurents, min_size=1, max_size=4),
