@@ -18,26 +18,27 @@ I[a..b] the partial sum I_a + .. + I_b):
 
 Each is (1 - t^a) t^b x^xdeg, a = 0 read as t^b, and x^xdeg is one
 factor of x exactly when the right edge is coloured.  The table is
-written once, in that exponent form (``_face_form``); ``l_weight``
-evaluates it over the ring of ``t``.
+written once, in that exponent form (``_face_form``); ``_weight``
+evaluates a form's coefficient over the ring of ``t``.
 
 The fundamental R-matrix R_z(i, j; k, l) (bottom, left; top, right) is
   R_z(i,i;i,i) = 1   and, for i < j,
   R_z(j,i;j,i) = t(1-z)/(1-tz)      R_z(i,j;i,j) = (1-z)/(1-tz)
   R_z(j,i;i,j) = (1-t)/(1-tz)       R_z(i,j;j,i) = (1-t)z/(1-tz),
 all other patterns vanishing.  It is written once, in cleared form:
-``_r_cleared`` is (x - t y) R_{y/x}, and ``r_weight`` divides it back at
-(x, y) = (1, z).  The RLL (Yang-Baxter) relation times x - t y is a sum
-of terms, each a cleared R entry times an x face times a y face
-(``_rll_terms``), all in Z[t][x, y].  ``ybe_check_symbolic`` sums them
-as integer polynomials in (x, y, t) (``_Poly``, dicts of ints), as
-``exchange_check`` does the row operators' products.  ``ybe_check``
-sums them in integers at exact rational sample points (none a pole):
-at (xn/xd, yn/yd, tn/td) the face (a, b, xdeg) times td^D xd is
-(td^a - tn^a) tn^b td^(D-a-b) times xn or xd by its x-degree (yn or yd
-for y), D bounding a + b, and a cleared R entry is taken times
-lcm(xd, yd) td.  Both sides carry one nonzero scale, so they are equal
-exactly when the rational sides are; no gcd is computed.
+``_r_cleared`` is (x - t y) R_{y/x}, so R_z is its value at (x, y) =
+(1, z) over 1 - t z; no certificate divides by that.  The RLL
+(Yang-Baxter) relation times x - t y is a sum of terms, each a cleared
+R entry times an x face times a y face (``_rll_terms``), all in
+Z[t][x, y].  ``ybe_check_symbolic`` sums them as integer polynomials
+in (x, y, t) (``_Poly``, dicts of ints), as ``exchange_check`` does the
+row operators' products.  ``ybe_check`` sums them in integers at exact
+rational sample points (none a pole): at (xn/xd, yn/yd, tn/td) the face
+(a, b, xdeg) times td^D xd is (td^a - tn^a) tn^b td^(D-a-b) times xn or
+xd by its x-degree (yn or yd for y), D bounding a + b, and a cleared R
+entry is taken times lcm(xd, yd) td.  Both sides carry one nonzero
+scale, so they are equal exactly when the rational sides are; no gcd is
+computed.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
@@ -55,9 +55,6 @@ from .reports import CheckReport
 from .xpoly import XPolynomial
 
 __all__ = [
-    "StructuredWeight",
-    "l_weight",
-    "r_weight",
     "ybe_check",
     "ybe_check_symbolic",
     "row_operator_expand",
@@ -67,22 +64,6 @@ __all__ = [
 
 Occupation = tuple[int, ...]
 State = tuple[Occupation, ...]
-
-
-@dataclass(frozen=True)
-class StructuredWeight:
-    """A face weight split as coefficient * x^xdeg, with xdeg in {0, 1}."""
-
-    coeff: object
-    xdeg: int
-
-    def is_zero(self) -> bool:
-        return _is_zero(self.coeff)
-
-
-def _is_zero(value) -> bool:
-    is_zero = getattr(value, "is_zero", None)
-    return value == 0 if is_zero is None else is_zero()
 
 
 def _face_form(I: Sequence[int], j: int, K: Sequence[int], l: int) -> tuple | None:
@@ -113,26 +94,6 @@ def _weight(form: tuple, t):
     return (t**0 - t**a) * t**b if a else t**b
 
 
-def l_weight(I: Sequence[int], j: int, K: Sequence[int], l: int, t=None) -> StructuredWeight:
-    """The face weight L(I, j; K, l) over the coefficient ring of ``t``.
-
-    ``t`` defaults to the symbolic QTRational t; pass a Fraction for
-    numeric work.  Conservation violations and the forbidden
-    colour-crossing pattern return weight zero.
-    """
-    if t is None:
-        t = QTRational.t()
-    n = len(I)
-    if len(K) != n:
-        raise ValueError("occupation vectors of different rank")
-    if min(I) < 0 or min(K) < 0 or not 0 <= j <= n or not 0 <= l <= n:
-        raise ValueError("malformed face labels")
-    form = _face_form(I, j, K, l)
-    if form is None:
-        return StructuredWeight(t**0 - t**0, 0)
-    return StructuredWeight(_weight(form, t), form[2])
-
-
 def _r_cleared(i: int, j: int, k: int, l: int, x, y, t):
     """The R-matrix table, cleared of its 1 - t y/x denominator:
     (x - t y) R_{y/x}(i, j; k, l) in the ring of x, y and t, or None off
@@ -146,22 +107,6 @@ def _r_cleared(i: int, j: int, k: int, l: int, x, y, t):
     if (k, l) == (j, i):  # reflection; j < i is R(j', i'; i', j') with i' < j'
         return (t**0 - t) * (x if j < i else y)
     return None
-
-
-def r_weight(i: int, j: int, k: int, l: int, z, t):
-    """R_z(i, j; k, l) with bottom i, left j, top k, right l: the cleared
-    table at (x, y) = (1, z) over 1 - t z, with z and t in one field
-    (Fractions or QTRationals).  Raises ZeroDivisionError at 1 - t z = 0."""
-    one = t**0
-    cleared = _r_cleared(i, j, k, l, one, z, t)
-    if cleared is None:
-        return one - one
-    if i == j:  # (1 - t z) / (1 - t z), without the pole
-        return one
-    denom = one - t * z
-    if _is_zero(denom):
-        raise ZeroDivisionError("R-matrix pole: 1 - t z = 0")
-    return cleared / denom
 
 
 class _Poly(dict):
@@ -323,10 +268,11 @@ def ybe_check(n: int, occupation_cap: int = 2, seed: int = 0) -> CheckReport:
 
     Runs over every boundary (i1, i2, j1, j2, I, J with entries <= cap)
     compatible with colour conservation, the only ones with a nonzero
-    term (a random sample of the others is evaluated too).  The sides are compared in integers: a face's bottom
-    edge holds at most cap + 1 paths of each colour, so its weight has
-    t-degree at most n (cap + 1); one degree more lets a table off by a
-    factor of t fail rather than raise.
+    term (a random sample of the others is evaluated too).  The sides
+    are compared in integers: a face's bottom edge holds at most cap + 1
+    paths of each colour, so its weight has t-degree at most n (cap + 1);
+    one degree more lets a table off by a factor of t fail rather than
+    raise.
     """
     report = CheckReport(f"ybe n={n} cap={occupation_cap}")
     occupations = _occupations(n, occupation_cap)
@@ -405,9 +351,7 @@ def ybe_check_symbolic(n: int = 1, occupation_cap: int = 2) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def row_operator_expand(
-    colour: int, top_state: State, t=None
-) -> list[tuple[State, object, int]]:
+def row_operator_expand(colour: int, top_state: State, t) -> list[tuple[State, object, int]]:
     """Expand C_colour(x) applied to the ket carrying ``top_state``.
 
     The row operator maps the state on top of the row to states along its
@@ -416,8 +360,6 @@ def row_operator_expand(
     of ``t``; internal vertical edges are chosen face by face, and every
     returned element is nonzero.
     """
-    if t is None:
-        t = QTRational.t()
     n = len(top_state[0]) if top_state else 0
     if not 1 <= colour <= n:
         raise ValueError(f"row colour {colour} out of range 1..{n}")

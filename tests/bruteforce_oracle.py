@@ -12,16 +12,16 @@ relation on one filling and the specialisation q -> value, live here too,
 as does the divided difference in plain XPolynomial arithmetic, against
 which the packed Hecke operators are tested, and the per-filling
 statistics ``descent_ascent``, ``ordered_triples`` and ``x_monomial``
-read square by square from a Filling, which the package's table kernel replaced: the
-package itself never calls them.  The set-based column kernel
-(``column_factors`` with ``colour_data``, ``coordinates`` and
+read square by square from a Filling, which the package's table kernel
+replaced: the package itself never calls them.  The set-based column
+kernel (``column_factors`` with ``colour_data``, ``coordinates`` and
 ``exponents_fgh``), the closed form written set by set as the matrixprod
 module docstring states it, is the reference for the package's
 one-pass integer kernel.  The lattice certificates' field-arithmetic
 sides, which their integer sides replaced, are the reference for those:
-both RLL sides as Fractions (``rll_sides``, every (k1, k2), the face
-weights through ``l_weight``) and the row-operator products over Q(q,t)
-(``exchange_products``).
+both RLL sides as Fractions (``rll_sides``, every (k1, k2), each face
+form of ``_face_form`` evaluated by ``_weight``) and the row-operator
+products over Q(q,t) (``exchange_products``).
 
 Deliberately naive; only run it on tiny compositions.
 """
@@ -32,7 +32,8 @@ import itertools
 
 from typing import Sequence
 
-from nsmacdonald.lattice import _r_cleared, capped_states, l_weight, row_operator_expand
+from nsmacdonald import lattice
+from nsmacdonald.lattice import capped_states, row_operator_expand
 from nsmacdonald.matrixprod import InadmissiblePair
 from nsmacdonald.qt import QTRational
 from nsmacdonald.xpoly import XPolynomial
@@ -321,7 +322,8 @@ def rll_sides(I, J, i1, i2, j1, j2, x, y, t):
     Fraction arithmetic: the sums over all colours k1, k2 of
     R(i2, i1; k2, k1) L_x(I, k1; K, j1) L_y(K, k2; J, j2) and of
     L_y(I, i2; K, k2) L_x(K, i1; J, k1) R(k2, k1; j2, j1), K forced by
-    conservation, R the cleared table."""
+    conservation, R the cleared table.  Both tables are read off the
+    module at each call, so a test that replaces one sees it here too."""
     n = len(I)
 
     def faces(left1, right1, left2, right2, u, v):
@@ -332,12 +334,15 @@ def rll_sides(I, J, i1, i2, j1, j2, x, y, t):
             K[right1 - 1] -= 1
         if min(K) < 0:
             return 0
-        lower = l_weight(I, left1, tuple(K), right1, t)
-        upper = l_weight(tuple(K), left2, J, right2, t)
-        return lower.coeff * u**lower.xdeg * upper.coeff * v**upper.xdeg
+        lower = lattice._face_form(I, left1, tuple(K), right1)
+        upper = lower and lattice._face_form(tuple(K), left2, J, right2)
+        if not upper:
+            return 0
+        weight = lattice._weight
+        return weight(lower, t) * u ** lower[2] * weight(upper, t) * v ** upper[2]
 
     def r(*labels):
-        entry = _r_cleared(*labels, x, y, t)
+        entry = lattice._r_cleared(*labels, x, y, t)
         return 0 if entry is None else entry
 
     colours = list(itertools.product(range(n + 1), repeat=2))

@@ -9,8 +9,6 @@ from nsmacdonald import lattice
 from nsmacdonald.lattice import (
     capped_states,
     exchange_check,
-    l_weight,
-    r_weight,
     row_operator_expand,
     ybe_check,
     ybe_check_symbolic,
@@ -24,64 +22,71 @@ T = QTRational.t()
 
 
 def test_l_weight_worked_examples():
-    w = l_weight((1, 1, 1), 1, (2, 0, 1), 2)
-    assert w.coeff == (ONE - T) * T and w.xdeg == 1
-    w = l_weight((2, 1, 2), 0, (1, 1, 2), 1)
-    assert w.coeff == (ONE - T**2) * T**3 and w.xdeg == 1
-    w = l_weight((1, 2), 0, (1, 2), 0)
-    assert w.coeff.is_one() and w.xdeg == 0
+    # the face table in exponent form (a, b, xdeg): (1 - t^a) t^b x^xdeg
+    assert lattice._face_form((1, 1, 1), 1, (2, 0, 1), 2) == (1, 1, 1)
+    assert lattice._face_form((2, 1, 2), 0, (1, 1, 2), 1) == (2, 3, 1)
+    assert lattice._face_form((1, 2), 0, (1, 2), 0) == (0, 0, 0)
+    assert lattice._weight((1, 1, 1), T) == (ONE - T) * T
+    assert lattice._weight((2, 3, 1), T) == (ONE - T**2) * T**3
+    assert lattice._weight((0, 0, 0), T).is_one()
 
 
 def test_l_weight_zero_patterns():
-    # forbidden crossing: left colour above right colour
-    assert l_weight((1, 1), 2, (2, 0), 1).is_zero()
+    # forbidden crossing: left colour above right colour, colour conserved
+    assert lattice._face_form((1, 1), 2, (0, 2), 1) is None
     # conservation violation
-    assert l_weight((1, 0), 0, (1, 1), 0).is_zero()
+    assert lattice._face_form((1, 0), 0, (1, 1), 0) is None
 
 
-def test_l_weight_conservation_scan():
-    # nonzero weight implies bottom + e_left = top + e_right
-    vecs = list(itertools.product(range(3), repeat=2))
-    for I in vecs:
-        for K in vecs:
-            for j in range(3):
-                for l in range(3):
-                    w = l_weight(I, j, K, l)
-                    lhs = list(I)
-                    if j:
-                        lhs[j - 1] += 1
-                    rhs = list(K)
-                    if l:
-                        rhs[l - 1] += 1
-                    if lhs != rhs:
-                        assert w.is_zero()
-
-
-def test_l_weight_x_degree_law():
-    # x-degree is 1 exactly when the right edge is coloured
-    vecs = list(itertools.product(range(3), repeat=2))
-    for I in vecs:
-        for K in vecs:
-            for j in range(3):
-                for l in range(3):
-                    w = l_weight(I, j, K, l)
-                    if not w.is_zero():
-                        assert w.xdeg == (1 if l >= 1 else 0)
+def test_face_table_audit():
+    # every face with n <= 3 and entries <= 3: the table vanishes exactly
+    # off conservation (bottom + e_left = top + e_right) and on the
+    # forbidden crossing j > l >= 1, carries x exactly when the right edge
+    # is coloured, and has t-degree a + b <= n (cap + 1) when the bottom
+    # entries are <= cap + 1, the bound of ybe_check's integer tables
+    # (lattice._integer_point raises above it)
+    for n in (1, 2, 3):
+        vecs = list(itertools.product(range(4), repeat=n))
+        for I, K in itertools.product(vecs, repeat=2):
+            for j, l in itertools.product(range(n + 1), repeat=2):
+                form = lattice._face_form(I, j, K, l)
+                lhs, rhs = list(I), list(K)
+                if j:
+                    lhs[j - 1] += 1
+                if l:
+                    rhs[l - 1] += 1
+                if lhs != rhs or j > l >= 1:
+                    assert form is None, (I, j, K, l)
+                    continue
+                a, b, xdeg = form
+                assert xdeg == (l >= 1), (I, j, K, l)
+                cap = max(max(I) - 1, 0)
+                assert a + b <= n * (cap + 1), (I, j, K, l)
 
 
 def test_r_weight_entries():
+    # R_z(i, j; k, l) times 1 - t z is the cleared table at (x, y) = (1, z)
     z = QTRational.q()
-    assert r_weight(0, 0, 0, 0, z, T).is_one()
-    assert r_weight(1, 0, 0, 1, z, T) == (ONE - T) / (ONE - T * z)
-    assert r_weight(0, 1, 1, 0, z, T) == (ONE - T) * z / (ONE - T * z)
-    assert r_weight(1, 0, 1, 0, z, T) == T * (ONE - z) / (ONE - T * z)
-    assert r_weight(0, 1, 0, 1, z, T) == (ONE - z) / (ONE - T * z)
-    assert r_weight(1, 0, 1, 2, z, T).is_zero()
+    entries = {
+        (0, 0, 0, 0): ONE,
+        (1, 0, 0, 1): (ONE - T) / (ONE - T * z),
+        (0, 1, 1, 0): (ONE - T) * z / (ONE - T * z),
+        (1, 0, 1, 0): T * (ONE - z) / (ONE - T * z),
+        (0, 1, 0, 1): (ONE - z) / (ONE - T * z),
+    }
+    for labels, R in entries.items():
+        assert lattice._r_cleared(*labels, ONE, z, T) == (ONE - T * z) * R
+    assert lattice._r_cleared(1, 0, 1, 2, ONE, z, T) is None
 
 
 def test_r_weight_pole():
-    with pytest.raises(ZeroDivisionError):
-        r_weight(0, 1, 0, 1, Fraction(1, 2), Fraction(2))
+    # at the pole 1 - t z = 0 of R_z the cleared table is finite and its
+    # diagonal entry, the factor x - t y it was cleared of, vanishes; no
+    # sample point of ybe_check lies on it
+    one, z, t = Fraction(1), Fraction(1, 2), Fraction(2)
+    assert lattice._r_cleared(0, 1, 0, 1, one, z, t) == Fraction(1, 2)
+    assert lattice._r_cleared(1, 1, 1, 1, one, z, t) == 0
+    assert all(lattice._r_cleared(1, 1, 1, 1, *point) for point in lattice.SAMPLE_POINTS)
 
 
 def test_ybe_trivial_boundary():
@@ -271,11 +276,11 @@ def row_operator_elem(colour, in_state, out_state):
             right = diff.index(1) + 1
         else:
             return zero, 0
-        w = l_weight(bottom, left, top, right, T)
-        if w.is_zero():
+        form = lattice._face_form(bottom, left, top, right)
+        if form is None:
             return zero, 0
-        coeff = coeff * w.coeff
-        xdeg += w.xdeg
+        coeff = coeff * lattice._weight(form, T)
+        xdeg += form[2]
         left = right
     if left != 0:
         return zero, 0
@@ -299,7 +304,7 @@ def test_row_operator_examples():
 
 def test_row_operator_expand_matches_elem():
     top_state = ((1, 1), (0, 1))
-    expansions = row_operator_expand(2, top_state)
+    expansions = row_operator_expand(2, top_state, T)
     assert expansions
     for bottom, coeff, deg in expansions:
         assert row_operator_elem(2, bottom, top_state) == (coeff, deg)
