@@ -38,30 +38,43 @@ def test_l_weight_zero_patterns():
     assert lattice._face_form((1, 0), 0, (1, 1), 0) is None
 
 
-def test_face_table_audit():
-    # every face with n <= 3 and entries <= 3: the table vanishes exactly
-    # off conservation (bottom + e_left = top + e_right) and on the
-    # forbidden crossing j > l >= 1, carries x exactly when the right edge
-    # is coloured, and has t-degree a + b <= n (cap + 1) when the bottom
-    # entries are <= cap + 1, the bound of ybe_check's integer tables
-    # (lattice._integer_point raises above it)
+def _faces():
+    # every face with n <= 3 and entries <= 3, with whether it conserves
+    # colour (bottom + e_left = top + e_right) and its table entry
     for n in (1, 2, 3):
         vecs = list(itertools.product(range(4), repeat=n))
         for I, K in itertools.product(vecs, repeat=2):
             for j, l in itertools.product(range(n + 1), repeat=2):
-                form = lattice._face_form(I, j, K, l)
                 lhs, rhs = list(I), list(K)
                 if j:
                     lhs[j - 1] += 1
                 if l:
                     rhs[l - 1] += 1
-                if lhs != rhs or j > l >= 1:
-                    assert form is None, (I, j, K, l)
-                    continue
-                a, b, xdeg = form
-                assert xdeg == (l >= 1), (I, j, K, l)
-                cap = max(max(I) - 1, 0)
-                assert a + b <= n * (cap + 1), (I, j, K, l)
+                yield n, (I, j, K, l), lhs == rhs, lattice._face_form(I, j, K, l)
+
+
+def test_l_weight_conservation_scan():
+    # the table vanishes exactly off conservation and on the forbidden
+    # crossing j > l >= 1
+    for _, (I, j, K, l), conserves, form in _faces():
+        assert (form is None) == (not conserves or j > l >= 1), (I, j, K, l)
+
+
+def test_l_weight_x_degree_law():
+    # x-degree is 1 exactly when the right edge is coloured
+    for _, (I, j, K, l), _, form in _faces():
+        if form is not None:
+            assert form[2] == (l >= 1), (I, j, K, l)
+
+
+def test_face_table_audit():
+    # t-degree a + b <= n (cap + 1) when the bottom entries are <= cap + 1,
+    # the bound of ybe_check's integer tables (lattice._integer_point
+    # raises above it)
+    for n, (I, j, K, l), _, form in _faces():
+        if form is not None:
+            a, b, _ = form
+            assert a + b <= n * (max(max(I) - 1, 0) + 1), (I, j, K, l)
 
 
 def test_r_weight_entries():
