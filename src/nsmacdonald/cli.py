@@ -1,11 +1,10 @@
 """Command-line front end.
 
-Three subcommands:
+Two subcommands:
 
   compute --mu 0,1 [--rho 2,1] [--method hhl|matrix|both] [--convention f|E]
-          [--output text|json|latex]
-  expand  --mu 0,1 [--method hhl|matrix] [--output text|json|latex]
-  verify  [CHECK | --check CHECK] [--mu ...] [--i K] [--n N] [--seed S] ...
+          [--output text|json|latex|terms]
+  verify  CHECK [--mu ...] [--i K] [--n N] [--cap C] [--samples S] [--seed S]
 
 Verification checks: eigen, ybe, exchange, cyclic, frozen, bijection,
 hecke.  Without --mu a check runs over the default composition family
@@ -13,12 +12,14 @@ hecke.  Without --mu a check runs over the default composition family
 ``verify cyclic --i K`` then runs colour K on the members with n >= K.
 
 --rho needs --method matrix.  Exit codes: 0 all good, 1 a verification
-or route comparison failed, 2 usage error (including a flag value out of
-range, a --mu too large to run: more than MAX_PARTS = 64 parts, more than
-MAX_SQUARES diagram squares or more than MAX_CONFIGURATIONS
-configurations, two different check names, and an eigen, ybe, exchange
-or hecke check that asks for more work than MAX_WORK allows).  Computed
-polynomials go to stdout; verification reports go to stderr.
+or route comparison failed, 2 usage error, one ``error:`` line on stderr
+(argparse's own errors included: an unknown subcommand, flag or choice,
+a missing --mu or check name, a malformed integer; and a flag value out
+of range, a --mu too large to run: more than MAX_PARTS = 64 parts, more
+than MAX_SQUARES diagram squares or more than MAX_CONFIGURATIONS
+configurations, and an eigen, ybe, exchange or hecke check that asks for
+more work than its CHECKS limit allows).  Computed polynomials go to
+stdout; verification reports go to stderr.
 """
 
 from __future__ import annotations
@@ -51,24 +52,8 @@ from .matrixprod import (
 from .reports import CheckReport
 from .xpoly import XPolynomial, reverse_alphabet
 
-# the optional verify flags each check reads; giving any other is a usage error
-CHECK_FLAGS = {
-    "bijection": {"mu"},
-    "cyclic": {"mu", "i"},
-    "eigen": {"mu"},
-    "exchange": {"n"},
-    "frozen": {"mu"},
-    "hecke": {"mu", "n", "samples", "seed"},
-    "ybe": {"n", "cap", "seed"},
-}
-CHECKS = tuple(CHECK_FLAGS)
-# the verify flags that take an integer (``parse_int``)
-INT_FLAGS = ("i", "n", "cap", "samples", "seed")
-# defaults of the flags that have one
-VERIFY_DEFAULTS = {"cap": 2, "samples": 5, "seed": 0}
-# the alphabet sizes a check runs without --n
-DEFAULT_SIZES = {"ybe": [1, 2], "exchange": [2], "hecke": [2, 3]}
-
+# the verify flags that take an integer (``parse_int``), with their defaults
+INT_FLAGS = {"i": None, "n": None, "cap": 2, "samples": 5, "seed": 0}
 
 # A --mu beyond any limit is refused before anything runs (exit 2).  The
 # filling search nests about |mu| frames, one per diagram square, so
@@ -83,21 +68,27 @@ MAX_PARTS = 64
 MAX_SQUARES = 500
 MAX_CONFIGURATIONS = 10**6
 
-# ybe, exchange and hecke are sized by their flags, eigen by its
-# compositions: ``_work`` counts their work in closed form, and a check
-# above its limit is refused before anything runs (exit 2).  Cost per
-# unit, measured with CPython 3.11 on one x86-64 core: ybe 0.01 ms per
+# Each check: the optional verify flags it reads (giving any other is a
+# usage error), the alphabet sizes it runs without --n, and its work limit
+# with the unit.  ybe, exchange and hecke are sized by their flags, eigen
+# by its compositions: ``_work`` counts their work in closed form, and a
+# check above its limit is refused before anything runs (exit 2).  Cost
+# per unit, measured with CPython 3.11 on one x86-64 core: ybe 0.01 ms per
 # boundary (n = 4 with cap 3, 1.6 * 10^5 boundaries, takes 1.2-1.6 s), all
 # of them held in one list; exchange 0.2-0.3 ms (n = 4 takes 0.85 s, n = 5
 # 6-7 s); hecke 1-50 ms (n = 4 takes 10.5 s, n = 5 more than
 # 100 s); eigen 20-30 ns (0,..,0,1,1 with 52 parts, 3.7 * 10^8 units, takes
 # 7.1 s, and with 64 parts, 1.04 * 10^9, 27 s).  So a check at its limit
 # takes seconds to minutes.
-MAX_WORK = {
-    "eigen": (10**9, "configurations times n^3"),
-    "ybe": (2 * 10**5, "RLL boundaries"),
-    "exchange": (10**5, "in-state colour pairs"),
-    "hecke": (10**4, "basement exchanges and relation samples"),
+CHECKS = {
+    "bijection": ({"mu"}, None, None),
+    "cyclic": ({"mu", "i"}, None, None),
+    "eigen": ({"mu"}, None, (10**9, "configurations times n^3")),
+    "exchange": ({"n"}, [2], (10**5, "in-state colour pairs")),
+    "frozen": ({"mu"}, None, None),
+    "hecke": ({"mu", "n", "samples", "seed"}, [2, 3],
+              (10**4, "basement exchanges and relation samples")),
+    "ybe": ({"n", "cap", "seed"}, [1, 2], (2 * 10**5, "RLL boundaries")),
 }
 
 
@@ -105,10 +96,19 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors (an unknown subcommand, flag or choice, a
+    missing argument, a rejected value) take ``main``'s one usage-error
+    path instead of printing a usage block and exiting."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _work(name: str, sizes: list[int] | None, args, mu: Composition | None) -> int:
     """The work of ``verify name`` at the alphabet sizes ``sizes``, in the
-    units of MAX_WORK, enumerating nothing.  A size above 64 counts as 64:
-    its work is past every limit anyway, and no huge integer is built."""
+    unit of its CHECKS limit, enumerating nothing.  A size above 64 counts
+    as 64: its work is past every limit anyway, and no huge integer is built."""
     if name == "eigen":
         # n operators Y_i of about n operators T_i each, every one over each
         # term of f_mu (n exponents), which has at most one term per
@@ -150,6 +150,13 @@ def _parse_mu(text: str) -> Composition:
     return mu
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_rho(text: str, n: int) -> tuple[int, ...]:
     try:
         # a permutation is a composition: one parser for both flags
@@ -162,9 +169,7 @@ def _parse_rho(text: str, n: int) -> tuple[int, ...]:
 
 
 def _compute(args) -> int:
-    if not args.mu:
-        raise UsageError("compute requires --mu")
-    mu = _parse_mu(args.mu)
+    mu = args.mu
     rho = _parse_rho(args.rho, mu.n) if args.rho else None
     if rho is not None and args.method != "matrix":
         # the fillings route has no permuted basement to compare against
@@ -196,47 +201,37 @@ def _compute(args) -> int:
 
 
 def _emit(poly: XPolynomial, output: str, header: dict) -> None:
-    """Print poly as ``output``; the JSON form is ``header`` plus "poly"."""
+    """Print poly as ``output``: the JSON form is ``header`` plus "poly",
+    the terms form one ``x^[exponents]  coefficient`` line per term."""
     if output == "json":
         print(json.dumps({**header, "poly": poly.to_json()}))
     elif output == "latex":
         print(poly.to_latex())
+    elif output == "terms":
+        for exps, coeff in poly.sorted_terms():
+            print(f"x^{list(exps)}  {coeff}")
     else:
         print(poly)
 
 
-def _expand(args) -> int:
-    if not args.mu:
-        raise UsageError("expand requires --mu")
-    mu = _parse_mu(args.mu)
-    poly = f_hhl(mu) if args.method == "hhl" else f_matrix_product(mu)
-    if args.output == "text":
-        for exps, coeff in poly.sorted_terms():
-            print(f"x^{list(exps)}  {coeff}")
-    else:
-        _emit(poly, args.output, {"mu": list(mu.parts), "method": args.method})
-    return 0
-
-
-def _run_check(name: str, args) -> CheckReport:
+def _verify(args) -> int:
+    name = args.check
+    flags, default_sizes, work_limit = CHECKS[name]
     for flag in ("mu", *INT_FLAGS):
-        if getattr(args, flag) is not None and flag not in CHECK_FLAGS[name]:
+        if getattr(args, flag) is not None and flag not in flags:
             raise UsageError(f"--{flag} is not used by verify {name}")
-    for flag in INT_FLAGS:
-        text = getattr(args, flag)
-        try:
-            setattr(args, flag, VERIFY_DEFAULTS.get(flag) if text is None else parse_int(text))
-        except ValueError as exc:
-            raise UsageError(f"--{flag}: {exc}") from None
-    mu = _parse_mu(args.mu) if args.mu else None
+    for flag, default in INT_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    mu = args.mu
     lowest = {"i": 1, "n": 2 if name == "hecke" else 1, "cap": 0, "samples": 1}
     for flag, low in lowest.items():
         value = getattr(args, flag)
         if value is not None and value < low:
             raise UsageError(f"--{flag} must be at least {low} for {name}, got {value}")
-    sizes = DEFAULT_SIZES.get(name) if args.n is None else [args.n]
-    if name in MAX_WORK:
-        limit, unit = MAX_WORK[name]
+    sizes = default_sizes if args.n is None else [args.n]
+    if work_limit:
+        limit, unit = work_limit
         if _work(name, sizes, args, mu) > limit:
             raise UsageError(f"verify {name} with these flags needs more than {limit} {unit}")
     targets = [mu] if mu else default_family()
@@ -299,59 +294,43 @@ def _run_check(name: str, args) -> CheckReport:
                     for i in range(1, n):
                         if rho[i - 1] < rho[i]:
                             total.merge(verify_exchange_basement(m, i, list(rho)))
-    return total
-
-
-def _verify(args) -> int:
-    if args.check_pos and args.check and args.check_pos != args.check:
-        raise UsageError(f"two check names given: {args.check_pos} and --check {args.check}")
-    name = args.check_pos or args.check
-    if not name:
-        raise UsageError("verify requires a check name (positional or --check)")
-    report = _run_check(name, args)
-    print(report.render(), file=sys.stderr)
-    return 0 if report.ok else 1
+    print(total.render(), file=sys.stderr)
+    return 0 if total.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nsmacdonald",
         description="Exact nonsymmetric Macdonald polynomials, three ways.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="compute f_mu (or E_mu, or f^rho_mu)")
-    compute.add_argument("--mu", help="comma-separated composition, e.g. 0,4,4,1,5")
+    compute.add_argument("--mu", type=_parse_mu, required=True, help="composition, e.g. 0,4,1")
     compute.add_argument("--rho", help="basement permutation, e.g. 3,1,2")
     compute.add_argument("--method", choices=("hhl", "matrix", "both"), default="both")
     compute.add_argument("--convention", choices=("f", "E"), default="f")
-    compute.add_argument("--output", choices=("text", "json", "latex"), default="text")
+    compute.add_argument("--output", choices=("text", "json", "latex", "terms"), default="text")
     compute.set_defaults(func=_compute)
 
-    expand = sub.add_parser("expand", help="print the monomial expansion of f_mu")
-    expand.add_argument("--mu")
-    expand.add_argument("--method", choices=("hhl", "matrix"), default="hhl")
-    expand.add_argument("--output", choices=("text", "json", "latex"), default="text")
-    expand.set_defaults(func=_expand)
-
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("check_pos", nargs="?", choices=CHECKS, metavar="check")
-    verify.add_argument("--check", choices=CHECKS)
-    verify.add_argument("--mu", help="one composition for eigen/cyclic/frozen/bijection/hecke")
-    verify.add_argument("--i", help="restrict cyclic check to one colour")
-    verify.add_argument("--n", help="alphabet size for ybe/exchange/hecke")
-    verify.add_argument("--cap", help="occupation cap for ybe (default 2)")
-    verify.add_argument("--samples", help="random samples for hecke (default 5)")
-    verify.add_argument("--seed", help="random seed for ybe/hecke (default 0)")
+    verify.add_argument("check", choices=CHECKS)
+    verify.add_argument(
+        "--mu", type=_parse_mu, help="one composition for eigen/cyclic/frozen/bijection/hecke"
+    )
+    verify.add_argument("--i", type=_parse_int, help="restrict cyclic check to one colour")
+    verify.add_argument("--n", type=_parse_int, help="alphabet size for ybe/exchange/hecke")
+    verify.add_argument("--cap", type=_parse_int, help="occupation cap for ybe (default 2)")
+    verify.add_argument("--samples", type=_parse_int, help="random samples for hecke (default 5)")
+    verify.add_argument("--seed", type=_parse_int, help="random seed for ybe/hecke (default 0)")
     verify.set_defaults(func=_verify)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -335,9 +335,9 @@ def enumerate_configs(
     yield from extend([_basement(mu, basement)], 0)
 
 
-def count_configs(mu: Composition, basement: Sequence[int] | None = None) -> int:
+def count_configs(mu: Composition) -> int:
     """The exact number of configurations ``enumerate_configs`` yields,
-    without enumerating them.
+    under any basement, without enumerating them.
 
     Every state of column j + 1 holds the same colours, the survivors
     Q_j, and every state of column 0 all colours, so the number of legal
@@ -345,8 +345,10 @@ def count_configs(mu: Composition, basement: Sequence[int] | None = None) -> int
     the product of those numbers.  From a column holding the colours
     ``held``, the survivors are placed in increasing order: colour c may
     take a row whose previous occupant is absent or at most c, less the
-    rows the smaller survivors took, all of which are open to c too."""
-    held = _basement(mu, basement)
+    rows the smaller survivors took, all of which are open to c too.  A
+    basement is a permutation of 1..n, so exactly c of its rows hold a
+    colour <= c whichever it is, and the count does not depend on it."""
+    held = tuple(range(1, mu.n + 1))
     total = 1
     for j in range(mu.maxpart):
         survivors = _survivors(mu, j)

@@ -105,6 +105,20 @@ def _div(a: int, b: int) -> int:
     return quot
 
 
+def join_signed(bodies: Iterable[str]) -> str:
+    """``bodies`` joined by " + ", or by " - " in place of the leading minus
+    sign of a body after the first."""
+    text = ""
+    for body in bodies:
+        if not text:
+            text = body
+        elif body.startswith("-"):
+            text += " - " + body[1:]
+        else:
+            text += " + " + body
+    return text
+
+
 class QTPolynomial:
     """A polynomial in (q, t) with integer coefficients, sparsely stored."""
 
@@ -290,29 +304,30 @@ class QTPolynomial:
             for (qe, te) in sorted(self.terms, reverse=True)
         ]
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
+    def write(self, power: str = "{}^{}", times: str = "*") -> str:
+        """The terms joined by their signs, "0" for none: ``power`` formats
+        q or t with an exponent above 1 and ``times`` joins a coefficient
+        to its monomial, the two places where the text form (the defaults)
+        and the LaTeX form (``"{}^{{{}}}"`` and ``" "``) differ."""
+        bodies = []
         for qe, te, coeff in self.sorted_terms():
             mono = ""
             if qe:
-                mono += "q" if qe == 1 else f"q^{qe}"
+                mono += "q" if qe == 1 else power.format("q", qe)
             if te:
-                mono += "t" if te == 1 else f"t^{te}"
+                mono += "t" if te == 1 else power.format("t", te)
             if not mono:
-                body = str(coeff)
+                bodies.append(str(coeff))
             elif coeff == 1:
-                body = mono
+                bodies.append(mono)
             elif coeff == -1:
-                body = "-" + mono
+                bodies.append("-" + mono)
             else:
-                body = f"{coeff}*{mono}"
-            pieces.append(body)
-        text = pieces[0]
-        for body in pieces[1:]:
-            text += " - " + body[1:] if body.startswith("-") else " + " + body
-        return text
+                bodies.append(f"{coeff}{times}{mono}")
+        return join_signed(bodies) or "0"
+
+    def __str__(self) -> str:
+        return self.write()
 
     __repr__ = __str__
 

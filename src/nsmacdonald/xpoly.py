@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .cleared import ClearedPolynomial, cyclotomic_quotients
 from .cyclotomic import CyclotomicForm, CyclotomicLabel, Laurent
-from .qt import QTRational, qt_lcm
+from .qt import QTRational, join_signed, qt_lcm
 
 __all__ = [
     "XPolynomial",
@@ -279,8 +279,6 @@ class XPolynomial:
 
     def to_latex(self) -> str:
         """Human-readable LaTeX, terms in ascending graded lex order."""
-        if not self.terms:
-            return "0"
         pieces = []
         for exps, coeff in self.sorted_terms():
             mono = "".join(
@@ -290,43 +288,12 @@ class XPolynomial:
             )
             body = _coeff_latex(coeff, bare=not mono)
             pieces.append((body + " " + mono).strip() if mono else body)
-        text = pieces[0]
-        for body in pieces[1:]:
-            if body.startswith("-"):
-                text += " - " + body[1:]
-            else:
-                text += " + " + body
-        return text
-
-
-def _poly_latex(poly) -> str:
-    out = ""
-    for qe, te, coeff in poly.sorted_terms():
-        mono = ""
-        if qe:
-            mono += "q" if qe == 1 else f"q^{{{qe}}}"
-        if te:
-            mono += "t" if te == 1 else f"t^{{{te}}}"
-        if not mono:
-            body = str(coeff)
-        elif coeff == 1:
-            body = mono
-        elif coeff == -1:
-            body = "-" + mono
-        else:
-            body = f"{coeff} {mono}"
-        if not out:
-            out = body
-        elif body.startswith("-"):
-            out += " - " + body[1:]
-        else:
-            out += " + " + body
-    return out
+        return join_signed(pieces) or "0"
 
 
 def _coeff_latex(coeff: QTRational, bare: bool) -> str:
+    num, den = (poly.write("{}^{{{}}}", " ") for poly in (coeff.num, coeff.den))
     if coeff.den.is_one():
-        num = _poly_latex(coeff.num)
         if not bare:
             if num == "1":
                 return ""
@@ -335,7 +302,7 @@ def _coeff_latex(coeff: QTRational, bare: bool) -> str:
             if len(coeff.num.terms) > 1:
                 return f"\\left({num}\\right)"
         return num
-    return f"\\frac{{{_poly_latex(coeff.num)}}}{{{_poly_latex(coeff.den)}}}"
+    return f"\\frac{{{num}}}{{{den}}}"
 
 
 def _raw(nvars: int, terms: dict[tuple[int, ...], QTRational]) -> XPolynomial:

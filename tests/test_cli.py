@@ -41,7 +41,7 @@ def test_compute_latex(capsys):
 
 
 def test_verify_eigen_exit_zero(capsys):
-    code, _out, err = run(capsys, "verify", "--check", "eigen", "--mu", "0,1")
+    code, _out, err = run(capsys, "verify", "eigen", "--mu", "0,1")
     assert code == 0
     assert "PASS" in err
 
@@ -50,16 +50,6 @@ def test_verify_positional_check(capsys):
     code, _out, err = run(capsys, "verify", "frozen", "--mu", "2,0")
     assert code == 0
     assert "PASS" in err
-
-
-def test_two_check_names_must_agree(capsys, monkeypatch):
-    # one name given twice runs once; two names are refused before either runs
-    code, _out, err = run(capsys, "verify", "frozen", "--check", "frozen", "--mu", "2,0")
-    assert code == 0 and err.startswith("[PASS] frozen")
-    monkeypatch.setattr(cli, "_run_check", lambda *args: pytest.fail("a check ran"))
-    code, out, err = run(capsys, "verify", "frozen", "--check", "eigen", "--mu", "0,1")
-    assert code == 2 and out == ""
-    assert err == "error: two check names given: frozen and --check eigen\n"
 
 
 def test_part_limit_is_checked_before_anything_runs(capsys, monkeypatch):
@@ -110,14 +100,14 @@ def test_convention_E(capsys):
         assert poly == reverse_alphabet(f_hhl(Composition((0, 1))))
 
 
-def test_expand_lists_monomials(capsys):
-    code, out, _err = run(capsys, "expand", "--mu", "0,1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2
-    # ascending graded lex: the x_2 monomial (exponents [0,1]) prints first
-    assert lines[0].startswith("x^[0, 1]")
-    assert lines[1].startswith("x^[1, 0]")
+def test_terms_output_lists_monomials(capsys):
+    for method in ("hhl", "matrix", "both"):
+        code, out, _err = run(
+            capsys, "compute", "--mu", "0,1", "--method", method, "--output", "terms"
+        )
+        assert code == 0
+        # ascending graded lex: the x_2 monomial (exponents [0,1]) prints first
+        assert out.splitlines() == ["x^[0, 1]  1", "x^[1, 0]  (qt - q)/(qt - 1)"]
 
 
 def test_malformed_composition_is_usage_error(capsys):
@@ -138,9 +128,9 @@ def test_missing_mu_is_usage_error(capsys):
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "frobnicate")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_rho_compute(capsys):
@@ -179,16 +169,6 @@ def test_verify_cyclic_colour_without_mu_skips_smaller_compositions(capsys, monk
     assert code == 0
     checked = cyclic_check(Composition((0, 1)), 2).checked
     assert err.splitlines()[0] == f"[PASS] cyclic: {checked} checks"
-
-
-def test_expand_json_matches_compute(capsys):
-    code, out, _err = run(capsys, "expand", "--mu", "0,1", "--method", "matrix", "--output", "json")
-    assert code == 0
-    code, computed, _err = run(
-        capsys, "compute", "--mu", "0,1", "--method", "matrix", "--output", "json"
-    )
-    assert code == 0
-    assert out == computed
 
 
 def test_python_dash_m_runs_the_cli():
@@ -256,8 +236,18 @@ def test_integer_flags_take_a_sign_and_spaces(capsys):
         pytest.param("compute --mu " + ",".join(["0"] * 500), id="compute-500-zeros"),
         pytest.param("verify eigen --mu " + ",".join(["0"] * 400 + ["1"]), id="eigen-401-parts"),
         pytest.param("compute --mu " + ",".join(["0"] * 64 + ["1"]), id="compute-65-parts"),
+        # argparse's own errors take the same one-line path
         "verify frozen --check eigen --mu 0,1",
         "verify eigen --check frozen",
+        "verify bogus",
+        "compute --mu 0,1 --method nope",
+        "compute --mu 0,1 --output pdf",
+        "compute --mu",
+        "compute --mu -1,2",
+        "compute",
+        "verify",
+        "frobnicate",
+        "compute --mu 0,1 --frob",
         # int() alone reads 1_0 as 10 and takes non-ASCII digits
         "compute --mu 1_0",
         "compute --mu 0,1 --rho 0_2,1 --method matrix",

@@ -159,6 +159,25 @@ def test_exchange_detects_corrupted_table(monkeypatch):
     assert all(exchange_check(i, j, 2).ok for i in (1, 2) for j in (1, 2))
 
 
+def weighted_one_off_conservation(I, j, K, l):
+    """The face table with every face off conservation (I + e_j != K + e_l)
+    given the weight 1 instead of none."""
+    if lattice._vec_add(I, j, +1) != lattice._vec_add(K, l, +1):
+        return 0, 0, 0
+    return FACE_FORM(I, j, K, l)
+
+
+def test_ybe_spot_checks_catch_a_face_off_conservation(monkeypatch):
+    # no conserving boundary reads a face off conservation, so the sweeps
+    # still pass and only the non-conserving spot checks see the plant
+    monkeypatch.setattr(lattice, "_face_form", weighted_one_off_conservation)
+    assert ybe_check_symbolic(1, 2).ok
+    for n in (1, 2):
+        failures = ybe_check(n, 2).failures
+        assert len(failures) > lattice.NONCONSERVING_SAMPLES // 2
+        assert all(f.startswith("non-conserving boundary") for f in failures)
+
+
 R_CLEARED = lattice._r_cleared
 
 

@@ -307,7 +307,7 @@ def test_enumerate_configs_counts():
 def test_count_configs_equals_the_enumeration():
     for mu in compositions_with(3, 2):
         for rho in [None, (2, 3, 1), (3, 1, 2)]:
-            assert count_configs(mu, rho) == sum(1 for _ in enumerate_configs(mu, rho))
+            assert count_configs(mu) == sum(1 for _ in enumerate_configs(mu, rho))
     assert count_configs(Composition((0, 1, 2, 3, 4))) == 34560
     assert count_configs(Composition((0, 1, 2, 3, 4, 5))) == 24883200
     assert count_configs(Composition((500, 0))) == 2**499
@@ -332,7 +332,7 @@ def test_count_configs_equals_a_sweep_over_column_states():
         n = rng.randint(1, 5)
         mu = Composition(tuple(rng.randint(0, 4) for _ in range(n)))
         rho = rng.sample(range(1, n + 1), n)
-        assert count_configs(mu, rho) == sweep(mu, rho), (mu, rho)
+        assert count_configs(mu) == sweep(mu, rho), (mu, rho)
     # refusing an oversized composition needs no enumeration
     start = time.perf_counter()
     assert count_configs(Composition(tuple(range(30)))).bit_length() == 1382
