@@ -18,7 +18,8 @@ a missing --mu or check name, a malformed integer; and a flag value out
 of range, a --mu too large to run: more than MAX_PARTS = 64 parts, more
 than MAX_SQUARES diagram squares or more than MAX_CONFIGURATIONS
 configurations, and an eigen, ybe, exchange or hecke check that asks for
-more work than its CHECKS limit allows).  Computed polynomials go to
+more work than its CHECKS limit allows).  A flag's value may begin with
+"-": ``--mu -1,2`` reads as ``--mu=-1,2``.  Computed polynomials go to
 stdout; verification reports go to stderr.
 """
 
@@ -54,6 +55,9 @@ from .xpoly import XPolynomial, reverse_alphabet
 
 # the verify flags that take an integer (``parse_int``), with their defaults
 INT_FLAGS = {"i": None, "n": None, "cap": 2, "samples": 5, "seed": 0}
+# the flags that take a value, which may begin with "-" ("--mu -1,2"):
+# argparse would read such a value as an option (``_attach_values``)
+VALUE_FLAGS = {"--mu", "--rho", *(f"--{flag}" for flag in INT_FLAGS)}
 
 # A --mu beyond any limit is refused before anything runs (exit 2).  The
 # filling search nests about |mu| frames, one per diagram square, so
@@ -328,9 +332,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """argv with a value flag's value attached as ``--flag=value`` when it
+    begins with "-" but not with "--".  argparse reads a value such as
+    -1,2 (not a plain negative number) as an unknown option and reports
+    the flag's value missing, not what is wrong with it; a "--" word after
+    a flag stays an option, so a missing value is still reported."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ v_ij = 0: the column kernel only adds exponents.
 Everything is recomputed on demand except the table of twists of every
 column, ``column_twists``, one tuple per column, which the matrix route
 reads per configuration: a bounded cache keeps one per composition
-(Composition is frozen and the tuples immutable).  Omega_mu in exponent
+(Composition is read-only and the tuples immutable).  Omega_mu in exponent
 form, ``omega_factors``, is read once per check: with f(p) =
 #{l < p : mu_l > j}, gamma_pj + f(p) = alpha_pj, so Omega_mu cancels
 the column kernel's phi factors 1/(1 - v_pj t^{f(p)}) and the route's
@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -49,6 +48,7 @@ from .qt import QTRational
 
 __all__ = [
     "Composition",
+    "ReadOnly",
     "parse_int",
     "eta",
     "eigenvalue_y",
@@ -75,18 +75,62 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class Composition:
-    """A vector mu in N^n indexing one nonsymmetric Macdonald polynomial."""
+class ReadOnly:
+    """A value of the fields its ``__match_args__`` names, slots set once
+    in ``__init__`` (through ``object.__setattr__``): assigning or deleting
+    an attribute raises AttributeError.  Values of one class are equal
+    when their fields are, and are hashed and shown by them; a value is
+    pickled and copied as its constructor called on its fields, so that a
+    copy is validated as the original was."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if len(self.parts) < 1:
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Composition(ReadOnly):
+    """A vector mu in N^n indexing one nonsymmetric Macdonald polynomial.
+
+    It keys the bounded caches read on every summand (``column_twists``,
+    the filling tables), so its hash is taken once, here."""
+
+    __slots__ = ("parts", "_hash")
+    __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]):
+        if len(parts) < 1:
             raise ValueError("composition must have at least one part")
-        if any(p < 0 for p in self.parts):
-            raise ValueError(f"negative part in {self.parts}")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        if any(p < 0 for p in parts):
+            raise ValueError(f"negative part in {parts}")
+        parts = tuple(parts)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_hash", hash((parts,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def parse(text: str) -> "Composition":

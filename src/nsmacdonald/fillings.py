@@ -48,11 +48,10 @@ pass, counting ord_+, ord_-, descents, ascents and the x exponents.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .compositions import Composition, arm, leg, omega_factors
+from .compositions import Composition, ReadOnly, arm, leg, omega_factors
 from .cyclotomic import Factors, cyclotomic_form, form_product
 from .matrixprod import LatticeConfig, _column_walk, enumerate_configs
 from .reports import CheckReport
@@ -68,29 +67,36 @@ __all__ = [
     "weight_match_check",
 ]
 
-@dataclass(frozen=True)
-class Filling:
+
+class Filling(ReadOnly):
     """A filling of the extended diagram: columns[i-1][j] = sigma_{i,j}."""
 
-    mu: Composition
-    columns: tuple[tuple[int, ...], ...]
+    __slots__ = ("mu", "columns")
+    __match_args__ = ("mu", "columns")
 
-    def __post_init__(self):
-        parts = self.mu.parts
+    def __init__(self, mu: Composition, columns: tuple[tuple[int, ...], ...]):
+        parts = mu.parts
         n = len(parts)
-        if len(self.columns) != n:
+        if len(columns) != n:
             raise ValueError("one entry column per diagram column required")
-        for i, (column, part) in enumerate(zip(self.columns, parts), start=1):
+        for i, (column, part) in enumerate(zip(columns, parts), start=1):
             if len(column) != part + 1:
                 raise ValueError(f"column {i} must hold {part + 1} entries")
             if column[0] != i:
                 raise ValueError(f"basement entry of column {i} must be {i}")
             if part and not (1 <= min(column[1:]) and max(column[1:]) <= n):
                 raise ValueError(f"entries of column {i} must lie in 1..{n}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "columns", columns)
 
     def entry(self, i: int, j: int) -> int:
         """sigma_{i,j} for a square of the extended diagram."""
         return self.columns[i - 1][j]
+
+
+# the slots' own setters: enumerate_fillings builds its fillings, valid by
+# construction, without the validation a Filling(...) call runs
+_set_mu, _set_columns = Filling.mu.__set__, Filling.columns.__set__
 
 
 def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
@@ -124,7 +130,10 @@ def enumerate_fillings(mu: Composition) -> Iterator[Filling]:
 
     def search(k: int) -> Iterator[Filling]:
         if k == len(squares):
-            yield Filling(mu, tuple(map(tuple, columns)))
+            sigma = object.__new__(Filling)
+            _set_mu(sigma, mu)
+            _set_columns(sigma, tuple(map(tuple, columns)))
+            yield sigma
             return
         c, j = squares[k]
         forbidden = set()

@@ -66,12 +66,11 @@ direct row-operator route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .compositions import Composition, column_twists, gamma, omega_factors
+from .compositions import Composition, ReadOnly, column_twists, gamma, omega_factors
 from .cyclotomic import CyclotomicForm, Factors, cyclotomic_form, form_product
 from .lattice import row_operator_expand
 from .qt import QTRational
@@ -96,12 +95,15 @@ class InadmissiblePair(ValueError):
     """Column boundary vectors violating the admissibility condition."""
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
+class LatticeConfig(ReadOnly):
     """A cylinder configuration: columns[j][i-1] is the colour on the
     vertical edge at lateral coordinate j, height i."""
 
-    columns: tuple[tuple[int, ...], ...]
+    __slots__ = ("columns",)
+    __match_args__ = ("columns",)
+
+    def __init__(self, columns: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n(self) -> int:

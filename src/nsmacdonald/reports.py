@@ -7,19 +7,40 @@ caller decides what to do.  Genuine usage errors still raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = ["CheckReport"]
 
 
-@dataclass
 class CheckReport:
-    """Outcome of one verification suite."""
+    """Outcome of one verification suite: equal when name, count, failures
+    and notes are; unhashable (it defines ``__eq__`` alone), as it is
+    mutable."""
 
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("name", "checked", "failures", "notes")
+
+    def __init__(
+        self,
+        name: str,
+        checked: int = 0,
+        failures: list[str] | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.name = name
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.checked, self.failures, self.notes) == (
+                other.name, other.checked, other.failures, other.notes
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(name={self.name!r}, checked={self.checked!r}, "
+            f"failures={self.failures!r}, notes={self.notes!r})"
+        )
 
     @property
     def ok(self) -> bool:

@@ -260,6 +260,12 @@ def test_integer_flags_take_a_sign_and_spaces(capsys):
         "verify hecke --n \uff12 --samples 1",
         "verify cyclic --mu 0,1,2 --i abc",
         "verify hecke --n 2 --seed 1_0",
+        # a value beginning with "-" is the flag's value, not an option
+        "verify hecke --n 2 --seed -3,1",
+        "compute --mu 0,1 --rho -2,1 --method matrix",
+        "verify cyclic --mu 0,1,2 --i -1,2",
+        # an option after a flag is not its value: the value is missing
+        "compute --mu --method hhl",
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):
@@ -267,6 +273,25 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("compute --mu -1,2", "negative part in (-1, 2)"),
+        ("verify hecke --n 2 --seed -3,1", "argument --seed: malformed integer '-3,1'"),
+        ("compute --mu 0,1 --rho -2,1 --method matrix", "malformed permutation string '-2,1'"),
+        ("verify ybe --n 1 --cap -1,0", "argument --cap: malformed integer '-1,0'"),
+    ],
+)
+def test_a_value_beginning_with_a_dash_is_read_as_the_flags_value(capsys, argv, message):
+    # as the --flag=value form reads it; argparse alone reports the value missing
+    words = argv.split()
+    k = next(k for k, word in enumerate(words) if word.startswith("-") and word[1] != "-")
+    attached = words[: k - 1] + [f"{words[k - 1]}={words[k]}"] + words[k + 1 :]
+    for form in (words, attached):
+        code, out, err = run(capsys, *form)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

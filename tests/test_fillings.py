@@ -43,7 +43,10 @@ def test_enumeration_matches_naive_filter():
     # (2, 2), (3, 3), (2, 0, 2), (3, 1, 3): branches the dead-branch cut removes
     for parts in [(1, 0), (0, 1), (2, 0), (1, 2), (2, 1, 0), (0, 2, 1), (1, 1, 1),
                   (2, 2), (3, 3), (2, 0, 2), (3, 1, 3)]:
-        mine = {f.columns for f in enumerate_fillings(Composition(parts))}
+        found = list(enumerate_fillings(Composition(parts)))
+        # the search builds its fillings unvalidated: each passes Filling's checks
+        assert found == [Filling(f.mu, f.columns) for f in found]
+        mine = {f.columns for f in found}
         brute = set()
         for entries in oracle.brute_fillings(parts):
             cols = tuple(
