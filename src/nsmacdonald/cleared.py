@@ -3,8 +3,9 @@ integer numerators over one common denominator.
 
 A ``ClearedPolynomial`` is D^{-1} sum_e L_e x^e: one denominator D in
 Z[q,t] for the whole polynomial (xpoly's ``clear`` takes the lcm of the
-coefficients' denominators) and, per x-monomial, a numerator L_e, a
-Laurent polynomial in (q, t) with integer coefficients.
+coefficients' denominators, without a gcd when it is one of them) and,
+per x-monomial, a numerator L_e, a Laurent polynomial in (q, t) with
+integer coefficients.
 Each numerator is one Python int, its Kronecker image
 
   N_e = sum c * 2^(w * ((qe - q0) * A + (te - t0)))
@@ -41,12 +42,14 @@ multiplies the bound by degree; T_i and T_i^{-1} multiply it by
 1 + 2 degree and add one to tspan; omega and ``shift`` leave it as it
 is; a difference adds the two bounds.  When the check fails, the
 numerators are decoded and laid out afresh; nothing is truncated.  A
-fresh layout (``packed``) takes the exact sum and t span of the
-coefficients, and leaves room for nvars generator steps and one
-difference, 2 (1 + 2 degree)^nvars times the sum, and for 2 nvars more
-factors t in a row.  That covers Y_i, n - 1 generators and omega, and
-the difference of its result and y_i times its argument at common
-offsets, so the eigencheck lays out once.  Decoding (``decode``,
+fresh layout (``fresh_layout``) takes the sum and t span of the
+coefficients, exact in ``packed`` and read from the factors' extents in
+xpoly's ``clear``, which packs products without multiplying them out,
+and leaves room for nvars generator steps and one difference,
+2 (1 + 2 degree)^nvars times the sum, and for 2 nvars more factors t in
+a row.  That covers Y_i, n - 1 generators and omega, and the difference
+of its result and y_i times its argument at common offsets, so the
+eigencheck lays out once, in ``clear``.  Decoding (``decode``,
 ``laurents``) skips the empty slots in bulk and checks every other
 slot against the envelope, as lattice's integer tables check every
 entry, raising SlotOverflow on a slot outside it.
@@ -213,13 +216,20 @@ class ClearedPolynomial:
         tspan = max(te for _qe, te in keys) - t0
         bounds = [sum(abs(c) for num in nums.values() for c in num.values()) for nums in numerators]
         degree = max(max(map(sum, nums), default=0) for nums in numerators)
-        room = 2 * max(bounds) * (1 + 2 * degree) ** nvars
-        layout = Frame.holding(room, tspan + 1 + 2 * nvars, q0, t0)
+        layout = ClearedPolynomial.fresh_layout(nvars, max(bounds), degree, tspan, q0, t0)
         return [
             ClearedPolynomial(nvars, {e: _pack(num, layout) for e, num in nums.items()},
                               den, layout, bound, tspan, degree)
             for nums, bound in zip(numerators, bounds)
         ]
+
+    @staticmethod
+    def fresh_layout(nvars: int, bound: int, degree: int, tspan: int, q0: int, t0: int) -> Frame:
+        """The layout of numerators within the envelope (bound, tspan,
+        degree) from the offsets (q0, t0), with room for nvars generator
+        steps and one difference: 2 (1 + 2 degree)^nvars times the bound,
+        and 2 nvars more factors t in a row."""
+        return Frame.holding(2 * bound * (1 + 2 * degree) ** nvars, tspan + 1 + 2 * nvars, q0, t0)
 
     def derived(self, terms: dict, bound: int, tspan: int, degree: int) -> "ClearedPolynomial":
         """Other packed numerators over the same D and layout."""

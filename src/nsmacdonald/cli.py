@@ -41,7 +41,6 @@ from .fillings import (
     weight_match_check,
 )
 from .hecke import verify_eigen, verify_hecke_relations
-from .lattice import exchange_check, ybe_check, ybe_check_symbolic
 from .matrixprod import (
     count_configs,
     cyclic_check,
@@ -62,8 +61,8 @@ VALUE_FLAGS = {"--mu", "--rho", *(f"--{flag}" for flag in INT_FLAGS)}
 # A --mu beyond any limit is refused before anything runs (exit 2).  The
 # filling search nests about |mu| frames, one per diagram square, so
 # MAX_SQUARES keeps it well inside Python's default recursion limit of 1000;
-# the eigencheck's cost grows as about n^4 (0.65 s on (0,..,0,1) at 64
-# parts, 48 s at 200), which MAX_PARTS bounds.  Each route spends about
+# the eigencheck's cost grows as about n^4 (0.23 s on (0,..,0,1) at 64
+# parts, 27 s at 200), which MAX_PARTS bounds.  Each route spends about
 # 0.2-0.4 ms per configuration (one filling per configuration), so a
 # composition at MAX_CONFIGURATIONS takes minutes per route; the count is
 # exact and takes no enumeration (``matrixprod.count_configs``), so a
@@ -81,8 +80,8 @@ MAX_CONFIGURATIONS = 10**6
 # boundary (n = 4 with cap 3, 1.6 * 10^5 boundaries, takes 1.2-1.6 s), all
 # of them held in one list; exchange 0.2-0.3 ms (n = 4 takes 0.85 s, n = 5
 # 6-7 s); hecke 1-50 ms (n = 4 takes 10.5 s, n = 5 more than
-# 100 s); eigen 20-30 ns (0,..,0,1,1 with 52 parts, 3.7 * 10^8 units, takes
-# 7.1 s, and with 64 parts, 1.04 * 10^9, 27 s).  So a check at its limit
+# 100 s); eigen 10-15 ns (0,..,0,1,1 with 52 parts, 3.7 * 10^8 units, takes
+# 4.2 s, and with 64 parts, 1.04 * 10^9, 13 s).  So a check at its limit
 # takes seconds to minutes.
 CHECKS = {
     "bijection": ({"mu"}, None, None),
@@ -244,10 +243,14 @@ def _verify(args) -> int:
         for m in targets:
             total.merge(verify_eigen(f_hhl(m), m))
     elif name == "ybe":
+        from .lattice import ybe_check, ybe_check_symbolic
+
         for n in sizes:
             total.merge(ybe_check(n, occupation_cap=args.cap, seed=args.seed))
         total.merge(ybe_check_symbolic(1, args.cap))
     elif name == "exchange":
+        from .lattice import exchange_check
+
         for n in sizes:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):

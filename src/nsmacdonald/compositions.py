@@ -51,6 +51,7 @@ __all__ = [
     "ReadOnly",
     "parse_int",
     "eta",
+    "eigenvalue_exponents",
     "eigenvalue_y",
     "gamma",
     "alpha",
@@ -188,10 +189,15 @@ def eta(mu: Composition, i: int) -> int:
     return -before - after
 
 
+def eigenvalue_exponents(mu: Composition, i: int) -> tuple[int, int]:
+    """The exponents (mu_i, eta_i(mu) + i - 1) of the monomial y_i(mu)."""
+    _check_colour(mu, i)
+    return mu.parts[i - 1], eta(mu, i) + i - 1
+
+
 def eigenvalue_y(mu: Composition, i: int) -> QTRational:
     """The eigenvalue y_i(mu) = q^{mu_i} t^{eta_i(mu) + i - 1}."""
-    _check_colour(mu, i)
-    return QTRational.monomial(mu.parts[i - 1], eta(mu, i) + i - 1)
+    return QTRational.monomial(*eigenvalue_exponents(mu, i))
 
 
 def gamma(mu: Composition, i: int, j: int) -> int:

@@ -22,20 +22,26 @@ one Python int.  The operators are Q(q,t)-linear and their coefficients
 are the monomials 1, q, t^{+-1}, so on that form they permute exponent
 keys, shift the packed numerators by whole slots and rows, and add them
 as integers: the denominator D rides along untouched, and no QTRational
-is built, no gcd taken and no QTPolynomial multiplied.  Before each
-step the operator checks in O(1) that its result fits the layout
+is built, no gcd taken and no QTPolynomial multiplied.  T_i adds the
+terms of delta_i straight into its output, in one loop over p, at the
+keys of the telescoping identity (``xpoly.telescope``, the table
+``divided_difference_div`` reads too).  Before each step the operator
+checks in O(1) that its result fits the layout
 (``ClearedPolynomial.with_room``); if not, the numerators are laid out
 afresh, never truncated.  On an XPolynomial, ``apply_T``, ``apply_Y``,
 ``cyclic_omega`` and ``divided_difference_div`` clear the denominators
 once, act, and bring each coefficient back to canonical form in Q(q,t)
 once (``xpoly.on_cleared``).
 
-``verify_eigen`` clears f once, over the lcm D of its denominators, and
-forms Y_i(D f) - y_i (D f) over D and one layout: a dict of packed
-integer numerators, empty exactly when Y_i f = y_i f.  That is exact
-equality in Q(q,t): over a fixed D every coefficient has exactly one
-numerator (Y_i is linear, D != 0), and under one layout every numerator
-one integer.
+``verify_eigen`` clears f once, over the lcm D of its denominators
+(``xpoly.clear``: for the partition functions D is one of them, found
+without a gcd), and forms Y_i(D f) - y_i (D f) over D and one layout: a
+dict of packed integer numerators, empty exactly when Y_i f = y_i f.
+That is exact equality in Q(q,t): over a fixed D every coefficient has
+exactly one numerator (Y_i is linear, D != 0), and under one layout
+every numerator one integer.  From f to the verdict the check is
+integer arithmetic; only a failure's message reduces a coefficient in
+Q(q,t), with ``qt_gcd``.
 """
 
 from __future__ import annotations
@@ -43,10 +49,10 @@ from __future__ import annotations
 import random
 
 from .cleared import ClearedPolynomial
-from .compositions import Composition, eigenvalue_y
+from .compositions import Composition, eigenvalue_exponents
 from .qt import QTRational
 from .reports import CheckReport
-from .xpoly import XPolynomial, clear, cyclic_omega, divided_difference_div, on_cleared
+from .xpoly import XPolynomial, clear, cyclic_omega, on_cleared, telescope
 
 __all__ = [
     "apply_T",
@@ -68,14 +74,35 @@ def apply_T(p: ClearedPolynomial, i: int, inverse: bool = False) -> ClearedPolyn
     # at most 1 + 2 degree times p's bound, and one more factor t
     p = p.with_room(1 + 2 * p.degree, 1)
     step = p.layout.width  # a factor t: one slot up
-    out = dict(p.terms) if inverse else {e: num << step for e, num in p.terms.items()}
-    for exps, num in divided_difference_div(p, i).terms.items():
-        key = exps[:i - 1] + (exps[i - 1] + 1,) + exps[i:]
+    terms = p.terms
+    out = dict(terms) if inverse else {e: num << step for e, num in terms.items()}
+    # c pair by pair: x^e and x^{s_i e}, e_i > e_{i+1}, give delta_i the
+    # coefficient of x^e less that of x^{s_i e} times the terms of the
+    # chain from e to s_i e (``telescope``), so c takes it times -1 at the
+    # chain's first key, t at its last and t - 1 at every key between
+    for exps, num in terms.items():
+        if exps[i - 1] == exps[i]:
+            continue  # s_i fixes x^exps: delta_i x^exps = 0
+        sign, chain = telescope(exps, i)
+        if sign > 0:
+            num -= terms.get(chain[-1], 0)
+            if not num:
+                continue
+        elif chain[0] in terms:
+            continue  # the pair is added from its other term
+        else:
+            num = -num
+        up = num << step
+        key = chain[0]
         out[key] = out.get(key, 0) - num
-        key = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-        out[key] = out.get(key, 0) + (num << step)
-    terms = {e: c for e, c in out.items() if c}
-    result = p.derived(terms, p.bound * (1 + 2 * p.degree), p.tspan + 1, p.degree)
+        key = chain[-1]
+        out[key] = out.get(key, 0) + up
+        if len(chain) > 2:
+            up -= num
+            for key in chain[1:-1]:
+                out[key] = out.get(key, 0) + up
+    result = p.derived({e: c for e, c in out.items() if c}, p.bound * (1 + 2 * p.degree),
+                       p.tspan + 1, p.degree)
     return result.shift(0, -1) if inverse else result
 
 
@@ -161,13 +188,14 @@ def verify_hecke_relations(n: int, samples: int = 5, seed: int = 0) -> CheckRepo
 def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
     """Check Y_i f = y_i(mu) f exactly for every i, on cleared denominators.
 
-    With D the lcm of f's coefficient denominators (``clear``: one
-    ``qt_lcm`` and one pass over the coefficients), the check is
+    With D the lcm of f's coefficient denominators (``clear``: the
+    denominator every other one divides, or ``qt_lcm`` when there is
+    none, and one pass over the coefficients), the check is
     Y_i(D f) = y_i (D f), compared as their difference, a dict of packed
     integer numerators under one layout; the eigenvalue y_i is a
-    monomial, a move of the layout's offsets.  A failure reports the
-    first differing coefficient of Y_i f - y_i f in graded lex order, the
-    only coefficient brought back to Q(q,t).  The zero polynomial, which
+    monomial, a move of the layout's offsets (``eigenvalue_exponents``).
+    A failure reports the first differing coefficient of Y_i f - y_i f in
+    graded lex order, the only coefficient brought back to Q(q,t).  The zero polynomial, which
     every Y_i fixes but which is no eigenfunction, fails one check.
     """
     if f.nvars != mu.n:
@@ -179,7 +207,7 @@ def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
         return report
     cleared = clear(f)
     for i in range(1, mu.n + 1):
-        diff = apply_Y(cleared, i) - cleared.shift(*_exponents(eigenvalue_y(mu, i)))
+        diff = apply_Y(cleared, i) - cleared.shift(*eigenvalue_exponents(mu, i))
         report.count()
         if diff.terms:
             exps, coeff = diff.leading_term()
@@ -187,10 +215,3 @@ def verify_eigen(f: XPolynomial, mu: Composition) -> CheckReport:
                 f"Y_{i} f != y_{i} f; first differing coefficient at x^{exps}: {coeff}"
             )
     return report
-
-
-def _exponents(monomial: QTRational) -> tuple[int, int]:
-    """(a, b) of the monomial q^a t^b."""
-    [(nq, nt)] = monomial.num.terms
-    [(dq, dt)] = monomial.den.terms
-    return nq - dq, nt - dt

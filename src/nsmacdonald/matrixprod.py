@@ -72,7 +72,6 @@ from typing import Iterator, Sequence
 
 from .compositions import Composition, ReadOnly, column_twists, gamma, omega_factors
 from .cyclotomic import CyclotomicForm, Factors, cyclotomic_form, form_product
-from .lattice import row_operator_expand
 from .qt import QTRational
 from .reports import CheckReport
 from .xpoly import Summand, XPolynomial, binomial_sum
@@ -415,6 +414,8 @@ def hall_littlewood_q0(mu: Composition) -> XPolynomial:
     state (no cylinder wrapping contributes at q = 0), which keeps the
     route independent of the column-component machinery.
     """
+    from .lattice import row_operator_expand
+
     n = mu.n
     N = mu.maxpart
     t = QTRational.t()

@@ -9,9 +9,11 @@ numerators over one common denominator D, each a Laurent polynomial in
 (q, t) with integer coefficients packed into one Python int, so that
 adding numerators is one integer addition and a monomial factor
 q^a t^b a bit shift, with no gcd.  ``clear`` brings a polynomial to
-that form in one pass over its coefficients: one lcm D in Z[q,t] of
-their denominators (one gcd per distinct denominator), each numerator
-times D over its own denominator, and one packing per numerator.
+that form in one pass over its coefficients: the lcm D in Z[q,t] of
+their denominators, found among them and certified by exact division
+when it is one of them (``qt_lcm``, one gcd per distinct denominator,
+otherwise), and each numerator times D over its own denominator as a
+sum of shifted Kronecker images, with no QTPolynomial product.
 ``on_cleared`` brings the result of an operator back, each coefficient
 decoded and put in canonical form once, with one gcd.  The eigencheck
 clears that way.
@@ -33,7 +35,8 @@ to XPolynomial (clear once, act, bring back once):
 
   cyclic_omega       the cyclic shift h(x_1,..,x_n) -> h(x_2,..,x_n, q x_1)
   divided_difference_div
-                     the exact quotient (p - s_i p)/(x_i - x_{i+1})
+                     the exact quotient (p - s_i p)/(x_i - x_{i+1}), from
+                     the telescoping keys ``telescope`` also gives T_i
 
 ``compose_vars`` substitutes each variable of an XPolynomial by a scalar
 multiple of a (possibly different) variable, as alphabet reversal does.
@@ -43,12 +46,12 @@ XPolynomial values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import lru_cache, wraps
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cleared import ClearedPolynomial, cyclotomic_quotients
 from .cyclotomic import CyclotomicForm, CyclotomicLabel, Laurent
-from .qt import QTRational, join_signed, qt_lcm
+from .qt import ExactDivisionError, QTPolynomial, QTRational, join_signed, qt_lcm
 
 __all__ = [
     "XPolynomial",
@@ -320,17 +323,66 @@ def _raw(nvars: int, terms: dict[tuple[int, ...], QTRational]) -> XPolynomial:
 
 def clear(poly: XPolynomial) -> ClearedPolynomial:
     """``poly`` in cleared form, over the lcm D in Z[q,t] of its
-    coefficients' denominators (``qt_lcm``, one gcd per distinct
-    denominator).
+    coefficients' denominators.
 
-    Each coefficient n/d becomes the integer numerator n (D / d), one
-    exact division per distinct d, and the numerators are packed.
+    D is the denominator of greatest total degree (then L1 norm) when
+    every other one divides it: a common multiple that divides every
+    common multiple, as it is one of the inputs.  The cofactors D / d,
+    one exact division per distinct d, are that certificate; when one
+    fails, D is ``qt_lcm`` (one gcd per distinct denominator).
+
+    Each numerator n (D / d) is packed as a product: the layout is read
+    from the factors' extents (lowest exponents and top t exponents add,
+    L1 norms at most multiply), each cofactor's image is built once, and
+    each term c q^a t^b of n adds c times it, shifted by a row + b slots.
     """
     dens = dict.fromkeys(coeff.den for coeff in poly.terms.values())
-    common = qt_lcm(dens)
-    cofactors = {den: common.div_exact(den) for den in dens}
-    totals = {e: (coeff.num * cofactors[coeff.den]).terms for e, coeff in poly.terms.items()}
-    return ClearedPolynomial.packed(poly.nvars, common, [totals])[0]
+    common = max(dens, key=_size, default=QTPolynomial.one())
+    try:
+        cofactors = {den: common.div_exact(den) for den in dens}
+    except ExactDivisionError:
+        common = qt_lcm(dens)
+        cofactors = {den: common.div_exact(den) for den in dens}
+    extents = {den: _extents(cof.terms) for den, cof in cofactors.items()}
+    low_q, low_t, top_t, bound = [], [], [], 0
+    for coeff in poly.terms.values():
+        nq, nt, ntop, nnorm = _extents(coeff.num.terms)
+        cq, ct, ctop, cnorm = extents[coeff.den]
+        low_q.append(nq + cq)
+        low_t.append(nt + ct)
+        top_t.append(ntop + ctop)
+        bound += nnorm * cnorm
+    q0, t0 = min(low_q, default=0), min(low_t, default=0)
+    tspan = max(top_t, default=0) - t0
+    degree = max(map(sum, poly.terms), default=0)
+    layout = ClearedPolynomial.fresh_layout(poly.nvars, bound, degree, tspan, q0, t0)
+    # each cofactor's image from its own lowest term, and that term's bit
+    # position in the layout
+    width, row = layout.width, layout.row
+    images = {}
+    for den, cof in cofactors.items():
+        cq, ct = extents[den][:2]
+        images[den] = (sum(c << width * ((qe - cq) * row + te - ct) for (qe, te), c in cof.terms.items()),
+                       layout.at(cq, ct))
+    terms = {}
+    rowbits = width * row
+    for exps, coeff in poly.terms.items():
+        image, at = images[coeff.den]
+        terms[exps] = sum((c * image) << (rowbits * qe + width * te + at)
+                          for (qe, te), c in coeff.num.terms.items())
+    return ClearedPolynomial(poly.nvars, terms, common, layout, bound, tspan, degree)
+
+
+def _size(den: QTPolynomial) -> tuple[int, int]:
+    # total degree, then L1 norm: of two denominators one divides the
+    # other only if it is first smaller here or they are equal
+    return max(qe + te for qe, te in den.terms), sum(map(abs, den.terms.values()))
+
+
+def _extents(terms: Mapping[tuple[int, int], int]) -> tuple[int, int, int, int]:
+    # the lowest q and t exponents, the top t exponent and the L1 norm
+    qs, ts = zip(*terms)
+    return min(qs), min(ts), max(ts), sum(map(abs, terms.values()))
 
 
 # one summand of ``binomial_sum``: x^exps times the value of the form
@@ -461,36 +513,43 @@ def reverse_alphabet(poly: XPolynomial) -> XPolynomial:
     return compose_vars(poly, [(n - k, one) for k in range(n)])
 
 
+@lru_cache(maxsize=1 << 13)
+def telescope(exps: tuple[int, ...], i: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """delta_i x^exps by the telescoping identity
+    (x_i^a x_{i+1}^b - x_i^b x_{i+1}^a)/(x_i - x_{i+1}) =
+    sum_{k=0}^{a-b-1} x_i^{a-1-k} x_{i+1}^{b+k}   (a > b),
+    as (sign, chain): ``chain`` holds the keys of x_i^{a-k} x_{i+1}^{b+k},
+    k = 0..a-b, of the pair's term with a > b (sign 1 for it, -1 for its
+    mirror, 0 when a = b), and delta_i x^exps is sign times the sum over
+    k < a - b of x^chain[k] / x_i, which is also x^chain[k+1] / x_{i+1}."""
+    a, b = exps[i - 1], exps[i]
+    if a == b:
+        return 0, ()
+    sign = 1
+    if a < b:
+        sign, a, b = -1, b, a
+    key, chain = list(exps), []
+    for k in range(a - b + 1):
+        key[i - 1], key[i] = a - k, b + k
+        chain.append(tuple(key))
+    return sign, tuple(chain)
+
+
 @on_cleared
 def divided_difference_div(poly: ClearedPolynomial, i: int) -> ClearedPolynomial:
-    """The exact polynomial (p - s_i p)/(x_i - x_{i+1}).
-
-    The numerator is antisymmetric in (x_i, x_{i+1}), so the quotient is
-    computed term by term from the telescoping identity
-    (x_i^a x_{i+1}^b - x_i^b x_{i+1}^a)/(x_i - x_{i+1}) =
-    x_i^b x_{i+1}^b * sum_{k=0}^{a-b-1} x_i^{a-b-1-k} x_{i+1}^k   (a > b),
-    which leaves no remainder by construction.
-    """
+    """The exact polynomial (p - s_i p)/(x_i - x_{i+1}), term by term from
+    the telescoping identity (``telescope``), which leaves no remainder by
+    construction."""
     n = poly.nvars
     if not 1 <= i <= n - 1:
         raise IndexError(f"index {i} out of range 1..{n - 1}")
     # each numerator enters at most |a - b| <= degree outputs
     poly = poly.with_room(poly.degree, 0)
-    a, b = i - 1, i
     out: dict[tuple[int, ...], int] = {}
     for exps, num in poly.terms.items():
-        ea, eb = exps[a], exps[b]
-        if ea == eb:
-            continue
-        if ea < eb:
-            # the mirrored term contributes with the opposite sign; handle
-            # each unordered pair once from its ea > eb representative
-            ea, eb, num = eb, ea, -num
-        base = list(exps)
-        for k in range(ea - eb):
-            base[a] = ea - 1 - k
-            base[b] = eb + k
-            key = tuple(base)
-            out[key] = out.get(key, 0) + num
+        sign, chain = telescope(exps, i)
+        for key in chain[:-1]:
+            key = key[:i - 1] + (key[i - 1] - 1,) + key[i:]
+            out[key] = out.get(key, 0) + sign * num
     return poly.derived({e: c for e, c in out.items() if c}, poly.bound * poly.degree,
                         poly.tspan, max(poly.degree - 1, 0))

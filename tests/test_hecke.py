@@ -15,7 +15,9 @@ from nsmacdonald.hecke import (
     verify_eigen,
     verify_hecke_relations,
 )
-from nsmacdonald.qt import Fraction, QTRational, qt_lcm
+from nsmacdonald import qt
+from nsmacdonald.cleared import ClearedPolynomial
+from nsmacdonald.qt import Fraction, QTPolynomial, QTRational, qt_lcm
 from nsmacdonald.xpoly import (
     XPolynomial,
     clear,
@@ -358,6 +360,42 @@ def test_generator_chains_past_the_first_layout_stay_exact():
                 cleared, plain = apply_T(cleared, i, inverse), plain_T(plain, i, inverse)
             assert cleared.layout[:2] != first[:2]
             assert back(cleared) == plain
+
+
+@pytest.fixture
+def eigen_operations(monkeypatch):
+    # calls of qt_gcd, QTPolynomial products and fresh layouts of cleared
+    # numerators (ClearedPolynomial.packed), in the order they are made
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qt, "qt_gcd", counted("gcd", qt.qt_gcd))
+    monkeypatch.setattr(QTPolynomial, "__mul__", counted("mul", QTPolynomial.__mul__))
+    monkeypatch.setattr(ClearedPolynomial, "packed",
+                        staticmethod(counted("packed", ClearedPolynomial.packed)))
+    return calls
+
+
+@pytest.mark.parametrize("parts", [(0, 1, 4, 2), (2, 1, 2, 2, 1, 2)])
+def test_eigencheck_takes_no_gcd_product_or_relayout(eigen_operations, parts):
+    # clear finds D among the denominators and multiplies on packed
+    # integers, and the one layout holds every Y_i and difference
+    mu = Composition(parts)
+    f = f_hhl(mu)
+    eigen_operations.clear()
+    report = verify_eigen(f, mu)
+    assert report.ok and report.checked == mu.n
+    assert eigen_operations == []
+    # the counters are live: coprime denominators take qt_lcm, a layout
+    # past its room is laid out afresh
+    cleared = clear(XPolynomial(2, {(1, 0): ONE / (ONE - Q), (0, 1): ONE / (ONE - T)}))
+    cleared.with_room(1 << cleared.layout.width, 0)
+    assert {"gcd", "mul", "packed"} <= set(eigen_operations)
 
 
 @pytest.fixture(scope="module")

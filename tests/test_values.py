@@ -93,18 +93,29 @@ def test_filling_checks_its_entries():
         Filling(MU, ((1, 1), (2, 3, 1)))
 
 
-def test_package_import_loads_no_dataclasses():
-    # the import is most of a CLI call's start-up: the dataclasses chain
-    # (dataclasses, inspect, ast, dis, tokenize) would about double it
+def modules_loaded_by_import(names):
+    """Which of ``names`` are in sys.modules after ``import nsmacdonald,
+    nsmacdonald.cli`` in a fresh interpreter."""
     src = str(Path(nsmacdonald.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, nsmacdonald, nsmacdonald.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
-        "if m in sys.modules))"
+        f"print(' '.join(m for m in {tuple(names)!r} if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_package_import_loads_no_dataclasses():
+    # the import is most of a CLI call's start-up: the dataclasses chain
+    # (dataclasses, inspect, ast, dis, tokenize) would about double it
+    assert modules_loaded_by_import(["dataclasses", "inspect", "ast", "dis", "tokenize"]) == []
+
+
+def test_package_import_loads_no_lattice():
+    # compute runs no lattice certificate: lattice is imported where a
+    # check uses it (verify ybe, verify exchange, hall_littlewood_q0)
+    assert modules_loaded_by_import(["nsmacdonald.lattice"]) == []

@@ -3,13 +3,14 @@
 import json
 import random
 from functools import reduce
+from math import prod
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from nsmacdonald.cleared import ClearedPolynomial, Frame, SlotOverflow, _pack, decode
 from nsmacdonald.cyclotomic import cyclotomic_form
-from nsmacdonald.qt import Fraction, QTPolynomial, QTRational
+from nsmacdonald.qt import Fraction, QTPolynomial, QTRational, qt_lcm
 from nsmacdonald.xpoly import (
     AlphabetMismatch,
     XPolynomial,
@@ -273,6 +274,52 @@ def test_clear_round_trip_with_fraction_coefficients(values, a, b):
     })
     cleared = clear(poly)
     assert all(isinstance(num, int) for num in cleared.terms.values())
+    assert back(cleared) == poly
+
+
+# pairwise coprime irreducibles of Z[q,t]: the primes 2 and 3, q, t, and
+# 1 - q^a t^b with gcd(a, b) = 1
+COPRIME = [QTPolynomial.constant(2), QTPolynomial.constant(3), QTPolynomial.monomial(1, 0),
+           QTPolynomial.monomial(0, 1)] + [
+    QTPolynomial({(0, 0): 1, (a, b): -1}) for a, b in [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 3)]
+]
+
+
+@st.composite
+def mixed_denominators(draw):
+    """A polynomial in two variables whose coefficients have numerators
+    with coefficients up to 2^200, over denominators of one of two kinds:
+    each a divisor of the first, a product of up to four factors drawn
+    from COPRIME with repeats (clear's gcd-free path), or pairwise coprime
+    (its qt_lcm fallback)."""
+    if draw(st.booleans()):
+        factors = draw(st.lists(st.sampled_from(COPRIME), min_size=1, max_size=4))
+        dens = [prod(factors, start=QTPolynomial.one())] + [
+            prod((f for f, keep in zip(factors, draw(st.lists(
+                st.booleans(), min_size=len(factors), max_size=len(factors)))) if keep),
+                 start=QTPolynomial.one())
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+    else:
+        dens = draw(st.lists(st.sampled_from(COPRIME), min_size=2, max_size=4, unique=True))
+    keys = draw(st.lists(exponent_vectors, min_size=len(dens), max_size=len(dens), unique=True))
+    numerators = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.integers(-2**200, 2**200).filter(bool), min_size=1, max_size=4)
+    return XPolynomial(2, {e: QTRational(QTPolynomial(draw(numerators)), den)
+                           for e, den in zip(keys, dens)})
+
+
+@given(mixed_denominators())
+def test_clear_takes_the_lcm_of_any_denominators(poly):
+    # D is the lcm whichever way clear finds it, and each numerator is the
+    # coefficient's times D over its denominator, packed exactly
+    common = qt_lcm(coeff.den for coeff in poly.terms.values())
+    cleared = clear(poly)
+    assert cleared.den == common
+    assert cleared.laurents() == {
+        e: (coeff.num * common.div_exact(coeff.den)).terms for e, coeff in poly.terms.items()
+    }
     assert back(cleared) == poly
 
 
